@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MATRIX_TOL = 1e-10
-UNIT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -116,16 +115,6 @@ def compose(g1: ConformalMap, g2: ConformalMap) -> ConformalMap:
 def inverse(g: ConformalMap) -> ConformalMap:
     j = _minkowski(g.dim.n)
     return ConformalMap(j @ g.m.T @ j, g.dim)
-
-
-def as_sphere_point(x: np.ndarray, n: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != n:
-        raise ValueError(f"points must have last axis {n}")
-    r = np.linalg.norm(x, axis=-1)
-    if np.abs(r - 1.0).max() > UNIT_TOL:
-        raise ValueError("point is not on the unit sphere")
-    return x
 
 
 def _lift_apply(g: ConformalMap, x: np.ndarray) -> np.ndarray:

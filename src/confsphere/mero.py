@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lorentz import Dimension
-from .sphgrid import Grid, HarmonicCoeffs, legendre_table, plm_index
+from .sphgrid import (Grid, HarmonicCoeffs, degree_pairings, sht_forward_columns,
+                      slot_pairings)
 from .spectral_ops import (DENOM_GUARD, DIRECT_MARGIN, bernstein_apply,
                            bernstein_rhs_factor, gjms_constant,
                            gjms_multiplier, knapp_stein_multipliers)
@@ -41,6 +42,8 @@ class LaurentFit:
     regular_value: complex
     ring_size: int
     condition: float
+    pole_offset: complex = 0j    # radius mu_{-2} / mu_{-1}: where a simple pole sits
+    sample_max: float = 0.0      # largest sample magnitude on the ring
 
     def __post_init__(self):
         if self.radius <= 0:
@@ -60,6 +63,8 @@ def residue_ring(F, center: complex, radius: float = 0.1, m: int = 16) -> Lauren
     condition     ~ |second inverse Fourier mode| / |residue mode|; small
                     for a clean simple pole, O(1) when the ring sees a
                     higher-order pole or is badly placed.
+    pole_offset   ~ radius mu_{-2} / mu_{-1}, the offset from the center of
+                    a simple pole inside the ring.
     """
     if m < 8:
         raise ValueError("need at least 8 ring samples")
@@ -74,9 +79,13 @@ def residue_ring(F, center: complex, radius: float = 0.1, m: int = 16) -> Lauren
     mu_m2 = np.mean(vals * phase**2)         # ~ a_{-2} / radius^2
     residue = radius * mu_m1
     cond = abs(mu_m2) / (abs(mu_m1) + 1e-300)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        offset = radius * mu_m2 / mu_m1
     return LaurentFit(center=complex(center), radius=float(radius),
                       residue=complex(residue), regular_value=complex(mu_0),
-                      ring_size=int(m), condition=float(cond))
+                      ring_size=int(m), condition=float(cond),
+                      pole_offset=complex(offset),
+                      sample_max=float(np.abs(vals).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -158,27 +167,17 @@ def pair_separation_power(dim: Dimension, alpha: complex,
         raise ValueError(f"alpha={alpha} is within {POLE_GUARD} of a pole")
     L = min(f1.L, f2.L)
     eig = knapp_stein_multipliers(dim, complex(alpha), L)
-    return complex(np.dot(eig, _degree_pairings(f1, f2, L)))
-
-
-def _degree_pairings(f1: HarmonicCoeffs, f2: HarmonicCoeffs, L: int) -> np.ndarray:
-    """Degree-by-degree bilinear pairings sum_m (-1)^m f1[l,m] f2[l,-m]."""
-    out = np.zeros(L + 1, dtype=complex)
-    for l in range(L + 1):
-        for m in range(-l, l + 1):
-            out[l] += (-1) ** m * f1.get(l, m) * f2.get(l, -m)
-    return out
+    return complex(np.dot(eig, degree_pairings(f1, f2)))
 
 
 def residue_separation_power(dim: Dimension, k: int, f1: HarmonicCoeffs,
-                             f2: HarmonicCoeffs, side: int = 1) -> complex:
+                             f2: HarmonicCoeffs) -> complex:
     """Residue (half-parameter convention) of alpha -> (k_alpha, f1 (x) f2)
-    at alpha = -rho - 2k via the residue operator acting on the chosen
-    side; the operator is symmetric so both sides agree."""
+    at alpha = -rho - 2k via the residue operator, which is diagonal in
+    degree and so acts the same on either factor."""
     L = min(f1.L, f2.L)
     mult = np.array([gjms_multiplier(dim, k, l) for l in range(L + 1)])
-    pairs = _degree_pairings(f1, f2, L)
-    del side  # the diagonal action is identical on either slot
+    pairs = degree_pairings(f1, f2)
     return complex(gjms_constant(dim, k).c_k * np.dot(mult, pairs))
 
 
@@ -195,64 +194,30 @@ def residue_separation_power_ring(dim: Dimension, k: int, f1: HarmonicCoeffs,
 # general (non-product) two-sphere data
 
 
-def sht_matrices(grid: Grid, L: int):
-    """Analysis and evaluation matrices for a grid, in the flat (l, m)
-    layout idx = l^2 + l + m.  analysis[idx, node] integrates against
-    conj(Y_lm); evaluation[node, idx] holds Y_lm(node)."""
-    npairs = (L + 1) ** 2
-    pts = grid.flat_points()
-    u = pts[:, 0]
-    phi = np.arctan2(pts[:, 2], pts[:, 1])
-    tab = legendre_table(L, u)
-    ev = np.empty((pts.shape[0], npairs), dtype=complex)
-    for l in range(L + 1):
-        for m in range(0, l + 1):
-            base = tab[plm_index(l, m)]
-            ev[:, l * l + l + m] = base * np.exp(1j * m * phi)
-            if m > 0:
-                ev[:, l * l + l - m] = (-1) ** m * base * np.exp(-1j * m * phi)
-    analysis = ev.conj().T * grid.flat_weights()[None, :]
-    return analysis, ev
+def _grid_slot_pairings(values, grid1: Grid, grid2: Grid, L: int) -> np.ndarray:
+    """Degree-by-degree pairings of two-sphere data sampled on grid1 x
+    grid2 (shape N1 x N2, flat): analysis in x, then in y.  Summing
+    mult_l times these equals int (M f)(y, y) dsigma(y) for the diagonal
+    multiplier M acting in either slot, since
+    sum_j w_j Y_lm(y_j) h(y_j) = (-1)^m (analysis of h)[l, -m]."""
+    A = sht_forward_columns(grid1, np.asarray(values, dtype=complex), L)
+    return slot_pairings(sht_forward_columns(grid2, A.T, L), L)
 
 
 def pair_separation_power_grid(dim: Dimension, alpha: complex, values,
                                grid1: Grid, grid2: Grid, L: int) -> complex:
     """(k_alpha, f) for f sampled on grid1 x grid2 (shape N1 x N2, flat),
     through the zonal expansion of the kernel at truncation L."""
-    values = np.asarray(values, dtype=complex)
-    an1, _ = sht_matrices(grid1, L)
-    an2, _ = sht_matrices(grid2, L)
-    A = an1 @ values                       # (npairs, N2): analysis in x
-    C = an2 @ A.T                          # (npairs2, npairs1)
     eig = knapp_stein_multipliers(dim, complex(alpha), L)
-    total = 0.0 + 0.0j
-    for l in range(L + 1):
-        acc = 0.0 + 0.0j
-        for m in range(-l, l + 1):
-            acc += (-1) ** m * C[l * l + l + m, l * l + l - m]
-        total += eig[l] * acc
-    return complex(total)
+    return complex(np.dot(eig, _grid_slot_pairings(values, grid1, grid2, L)))
 
 
 def residue_separation_power_grid(dim: Dimension, k: int, values,
-                                  grid1: Grid, grid2: Grid, L: int,
-                                  side: int = 1) -> complex:
+                                  grid1: Grid, grid2: Grid, L: int) -> complex:
     """Predicted residue (half-parameter convention) for general two-sphere
-    data: integrate the residue operator applied in one slot along the
-    diagonal, int (R_k^{(side)} f)(x, x) dsigma(x)."""
-    values = np.asarray(values, dtype=complex)
-    c_k = gjms_constant(dim, k).c_k
-    mult = np.concatenate([np.full(2 * l + 1, gjms_multiplier(dim, k, l))
-                           for l in range(L + 1)])
-    if side == 1:
-        an1, _ = sht_matrices(grid1, L)
-        coef = an1 @ values                    # (npairs, N2): R_k acts in x
-        _, ev2 = sht_matrices(grid2, L)
-        # value of the filtered section at (y, y), y running over grid2
-        diag = np.einsum("jp,pj->j", ev2, mult[:, None] * coef)
-        return complex(c_k * np.dot(diag, grid2.flat_weights()))
-    an2, _ = sht_matrices(grid2, L)
-    coef = an2 @ values.T                      # (npairs, N1): R_k acts in y
-    _, ev1 = sht_matrices(grid1, L)
-    diag = np.einsum("jp,pj->j", ev1, mult[:, None] * coef)
-    return complex(c_k * np.dot(diag, grid1.flat_weights()))
+    data: int (R_k f)(x, x) dsigma(x), the residue operator applied in
+    either slot (it is diagonal in degree) and integrated along the
+    diagonal."""
+    mult = np.array([gjms_multiplier(dim, k, l) for l in range(L + 1)])
+    pairs = _grid_slot_pairings(values, grid1, grid2, L)
+    return complex(gjms_constant(dim, k).c_k * np.dot(mult, pairs))

@@ -6,8 +6,8 @@ never depend on the quadrature machinery they are checked against.
 
 from __future__ import annotations
 
+import cmath
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -28,33 +28,52 @@ _LANCZOS_C = (
 )
 
 
-def complex_gamma(z):
-    """Gamma function for complex (or real) scalar argument."""
-    z = complex(z)
-    if z.real < 0.5:
-        s = np.sin(np.pi * z)
-        if s == 0:
-            raise ZeroDivisionError(f"gamma pole at z={z}")
-        return np.pi / (s * complex_gamma(1.0 - z))
-    z -= 1.0
+def _lanczos(z: complex):
+    """(t, x) of the Lanczos formula Gamma(z + 1) = sqrt(2 pi) t^{z+1/2} e^{-t} x."""
     x = _LANCZOS_C[0]
     for i, c in enumerate(_LANCZOS_C[1:], start=1):
         x += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
+    return z + _LANCZOS_G + 0.5, x
+
+
+def _check_pole(z: complex) -> None:
+    if z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real):
+        raise ZeroDivisionError(f"gamma pole at z={z}")
+
+
+def complex_gamma(z):
+    """Gamma function for complex (or real) scalar argument; raises
+    ZeroDivisionError at the poles z = 0, -1, -2, ..."""
+    z = complex(z)
+    if z.real < 0.5:
+        _check_pole(z)
+        return np.pi / (np.sin(np.pi * z) * complex_gamma(1.0 - z))
+    z -= 1.0
+    t, x = _lanczos(z)
     return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * np.exp(-t) * x
 
 
+def _log_gamma(z: complex) -> complex:
+    """A logarithm of Gamma(z), up to a multiple of 2 pi i: the same
+    Lanczos formula and reflection in log space, so large arguments do not
+    overflow.  Raises ZeroDivisionError at the poles z = 0, -1, -2, ..."""
+    if z.real < 0.5:
+        _check_pole(z)
+        return (math.log(math.pi) - cmath.log(cmath.sin(math.pi * z))
+                - _log_gamma(1.0 - z))
+    z -= 1.0
+    t, x = _lanczos(z)
+    return 0.5 * math.log(2.0 * math.pi) + (z + 0.5) * cmath.log(t) - t + cmath.log(x)
+
+
 def gamma_ratio(num, den):
-    """prod Gamma(num_i) / prod Gamma(den_j) for scalar sequences."""
-    val = 1.0 + 0.0j
-    for a in num:
-        val *= complex_gamma(a)
-    for b in den:
-        val /= complex_gamma(b)
-    return val
+    """prod Gamma(num_i) / prod Gamma(den_j) for scalar sequences, summed
+    in log space and exponentiated once."""
+    log = (sum(_log_gamma(complex(a)) for a in num)
+           - sum(_log_gamma(complex(b)) for b in den))
+    return cmath.exp(log)
 
 
-@lru_cache(maxsize=32)
 def _tanhsinh_nodes(level: int, t_max: float = 5.0):
     """Abscissas for tanh-sinh quadrature on (0, 1).
 
@@ -84,16 +103,19 @@ def _tanhsinh_nodes(level: int, t_max: float = 5.0):
     return u[keep], log_u[keep], one_minus_u[keep], w[keep]
 
 
-def tanhsinh_unit(f, rtol: float = 1e-12, max_level: int = 11):
-    """Integrate f over (0, 1) by tanh-sinh level doubling.
+# the nodes of levels 4..11, built once at import
+_TANHSINH_LEVELS = [_tanhsinh_nodes(level) for level in range(4, 12)]
+
+
+def tanhsinh_unit(f, rtol: float = 1e-12):
+    """Integrate f over (0, 1) by tanh-sinh level doubling, levels 4..11.
 
     f(u, log_u, one_minus_u) may return a vector (one integrand per entry);
     integration is performed per component.  Convergence is declared when
     successive levels agree to rtol relative to the largest component.
     """
     prev = None
-    for level in range(4, max_level + 1):
-        u, log_u, omu, w = _tanhsinh_nodes(level)
+    for u, log_u, omu, w in _TANHSINH_LEVELS:
         vals = np.asarray(f(u, log_u, omu))
         est = vals @ w if vals.ndim > 1 else np.dot(vals, w)
         if prev is not None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -75,72 +74,25 @@ def bernstein_rhs_factor(dim: Dimension, s: complex) -> complex:
     return s * (s + dim.n - 3.0)
 
 
-@dataclass(frozen=True, eq=False)
-class MultiplierFamily:
-    """Diagonal multiplier values for l = 0..L with a descriptive tag."""
-
-    dim: Dimension
-    L: int
-    values: np.ndarray
-    param: complex
-    kind: str
-
-    def __post_init__(self):
-        v = np.asarray(self.values)
-        if v.shape != (self.L + 1,):
-            raise ValueError("values must have length L+1")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("non-finite multiplier values")
-        if self.kind == "laplacian" and (np.any(v.real > 1e-12) or np.any(v.imag != 0)):
-            raise ValueError("laplacian multipliers must be real and <= 0")
-
-
-@lru_cache(maxsize=128)
-def _family_cached(n: int, L: int, kind: str, param: complex) -> MultiplierFamily:
-    dim = Dimension(n)
-    if kind == "laplacian":
-        vals = np.array([laplacian_multiplier(dim, l) for l in range(L + 1)],
-                        dtype=float)
-    elif kind.startswith("gjms_"):
-        k = int(kind.split("_", 1)[1])
-        vals = np.array([gjms_multiplier(dim, k, l) for l in range(L + 1)],
-                        dtype=float)
-    elif kind == "bernstein":
-        vals = np.array([bernstein_multiplier(dim, param, l) for l in range(L + 1)])
-    elif kind == "knapp_stein":
-        vals = knapp_stein_multipliers(dim, param, L)
-    else:
-        raise ValueError(f"unknown multiplier kind {kind!r}")
-    return MultiplierFamily(dim=dim, L=L, values=np.asarray(vals), param=param,
-                            kind=kind)
-
-
-def multiplier_family(dim: Dimension, L: int, kind: str,
-                      param: complex = 0.0) -> MultiplierFamily:
-    """Cached multiplier table for (dim, L, kind, param)."""
-    return _family_cached(dim.n, L, kind, complex(param))
-
-
-def apply_multiplier(fam: MultiplierFamily, coeffs: HarmonicCoeffs) -> HarmonicCoeffs:
-    if coeffs.L > fam.L:
+def apply_multiplier(values, coeffs: HarmonicCoeffs) -> HarmonicCoeffs:
+    """Multiply the degree-l coefficients by values[l]."""
+    values = np.asarray(values)
+    if values.shape[0] < coeffs.L + 1:
         raise ValueError("multiplier table too short for these coefficients")
-    out = coeffs.copy()
-    out.c *= np.asarray(fam.values)[: coeffs.L + 1, None]
-    return out
+    return HarmonicCoeffs(coeffs.L, coeffs.c * values[: coeffs.L + 1, None])
 
 
 def bernstein_apply(dim: Dimension, s: complex, coeffs: HarmonicCoeffs) -> HarmonicCoeffs:
-    fam = multiplier_family(dim, coeffs.L, "bernstein", s)
-    return apply_multiplier(fam, coeffs)
+    return apply_multiplier([bernstein_multiplier(dim, s, l)
+                             for l in range(coeffs.L + 1)], coeffs)
 
 
 def residue_operator_apply(dim: Dimension, k: int, coeffs: HarmonicCoeffs) -> HarmonicCoeffs:
     """c_k times the k-th covariant power, i.e. the k-th residue operator
     of the kernel family."""
-    fam = multiplier_family(dim, coeffs.L, f"gjms_{k}")
-    out = apply_multiplier(fam, coeffs)
-    out.c *= gjms_constant(dim, k).c_k
-    return out
+    out = apply_multiplier([gjms_multiplier(dim, k, l)
+                            for l in range(coeffs.L + 1)], coeffs)
+    return HarmonicCoeffs(out.L, out.c * gjms_constant(dim, k).c_k)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,29 +36,40 @@ def plm_index(l: int, m: int) -> int:
     return l * (l + 1) // 2 + m
 
 
+def _legendre_rows(L: int, u: np.ndarray):
+    """The normalized associated Legendre recurrence, streamed: yields
+    (l, m, p_lm(u)) for m = 0..L and l = m..L, m-major.  Stable for the
+    degrees used here (L <= 512)."""
+    s = np.sqrt(np.maximum(1.0 - u * u, 0.0))
+    pmm = np.full(u.shape, 1.0 / math.sqrt(4.0 * math.pi))
+    for m in range(L + 1):
+        if m > 0:
+            pmm = -math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s * pmm
+        yield m, m, pmm
+        p_prev2, p_prev1 = None, pmm
+        for l in range(m + 1, L + 1):
+            if l == m + 1:
+                p = math.sqrt(2.0 * m + 3.0) * u * pmm
+            else:
+                a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+                b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+                p = a * (u * p_prev1 - b * p_prev2)
+            yield l, m, p
+            p_prev2, p_prev1 = p_prev1, p
+
+
 def legendre_table(L: int, u: np.ndarray) -> np.ndarray:
     """Packed table of fully normalized associated Legendre values
     p_lm(u) for 0 <= m <= l <= L, including the 1/sqrt(4 pi) factor and
     the Condon-Shortley sign, so that Y_lm = p_lm(cos theta) e^{i m phi}.
 
-    Shape (npairs, len(u)).  The normalized recurrence is stable for the
-    degrees used here (L <= 512).
+    Shape (npairs, len(u)), row plm_index(l, m); the table for a lower
+    degree is a leading slice of this one.
     """
     u = np.asarray(u, dtype=float)
-    s = np.sqrt(np.maximum(1.0 - u * u, 0.0))
     tab = np.empty(((L + 1) * (L + 2) // 2,) + u.shape)
-    tab[0] = 1.0 / math.sqrt(4.0 * math.pi)
-    for m in range(1, L + 1):
-        tab[plm_index(m, m)] = (-math.sqrt((2.0 * m + 1.0) / (2.0 * m))
-                                * s * tab[plm_index(m - 1, m - 1)])
-    for m in range(0, L):
-        tab[plm_index(m + 1, m)] = math.sqrt(2.0 * m + 3.0) * u * tab[plm_index(m, m)]
-    for m in range(0, L + 1):
-        for l in range(m + 2, L + 1):
-            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-            tab[plm_index(l, m)] = a * (u * tab[plm_index(l - 1, m)]
-                                        - b * tab[plm_index(l - 2, m)])
+    for l, m, p in _legendre_rows(L, u):
+        tab[plm_index(l, m)] = p
     return tab
 
 
@@ -108,6 +120,14 @@ class Grid:
     def flat_weights(self) -> np.ndarray:
         return self.weights_2d().reshape(-1)
 
+    @cached_property
+    def legendre(self) -> np.ndarray:
+        """legendre_table(L, u) at the grid's own degree, built on first
+        use (read-only); every transform on this grid slices it."""
+        tab = legendre_table(self.L, self.u)
+        tab.flags.writeable = False
+        return tab
+
 
 def make_grid(L: int | None = None, n_theta: int | None = None,
               n_phi: int | None = None, phi_offset: float = 0.0) -> Grid:
@@ -145,11 +165,6 @@ class GridFunction:
         if not np.all(np.isfinite(v)):
             raise ValueError("grid function contains non-finite values")
         object.__setattr__(self, "values", v.astype(complex))
-
-
-def grid_map(grid: Grid, fn) -> GridFunction:
-    """Sample fn(points) -> values on the grid; fn gets an (..., 3) array."""
-    return GridFunction(grid, np.asarray(fn(grid.points()), dtype=complex))
 
 
 def quad(f: GridFunction) -> complex:
@@ -220,26 +235,33 @@ def coeffs_constant(value: complex, L: int = 0) -> HarmonicCoeffs:
     return out
 
 
+def _lm_mask(L: int) -> np.ndarray:
+    """Where |m| <= l in the padded (L+1, 2L+1) layout; its row-major
+    order is the (l, m) order l = 0..L, m = -l..l."""
+    l = np.arange(L + 1)[:, None]
+    return np.abs(np.arange(-L, L + 1))[None, :] <= l
+
+
 def random_coeffs(L: int, seed: int, scale=None, real_field: bool = False) -> HarmonicCoeffs:
     """Reproducible random band-limited coefficients.  scale(l) damps the
     degrees (default 1); real_field enforces the conjugation symmetry that
     makes the synthesized function real-valued."""
-    rng = np.random.default_rng(seed)
-    out = coeffs_zero(L)
-    for l in range(L + 1):
-        amp = 1.0 if scale is None else float(scale(l))
-        for m in range(-l, l + 1):
-            out.set(l, m, amp * complex(rng.normal(), rng.normal()))
+    draw = np.random.default_rng(seed).normal(size=((L + 1) ** 2, 2))
+    c = np.zeros((L + 1, 2 * L + 1), dtype=complex)
+    c[_lm_mask(L)] = draw[:, 0] + 1j * draw[:, 1]
+    if scale is not None:
+        c *= np.array([float(scale(l)) for l in range(L + 1)])[:, None]
     if real_field:
-        for l in range(L + 1):
-            out.set(l, 0, complex(out.get(l, 0).real, 0.0))
-            for m in range(1, l + 1):
-                out.set(l, -m, (-1) ** m * np.conj(out.get(l, m)))
-    return out
+        c[:, L] = c[:, L].real
+        m = np.arange(1, L + 1)
+        c[:, L - m] = (-1.0) ** m * np.conj(c[:, L + m])
+    return HarmonicCoeffs(L, c)
 
 
 # ---------------------------------------------------------------------------
-# transforms
+# transforms: one batched pair on the padded layout.  A batch holds B
+# functions as columns, sampled values in flat node order (n_nodes, B) or
+# coefficients as rows HarmonicCoeffs.c.reshape(-1) ((L+1)(2L+1), B).
 
 
 def _phase_matrix(grid: Grid, L: int) -> np.ndarray:
@@ -248,149 +270,96 @@ def _phase_matrix(grid: Grid, L: int) -> np.ndarray:
     return np.exp(-1j * np.outer(m, grid.phi))
 
 
-def sht_forward(f: GridFunction, L: int | None = None) -> HarmonicCoeffs:
-    """Analysis; exact for band-limited inputs the grid resolves."""
-    grid = f.grid
-    L = grid.L if L is None else L
+def _order_blocks(grid: Grid, L: int):
+    """Yields, per order m = 0..L, the rows p_lm(u_i), l = m..L, of the
+    grid's table (a fresh table only when synthesizing above the grid's
+    degree)."""
+    tab = grid.legendre if L <= grid.L else legendre_table(L, grid.u)
+    l = np.arange(L + 1)
+    for m in range(L + 1):
+        yield tab[l[m:] * (l[m:] + 1) // 2 + m]
+
+
+def _real_matmul(P: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """P @ X for real P and complex X with contiguous rows, as one real
+    product on the interleaved (re, im) columns."""
+    return (P @ X.view(float)).view(complex)
+
+
+def sht_forward_columns(grid: Grid, V: np.ndarray, L: int) -> np.ndarray:
+    """Analysis of a batch: V has shape (n_nodes, B); returns coefficient
+    rows ((L+1)(2L+1), B) in the padded layout."""
     if L > grid.L:
         raise ValueError(f"grid supports degree {grid.L}, requested {L}")
-    E = _phase_matrix(grid, L)
-    G = f.values @ E.T * grid.dphi          # (n_theta, 2L+1), column m+L
-    Gw = G * grid.w[:, None]
-    tab = legendre_table(L, grid.u)         # (npairs, n_theta)
-    out = coeffs_zero(L)
-    for m in range(0, L + 1):
-        rows = [plm_index(l, m) for l in range(m, L + 1)]
-        block = tab[rows]                   # (L+1-m, n_theta)
-        out.c[m:, L + m] = block @ Gw[:, L + m]
+    nt, npz = grid.shape
+    B = V.shape[1]
+    G = (_phase_matrix(grid, L) * grid.dphi) @ V.reshape(nt, npz, B)  # (nt, 2L+1, B)
+    out = np.zeros((L + 1, 2 * L + 1, B), dtype=complex)
+    for m, block in enumerate(_order_blocks(grid, L)):
+        block = block * grid.w
+        out[m:, L + m] = _real_matmul(block, G[:, L + m])
         if m > 0:
-            out.c[m:, L - m] = (-1) ** m * (block @ Gw[:, L - m])
-    return out
+            out[m:, L - m] = (-1) ** m * _real_matmul(block, G[:, L - m])
+    return out.reshape(-1, B)
+
+
+def sht_synthesize_columns(grid: Grid, C: np.ndarray, L: int) -> np.ndarray:
+    """Synthesis of a batch onto a grid (the inverse of
+    sht_forward_columns when the grid resolves L): C has shape
+    ((L+1)(2L+1), B); returns values (n_nodes, B)."""
+    B = C.shape[1]
+    C = np.ascontiguousarray(C, dtype=complex).reshape(L + 1, 2 * L + 1, B)
+    H = np.empty((grid.n_theta, 2 * L + 1, B), dtype=complex)
+    for m, block in enumerate(_order_blocks(grid, L)):
+        H[:, L + m] = _real_matmul(block.T, C[m:, L + m])
+        if m > 0:
+            H[:, L - m] = (-1) ** m * _real_matmul(block.T, C[m:, L - m])
+    return (np.conj(_phase_matrix(grid, L)).T @ H).reshape(-1, B)
+
+
+def sht_forward(f: GridFunction, L: int | None = None) -> HarmonicCoeffs:
+    """Analysis; exact for band-limited inputs the grid resolves."""
+    L = f.grid.L if L is None else L
+    rows = sht_forward_columns(f.grid, f.values.reshape(-1, 1), L)
+    return HarmonicCoeffs(L, rows.reshape(L + 1, 2 * L + 1))
 
 
 def sht_inverse(coeffs: HarmonicCoeffs, grid: Grid) -> GridFunction:
     """Synthesis on a grid (the grid need not resolve coeffs.L exactly for
     this direction, but round-trips require it)."""
-    L = coeffs.L
-    tab = legendre_table(L, grid.u)
-    H = np.zeros((grid.n_theta, 2 * L + 1), dtype=complex)
-    for m in range(0, L + 1):
-        rows = [plm_index(l, m) for l in range(m, L + 1)]
-        block = tab[rows]
-        H[:, L + m] = coeffs.c[m:, L + m] @ block
-        if m > 0:
-            H[:, L - m] = (-1) ** m * (coeffs.c[m:, L - m] @ block)
-    E = _phase_matrix(grid, L)              # e^{-i m phi}
-    values = H @ np.conj(E)
-    return GridFunction(grid, values)
+    values = sht_synthesize_columns(grid, coeffs.c.reshape(-1, 1), coeffs.L)
+    return GridFunction(grid, values.reshape(grid.shape))
 
 
 def synth_at_points(coeffs: HarmonicCoeffs, points: np.ndarray) -> np.ndarray:
     """Evaluate the band-limited function at arbitrary points (..., 3).
 
-    Streams the Legendre recurrence so memory stays O(points) even for
-    large L.
+    Consumes the Legendre recurrence row by row, so memory stays
+    O(points) even for large L.
     """
     pts = np.asarray(points, dtype=float)
     shape = pts.shape[:-1]
     pts = pts.reshape(-1, 3)
     u = np.clip(pts[:, 0], -1.0, 1.0)
-    s = np.sqrt(np.maximum(1.0 - u * u, 0.0))
     phi = np.arctan2(pts[:, 2], pts[:, 1])
-    L = coeffs.L
+    L, c = coeffs.L, coeffs.c
     out = np.zeros(pts.shape[0], dtype=complex)
-    pmm = np.full(pts.shape[0], 1.0 / math.sqrt(4.0 * math.pi))
-    for m in range(0, L + 1):
-        if m > 0:
-            pmm = -math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s * pmm
-        acc_pos = np.zeros(pts.shape[0], dtype=complex)
-        acc_neg = np.zeros(pts.shape[0], dtype=complex)
-        p_prev2 = None
-        p_prev1 = pmm
-        for l in range(m, L + 1):
-            if l == m:
-                p = pmm
-            elif l == m + 1:
-                p = math.sqrt(2.0 * m + 3.0) * u * pmm
-            else:
-                a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-                b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-                p = a * (u * p_prev1 - b * p_prev2)
-            cp = coeffs.get(l, m)
-            if cp != 0:
-                acc_pos += cp * p
-            if m > 0:
-                cn = coeffs.get(l, -m)
-                if cn != 0:
-                    acc_neg += cn * p
-            p_prev2, p_prev1 = p_prev1, p
+    for l, m, p in _legendre_rows(L, u):
+        if l == m:
+            acc_pos = np.zeros(pts.shape[0], dtype=complex)
+            acc_neg = np.zeros(pts.shape[0], dtype=complex)
+        if c[l, L + m] != 0:
+            acc_pos += c[l, L + m] * p
+        if m > 0 and c[l, L - m] != 0:
+            acc_neg += c[l, L - m] * p
+        if l < L:
+            continue
         if m == 0:
             out += acc_pos
         else:
             out += acc_pos * np.exp(1j * m * phi)
             out += (-1) ** m * acc_neg * np.exp(-1j * m * phi)
     return out.reshape(shape)
-
-
-def flat_lm_index(l: int, m: int) -> int:
-    """Row of (l, m) in the flat layout used by the batched transforms."""
-    return l * l + l + m
-
-
-def flat_degree_vector(values_per_l: np.ndarray) -> np.ndarray:
-    """Expand one value per degree into the flat (l, m) layout."""
-    parts = [np.full(2 * l + 1, values_per_l[l]) for l in range(len(values_per_l))]
-    return np.concatenate(parts)
-
-
-def sht_forward_columns(grid: Grid, V: np.ndarray, L: int) -> np.ndarray:
-    """Analyze a batch of functions given as flat columns.
-
-    V has shape (n_nodes, B); returns coefficients ((L+1)^2, B) in the
-    flat (l, m) layout.  This is the same transform as sht_forward, just
-    factored for throughput (one azimuthal matmul for the whole batch).
-    """
-    if L > grid.L:
-        raise ValueError(f"grid supports degree {grid.L}, requested {L}")
-    nt, npz = grid.n_theta, grid.n_phi
-    B = V.shape[1]
-    v3 = V.reshape(nt, npz, B).transpose(0, 2, 1)          # (nt, B, nphi)
-    E = _phase_matrix(grid, L)                              # (2L+1, nphi)
-    G = (v3 @ E.T) * grid.dphi                              # (nt, B, 2L+1)
-    Gw = G * grid.w[:, None, None]
-    tab = legendre_table(L, grid.u)
-    out = np.empty(((L + 1) ** 2, B), dtype=complex)
-    for m in range(0, L + 1):
-        rows = [plm_index(l, m) for l in range(m, L + 1)]
-        block = tab[rows]                                   # (L+1-m, nt)
-        pos = block @ Gw[:, :, L + m]                       # (L+1-m, B)
-        idx_pos = [flat_lm_index(l, m) for l in range(m, L + 1)]
-        out[idx_pos] = pos
-        if m > 0:
-            neg = (-1) ** m * (block @ Gw[:, :, L - m])
-            idx_neg = [flat_lm_index(l, -m) for l in range(m, L + 1)]
-            out[idx_neg] = neg
-    return out
-
-
-def sht_synthesize_columns(grid: Grid, C: np.ndarray, L: int) -> np.ndarray:
-    """Inverse of sht_forward_columns onto (possibly another) grid:
-    C has shape ((L+1)^2, B); returns flat values (n_nodes, B)."""
-    nt = grid.n_theta
-    B = C.shape[1]
-    tab = legendre_table(L, grid.u)
-    H = np.zeros((nt, B, 2 * L + 1), dtype=complex)
-    for m in range(0, L + 1):
-        rows = [plm_index(l, m) for l in range(m, L + 1)]
-        block = tab[rows]
-        idx_pos = [flat_lm_index(l, m) for l in range(m, L + 1)]
-        H[:, :, L + m] = block.T @ C[idx_pos]
-        if m > 0:
-            idx_neg = [flat_lm_index(l, -m) for l in range(m, L + 1)]
-            H[:, :, L - m] = (-1) ** m * (block.T @ C[idx_neg])
-    E = _phase_matrix(grid, L)
-    out = H @ np.conj(E)                                    # (nt, B, nphi)
-    return out.transpose(0, 2, 1).reshape(-1, B)
 
 
 def value_at_pole(coeffs: HarmonicCoeffs) -> complex:
@@ -400,15 +369,30 @@ def value_at_pole(coeffs: HarmonicCoeffs) -> complex:
     return complex(np.dot(coeffs.c[:, coeffs.L], scale))
 
 
+def degree_pairings(a: HarmonicCoeffs, b: HarmonicCoeffs) -> np.ndarray:
+    """Degree-by-degree bilinear pairings sum_m (-1)^m a[l, m] b[l, -m],
+    l = 0..min(a.L, b.L)."""
+    L = min(a.L, b.L)
+    ac = a.c[: L + 1, a.L - L: a.L + L + 1]
+    bc = b.c[: L + 1, b.L - L: b.L + L + 1]
+    return (ac * bc[:, ::-1]) @ (-1.0) ** np.arange(-L, L + 1)
+
+
+def slot_pairings(C: np.ndarray, L: int) -> np.ndarray:
+    """Degree-by-degree pairings sum_m (-1)^m C[(l, m), (l, -m)] of the two
+    slots of a coefficient matrix (rows and columns both in the padded
+    layout): degree_pairings of two-sphere data that need not be a
+    product."""
+    C = C.reshape(L + 1, 2 * L + 1, L + 1, 2 * L + 1)
+    l = np.arange(L + 1)
+    diag = np.diagonal(C[l, :, l, ::-1], axis1=1, axis2=2)
+    return diag @ (-1.0) ** np.arange(-L, L + 1)
+
+
 def pair_bilinear(a: HarmonicCoeffs, b: HarmonicCoeffs) -> complex:
     """The bilinear pairing int f g dsigma in coefficient form:
     sum_lm (-1)^m a[l, m] b[l, -m]."""
-    L = min(a.L, b.L)
-    total = 0.0 + 0.0j
-    for l in range(L + 1):
-        for m in range(-l, l + 1):
-            total += (-1) ** m * a.get(l, m) * b.get(l, -m)
-    return complex(total)
+    return complex(degree_pairings(a, b).sum())
 
 
 def inner(a: HarmonicCoeffs, b: HarmonicCoeffs) -> complex:
@@ -420,12 +404,6 @@ def inner(a: HarmonicCoeffs, b: HarmonicCoeffs) -> complex:
 
 # ---------------------------------------------------------------------------
 # zonal integration for general n
-
-
-def sphere_area(dim: Dimension) -> float:
-    """|S^{n-1}| = 2 pi^{n/2} / Gamma(n/2)."""
-    n = dim.n
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
 def zonal_integral(dim: Dimension, F, singular_power: complex = 0.0,
@@ -511,13 +489,12 @@ def _zonal_quadrature(dim: Dimension, F, singular_power: complex, L,
 
 def save_coeffs(path, coeffs: HarmonicCoeffs, n: int = 3) -> None:
     """JSON coefficient file: {"n": 3, "L": L, "coeffs": [[l, m, re, im], ...]}."""
-    rows = []
-    for l in range(coeffs.L + 1):
-        for m in range(-l, l + 1):
-            v = coeffs.get(l, m)
-            rows.append([l, m, v.real, v.imag])
+    L = coeffs.L
+    l, j = np.nonzero(_lm_mask(L))
+    v = coeffs.c[l, j]
+    rows = list(zip(l.tolist(), (j - L).tolist(), v.real.tolist(), v.imag.tolist()))
     with open(path, "w") as fh:
-        json.dump({"n": n, "L": coeffs.L, "coeffs": rows}, fh)
+        json.dump({"n": n, "L": L, "coeffs": rows}, fh)
 
 
 def load_coeffs(path) -> HarmonicCoeffs:
@@ -525,19 +502,22 @@ def load_coeffs(path) -> HarmonicCoeffs:
         blob = json.load(fh)
     if blob.get("n", 3) != 3:
         raise ValueError("coefficient files are supported for n = 3 only")
-    out = coeffs_zero(int(blob["L"]))
-    for l, m, re, im in blob["coeffs"]:
-        out.set(int(l), int(m), complex(re, im))
-    return out
+    L = int(blob["L"])
+    rows = np.array(blob["coeffs"], dtype=float).reshape(-1, 4)
+    l, m = rows[:, 0].astype(int), rows[:, 1].astype(int)
+    if np.any((np.abs(m) > l) | (l > L)):
+        raise IndexError("(l, m) out of range in coefficient file")
+    c = np.zeros((L + 1, 2 * L + 1), dtype=complex)
+    c[l, m + L] = rows[:, 2] + 1j * rows[:, 3]
+    return HarmonicCoeffs(L, c)
 
 
 def save_grid_csv(path, f: GridFunction) -> None:
     """CSV export with columns theta, phi, re, im."""
     grid = f.grid
     theta = np.arccos(np.clip(grid.u, -1.0, 1.0))
-    with open(path, "w") as fh:
-        fh.write("theta,phi,re,im\n")
-        for i in range(grid.n_theta):
-            for j in range(grid.n_phi):
-                v = f.values[i, j]
-                fh.write(f"{theta[i]:.17g},{grid.phi[j]:.17g},{v.real:.17g},{v.imag:.17g}\n")
+    v = f.values.reshape(-1)
+    table = np.column_stack([np.repeat(theta, grid.n_phi),
+                             np.tile(grid.phi, grid.n_theta), v.real, v.imag])
+    np.savetxt(path, table, fmt="%.17g", delimiter=",",
+               header="theta,phi,re,im", comments="")

@@ -31,10 +31,12 @@ import numpy as np
 
 from .lorentz import Dimension, ConformalMap, act, conformal_factor, inverse
 from .reps import field_from_coeffs, pi_pointwise
-from .sphgrid import (Grid, HarmonicCoeffs, flat_degree_vector, make_grid,
-                      sht_forward_columns, sht_synthesize_columns)
+from .sphgrid import (Grid, GridFunction, HarmonicCoeffs, make_grid,
+                      sht_forward, sht_forward_columns, sht_synthesize_columns,
+                      slot_pairings, synth_at_points)
 from .special import gamma_ratio
-from .spectral_ops import gjms_constant, gjms_multiplier, knapp_stein_multipliers
+from .spectral_ops import (apply_multiplier, gjms_constant, gjms_multiplier,
+                           knapp_stein_multipliers, laplacian_multiplier)
 from .mero import residue_ring
 
 CONVERGENCE_MARGIN = 0.25
@@ -207,7 +209,7 @@ class TripleEngine:
             if L_K > g3.L:
                 raise ValueError(f"grid resolves degree {g3.L}, requested {L_K}")
             self.L_K = L_K
-            self.eig1 = flat_degree_vector(knapp_stein_multipliers(dim, a1, L_K))
+            self.eig1 = np.repeat(knapp_stein_multipliers(dim, a1, L_K), 2 * L_K + 1)
         else:
             raise ValueError("method must be 'direct' or 'fast'")
 
@@ -276,30 +278,25 @@ def generic_form_alpha3_family(dim: Dimension, a1, a2, f1, f2, f3,
     F1 = np.asarray(_as_field(f1)(g1.flat_points()))
     F2 = np.asarray(_as_field(f2)(g2.flat_points()))
     F3 = np.asarray(_as_field(f3)(g3.flat_points()))
-    W1 = g1.flat_weights()
-    P1, P2, P3 = g1.flat_points(), g2.flat_points(), g3.flat_points()
 
-    K2 = chordal_power(P3, P1, a2 - rho)
-    G = K2 * F3[:, None]          # the transforms carry the measure
-    C = sht_forward_columns(g3, G, L_kernel)
-    eig1 = flat_degree_vector(knapp_stein_multipliers(dim, a1, L_kernel))
-    H = sht_synthesize_columns(g2, eig1[:, None] * C, L_kernel)   # (N2, N1)
-    D = sht_forward_columns(g2, F2[:, None] * H, L_kernel)        # (npairs, N1)
-    ev1 = _evaluation_matrix(g1, L_kernel)                         # (N1, npairs)
-    per_lm = np.einsum("pj,jp->p", D, ev1 * (F1 * W1)[:, None])
-    A = np.array([per_lm[l * l: (l + 1) ** 2].sum() for l in range(L_kernel + 1)])
+    # the N x N kernel and the (N2, N1) synthesis are temporaries, freed
+    # as soon as they are multiplied; the transforms carry the measure
+    C = sht_forward_columns(
+        g3, chordal_power(g3.flat_points(), g1.flat_points(), a2 - rho) * F3[:, None],
+        L_kernel)
+    eig1 = np.repeat(knapp_stein_multipliers(dim, a1, L_kernel), 2 * L_kernel + 1)
+    D = sht_forward_columns(                                       # (rows, N1)
+        g2, F2[:, None] * sht_synthesize_columns(g2, eig1[:, None] * C, L_kernel),
+        L_kernel)
+    # the x1 quadrature against Y_lm is the x1 analysis at (l, -m)
+    A = slot_pairings(sht_forward_columns(g1, F1[:, None] * D.T, L_kernel),
+                      L_kernel)
 
     def evaluate(a3: complex) -> complex:
         eig3 = knapp_stein_multipliers(dim, complex(a3), L_kernel)
         return complex(np.dot(eig3, A))
 
     return evaluate, A
-
-
-def _evaluation_matrix(grid: Grid, L: int) -> np.ndarray:
-    ones = np.zeros(((L + 1) ** 2, (L + 1) ** 2), dtype=complex)
-    np.fill_diagonal(ones, 1.0)
-    return sht_synthesize_columns(grid, ones, L)
 
 
 def generic_invariance_defect(dim: Dimension, alpha, g: ConformalMap,
@@ -361,12 +358,12 @@ def singular_form(dim: Dimension, k: int, a1, a2, f1, f2, f3,
     F3 = np.asarray(_as_field(f3)(g3.flat_points()))
     Wx, W3 = gx.flat_weights(), g3.flat_weights()
     Px, P3 = gx.flat_points(), g3.flat_points()
-    mult = flat_degree_vector(np.array([gjms_multiplier(dim, k, l)
-                                        for l in range(L_K + 1)]))
+    mult = np.repeat([gjms_multiplier(dim, k, l) for l in range(L_K + 1)],
+                     2 * L_K + 1)
 
     total = 0.0 + 0.0j
     tail = 0.0 + 0.0j
-    cut = (max(1, (3 * L_K) // 4)) ** 2
+    cut = max(1, (3 * L_K) // 4) * (2 * L_K + 1)   # rows below degree 3 L_K / 4
     block = max(1, (1 << 22) // Px.shape[0])
     for start in range(0, P3.shape[0], block):
         sl = slice(start, min(start + block, P3.shape[0]))
@@ -485,20 +482,16 @@ def product_rule_split_defect(dim: Dimension, s: complex, phi: HarmonicCoeffs,
     pts = np.asarray(test_points, dtype=float).reshape(-1, 3)
     grid = make_grid(L_work)
 
-    from .sphgrid import GridFunction, sht_forward, synth_at_points
-    from .spectral_ops import multiplier_family, apply_multiplier
-
     gp = grid.points()
     r_grid = np.linalg.norm(gp - y, axis=-1)
     W = GridFunction(grid, r_grid ** s * synth_at_points(phi, gp))
     cW = sht_forward(W)
-    lap = multiplier_family(dim, L_work, "laplacian")
+    lap = [laplacian_multiplier(dim, l) for l in range(max(L_work, phi.L) + 1)]
     lhs = synth_at_points(apply_multiplier(lap, cW), pts)
 
     r2 = np.maximum(2.0 - 2.0 * pts @ y, 0.0)
     phi_vals = synth_at_points(phi, pts)
-    lap_phi_fam = multiplier_family(dim, phi.L, "laplacian")
-    lap_phi = synth_at_points(apply_multiplier(lap_phi_fam, phi), pts)
+    lap_phi = synth_at_points(apply_multiplier(lap, phi), pts)
     # tangential gradient of r^2 = 2 - 2 <x, y>: project -2y onto T_x
     v = -2.0 * (y[None, :] - (pts @ y)[:, None] * pts)
     vnorm = np.linalg.norm(v, axis=1)
@@ -583,18 +576,12 @@ def pole_scan(dim: Dimension, family: str, window, step: float = 0.2,
 
     hits = []
     for center in np.arange(lo, hi + step / 2.0, step):
-        theta = 2.0 * math.pi * np.arange(ring_size) / ring_size
-        z = center + ring_radius * np.exp(1j * theta)
-        vals = np.array([func(zj) for zj in z])
-        phase = np.exp(1j * theta)
-        mu1 = np.mean(vals * phase)
-        mu2 = np.mean(vals * phase**2)
-        residue = ring_radius * mu1
-        scale = ring_radius * np.abs(vals).max() + 1e-300
-        if abs(residue) > residue_threshold * scale:
-            position = center + ring_radius * mu2 / mu1
+        fit = residue_ring(func, center, radius=ring_radius, m=ring_size)
+        scale = ring_radius * fit.sample_max + 1e-300
+        if abs(fit.residue) > residue_threshold * scale:
+            position = fit.center + fit.pole_offset
             if abs(position - center) < ring_radius:
-                hits.append((complex(position), complex(residue)))
+                hits.append((position, fit.residue))
     merged: list[tuple[complex, complex]] = []
     for pos, res in sorted(hits, key=lambda h: h[0].real):
         if merged and abs(pos - merged[-1][0]) < step:

@@ -157,12 +157,13 @@ def representation_suite(cfg: RunConfig):
     count = cfg.count(20)
 
     worst_grp = 0.0
+    group_grid = sphgrid.make_grid(64)   # composed boosts decay slowly
     for i in range(cfg.count(5)):
         g1 = random_element(dim, cfg.seed + 31 + i, max_boost=0.5)
         g2 = random_element(dim, cfg.seed + 57 + i, max_boost=0.5)
         lam = complex(0.4, -0.2) if i % 2 else 0.8
         coeffs = sphgrid.random_coeffs(8, cfg.seed + 70 + i)
-        f = sphgrid.sht_inverse(coeffs.pad(grid.L), grid)
+        f = sphgrid.sht_inverse(coeffs.pad(group_grid.L), group_grid)
         lhs = reps.pi_act(dim, lam, compose(g1, g2), f)
         rhs = reps.pi_act(dim, lam, g1, reps.pi_act(dim, lam, g2, f))
         rel = (np.abs(lhs.values - rhs.values).max()
@@ -185,7 +186,7 @@ def representation_suite(cfg: RunConfig):
            cfg.tol("rep_duality", 1e-6))
 
     worst_dirac = 0.0
-    dirac_grid = sphgrid.make_grid(48)   # composed boosts decay slowly
+    dirac_grid = sphgrid.make_grid(96)   # composed boosts decay slowly
     for i in range(count):
         g = random_element(dim, cfg.seed + 131 + i, max_boost=0.6)
         lam = complex(0.3 * (i % 3), 0.1 * (i % 5) - 0.2)
@@ -279,9 +280,8 @@ def _kernel_level_defect(dim: Dimension, s: float, cfg: RunConfig) -> float:
     r_grid = np.linalg.norm(grid.points() - y, axis=-1)
     W = sphgrid.GridFunction(grid, r_grid ** s)
     cW = sphgrid.sht_forward(W)
-    fam = spectral_ops.multiplier_family(dim, L, "laplacian")
-    lap_vals = sphgrid.synth_at_points(
-        spectral_ops.apply_multiplier(fam, cW), pts)
+    lap = [spectral_ops.laplacian_multiplier(dim, l) for l in range(L + 1)]
+    lap_vals = sphgrid.synth_at_points(spectral_ops.apply_multiplier(lap, cW), pts)
     r = np.linalg.norm(pts - y, axis=1)
     lhs = lap_vals + (s / 2.0) * (s / 2.0 + dim.n - 2.0) * r ** s
     rhs = s * (s + dim.n - 3.0) * r ** (s - 2.0)
@@ -328,8 +328,8 @@ def residues_suite(cfg: RunConfig):
 
     f1 = sphgrid.random_coeffs(6, cfg.seed + 401)
     f2 = sphgrid.random_coeffs(6, cfg.seed + 402)
-    sym = abs(mero.residue_separation_power(dim, 1, f1, f2, side=1)
-              - mero.residue_separation_power(dim, 1, f2, f1, side=2))
+    sym = abs(mero.residue_separation_power(dim, 1, f1, f2)
+              - mero.residue_separation_power(dim, 1, f2, f1))
     ring = mero.residue_separation_power_ring(dim, 1, f1, f2,
                                               radius=cfg.ring_radius,
                                               ring_size=cfg.ring_size)
@@ -396,11 +396,11 @@ def _covariant_intertwining_defect(dim, k, g, f, grid) -> float:
 def _knapp_stein_intertwining_defect(dim, lam, g, f, grid) -> float:
     """|| K_{-rho+2 lam} pi_lam(g) f - pi_{-lam}(g) K f ||_2 / ||f||_2."""
     alpha = -dim.rho + 2.0 * lam
-    fam = spectral_ops.multiplier_family(dim, grid.L, "knapp_stein", alpha)
     moved = sphgrid.sht_forward(reps.pi_act_coeffs(dim, lam, g, f, grid))
-    path_a = spectral_ops.apply_multiplier(fam, moved)
+    path_a = spectral_ops.apply_multiplier(
+        spectral_ops.knapp_stein_multipliers(dim, alpha, grid.L), moved)
     kf = spectral_ops.apply_multiplier(
-        spectral_ops.multiplier_family(dim, f.L, "knapp_stein", alpha), f)
+        spectral_ops.knapp_stein_multipliers(dim, alpha, f.L), f)
     path_b = sphgrid.sht_forward(reps.pi_act_coeffs(dim, -lam, g, kf, grid))
     diff = path_a.c - path_b.c
     return float(np.linalg.norm(diff) / f.l2_norm())

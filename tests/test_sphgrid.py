@@ -58,20 +58,37 @@ def test_parseval(grid32):
     assert abs(power - c.l2_norm() ** 2) < 1e-9 * c.l2_norm() ** 2
 
 
-def test_synth_at_points_matches_grid(grid16, rng):
-    c = sg.random_coeffs(10, 5).pad(16)
-    f = sg.sht_inverse(c, grid16)
-    assert np.abs(sg.synth_at_points(c, grid16.points()) - f.values).max() < 1e-12
-    pts = random_unit(rng, 50)
-    direct = np.zeros(50, dtype=complex)
-    # against scipy spherical harmonics in our convention (pole = x1 axis)
-    theta = np.arccos(np.clip(pts[:, 0], -1, 1))
-    phi = np.arctan2(pts[:, 2], pts[:, 1])
-    for l in range(11):
-        ylm = sp.sph_harm_y(l, np.arange(-l, l + 1), theta[:, None], phi[:, None])
-        for j, m in enumerate(range(-l, l + 1)):
-            direct += c.get(l, m) * ylm[:, j]
-    assert np.abs(sg.synth_at_points(c, pts) - direct).max() < 1e-10
+def _rounding_tol(c):
+    """Float64 rounding scale of a degree-L synthesis of c: eps times the
+    L + 1 recurrence steps times the sum of the term bounds
+    |c_lm| max|Y_lm| = |c_lm| sqrt((2l+1)/(4 pi))."""
+    l = np.arange(c.L + 1)
+    terms = np.abs(c.c) * np.sqrt((2 * l + 1) / (4 * np.pi))[:, None]
+    return np.finfo(float).eps * (c.L + 1) * terms.sum()
+
+
+# (grid degree, phi_offset): the base grid, degree 64, an offset azimuth
+TRANSFORM_GRIDS = [(16, 0.0), (64, 0.0), (16, 0.3)]
+
+
+def test_synth_at_points_matches_grid(rng):
+    # the base field, then full band on each extra grid
+    for (L, phi_offset), degree in zip(TRANSFORM_GRIDS, (10, 64, 16)):
+        grid = sg.make_grid(L, phi_offset=phi_offset)
+        c = sg.random_coeffs(degree, 5).pad(L)
+        tol = _rounding_tol(c)
+        f = sg.sht_inverse(c, grid)
+        assert np.abs(sg.synth_at_points(c, grid.points()) - f.values).max() < tol
+        pts = random_unit(rng, 50)
+        direct = np.zeros(50, dtype=complex)
+        # against scipy spherical harmonics in our convention (pole = x1 axis)
+        theta = np.arccos(np.clip(pts[:, 0], -1, 1))
+        phi = np.arctan2(pts[:, 2], pts[:, 1])
+        for l in range(degree + 1):
+            ylm = sp.sph_harm_y(l, np.arange(-l, l + 1), theta[:, None], phi[:, None])
+            for j, m in enumerate(range(-l, l + 1)):
+                direct += c.get(l, m) * ylm[:, j]
+        assert np.abs(sg.synth_at_points(c, pts) - direct).max() < tol
 
 
 def test_value_at_pole(grid16):
@@ -221,18 +238,44 @@ def test_grid_csv_export(tmp_path, grid16):
     assert abs(re + 1j * im - f.values[0, 0]) < 1e-12
 
 
-def test_batched_transforms_match(grid16):
-    c = sg.random_coeffs(8, 17)
-    f = sg.sht_inverse(c.pad(16), grid16)
-    V = f.values.reshape(-1, 1)
-    C = sg.sht_forward_columns(grid16, V, 8)
-    flat = np.concatenate([[c.get(l, m) for m in range(-l, l + 1)]
-                           for l in range(9)])
-    assert np.abs(C[:, 0] - flat).max() < 1e-12
-    other = sg.make_grid(16, phi_offset=0.3)
-    V2 = sg.sht_synthesize_columns(other, C, 8)
-    f2 = sg.sht_inverse(c, other)
-    assert np.abs(V2[:, 0] - f2.values.reshape(-1)).max() < 1e-12
+def test_batched_transforms_match():
+    for (L, phi_offset), degree in zip(TRANSFORM_GRIDS, (8, 64, 16)):
+        grid = sg.make_grid(L, phi_offset=phi_offset)
+        c = sg.random_coeffs(degree, 17)
+        tol = _rounding_tol(c)
+        f = sg.sht_inverse(c.pad(L), grid)
+        V = f.values.reshape(-1, 1)
+        C = sg.sht_forward_columns(grid, V, c.L)
+        # coefficient rows are HarmonicCoeffs.c.reshape(-1)
+        assert np.abs(C[:, 0] - c.c.reshape(-1)).max() < tol
+        other = sg.make_grid(L, phi_offset=phi_offset + 0.3)
+        V2 = sg.sht_synthesize_columns(other, C, c.L)
+        f2 = sg.sht_inverse(c, other)
+        assert np.abs(V2[:, 0] - f2.values.reshape(-1)).max() < tol
+        # batches given as transposes (columns not contiguous)
+        X = np.stack([c.c.reshape(-1), 2j * c.c.reshape(-1)])
+        V3 = sg.sht_synthesize_columns(other, X.T, c.L)
+        assert np.abs(V3[:, 1] - 2j * f2.values.reshape(-1)).max() < 2 * tol
+        C3 = sg.sht_forward_columns(other, np.stack([V3[:, 0], V3[:, 1]]).T, c.L)
+        assert np.abs(C3[:, 1] - 2j * c.c.reshape(-1)).max() < 2 * tol
+
+
+def test_grid_builds_its_legendre_table_once(monkeypatch):
+    calls = []
+    table = sg.legendre_table
+    monkeypatch.setattr(sg, "legendre_table",
+                        lambda L, u: calls.append(L) or table(L, u))
+    grid = sg.make_grid(24)
+    c = sg.random_coeffs(24, 3)
+    for L in (24, 16, 8):
+        f = sg.sht_inverse(c, grid)
+        sg.sht_forward(f, L)
+        V = sg.sht_synthesize_columns(grid, np.ones((L + 1) * (2 * L + 1))[:, None], L)
+        sg.sht_forward_columns(grid, V, L)
+    assert calls == [24]
+    # a lower-degree table is a leading slice of the grid's
+    assert np.array_equal(sg.legendre_table(16, grid.u),
+                          grid.legendre[: 17 * 18 // 2])
 
 
 def test_gridfunction_validation(grid16):

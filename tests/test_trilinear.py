@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from scipy.special import loggamma
+
 from confsphere.lorentz import boost, random_element, rotation
 from confsphere import sphgrid as sg, trilinear as tri
+from confsphere.special import complex_gamma, gamma_ratio
 from confsphere.spectral_ops import gjms_constant
 from conftest import random_unit
 
@@ -225,6 +228,89 @@ def test_pole_scan_singular_lines(dim3):
                    if r.family == "singular_line")
     assert lines == [0, 2, 4]
     assert all(r.k == (2 * 2 - round(r.position.real)) // 2 for r in reports)
+
+
+def _product_gamma_ratio(num, den):
+    """The Gamma quotient as a running product of complex_gamma values:
+    the multiplicative form, which overflows at large arguments."""
+    val = 1.0 + 0.0j
+    for a in num:
+        val *= complex_gamma(a)
+    for b in den:
+        val /= complex_gamma(b)
+    return val
+
+
+def _log_space_tol(num, den):
+    """Rounding scale of a log-space quotient: the Lanczos error (1e-13
+    per factor) plus a few ulps of every summed log-Gamma."""
+    logs = np.abs(loggamma(np.array(list(num) + list(den), dtype=complex)))
+    return 1e-13 * len(logs) + 4 * np.finfo(float).eps * logs.sum()
+
+
+def test_gamma_ratio_large_arguments_against_scipy(dim3):
+    a = (100.0, 100.0, 100.0)
+    num = [(sum(a) + 1) / 2] + [(v + 1) / 2 for v in a]
+    den = [1 + (a[1] + a[2]) / 2] * 3
+    want = np.exp(loggamma(num).sum() - loggamma(den).sum())    # 4.53e-22
+    got = tri.gamma_ratio_factor(dim3, a)
+    assert abs(got - want) <= _log_space_tol(num, den) * abs(want)
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        # both half planes (the left one through reflection), complex too
+        z1, z2 = (complex(rng.uniform(-160, 160), rng.uniform(-20, 20))
+                  for _ in range(2))
+        log_want = loggamma(z1) - loggamma(z2)
+        if abs(log_want.real) > 600:
+            continue
+        got = gamma_ratio([z1], [z2])
+        assert abs(got - np.exp(log_want)) <= (_log_space_tol([z1], [z2])
+                                               * abs(np.exp(log_want)))
+
+
+def test_gamma_ratio_poles_raise():
+    for pole in (0.0, -1.0, -7.0):
+        with pytest.raises(ZeroDivisionError):
+            complex_gamma(pole)
+        with pytest.raises(ZeroDivisionError):
+            gamma_ratio([pole], [1.5])
+        with pytest.raises(ZeroDivisionError):
+            gamma_ratio([1.5], [pole])
+
+
+def test_log_space_closed_forms_match_products(dim3, monkeypatch):
+    rng = np.random.default_rng(11)
+    points = [tuple(complex(rng.uniform(-7, 7), rng.uniform(-1, 1) * (j % 2))
+                    for _ in range(3)) for j in range(200)]
+    checked = 0
+    for a in points:
+        try:
+            with monkeypatch.context() as mp:
+                mp.setattr(tri, "gamma_ratio", _product_gamma_ratio)
+                want = (tri.closed_form_constant(dim3, a),
+                        tri.closed_form_constant_residue(dim3, 1, a[0], a[1]))
+        except (OverflowError, ZeroDivisionError):
+            continue
+        got = (tri.closed_form_constant(dim3, a),
+               tri.closed_form_constant_residue(dim3, 1, a[0], a[1]))
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-13 * abs(w)
+        checked += 1
+    assert checked > 150
+    scans = [("alpha3", dict(window=(-6.5, 0.5), a1=0.31, a2=0.77)),
+             ("singular_line", dict(window=(-3.0, 3.0), k=1, delta=0.26)),
+             ("singular_line", dict(window=(-1.0, 5.0), k=2, delta=0.26))]
+    for family, kw in scans:
+        with monkeypatch.context() as mp:
+            mp.setattr(tri, "gamma_ratio", _product_gamma_ratio)
+            want = tri.pole_scan(dim3, family, **kw)
+        got = tri.pole_scan(dim3, family, **kw)
+        assert [(r.family, r.k) for r in got] == [(r.family, r.k) for r in want]
+        for g, w in zip(got, want):
+            # positions relative to the O(1) scale of the scan variable
+            # (a pole at 0 is fitted to within rounding of 0)
+            assert abs(g.position - w.position) <= 1e-13 * max(1.0, abs(w.position))
+            assert abs(g.residue - w.residue) <= 1e-13 * abs(w.residue)
 
 
 def test_kernel_pullback_identity_and_rotation(dim3, rng):
