@@ -25,9 +25,7 @@ import numpy as np
 from .lorentz import Dimension
 from .sphgrid import (Grid, HarmonicCoeffs, degree_pairings, sht_forward_columns,
                       slot_pairings)
-from .spectral_ops import (DENOM_GUARD, DIRECT_MARGIN, bernstein_apply,
-                           bernstein_rhs_factor, gjms_constant,
-                           gjms_multiplier, knapp_stein_multipliers)
+from .spectral_ops import gjms_constant, gjms_multiplier, knapp_stein_multipliers
 
 POLE_GUARD = 1e-6
 
@@ -103,12 +101,10 @@ def _pole_distance(dim: Dimension, s: complex) -> float:
 def pair_distance_power(dim: Dimension, s: complex, f: HarmonicCoeffs) -> complex:
     """Regularized pairing (|e - x|^s, f) for a band-limited f on S^2.
 
-    Directly: only the m = 0 coefficients pair with the zonal kernel, each
-    weighted by the degree-l kernel eigenvalue.  Below the integrability
-    threshold the value is continued by stepping the exponent up by 2 and
-    applying the Bernstein-Sato operator to f:
-        (h_s, f) = (h_{s+2}, [Delta + ((s+2)/2)((s+2)/2 + n - 2)] f)
-                   / ((s+2)(s+2+n-3)).
+    Only the m = 0 coefficients pair with the zonal kernel, each weighted
+    by the degree-l kernel eigenvalue; the eigenvalues are meromorphic in
+    s (closed form), so the same dot product is the continuation below the
+    integrability threshold.
     """
     if dim.n != 3:
         raise ValueError("coefficient pairings are implemented for n = 3")
@@ -116,22 +112,10 @@ def pair_distance_power(dim: Dimension, s: complex, f: HarmonicCoeffs) -> comple
     if _pole_distance(dim, s) < POLE_GUARD:
         raise ValueError(f"s={s} is within {POLE_GUARD} of a pole; "
                          "sample on a ring instead")
-    work = f.copy()
-    scale = 1.0 + 0.0j
-    while s.real <= -(dim.n - 1.0) + DIRECT_MARGIN:
-        step = s + 2.0
-        denom = bernstein_rhs_factor(dim, step)
-        if abs(step) < DENOM_GUARD or abs(step + dim.n - 3.0) < DENOM_GUARD:
-            raise ZeroDivisionError(
-                f"descent denominator vanishes at s={step}; "
-                "perturb s off the real axis")
-        work = bernstein_apply(dim, step, work)
-        scale /= denom
-        s = step
-    eig = knapp_stein_multipliers(dim, s + dim.rho, work.L)
-    l = np.arange(work.L + 1)
-    zonal = work.c[:, work.L] * np.sqrt((2 * l + 1) / (4.0 * math.pi))
-    return complex(scale * np.dot(eig, zonal))
+    eig = knapp_stein_multipliers(dim, s + dim.rho, f.L)
+    l = np.arange(f.L + 1)
+    zonal = f.c[:, f.L] * np.sqrt((2 * l + 1) / (4.0 * math.pi))
+    return complex(np.dot(eig, zonal))
 
 
 def residue_pair_distance_power(dim: Dimension, k: int, f: HarmonicCoeffs,
@@ -161,7 +145,7 @@ def covariant_power_at_pole(dim: Dimension, k: int, f: HarmonicCoeffs) -> comple
 def pair_separation_power(dim: Dimension, alpha: complex,
                           f1: HarmonicCoeffs, f2: HarmonicCoeffs) -> complex:
     """(k_alpha, f1 (x) f2) = int |x-y|^{-rho+alpha} f1(x) f2(y), evaluated
-    through the kernel eigenvalues (continued in alpha where needed)."""
+    through the kernel eigenvalues (meromorphic in alpha)."""
     s = complex(alpha) - dim.rho
     if _pole_distance(dim, s) < POLE_GUARD:
         raise ValueError(f"alpha={alpha} is within {POLE_GUARD} of a pole")

@@ -1,7 +1,7 @@
 """Spectral multipliers on S^{n-1}: the Laplacian, its conformally
 covariant powers (Yamabe / GJMS family), the Bernstein-Sato ladder for the
-chordal-distance kernels, and the Knapp-Stein eigenvalues with downward
-continuation.
+chordal-distance kernels, and the Knapp-Stein eigenvalues in closed form
+(meromorphic in the exponent, so no continuation is needed).
 
 Everything acts diagonally on spherical-harmonic degrees.  The Laplacian
 is defined spectrally (eigenvalue -l(l+n-2)); the radial second-order form
@@ -16,10 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lorentz import Dimension
-from .sphgrid import HarmonicCoeffs, kernel_eigenvalues
-
-DENOM_GUARD = 1e-6
-DIRECT_MARGIN = 0.5
+from .special import gamma_ratio
+from .sphgrid import HarmonicCoeffs
 
 
 def laplacian_multiplier(dim: Dimension, l: int) -> float:
@@ -82,11 +80,6 @@ def apply_multiplier(values, coeffs: HarmonicCoeffs) -> HarmonicCoeffs:
     return HarmonicCoeffs(coeffs.L, coeffs.c * values[: coeffs.L + 1, None])
 
 
-def bernstein_apply(dim: Dimension, s: complex, coeffs: HarmonicCoeffs) -> HarmonicCoeffs:
-    return apply_multiplier([bernstein_multiplier(dim, s, l)
-                             for l in range(coeffs.L + 1)], coeffs)
-
-
 def residue_operator_apply(dim: Dimension, k: int, coeffs: HarmonicCoeffs) -> HarmonicCoeffs:
     """c_k times the k-th covariant power, i.e. the k-th residue operator
     of the kernel family."""
@@ -96,50 +89,39 @@ def residue_operator_apply(dim: Dimension, k: int, coeffs: HarmonicCoeffs) -> Ha
 
 
 # ---------------------------------------------------------------------------
-# Knapp-Stein eigenvalues with downward continuation
+# Knapp-Stein eigenvalues in closed form
 
 
-def _descent_steps(dim: Dimension, s: complex, margin: float) -> int:
-    """Number of +2 shifts needed before direct quadrature is trusted."""
-    target = -(dim.n - 1.0) + margin
-    m = 0
-    while complex(s).real + 2.0 * m <= target:
-        m += 1
-    return m
-
-
-def knapp_stein_multipliers(dim: Dimension, alpha: complex, L: int,
-                            margin: float = DIRECT_MARGIN) -> np.ndarray:
+def knapp_stein_multipliers(dim: Dimension, alpha: complex, L: int) -> np.ndarray:
     """Eigenvalues e_l(alpha), l = 0..L, of convolution with the kernel
-    |x - y|^{-rho + alpha}.
+    |x - y|^s, s = -rho + alpha, on S^d, d = n - 1 (Beckner 1993):
+        e_l = 2^{d+s} pi^{d/2} Gamma((d+s)/2) (-s/2)_l / Gamma(l + d + s/2),
+    seeded in log space and stepped by
+        e_l = e_{l-1} (l - 1 - s/2) / (l - 1 + d + s/2).
 
-    Direct quadrature where the kernel is integrable with margin
-    (Re(-rho+alpha) > -(n-1) + 0.5); otherwise the values are continued
-    downward through the Bernstein-Sato relation
-        e_l(s - 2) = [Delta_l + (s/2)(s/2+n-2)] e_l(s) / (s (s+n-3)),
-    starting from a directly computable exponent s + 2m.
-
-    Raises if a continuation step passes within 1e-6 of a zero of
-    s(s+n-3); nudge alpha off the real axis in that case.
+    Meromorphic in alpha; raises ZeroDivisionError exactly on the pole
+    lattice s = -d - 2k.  Where Gamma(l + d + s/2) has a pole off that
+    lattice (real even s <= -2d, n even) e_l vanishes, so the recurrence
+    starts at the first degree where it is finite.
     """
-    s = complex(alpha) - dim.rho
-    m = _descent_steps(dim, s, margin)
-    for j in range(1, m + 1):
-        step = s + 2.0 * j
-        if abs(step) < DENOM_GUARD or abs(step + dim.n - 3.0) < DENOM_GUARD:
-            raise ZeroDivisionError(
-                f"continuation step s={step} hits a zero of s(s+n-3); "
-                "perturb alpha off the real axis (e.g. alpha + 1e-3j)")
-    vals = kernel_eigenvalues(dim, s + 2.0 * m, L)
-    lap = np.array([laplacian_multiplier(dim, l) for l in range(L + 1)])
-    for j in range(m, 0, -1):
-        step = s + 2.0 * j
-        num = lap + (step / 2.0) * (step / 2.0 + dim.n - 2.0)
-        vals = num * vals / (step * (step + dim.n - 3.0))
+    d = dim.n - 1.0
+    h = (complex(alpha) - dim.rho) / 2.0
+    l0 = 0
+    if h.imag == 0.0 and h.real == math.floor(h.real) and d + h.real <= 0.0:
+        l0 = int(1.0 - d - h.real)
+    num, den = [d / 2.0 + h], [l0 + d + h]
+    if l0 > 0:   # the Pochhammer factor (-s/2)_{l0}, with -s/2 >= d
+        num.append(l0 - h)
+        den.append(-h)
+    seed = 2.0 ** (d + 2.0 * h) * math.pi ** (d / 2.0) * gamma_ratio(num, den)
+    vals = np.zeros(L + 1, dtype=complex)
+    if l0 <= L:
+        l = np.arange(l0 + 1, L + 1)
+        vals[l0:] = seed * np.cumprod(np.concatenate(
+            ([1.0], (l - 1.0 - h) / (l - 1.0 + d + h))))
     return vals
 
 
-def knapp_stein_multiplier(dim: Dimension, alpha: complex, l: int,
-                           margin: float = DIRECT_MARGIN) -> complex:
+def knapp_stein_multiplier(dim: Dimension, alpha: complex, l: int) -> complex:
     """Single eigenvalue e_l(alpha); see knapp_stein_multipliers."""
-    return complex(knapp_stein_multipliers(dim, alpha, l, margin=margin)[l])
+    return complex(knapp_stein_multipliers(dim, alpha, l)[l])

@@ -24,6 +24,7 @@ respect to the half parameter, matching the convention in `mero`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -134,21 +135,33 @@ def _as_field(f):
     return field_from_coeffs(f) if isinstance(f, HarmonicCoeffs) else f
 
 
+@functools.cache
+def _staggered_grids(n_theta: int, n_phi: int, count: int) -> tuple:
+    """`count` grids of one size, azimuths offset by multiples of
+    dphi / count; built once per process and shared, so their node arrays
+    are read-only.  The Legendre tables are built here, before any kernel
+    temporaries, so these long-lived arrays do not pin freed heap."""
+    dphi = 2.0 * math.pi / n_phi
+    grids = tuple(make_grid(n_theta=n_theta, n_phi=n_phi,
+                            phi_offset=j * dphi / count) for j in range(count))
+    for g in grids:
+        for a in (g.u, g.w, g.phi):
+            a.flags.writeable = False
+        g.legendre
+    return grids
+
+
 def triple_grids(grid_size=(24, 48)):
     """Three same-size grids with staggered azimuths so that no pair of
     nodes across spheres coincides (the kernels may carry negative
     powers of the separation)."""
-    nt, npz = grid_size
-    dphi = 2.0 * math.pi / npz
-    return tuple(make_grid(n_theta=nt, n_phi=npz, phi_offset=j * dphi / 3.0)
-                 for j in range(3))
+    nt, npz = (int(v) for v in grid_size)
+    return _staggered_grids(nt, npz, 3)
 
 
 def double_grids(grid_size=(48, 96)):
-    nt, npz = grid_size
-    dphi = 2.0 * math.pi / npz
-    return (make_grid(n_theta=nt, n_phi=npz, phi_offset=0.0),
-            make_grid(n_theta=nt, n_phi=npz, phi_offset=dphi / 2.0))
+    nt, npz = (int(v) for v in grid_size)
+    return _staggered_grids(nt, npz, 2)
 
 
 def chordal_power(P: np.ndarray, Q: np.ndarray, s: complex) -> np.ndarray:
@@ -259,10 +272,10 @@ def generic_form_alpha3_family(dim: Dimension, a1, a2, f1, f2, f3,
     parameter, with (a1, a2) fixed inside the direct regime.
 
     The two outer quadratures and the middle convolution are assembled
-    once; the third-slot kernel acts through its zonal eigenvalues, which
-    are continued in a3 by the downward Bernstein-Sato relation.  The
-    returned callable is therefore meromorphic in a3 off the pole lattice
-    and can be sampled on residue rings around -rho - 2k.
+    once; the third-slot kernel acts through its zonal eigenvalues, whose
+    closed form is meromorphic in a3.  The returned callable is therefore
+    meromorphic in a3 off the pole lattice and can be sampled on residue
+    rings around -rho - 2k.
 
     Returns (evaluate, degree_weights): evaluate(a3) -> complex, and the
     per-degree weights A_l with evaluate(a3) = sum_l e_l(a3 - rho) A_l,

@@ -260,12 +260,13 @@ def bernstein_suite(cfg: RunConfig):
 
 
 def _descend_once(dim: Dimension, s: complex, L: int) -> np.ndarray:
+    """One Bernstein-Sato step down from quadrature eigenvalues at s + 2:
+    the oracle side of bern-descent, independent of the closed form."""
     up = sphgrid.kernel_eigenvalues(dim, s + 2.0, L)
-    lap = np.array([spectral_ops.laplacian_multiplier(dim, l)
-                    for l in range(L + 1)])
     step = complex(s) + 2.0
-    num = lap + (step / 2.0) * (step / 2.0 + dim.n - 2.0)
-    return num * up / (step * (step + dim.n - 3.0))
+    num = np.array([spectral_ops.bernstein_multiplier(dim, step, l)
+                    for l in range(L + 1)])
+    return num * up / spectral_ops.bernstein_rhs_factor(dim, step)
 
 
 def _kernel_level_defect(dim: Dimension, s: float, cfg: RunConfig) -> float:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 import scipy.special as sp
+from hypothesis import assume, given, settings, strategies as st
 
 from confsphere.lorentz import Dimension
 from confsphere import sphgrid as sg
 from confsphere import spectral_ops as so
+from conftest import knapp_stein_oracle
 
 
 def radial_laplacian_fd(profile, theta, n, h=1e-4):
@@ -182,15 +184,52 @@ def test_knapp_stein_pole_structure():
             assert abs(off.residue) < 1e-8 * max(1.0, scale)
 
 
-def test_descent_denominator_guard():
-    # n = 3: continuing past s = -2 steps through s(s) = 0 exactly
-    dim = Dimension(3)
-    with pytest.raises(ZeroDivisionError, match="perturb alpha"):
-        so.knapp_stein_multipliers(dim, -1.0, 8)
-    # the suggested nudge works
-    vals = so.knapp_stein_multipliers(dim, -1.0 + 1e-3j, 8)
-    assert np.all(np.isfinite(vals))
-    # n = 4: continuing to s = -3 steps through s + n - 3 = 0
-    dim4 = Dimension(4)
-    with pytest.raises(ZeroDivisionError, match="perturb alpha"):
-        so.knapp_stein_multipliers(dim4, dim4.rho - 3.0, 8)
+def test_knapp_stein_poles_and_exceptional_points():
+    # ZeroDivisionError exactly on the pole lattice s = -d - 2k, finite
+    # just off it
+    for n in (3, 4):
+        dim = Dimension(n)
+        for k in range(5):
+            s = -(n - 1.0) - 2.0 * k
+            with pytest.raises(ZeroDivisionError):
+                so.knapp_stein_multipliers(dim, s + dim.rho, 8)
+            for off in (1e-3j, -1e-3j):
+                vals = so.knapp_stein_multipliers(dim, s + off + dim.rho, 8)
+                assert np.all(np.isfinite(vals))
+    # real points where Gamma(l + d + s/2) or (-s/2)_l vanish: n = 4 at
+    # s = -6, -8 (off the lattice, e_l = 0 below the first finite degree)
+    # and n = 3 at s = 2, 6 (e_l = 0 for l > s/2)
+    for n, s in ((4, -6.0), (4, -8.0), (3, 2.0), (3, 6.0)):
+        dim = Dimension(n)
+        got = so.knapp_stein_multipliers(dim, s + dim.rho, 12)
+        want = knapp_stein_oracle(n, s, 12)
+        zero = want == 0.0
+        assert zero.any() and np.all(got[zero] == 0.0)
+        assert np.max(np.abs(got[~zero] - want[~zero]) / np.abs(want[~zero])) < 1e-13
+    assert abs(so.knapp_stein_multiplier(Dimension(4), -6.0 + 1.5, 1)
+               - np.pi ** 2 / 2) < 1e-13
+
+
+def _lattice_distance(n, s):
+    """Distance from s to the pole lattice -(n-1) - 2k, k >= 0."""
+    k = max(0, round((-(n - 1) - s.real) / 2.0))
+    return min(abs(s + (n - 1) + 2.0 * j) for j in (k - 1, k, k + 1) if j >= 0)
+
+
+@settings(derandomize=True, deadline=None)
+@given(n=st.sampled_from([3, 4, 5]), l=st.integers(0, 64),
+       re=st.floats(-12.0, 45.0), im=st.floats(-3.0, 3.0))
+def test_knapp_stein_ladder_property(n, l, re, im):
+    # e_l(s-2) s(s+n-3) = [-l(l+n-2) + (s/2)(s/2+n-2)] e_l(s); near the
+    # zeros s = 0, 2, 4, ... of e_l its relative value is ill-conditioned
+    # in s, so s keeps off every even integer as well as off the poles
+    s = complex(re, im)
+    assume(_lattice_distance(n, s) >= 0.05 and _lattice_distance(n, s - 2.0) >= 0.05)
+    assume(abs(s - 2.0 * round(re / 2.0)) >= 0.05)
+    dim = Dimension(n)
+    up = so.knapp_stein_multiplier(dim, s + dim.rho, l)
+    down = so.knapp_stein_multiplier(dim, s - 2.0 + dim.rho, l)
+    lhs = down * s * (s + n - 3.0)
+    rhs = (-l * (l + n - 2.0) + (s / 2) * (s / 2 + n - 2.0)) * up
+    scale = max(abs(lhs), abs(up) * (l * (l + n - 2.0) + abs(s / 2 * (s / 2 + n - 2.0))))
+    assert abs(lhs - rhs) <= 1e-12 * scale

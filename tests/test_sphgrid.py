@@ -6,7 +6,8 @@ import scipy.special as sp
 
 from confsphere.lorentz import Dimension
 from confsphere import sphgrid as sg
-from conftest import random_unit
+from confsphere import spectral_ops as so
+from conftest import knapp_stein_oracle, random_unit
 
 
 def test_quad_area(grid16):
@@ -184,6 +185,19 @@ def test_kernel_eigenvalues_closed_form():
                     / (sp.gamma(complex(s) / 2 + 1 - l)
                        * sp.gamma(complex(s) / 2 + 2 + l)))
             assert abs(eig[l] - want) / abs(want) < 1e-10
+    # the production eigenvalues, per degree up to l = 128, across the
+    # direct range, the continued range and large exponents
+    for n in (3, 4, 5):
+        dim = Dimension(n)
+        for s in (-(n - 1) + 0.55, 0.3, 1.7, 4.6, -3.3, -5.7, -8.9, 39.6, 40.3):
+            got = so.knapp_stein_multipliers(dim, s + dim.rho, 128)
+            want = knapp_stein_oracle(n, s, 128)
+            assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13, (n, s)
+        for s in (complex(-0.7, 0.2), complex(-9.2, 0.3), complex(0.3, -2.0),
+                  complex(39.7, 0.5)):
+            got = so.knapp_stein_multipliers(dim, s + dim.rho, 32)
+            want = knapp_stein_oracle(n, s, 32)
+            assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13, (n, s)
 
 
 def test_convolution_theorem(grid32):

@@ -117,6 +117,27 @@ def test_spectral_family_matches_direct(dim3):
     assert len(weights) == 21
 
 
+def test_grids_built_once_per_size(dim3, monkeypatch):
+    # one set of grids per size (list or tuple), with read-only nodes, so
+    # a repeated evaluation builds no Legendre table
+    grids = tri.triple_grids((12, 24))
+    assert tri.triple_grids([12, 24]) is grids
+    assert tri.double_grids((np.int64(12), 24)) is tri.double_grids((12, 24))
+    with pytest.raises(ValueError):
+        grids[0].u[0] = 0.0
+    one = sg.coeffs_constant(1.0, 2)
+    tri.generic_form(dim3, (1.0, 1.0, 1.0), one, one, one, grid_size=(12, 24))
+    tri.singular_form(dim3, 1, 2.3, 5.6, one, one, one, grid_size=(12, 24))
+    calls = []
+    table = sg.legendre_table
+    monkeypatch.setattr(sg, "legendre_table",
+                        lambda L, u: calls.append(L) or table(L, u))
+    tri.generic_form(dim3, (1.0, 1.0, 1.0), one, one, one, grid_size=(12, 24))
+    tri.singular_form(dim3, 1, 2.3, 5.6, one, one, one, grid_size=(12, 24))
+    assert tri.triple_grids((12, 24)) is grids
+    assert calls == []
+
+
 def test_singular_form_k0_reduction(dim3):
     # Delta_0 = id collapses the singular form to a double integral with
     # added exponents
