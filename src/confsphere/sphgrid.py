@@ -25,6 +25,8 @@ from .lorentz import Dimension
 from .special import tanhsinh_unit, ultraspherical_table
 
 MAX_DEGREE = 512
+MAX_DENSE_KERNEL = 1 << 26   # dense N x N kernel entries: 512 MB real, grid (64, 128);
+                             # not the working set, 2-3 such arrays while building it
 
 
 # ---------------------------------------------------------------------------

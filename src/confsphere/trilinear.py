@@ -20,6 +20,11 @@ The 2^{sum alpha} factor is forced by the kernel normalization
 prefactor 8 pi^3 and the factor are validated in the test suite against
 exactly integrable polynomial kernels.  Residues are reported with
 respect to the half parameter, matching the convention in `mero`.
+
+Evaluation.  Every form is one blocked contraction (`_middle_columns`):
+outer kernel x middle operator x inner kernel over blocks of the outer
+slot, kernels built one (N x block) slab at a time; the middle is a dense
+chordal kernel, Knapp-Stein eigenvalues or the GJMS eigenvalues of Delta_k.
 """
 
 from __future__ import annotations
@@ -32,9 +37,9 @@ import numpy as np
 
 from .lorentz import Dimension, ConformalMap, act, conformal_factor, inverse
 from .reps import field_from_coeffs, pi_pointwise
-from .sphgrid import (Grid, GridFunction, HarmonicCoeffs, make_grid,
-                      sht_forward, sht_forward_columns, sht_synthesize_columns,
-                      slot_pairings, synth_at_points)
+from .sphgrid import (MAX_DENSE_KERNEL, Grid, GridFunction, HarmonicCoeffs,
+                      _real_matmul, make_grid, sht_forward, sht_forward_columns,
+                      sht_synthesize_columns, slot_pairings, synth_at_points)
 from .special import gamma_ratio
 from .spectral_ops import (apply_multiplier, gjms_constant, gjms_multiplier,
                            knapp_stein_multipliers, laplacian_multiplier)
@@ -42,6 +47,7 @@ from .mero import residue_ring
 
 CONVERGENCE_MARGIN = 0.25
 T_OUTER_MARGIN = 0.25
+KERNEL_BLOCK = 1 << 22   # kernel entries per (N x block) slab of the contraction
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +137,10 @@ def closed_form_constant_residue(dim: Dimension, k: int, a1, a2) -> complex:
 # grids, fields, kernels
 
 
-def _as_field(f):
-    return field_from_coeffs(f) if isinstance(f, HarmonicCoeffs) else f
+def _sample(f, points) -> np.ndarray:
+    """Values of a HarmonicCoeffs or a callable field at the points."""
+    return np.asarray((field_from_coeffs(f) if isinstance(f, HarmonicCoeffs)
+                       else f)(points))
 
 
 @functools.cache
@@ -173,18 +181,47 @@ def chordal_power(P: np.ndarray, Q: np.ndarray, s: complex) -> np.ndarray:
     return r2 ** (s / 2.0)
 
 
-def _check_convergence(dim: Dimension, alpha, margin: float) -> None:
-    rho = dim.rho
-    a = [complex(v) for v in alpha]
-    bad = [f"Re a{j + 1} = {a[j].real:g} <= {-rho + margin:g}"
-           for j in range(3) if a[j].real <= -rho + margin]
-    if sum(v.real for v in a) <= -rho + margin:
-        bad.append(f"Re(a1+a2+a3) = {sum(v.real for v in a):g} <= {-rho + margin:g}")
+def _check_convergence(dim: Dimension, alpha) -> None:
+    edge = -dim.rho + CONVERGENCE_MARGIN
+    real = [complex(v).real for v in alpha]
+    bad = [f"Re a{j + 1} = {v:g} <= {edge:g}"
+           for j, v in enumerate(real) if v <= edge]
+    if sum(real) <= edge:
+        bad.append(f"Re(a1+a2+a3) = {sum(real):g} <= {edge:g}")
     if bad:
         raise ValueError(
             "parameters outside the safe absolute-convergence region "
-            f"(margin {margin}): " + "; ".join(bad)
+            f"(margin {CONVERGENCE_MARGIN}): " + "; ".join(bad)
             + ". Use generic_form_alpha3_family for continued evaluation.")
+
+
+def _spectral_middle(g_in: Grid, g_out: Grid, eigenvalues):
+    """The zonal operator with the given per-degree eigenvalues, from values
+    on g_in (the analysis carries the measure) to values on g_out."""
+    L = len(eigenvalues) - 1
+    mult = np.repeat(eigenvalues, 2 * L + 1)
+    return lambda G: sht_synthesize_columns(
+        g_out, mult[:, None] * sht_forward_columns(g_in, G, L), L)
+
+
+def _middle_columns(Pc, Fc, s_in, middle, Pb):
+    """The one blocked loop of every trilinear form, over the outer slot:
+    yields (sl, H) per block Pb[sl] with H[a, j] = middle(Fc(.) |. - b_j|^{s_in})(a),
+    building the inner kernel one (Nc x block) slab at a time."""
+    block = max(1, KERNEL_BLOCK // Pc.shape[0])
+    for start in range(0, Pb.shape[0], block):
+        sl = slice(start, min(start + block, Pb.shape[0]))
+        yield sl, middle(Fc[:, None] * chordal_power(Pc, Pb[sl], s_in))
+
+
+def _contract(Pa, FWa, s_out, Pb, FWb, columns) -> complex:
+    """sum_b FWb_b sum_a FWa_a |a - b|^{s_out} H[a, b] over the blocks of
+    `_middle_columns`, one (Na x block) outer-kernel slab at a time."""
+    total = 0.0 + 0.0j
+    for sl, H in columns:
+        contrib = FWa @ (H * chordal_power(Pa, Pb[sl], s_out))   # (block,)
+        total += np.dot(contrib, FWb[sl])
+    return complex(total)
 
 
 # ---------------------------------------------------------------------------
@@ -192,58 +229,53 @@ def _check_convergence(dim: Dimension, alpha, margin: float) -> None:
 
 
 class TripleEngine:
-    """Grids, kernel matrices and transform plans for one parameter triple,
-    reusable across different input fields (the expensive pieces depend on
-    alpha and the grids only)."""
+    """The grids and the middle operator (the first-slot kernel, x3 to x2)
+    of one parameter triple, reusable across input fields; `value` is the
+    blocked contraction over x1, rebuilding the other kernels' slabs on each
+    call.  method "direct" holds the middle kernel as one dense matrix (the
+    reference path, refused above MAX_DENSE_KERNEL entries); "fast" applies
+    its Knapp-Stein eigenvalues up to L_kernel."""
 
     def __init__(self, dim: Dimension, alpha, method: str = "direct",
                  grid_size=(24, 48), L_kernel: int | None = None,
-                 margin: float = CONVERGENCE_MARGIN,
                  default_degree: int = 8):
         if dim.n != 3:
             raise ValueError("trilinear quadrature is implemented for n = 3")
-        _check_convergence(dim, alpha, margin)
+        _check_convergence(dim, alpha)
         self.dim = dim
         self.alpha = tuple(complex(v) for v in alpha)
-        self.method = method
-        a1, a2, a3 = self.alpha
-        rho = dim.rho
+        a1 = self.alpha[0]
+        entries = (int(grid_size[0]) * int(grid_size[1])) ** 2
+        if method == "direct" and entries > MAX_DENSE_KERNEL:
+            raise ValueError(f"the dense middle kernel would have {entries} "
+                             f"entries (max {MAX_DENSE_KERNEL}); use method='fast'")
         self.grids = triple_grids(grid_size)
-        g1, g2, g3 = self.grids
-        self.P = tuple(g.flat_points() for g in self.grids)
-        self.W = tuple(g.flat_weights() for g in self.grids)
-        self.K3 = chordal_power(self.P[0], self.P[1], a3 - rho)
-        self.K2 = chordal_power(self.P[2], self.P[0], a2 - rho)
+        _, g2, g3 = self.grids
         if method == "direct":
-            self.K1 = chordal_power(self.P[1], self.P[2], a1 - rho)
+            K1 = chordal_power(g2.flat_points(), g3.flat_points(), a1 - dim.rho)
+            W3 = g3.flat_weights()[:, None]
+            self.middle = lambda G: (K1 @ (W3 * G) if np.iscomplexobj(K1)   # complex a1
+                                     else _real_matmul(K1, np.asarray(W3 * G, complex)))
         elif method == "fast":
             L_K = (min(g3.L, 4 * default_degree) if L_kernel is None
                    else L_kernel)
             if L_K > g3.L:
                 raise ValueError(f"grid resolves degree {g3.L}, requested {L_K}")
-            self.L_K = L_K
-            self.eig1 = np.repeat(knapp_stein_multipliers(dim, a1, L_K), 2 * L_K + 1)
+            self.middle = _spectral_middle(g3, g2,
+                                           knapp_stein_multipliers(dim, a1, L_K))
         else:
             raise ValueError("method must be 'direct' or 'fast'")
 
     def value(self, f1, f2, f3) -> complex:
-        g1, g2, g3 = self.grids
-        F1 = np.asarray(_as_field(f1)(self.P[0]))
-        F2 = np.asarray(_as_field(f2)(self.P[1]))
-        F3 = np.asarray(_as_field(f3)(self.P[2]))
-        if self.method == "direct":
-            M = self.K1 @ (self.K2 * (F3 * self.W[2])[:, None])   # (N2, N1)
-        else:
-            G = self.K2 * F3[:, None]   # the transform carries the measure
-            C = sht_forward_columns(g3, G, self.L_K)
-            M = sht_synthesize_columns(g2, self.eig1[:, None] * C, self.L_K)
-        inner = np.einsum("ab,ba->a", self.K3, (F2 * self.W[1])[:, None] * M)
-        return complex(np.dot(F1 * self.W[0], inner))
+        rho, (_, a2, a3) = self.dim.rho, self.alpha
+        P1, P2, P3 = (g.flat_points() for g in self.grids)
+        W1, W2, _ = (g.flat_weights() for g in self.grids)
+        return _contract(P2, _sample(f2, P2) * W2, a3 - rho, P1, _sample(f1, P1) * W1,
+                         _middle_columns(P3, _sample(f3, P3), a2 - rho, self.middle, P1))
 
 
 def generic_form(dim: Dimension, alpha, f1, f2, f3, method: str = "direct",
-                 grid_size=(24, 48), L_kernel: int | None = None,
-                 margin: float = CONVERGENCE_MARGIN) -> complex:
+                 grid_size=(24, 48), L_kernel: int | None = None) -> complex:
     """The generic invariant trilinear form on three fields.
 
     f1, f2, f3 may be HarmonicCoeffs or callables on point arrays.
@@ -256,7 +288,7 @@ def generic_form(dim: Dimension, alpha, f1, f2, f3, method: str = "direct",
     Raises outside the safe absolute-convergence region.
     """
     engine = TripleEngine(dim, alpha, method=method, grid_size=grid_size,
-                          L_kernel=L_kernel, margin=margin,
+                          L_kernel=L_kernel,
                           default_degree=_field_degree(f1, f2, f3))
     return engine.value(f1, f2, f3)
 
@@ -283,27 +315,20 @@ def generic_form_alpha3_family(dim: Dimension, a1, a2, f1, f2, f3,
     """
     if dim.n != 3:
         raise ValueError("trilinear quadrature is implemented for n = 3")
-    a1, a2 = complex(a1), complex(a2)
-    rho = dim.rho
     g1, g2, g3 = triple_grids(grid_size)
     if L_kernel > min(g2.L, g3.L):
         raise ValueError("kernel truncation exceeds what the grid resolves")
-    F1 = np.asarray(_as_field(f1)(g1.flat_points()))
-    F2 = np.asarray(_as_field(f2)(g2.flat_points()))
-    F3 = np.asarray(_as_field(f3)(g3.flat_points()))
+    P1, P2, P3 = (g.flat_points() for g in (g1, g2, g3))
+    F2 = _sample(f2, P2)
 
-    # the N x N kernel and the (N2, N1) synthesis are temporaries, freed
-    # as soon as they are multiplied; the transforms carry the measure
-    C = sht_forward_columns(
-        g3, chordal_power(g3.flat_points(), g1.flat_points(), a2 - rho) * F3[:, None],
-        L_kernel)
-    eig1 = np.repeat(knapp_stein_multipliers(dim, a1, L_kernel), 2 * L_kernel + 1)
-    D = sht_forward_columns(                                       # (rows, N1)
-        g2, F2[:, None] * sht_synthesize_columns(g2, eig1[:, None] * C, L_kernel),
-        L_kernel)
+    # the x2 analysis of the middle columns, one block of x1 at a time
+    middle = _spectral_middle(g3, g2, knapp_stein_multipliers(dim, a1, L_kernel))
+    D = np.empty(((L_kernel + 1) * (2 * L_kernel + 1), P1.shape[0]), dtype=complex)
+    for sl, H in _middle_columns(P3, _sample(f3, P3), a2 - dim.rho, middle, P1):
+        D[:, sl] = sht_forward_columns(g2, F2[:, None] * H, L_kernel)
     # the x1 quadrature against Y_lm is the x1 analysis at (l, -m)
-    A = slot_pairings(sht_forward_columns(g1, F1[:, None] * D.T, L_kernel),
-                      L_kernel)
+    A = slot_pairings(sht_forward_columns(g1, _sample(f1, P1)[:, None] * D.T,
+                                          L_kernel), L_kernel)
 
     def evaluate(a3: complex) -> complex:
         eig3 = knapp_stein_multipliers(dim, complex(a3), L_kernel)
@@ -334,9 +359,7 @@ def generic_invariance_defect(dim: Dimension, alpha, g: ConformalMap,
 
 
 def singular_form(dim: Dimension, k: int, a1, a2, f1, f2, f3,
-                  grid_size=(48, 96), L_kernel: int | None = None,
-                  outer_margin: float = T_OUTER_MARGIN,
-                  return_truncation: bool = False):
+                  grid_size=(48, 96), L_kernel: int | None = None) -> complex:
     """The k-th singular trilinear form
 
         int int f3(x3) f2(x) Delta_k[f1(.) |x3 - .|^{-rho+a2}](x)
@@ -344,10 +367,10 @@ def singular_form(dim: Dimension, k: int, a1, a2, f1, f2, f3,
 
     in the direct-evaluation regime Re(a2 - rho) > 2k + 1 (the inner
     section is then classically 2k+1 times differentiable) and
-    Re a1 > -rho + 0.25 (integrable outer kernel).  The covariant power
-    acts spectrally at elevated truncation; the relative weight of the
-    top quarter of the retained degrees is available as a truncation
-    indicator.
+    Re a1 > -rho + T_OUTER_MARGIN (integrable outer kernel).  It is the
+    blocked contraction over x3 with the covariant power Delta_k as the
+    middle operator, acting spectrally through its GJMS eigenvalues at
+    elevated truncation.
     """
     if dim.n != 3:
         raise ValueError("trilinear quadrature is implemented for n = 3")
@@ -358,42 +381,20 @@ def singular_form(dim: Dimension, k: int, a1, a2, f1, f2, f3,
             f"Re(a2 - rho) = {a2.real - rho:g} <= {2 * k + 1}: outside the "
             "direct regime; the continued singular form (meromorphic in "
             "(a1, a2)) is not implemented numerically")
-    if a1.real <= -rho + outer_margin:
-        raise ValueError(f"Re a1 = {a1.real:g} <= {-rho + outer_margin:g}: "
+    if a1.real <= -rho + T_OUTER_MARGIN:
+        raise ValueError(f"Re a1 = {a1.real:g} <= {-rho + T_OUTER_MARGIN:g}: "
                          "outer kernel not safely integrable")
     gx, g3 = double_grids(grid_size)
     L_K = (min(gx.L, 4 * _field_degree(f1, f2, f3)) if L_kernel is None
            else L_kernel)
     if L_K > gx.L:
         raise ValueError(f"grid resolves degree {gx.L}, requested {L_K}")
-    F1 = np.asarray(_as_field(f1)(gx.flat_points()))
-    F2 = np.asarray(_as_field(f2)(gx.flat_points()))
-    F3 = np.asarray(_as_field(f3)(g3.flat_points()))
-    Wx, W3 = gx.flat_weights(), g3.flat_weights()
     Px, P3 = gx.flat_points(), g3.flat_points()
-    mult = np.repeat([gjms_multiplier(dim, k, l) for l in range(L_K + 1)],
-                     2 * L_K + 1)
-
-    total = 0.0 + 0.0j
-    tail = 0.0 + 0.0j
-    cut = max(1, (3 * L_K) // 4) * (2 * L_K + 1)   # rows below degree 3 L_K / 4
-    block = max(1, (1 << 22) // Px.shape[0])
-    for start in range(0, P3.shape[0], block):
-        sl = slice(start, min(start + block, P3.shape[0]))
-        K2b = chordal_power(Px, P3[sl], a2 - rho)          # (Nx, b)
-        C = sht_forward_columns(gx, F1[:, None] * K2b, L_K)
-        Hb = sht_synthesize_columns(gx, mult[:, None] * C, L_K)
-        K1b = chordal_power(Px, P3[sl], a1 - rho)
-        contrib = (F2 * Wx) @ (Hb * K1b)                   # (b,)
-        total += np.dot(contrib, F3[sl] * W3[sl])
-        if return_truncation:
-            Ct = C.copy()
-            Ct[:cut] = 0.0
-            Hb_t = sht_synthesize_columns(gx, mult[:, None] * Ct, L_K)
-            tail += np.dot((F2 * Wx) @ (Hb_t * K1b), F3[sl] * W3[sl])
-    if return_truncation:
-        return complex(total), abs(tail) / (abs(total) + 1e-300)
-    return complex(total)
+    middle = _spectral_middle(gx, gx, [gjms_multiplier(dim, k, l)
+                                       for l in range(L_K + 1)])
+    return _contract(Px, _sample(f2, Px) * gx.flat_weights(), a1 - rho,
+                     P3, _sample(f3, P3) * g3.flat_weights(),
+                     _middle_columns(Px, _sample(f1, Px), a2 - rho, middle, P3))
 
 
 def singular_invariance_defect(dim: Dimension, k: int, a1, a2,
@@ -420,21 +421,18 @@ def singular_invariance_defect(dim: Dimension, k: int, a1, a2,
 
 def residue_bridge_defect(dim: Dimension, k: int, a1, a2, f1, f2, f3,
                           ring_radius: float = 0.15, ring_size: int = 16,
-                          grid_size=(48, 96), L_kernel: int = 32,
-                          t_grid_size=(48, 96),
-                          t_L_kernel: int | None = None) -> float:
+                          grid_size=(48, 96), L_kernel: int = 32) -> float:
     """Relative mismatch between the contour residue of the generic form
     in its third parameter at -rho - 2k (half-parameter convention,
     evaluated through the continued spectral family) and c_k times the
-    singular form."""
+    singular form (at the same grid size and its default truncation)."""
     evaluate, _ = generic_form_alpha3_family(dim, a1, a2, f1, f2, f3,
                                              grid_size=grid_size,
                                              L_kernel=L_kernel)
     center = -dim.rho - 2.0 * k
     fit = residue_ring(evaluate, center, radius=ring_radius, m=ring_size)
     lhs = fit.residue / 2.0
-    t_val = singular_form(dim, k, a1, a2, f1, f2, f3, grid_size=t_grid_size,
-                          L_kernel=t_L_kernel)
+    t_val = singular_form(dim, k, a1, a2, f1, f2, f3, grid_size=grid_size)
     rhs = gjms_constant(dim, k).c_k * t_val
     return abs(lhs - rhs) / abs(rhs)
 

@@ -117,6 +117,107 @@ def test_spectral_family_matches_direct(dim3):
     assert len(weights) == 21
 
 
+def _dense_oracles(dim, fs, grid_size, alpha, singular, L_K):
+    """The trilinear forms from whole N x N kernel matrices: the dense
+    formulas the blocked contraction replaces (test-only reference)."""
+    from confsphere.reps import field_from_coeffs
+    from confsphere.spectral_ops import gjms_multiplier, knapp_stein_multipliers
+    rho = dim.rho
+    a1, a2, a3 = alpha
+    rows = 2 * L_K + 1
+    g1, g2, g3 = tri.triple_grids(grid_size)
+    P = [g.flat_points() for g in (g1, g2, g3)]
+    W = [g.flat_weights() for g in (g1, g2, g3)]
+    F1, F2, F3 = (field_from_coeffs(f)(p) for f, p in zip(fs, P))
+    K3 = tri.chordal_power(P[0], P[1], a3 - rho)
+    K2 = tri.chordal_power(P[2], P[0], a2 - rho)
+    K1 = tri.chordal_power(P[1], P[2], a1 - rho)
+    eig1 = np.repeat(knapp_stein_multipliers(dim, a1, L_K), rows)[:, None]
+    middles = {
+        "direct": K1 @ (K2 * (F3 * W[2])[:, None]),
+        "fast": sg.sht_synthesize_columns(
+            g2, eig1 * sg.sht_forward_columns(g3, K2 * F3[:, None], L_K), L_K),
+    }
+    out = {m: np.dot(F1 * W[0],
+                     np.einsum("ab,ba->a", K3, (F2 * W[1])[:, None] * M))
+           for m, M in middles.items()}
+    D = sg.sht_forward_columns(g2, F2[:, None] * middles["fast"], L_K)
+    out["alpha3"] = sg.slot_pairings(
+        sg.sht_forward_columns(g1, F1[:, None] * D.T, L_K), L_K)
+
+    k, b1, b2 = singular
+    gx, g3 = tri.double_grids(grid_size)
+    Px, P3 = gx.flat_points(), g3.flat_points()
+    G1, G2 = (field_from_coeffs(f)(Px) for f in fs[:2])
+    G3 = field_from_coeffs(fs[2])(P3)
+    mult = np.repeat([gjms_multiplier(dim, k, l) for l in range(L_K + 1)],
+                     rows)[:, None]
+    H = sg.sht_synthesize_columns(
+        gx, mult * sg.sht_forward_columns(
+            gx, G1[:, None] * tri.chordal_power(Px, P3, b2 - rho), L_K),
+        L_K)
+    out["singular"] = ((G2 * gx.flat_weights())
+                       @ (H * tri.chordal_power(Px, P3, b1 - rho))
+                       @ (G3 * g3.flat_weights()))
+    return out
+
+
+@pytest.mark.parametrize("alpha", [(1.6, 1.8, 1.55), (1.6 + 0.3j, 1.8, 1.55)])
+def test_blocked_contraction_matches_dense_oracle(dim3, monkeypatch, alpha):
+    # (12, 24) has N = 288 nodes; 100 columns per block gives 100, 100, 88;
+    # a complex a1 makes the direct middle kernel complex
+    grid_size, singular, L_K = (12, 24), (1, 1.6, 4.62), 8
+    fs = [sg.random_coeffs(4, 170 + j) for j in range(3)]
+    want = _dense_oracles(dim3, fs, grid_size, alpha, singular, L_K)
+    monkeypatch.setattr(tri, "KERNEL_BLOCK", 100 * 288)
+    widths = []
+    kernel = tri.chordal_power
+    monkeypatch.setattr(tri, "chordal_power",
+                        lambda P, Q, s: widths.append(Q.shape[0]) or kernel(P, Q, s))
+
+    def close(got, ref):
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    for method in ("direct", "fast"):
+        engine = tri.TripleEngine(dim3, alpha, method=method,
+                                  grid_size=grid_size, L_kernel=L_K)
+        widths.clear()
+        close(engine.value(*fs), want[method])
+        assert widths == [100, 100, 100, 100, 88, 88]
+    widths.clear()
+    _, A = tri.generic_form_alpha3_family(dim3, alpha[0], alpha[1], *fs,
+                                          grid_size=grid_size, L_kernel=L_K)
+    close(A, want["alpha3"])
+    assert widths == [100, 100, 88]
+    widths.clear()
+    close(tri.singular_form(dim3, *singular, *fs, grid_size=grid_size,
+                            L_kernel=L_K), want["singular"])
+    assert widths == [100, 100, 100, 100, 88, 88]
+
+
+def test_alpha3_family_memory_bounded(dim3):
+    # the family holds no N x N kernel: at (48, 96) one dense complex
+    # kernel alone is 340 MB
+    import tracemalloc
+    fs = [sg.random_coeffs(4, 180 + j, real_field=True) for j in range(3)]
+    tri.triple_grids((48, 96))
+    tracemalloc.start()
+    try:
+        tri.generic_form_alpha3_family(dim3, 3.3, 3.7, *fs,
+                                       grid_size=(48, 96), L_kernel=24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 450e6
+
+
+def test_direct_engine_refuses_oversized_kernel(dim3):
+    # grid (96, 192): the dense middle kernel alone would be 2.7 GB
+    with pytest.raises(ValueError, match="dense middle kernel"):
+        tri.TripleEngine(dim3, (1.6, 1.8, 1.55), method="direct",
+                         grid_size=(96, 192))
+
+
 def test_grids_built_once_per_size(dim3, monkeypatch):
     # one set of grids per size (list or tuple), with read-only nodes, so
     # a repeated evaluation builds no Legendre table
