@@ -19,6 +19,7 @@ from .lorentz import Dimension
 from . import mero, sphgrid, spectral_ops, trilinear, verify
 
 OUT_ENV = "CONFSPHERE_OUT"
+DIM = Dimension(3)   # pairings, residues and trilinear forms exist only for n = 3
 
 
 def _fmt(x: float) -> str:
@@ -62,13 +63,8 @@ def _load_field(spec_text: str, L: int):
 
 
 def cmd_verify(args) -> int:
-    cfg = verify.RunConfig.from_json(args.config) if args.config else verify.RunConfig()
-    if args.quick:
-        cfg.quick = True
-    if args.fault_inject:
-        cfg.fault_inject = True
-    if args.seed is not None:
-        cfg.seed = args.seed
+    cfg = verify.RunConfig(seed=args.seed, quick=args.quick,
+                           fault_inject=args.fault_inject)
     suites = args.suite or None
     results = verify.run_all(cfg, suites)
     report = verify.build_report(cfg, results)
@@ -108,21 +104,19 @@ def cmd_multiplier(args) -> int:
 
 
 def cmd_pair(args) -> int:
-    dim = Dimension(args.n)
     s = _parse_complex(args.s)
     f = _load_field(args.f, args.L)
-    value = mero.pair_distance_power(dim, s, f)
+    value = mero.pair_distance_power(DIM, s, f)
     _emit(args, "pair.json", {
-        "s": _cnum(s), "n": args.n, "L": f.L, "value": _cnum(value),
+        "s": _cnum(s), "n": DIM.n, "L": f.L, "value": _cnum(value),
     })
     return 0
 
 
 def cmd_residue(args) -> int:
-    dim = Dimension(args.n)
     f = _load_field(args.f, args.L)
-    center = -(dim.n - 1.0) - 2.0 * args.k
-    fit = mero.residue_ring(lambda z: mero.pair_distance_power(dim, z, f),
+    center = -(DIM.n - 1.0) - 2.0 * args.k
+    fit = mero.residue_ring(lambda z: mero.pair_distance_power(DIM, z, f),
                             center, radius=args.radius, m=args.ring_size)
     _emit(args, "residue.json", {
         "center": _cnum(fit.center),
@@ -136,7 +130,6 @@ def cmd_residue(args) -> int:
 
 
 def cmd_trilinear(args) -> int:
-    dim = Dimension(args.n)
     if args.lam:
         lam = tuple(_parse_complex(v) for v in args.lam)
         triple = trilinear.alpha_from_lambda(lam)
@@ -147,10 +140,10 @@ def cmd_trilinear(args) -> int:
             tuple(_parse_complex(v) for v in args.alpha))
     fields = [sphgrid.load_coeffs(p) for p in (args.f1, args.f2, args.f3)]
     grid_size = tuple(args.grid)
-    value = trilinear.generic_form(dim, triple.alpha, *fields,
+    value = trilinear.generic_form(DIM, triple.alpha, *fields,
                                    method=args.method, grid_size=grid_size)
     reduced = (max(8, 2 * grid_size[0] // 3), max(16, 2 * grid_size[1] // 3))
-    coarse = trilinear.generic_form(dim, triple.alpha, *fields,
+    coarse = trilinear.generic_form(DIM, triple.alpha, *fields,
                                     method=args.method, grid_size=reduced)
     estimate = abs(value - coarse) / (abs(value) + 1e-300)
     _emit(args, "trilinear.json", {
@@ -165,14 +158,13 @@ def cmd_trilinear(args) -> int:
 
 
 def cmd_pole_scan(args) -> int:
-    dim = Dimension(args.n)
     if args.family == "alpha3":
-        reports = trilinear.pole_scan(dim, "alpha3", window=tuple(args.window),
+        reports = trilinear.pole_scan(DIM, "alpha3", window=tuple(args.window),
                                       a1=_parse_complex(args.a1),
                                       a2=_parse_complex(args.a2),
                                       residue_threshold=args.threshold)
     else:
-        reports = trilinear.pole_scan(dim, "singular_line",
+        reports = trilinear.pole_scan(DIM, "singular_line",
                                       window=tuple(args.window), k=args.k,
                                       delta=args.delta,
                                       residue_threshold=args.threshold)
@@ -200,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run verification suites")
-    v.add_argument("--config", help="JSON config file")
     v.add_argument("--suite", action="append", choices=verify.SUITE_NAMES,
                    help="run only the named suite(s)")
     v.add_argument("--quick", action="store_true",
@@ -208,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--fault-inject", action="store_true",
                    help="perturb a residue constant by 1%% (the residues "
                         "suite must then fail)")
-    v.add_argument("--seed", type=int, default=None)
+    v.add_argument("--seed", type=int, default=verify.RunConfig.seed)
     v.add_argument("--report", default=None, help="report file name")
     v.set_defaults(func=cmd_verify, save=False)
 
@@ -225,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("pair", help="regularized pairing (|e-x|^s, f)")
     q.add_argument("--s", required=True, help="exponent, e.g. 2 or -1.5+0.3j")
     q.add_argument("--f", default="const:1", help="coeff file or const:VALUE")
-    q.add_argument("--n", type=int, default=3)
     q.add_argument("--L", type=int, default=16)
     q.add_argument("--save", action="store_true")
     q.set_defaults(func=cmd_pair)
@@ -234,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
                                        "the k-th pole")
     r.add_argument("--k", type=int, default=0)
     r.add_argument("--f", default="const:1")
-    r.add_argument("--n", type=int, default=3)
     r.add_argument("--L", type=int, default=16)
     r.add_argument("--radius", type=float, default=0.1)
     r.add_argument("--ring-size", type=int, default=16)
@@ -251,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--method", choices=("direct", "fast"), default="direct")
     t.add_argument("--grid", nargs=2, type=int, default=(24, 48),
                    metavar=("NTHETA", "NPHI"))
-    t.add_argument("--n", type=int, default=3)
     t.add_argument("--save", action="store_true")
     t.set_defaults(func=cmd_trilinear)
 
@@ -266,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--k", type=int, default=1)
     s.add_argument("--delta", type=float, default=0.26)
     s.add_argument("--threshold", type=float, default=1e-6)
-    s.add_argument("--n", type=int, default=3)
     s.add_argument("--save", action="store_true")
     s.set_defaults(func=cmd_pole_scan)
     return p

@@ -118,15 +118,13 @@ def pair_distance_power(dim: Dimension, s: complex, f: HarmonicCoeffs) -> comple
     return complex(np.dot(eig, zonal))
 
 
-def residue_pair_distance_power(dim: Dimension, k: int, f: HarmonicCoeffs,
-                                radius: float = 0.1, ring_size: int = 16) -> complex:
+def residue_pair_distance_power(dim: Dimension, k: int, f: HarmonicCoeffs) -> complex:
     """Operator-normalized residue of s -> (h_s, f) at s = -(n-1) - 2k,
-    extracted from a contour ring (see the module docstring for the
+    extracted from the default contour ring (see the module docstring for the
     half-parameter convention).  Equals c_k times the k-th covariant power
     of f evaluated at the base point."""
     center = -(dim.n - 1.0) - 2.0 * k
-    fit = residue_ring(lambda z: pair_distance_power(dim, z, f),
-                       center, radius=radius, m=ring_size)
+    fit = residue_ring(lambda z: pair_distance_power(dim, z, f), center)
     return fit.residue / 2.0
 
 
@@ -166,11 +164,9 @@ def residue_separation_power(dim: Dimension, k: int, f1: HarmonicCoeffs,
 
 
 def residue_separation_power_ring(dim: Dimension, k: int, f1: HarmonicCoeffs,
-                                  f2: HarmonicCoeffs, radius: float = 0.1,
-                                  ring_size: int = 16) -> complex:
+                                  f2: HarmonicCoeffs) -> complex:
     center = -dim.rho - 2.0 * k
-    fit = residue_ring(lambda a: pair_separation_power(dim, a, f1, f2),
-                       center, radius=radius, m=ring_size)
+    fit = residue_ring(lambda a: pair_separation_power(dim, a, f1, f2), center)
     return fit.residue / 2.0
 
 

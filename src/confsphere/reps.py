@@ -31,12 +31,7 @@ def pi_act_coeffs(dim: Dimension, lam: complex, g: ConformalMap,
                   coeffs: HarmonicCoeffs, grid) -> GridFunction:
     """Same as pi_act but with the band limit made explicit by passing
     coefficients; avoids re-analyzing a field that is already spectral."""
-    ginv = inverse(g)
-    pts = grid.points()
-    mapped = act(ginv, pts.reshape(-1, 3))
-    kappa = conformal_factor(ginv, pts.reshape(-1, 3))
-    vals = kappa ** (dim.rho + complex(lam)) * synth_at_points(coeffs, mapped)
-    return GridFunction(grid, vals.reshape(grid.shape))
+    return GridFunction(grid, pi_pointwise(dim, lam, g, coeffs)(grid.points()))
 
 
 def pi_pointwise(dim: Dimension, lam: complex, g: ConformalMap,

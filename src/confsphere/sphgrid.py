@@ -204,12 +204,16 @@ class HarmonicCoeffs:
             raise ValueError("coefficients contain non-finite values")
         self.c = c
 
+    def _check_index(self, l: int, m: int) -> None:
+        if abs(m) > l or l > self.L:
+            raise IndexError(f"(l, m) = ({l}, {m}) out of range")
+
     def get(self, l: int, m: int) -> complex:
+        self._check_index(l, m)
         return complex(self.c[l, m + self.L])
 
     def set(self, l: int, m: int, val: complex) -> None:
-        if abs(m) > l or l > self.L:
-            raise IndexError(f"(l, m) = ({l}, {m}) out of range")
+        self._check_index(l, m)
         self.c[l, m + self.L] = val
 
     def copy(self) -> "HarmonicCoeffs":

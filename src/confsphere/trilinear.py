@@ -48,6 +48,8 @@ from .mero import residue_ring
 CONVERGENCE_MARGIN = 0.25
 T_OUTER_MARGIN = 0.25
 KERNEL_BLOCK = 1 << 22   # kernel entries per (N x block) slab of the contraction
+RING_RADIUS = 0.15       # contour rings of the residue bridge and the pole scans
+SCAN_STEP = 0.2          # spacing of the pole-scan ring centers
 
 
 # ---------------------------------------------------------------------------
@@ -337,16 +339,12 @@ def generic_form_alpha3_family(dim: Dimension, a1, a2, f1, f2, f3,
     return evaluate, A
 
 
-def generic_invariance_defect(dim: Dimension, alpha, g: ConformalMap,
-                              f1, f2, f3, method: str = "direct",
-                              grid_size=(24, 48),
-                              L_kernel: int | None = None) -> float:
-    """Relative change of the generic form when the three inputs move by
-    the principal-series actions tied to alpha."""
-    lam = lambda_from_alpha(alpha).lam
-    engine = TripleEngine(dim, alpha, method=method, grid_size=grid_size,
-                          L_kernel=L_kernel,
-                          default_degree=_field_degree(f1, f2, f3))
+def generic_invariance_defect(engine: TripleEngine, g: ConformalMap,
+                              f1, f2, f3) -> float:
+    """Relative change of the engine's generic form when the three inputs
+    move by the principal-series actions tied to its alpha."""
+    dim = engine.dim
+    lam = lambda_from_alpha(engine.alpha).lam
     base = engine.value(f1, f2, f3)
     moved = engine.value(pi_pointwise(dim, lam[0], g, f1),
                          pi_pointwise(dim, lam[1], g, f2),
@@ -420,7 +418,6 @@ def singular_invariance_defect(dim: Dimension, k: int, a1, a2,
 
 
 def residue_bridge_defect(dim: Dimension, k: int, a1, a2, f1, f2, f3,
-                          ring_radius: float = 0.15, ring_size: int = 16,
                           grid_size=(48, 96), L_kernel: int = 32) -> float:
     """Relative mismatch between the contour residue of the generic form
     in its third parameter at -rho - 2k (half-parameter convention,
@@ -430,7 +427,7 @@ def residue_bridge_defect(dim: Dimension, k: int, a1, a2, f1, f2, f3,
                                              grid_size=grid_size,
                                              L_kernel=L_kernel)
     center = -dim.rho - 2.0 * k
-    fit = residue_ring(evaluate, center, radius=ring_radius, m=ring_size)
+    fit = residue_ring(evaluate, center, radius=RING_RADIUS)
     lhs = fit.residue / 2.0
     t_val = singular_form(dim, k, a1, a2, f1, f2, f3, grid_size=grid_size)
     rhs = gjms_constant(dim, k).c_k * t_val
@@ -442,20 +439,18 @@ def residue_bridge_defect(dim: Dimension, k: int, a1, a2, f1, f2, f3,
 
 
 def kernel_pullback_defect(dim: Dimension, k: int, alpha2, g: ConformalMap,
-                           f1: HarmonicCoeffs, x3: np.ndarray,
-                           grid: Grid | None = None) -> float:
+                           f1: HarmonicCoeffs, x3: np.ndarray) -> float:
     """Covariance of the weighted section F_{x3}[f](x) = f(x)|x3 - x|^{-rho+a2}.
 
     With l1 = -k - rho/2 + a2/2, transporting f by pi_{l1}(g) inside the
     section equals the pi_{-k} transport of the section based at
     y3 = g^{-1}(x3), times kappa(g, y3)^{(-rho+a2)/2}.  Returns the
-    sup-norm defect over the grid, relative to the section's sup-norm.
+    sup-norm defect over a degree-32 grid, relative to the section's sup-norm.
     """
     a2 = complex(alpha2)
     rho = dim.rho
     lam1 = -k - rho / 2.0 + a2 / 2.0
-    grid = make_grid(32) if grid is None else grid
-    pts = grid.flat_points()
+    pts = make_grid(32).flat_points()
     x3 = np.asarray(x3, dtype=float)
 
     lhs = (pi_pointwise(dim, lam1, g, f1)(pts)
@@ -473,17 +468,17 @@ def kernel_pullback_defect(dim: Dimension, k: int, alpha2, g: ConformalMap,
 
 
 def product_rule_split_defect(dim: Dimension, s: complex, phi: HarmonicCoeffs,
-                              y: np.ndarray, test_points: np.ndarray,
-                              L_work: int = 48, fd_step: float = 5e-3) -> float:
+                              y: np.ndarray, test_points: np.ndarray) -> float:
     """Check that the Laplacian of |x - y|^s phi(x) splits off the kernel
     power exactly: Delta_x[r^s phi] = r^{s-2} psi with
 
         psi = [-(s/2)(s/2 + n - 2) r^2 + s(s + n - 3)] phi
               + s (grad_x r^2) . grad phi + r^2 Delta phi,
 
-    r = |x - y|.  The left side is evaluated spectrally on a degree-L_work
+    r = |x - y|.  The left side is evaluated spectrally on a degree-48
     expansion; the right side from synthesized values, a spectral
-    Laplacian, and great-circle finite differences for the gradient term.
+    Laplacian, and great-circle finite differences (step 5e-3) for the
+    gradient term.
     Returns max |LHS - RHS| / max |RHS| over the test points.
     """
     if dim.n != 3:
@@ -491,6 +486,7 @@ def product_rule_split_defect(dim: Dimension, s: complex, phi: HarmonicCoeffs,
     s = complex(s)
     y = np.asarray(y, dtype=float)
     pts = np.asarray(test_points, dtype=float).reshape(-1, 3)
+    L_work, fd_step = 48, 5e-3
     grid = make_grid(L_work)
 
     gp = grid.points()
@@ -553,8 +549,7 @@ def _classify(dim: Dimension, family: str, position: complex, fixed: dict,
     return ("unknown", -1, "unclassified pole")
 
 
-def pole_scan(dim: Dimension, family: str, window, step: float = 0.2,
-              ring_radius: float = 0.15, ring_size: int = 16,
+def pole_scan(dim: Dimension, family: str, window,
               residue_threshold: float = 1e-6, a1: complex = 0.31,
               a2: complex = 0.77, k: int = 1, delta: float = 0.26):
     """Scan the closed-form constant-input channel for poles.
@@ -567,7 +562,7 @@ def pole_scan(dim: Dimension, family: str, window, step: float = 0.2,
                             detects the singular lines tau = 2k - 2l and
                             any first/second-slot planes in the window.
 
-    Rings of the given radius are centered on a lattice of the given step;
+    Rings of radius RING_RADIUS are centered on a lattice of step SCAN_STEP;
     a pole is reported when the fitted |residue| exceeds the threshold
     relative to the sampled magnitude.  Duplicate detections of one pole
     are merged using the fitted position.
@@ -586,16 +581,16 @@ def pole_scan(dim: Dimension, family: str, window, step: float = 0.2,
         raise ValueError("family must be 'alpha3' or 'singular_line'")
 
     hits = []
-    for center in np.arange(lo, hi + step / 2.0, step):
-        fit = residue_ring(func, center, radius=ring_radius, m=ring_size)
-        scale = ring_radius * fit.sample_max + 1e-300
+    for center in np.arange(lo, hi + SCAN_STEP / 2.0, SCAN_STEP):
+        fit = residue_ring(func, center, radius=RING_RADIUS)
+        scale = RING_RADIUS * fit.sample_max + 1e-300
         if abs(fit.residue) > residue_threshold * scale:
             position = fit.center + fit.pole_offset
-            if abs(position - center) < ring_radius:
+            if abs(position - center) < RING_RADIUS:
                 hits.append((position, fit.residue))
     merged: list[tuple[complex, complex]] = []
     for pos, res in sorted(hits, key=lambda h: h[0].real):
-        if merged and abs(pos - merged[-1][0]) < step:
+        if merged and abs(pos - merged[-1][0]) < SCAN_STEP:
             continue
         merged.append((pos, res))
     reports = []

@@ -9,10 +9,9 @@ broke, not just where.
 
 from __future__ import annotations
 
-import json
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -23,40 +22,19 @@ from .special import complex_gamma
 
 SUITE_NAMES = ("geometry", "representation", "bernstein", "residues",
                "intertwining", "trilinear")
+DIM = Dimension(3)
+TRIPLE_GRID = (24, 48)    # the generic forms' three staggered grids
+DOUBLE_GRID = (48, 96)    # the singular forms' and the residue bridge's two grids
 
 
 @dataclass
 class RunConfig:
-    n: int = 3
-    L: int = 32
-    grid_triple: tuple = (24, 48)
-    grid_double: tuple = (48, 96)
-    ring_radius: float = 0.1
-    ring_size: int = 16
     seed: int = 1234
     fault_inject: bool = False
     quick: bool = False
-    out_dir: str = "."
-    tolerances: dict = field(default_factory=dict)
-
-    def tol(self, key: str, default: float) -> float:
-        return float(self.tolerances.get(key, default))
 
     def count(self, full: int) -> int:
         return max(2, full // 10) if self.quick else full
-
-    @classmethod
-    def from_json(cls, path) -> "RunConfig":
-        with open(path) as fh:
-            blob = json.load(fh)
-        cfg = cls()
-        for key, val in blob.items():
-            if not hasattr(cfg, key):
-                raise ValueError(f"unknown config key {key!r}")
-            if key in ("grid_triple", "grid_double"):
-                val = tuple(int(v) for v in val)
-            setattr(cfg, key, val)
-        return cfg
 
 
 @dataclass
@@ -97,16 +75,15 @@ def _random_points(rng, count, n=3):
 
 
 def geometry_suite(cfg: RunConfig):
-    dim = Dimension(cfg.n)
     rng = np.random.default_rng(cfg.seed)
     out: list = []
     count = cfg.count(100)
 
     worst_coc = worst_inv = worst_cov = 0.0
     for i in range(count):
-        g1 = random_element(dim, cfg.seed + 2 * i, max_boost=1.0)
-        g2 = random_element(dim, cfg.seed + 2 * i + 1, max_boost=1.0)
-        x = _random_points(rng, 8, dim.n)
+        g1 = random_element(DIM, cfg.seed + 2 * i, max_boost=1.0)
+        g2 = random_element(DIM, cfg.seed + 2 * i + 1, max_boost=1.0)
+        x = _random_points(rng, 8, DIM.n)
         k12 = conformal_factor(compose(g1, g2), x)
         coc = np.abs(k12 - conformal_factor(g1, act(g2, x))
                      * conformal_factor(g2, x)) / np.abs(k12)
@@ -115,34 +92,31 @@ def geometry_suite(cfg: RunConfig):
         inv = np.abs(conformal_factor(g1, act(gi, x))
                      * conformal_factor(gi, x) - 1.0)
         worst_inv = max(worst_inv, float(inv.max()))
-        y = _random_points(rng, 8, dim.n)
+        y = _random_points(rng, 8, DIM.n)
         lhs = np.linalg.norm(act(g1, x) - act(g1, y), axis=1)
         rhs = (np.sqrt(conformal_factor(g1, x) * conformal_factor(g1, y))
                * np.linalg.norm(x - y, axis=1))
         worst_cov = max(worst_cov, float(np.abs(lhs - rhs).max()))
-    _check(out, "geo-cocycle", "conformal-factor-cocycle", worst_coc,
-           cfg.tol("geometry_exact", 1e-10))
-    _check(out, "geo-inverse", "conformal-factor-inverse-law", worst_inv,
-           cfg.tol("geometry_exact", 1e-10))
-    _check(out, "geo-covariance", "chordal-distance-covariance", worst_cov,
-           cfg.tol("geometry_exact", 1e-10))
+    _check(out, "geo-cocycle", "conformal-factor-cocycle", worst_coc, 1e-10)
+    _check(out, "geo-inverse", "conformal-factor-inverse-law", worst_inv, 1e-10)
+    _check(out, "geo-covariance", "chordal-distance-covariance", worst_cov, 1e-10)
 
-    grid = sphgrid.make_grid(cfg.L)
+    grid = sphgrid.make_grid(32)
     worst_var = 0.0
     for i in range(count):
-        g = random_element(dim, cfg.seed + 1000 + i, max_boost=0.5)
+        g = random_element(DIM, cfg.seed + 1000 + i, max_boost=0.5)
         coeffs = sphgrid.random_coeffs(10, cfg.seed + 2000 + i)
         f_field = reps.field_from_coeffs(coeffs)
         pulled = sphgrid.GridFunction(grid, f_field(act(inverse(g), grid.points())))
         lhs = sphgrid.quad(pulled)
         kap = conformal_factor(g, grid.points())
         weighted = sphgrid.GridFunction(
-            grid, f_field(grid.points()) * kap ** (dim.n - 1))
+            grid, f_field(grid.points()) * kap ** (DIM.n - 1))
         rhs = sphgrid.quad(weighted)
         scale = float(np.abs(f_field(grid.points())).max()) * 4.0 * math.pi
         worst_var = max(worst_var, abs(lhs - rhs) / scale)
     _check(out, "geo-varchange", "conformal-jacobian-change-of-variables",
-           worst_var, cfg.tol("geometry_quad", 1e-8))
+           worst_var, 1e-8)
     return out
 
 
@@ -151,63 +125,58 @@ def geometry_suite(cfg: RunConfig):
 
 
 def representation_suite(cfg: RunConfig):
-    dim = Dimension(cfg.n)
     out: list = []
-    grid = sphgrid.make_grid(max(cfg.L, 32))
+    grid = sphgrid.make_grid(32)
     count = cfg.count(20)
 
     worst_grp = 0.0
     group_grid = sphgrid.make_grid(64)   # composed boosts decay slowly
     for i in range(cfg.count(5)):
-        g1 = random_element(dim, cfg.seed + 31 + i, max_boost=0.5)
-        g2 = random_element(dim, cfg.seed + 57 + i, max_boost=0.5)
+        g1 = random_element(DIM, cfg.seed + 31 + i, max_boost=0.5)
+        g2 = random_element(DIM, cfg.seed + 57 + i, max_boost=0.5)
         lam = complex(0.4, -0.2) if i % 2 else 0.8
         coeffs = sphgrid.random_coeffs(8, cfg.seed + 70 + i)
         f = sphgrid.sht_inverse(coeffs.pad(group_grid.L), group_grid)
-        lhs = reps.pi_act(dim, lam, compose(g1, g2), f)
-        rhs = reps.pi_act(dim, lam, g1, reps.pi_act(dim, lam, g2, f))
+        lhs = reps.pi_act(DIM, lam, compose(g1, g2), f)
+        rhs = reps.pi_act(DIM, lam, g1, reps.pi_act(DIM, lam, g2, f))
         rel = (np.abs(lhs.values - rhs.values).max()
                / np.abs(lhs.values).max())
         worst_grp = max(worst_grp, float(rel))
-    _check(out, "rep-group-law", "principal-series-group-law", worst_grp,
-           cfg.tol("rep_group", 1e-9))
+    _check(out, "rep-group-law", "principal-series-group-law", worst_grp, 1e-9)
 
     worst_dual = 0.0
     for i in range(cfg.count(5)):
-        g = random_element(dim, cfg.seed + 91 + i, max_boost=0.5)
+        g = random_element(DIM, cfg.seed + 91 + i, max_boost=0.5)
         cf = sphgrid.random_coeffs(8, cfg.seed + 101 + i)
         cp = sphgrid.random_coeffs(8, cfg.seed + 111 + i)
         f = sphgrid.sht_inverse(cf.pad(grid.L), grid)
         phi = sphgrid.sht_inverse(cp.pad(grid.L), grid)
-        defect = reps.duality_defect(dim, 0.7, g, f, phi)
+        defect = reps.duality_defect(DIM, 0.7, g, f, phi)
         scale = sphgrid.norm_l2(f) * sphgrid.norm_l2(phi)
         worst_dual = max(worst_dual, defect / scale)
-    _check(out, "rep-duality", "principal-series-duality", worst_dual,
-           cfg.tol("rep_duality", 1e-6))
+    _check(out, "rep-duality", "principal-series-duality", worst_dual, 1e-6)
 
     worst_dirac = 0.0
     dirac_grid = sphgrid.make_grid(96)   # composed boosts decay slowly
     for i in range(count):
-        g = random_element(dim, cfg.seed + 131 + i, max_boost=0.6)
+        g = random_element(DIM, cfg.seed + 131 + i, max_boost=0.6)
         lam = complex(0.3 * (i % 3), 0.1 * (i % 5) - 0.2)
         phi = sphgrid.random_coeffs(10, cfg.seed + 141 + i)
-        a = reps.dirac_pair(dim, lam, g, phi)
-        b = reps.dirac_pair_dual(dim, lam, g, phi, dirac_grid)
+        a = reps.dirac_pair(DIM, lam, g, phi)
+        b = reps.dirac_pair_dual(DIM, lam, g, phi, dirac_grid)
         worst_dirac = max(worst_dirac, abs(a - b) / abs(a))
-    _check(out, "rep-dirac", "point-mass-transformation-law", worst_dirac,
-           cfg.tol("rep_dirac", 1e-9))
+    _check(out, "rep-dirac", "point-mass-transformation-law", worst_dirac, 1e-9)
 
     worst_uni = 0.0
     for i in range(cfg.count(5)):
-        g = random_element(dim, cfg.seed + 151 + i, max_boost=0.5)
+        g = random_element(DIM, cfg.seed + 151 + i, max_boost=0.5)
         coeffs = sphgrid.random_coeffs(8, cfg.seed + 161 + i)
         f = sphgrid.sht_inverse(coeffs.pad(grid.L), grid)
-        moved = reps.pi_act(dim, 1j * (0.3 + 0.2 * i), g, f)
+        moved = reps.pi_act(DIM, 1j * (0.3 + 0.2 * i), g, f)
         worst_uni = max(worst_uni,
                         abs(sphgrid.norm_l2(moved) - sphgrid.norm_l2(f))
                         / sphgrid.norm_l2(f))
-    _check(out, "rep-unitary", "imaginary-axis-isometry", worst_uni,
-           cfg.tol("rep_unitary", 1e-6))
+    _check(out, "rep-unitary", "imaginary-axis-isometry", worst_uni, 1e-6)
     return out
 
 
@@ -224,17 +193,15 @@ def area_closed_form(dim: Dimension, s: complex) -> complex:
 
 
 def bernstein_suite(cfg: RunConfig):
-    dim = Dimension(cfg.n)
     out: list = []
     one = sphgrid.coeffs_constant(1.0, 0)
 
     worst = 0.0
     for s in (2.0, 0.5, complex(-1.5, 0.3), complex(-3.2, 0.4)):
-        got = mero.pair_distance_power(dim, s, one)
-        want = area_closed_form(dim, s)
+        got = mero.pair_distance_power(DIM, s, one)
+        want = area_closed_form(DIM, s)
         worst = max(worst, abs(got - want) / abs(want))
-    _check(out, "bern-area", "distance-power-area-closed-form", worst,
-           cfg.tol("area_form", 1e-7))
+    _check(out, "bern-area", "distance-power-area-closed-form", worst, 1e-7)
 
     worst = 0.0
     # offsets chosen so no continuation step lands on a zero of s(s+n-3)
@@ -251,11 +218,10 @@ def bernstein_suite(cfg: RunConfig):
         descended = _descend_once(dn, s, 32)
         worst = max(worst, float((np.abs(direct - descended)
                                   / np.abs(direct)).max()))
-    _check(out, "bern-descent", "descent-vs-direct-kernel-eigenvalues", worst,
-           cfg.tol("descent", 1e-8))
+    _check(out, "bern-descent", "descent-vs-direct-kernel-eigenvalues", worst, 1e-8)
 
     _check(out, "bern-kernel", "kernel-level-step-down-identity",
-           _kernel_level_defect(dim, 5.0, cfg), cfg.tol("bern_kernel", 1e-6))
+           _kernel_level_defect(DIM, 5.0, cfg.seed), 1e-6)
     return out
 
 
@@ -269,12 +235,12 @@ def _descend_once(dim: Dimension, s: complex, L: int) -> np.ndarray:
     return num * up / spectral_ops.bernstein_rhs_factor(dim, step)
 
 
-def _kernel_level_defect(dim: Dimension, s: float, cfg: RunConfig) -> float:
+def _kernel_level_defect(dim: Dimension, s: float, seed: int) -> float:
     """[Delta + (s/2)(s/2+n-2)] r^s = s(s+n-3) r^{s-2} checked pointwise,
     with the Laplacian applied spectrally at high truncation."""
     L = 96
     grid = sphgrid.make_grid(L)
-    rng = np.random.default_rng(cfg.seed + 7)
+    rng = np.random.default_rng(seed + 7)
     y = _random_points(rng, 1)[0]
     pts = _random_points(rng, 30)
     pts = pts[np.linalg.norm(pts - y, axis=1) > 0.8]
@@ -294,59 +260,48 @@ def _kernel_level_defect(dim: Dimension, s: float, cfg: RunConfig) -> float:
 
 
 def residues_suite(cfg: RunConfig):
-    dim = Dimension(cfg.n)
     out: list = []
 
-    fit = mero.residue_ring(lambda z: 1.0 / (z - 0.4) + 3.0, 0.4,
-                            cfg.ring_radius, cfg.ring_size)
+    fit = mero.residue_ring(lambda z: 1.0 / (z - 0.4) + 3.0, 0.4)
     synthetic = max(abs(fit.residue - 1.0), abs(fit.regular_value - 3.0))
-    _check(out, "res-ring", "contour-ring-laurent-fit", synthetic,
-           cfg.tol("ring", 1e-10))
-    gfit = mero.residue_ring(complex_gamma, 0.0, cfg.ring_radius, cfg.ring_size)
-    _check(out, "res-gamma", "gamma-pole-residue", abs(gfit.residue - 1.0),
-           cfg.tol("ring_gamma", 1e-8))
+    _check(out, "res-ring", "contour-ring-laurent-fit", synthetic, 1e-10)
+    gfit = mero.residue_ring(complex_gamma, 0.0)
+    _check(out, "res-gamma", "gamma-pole-residue", abs(gfit.residue - 1.0), 1e-8)
 
     fault = 1.01 if cfg.fault_inject else 1.0
     worst = 0.0
     for k in (0, 1, 2):
         for i in range(cfg.count(10)):
             f = sphgrid.random_coeffs(8, cfg.seed + 300 + 17 * k + i)
-            want = mero.covariant_power_at_pole(dim, k, f)
+            want = mero.covariant_power_at_pole(DIM, k, f)
             if abs(want) < 0.05 * f.l2_norm():
                 continue
             if k == 1:
                 want = want * fault
-            got = mero.residue_pair_distance_power(
-                dim, k, f, radius=cfg.ring_radius, ring_size=cfg.ring_size)
+            got = mero.residue_pair_distance_power(DIM, k, f)
             worst = max(worst, abs(got - want) / abs(want))
     _check(out, "res-operator", "kernel-residue-equals-covariant-power",
-           worst, cfg.tol("residue_operator", 1e-4))
+           worst, 1e-4)
 
     one = sphgrid.coeffs_constant(1.0, 0)
     _check(out, "res-const", "first-residue-point-mass",
-           abs(mero.residue_pair_distance_power(dim, 0, one) - math.pi),
-           cfg.tol("residue_const", 1e-8))
+           abs(mero.residue_pair_distance_power(DIM, 0, one) - math.pi), 1e-8)
 
     f1 = sphgrid.random_coeffs(6, cfg.seed + 401)
     f2 = sphgrid.random_coeffs(6, cfg.seed + 402)
-    sym = abs(mero.residue_separation_power(dim, 1, f1, f2)
-              - mero.residue_separation_power(dim, 1, f2, f1))
-    ring = mero.residue_separation_power_ring(dim, 1, f1, f2,
-                                              radius=cfg.ring_radius,
-                                              ring_size=cfg.ring_size)
-    pred = mero.residue_separation_power(dim, 1, f1, f2)
+    sym = abs(mero.residue_separation_power(DIM, 1, f1, f2)
+              - mero.residue_separation_power(DIM, 1, f2, f1))
+    ring = mero.residue_separation_power_ring(DIM, 1, f1, f2)
+    pred = mero.residue_separation_power(DIM, 1, f1, f2)
     sym = max(sym, abs(ring - pred) / abs(pred))
-    _check(out, "res-symmetry", "residue-operator-symmetry", sym,
-           cfg.tol("residue_symmetry", 1e-6))
+    _check(out, "res-symmetry", "residue-operator-symmetry", sym, 1e-6)
 
     f = sphgrid.random_coeffs(6, cfg.seed + 403)
-    scale = abs(mero.pair_distance_power(dim, -2.0 + cfg.ring_radius, f))
-    on = min(abs(mero.residue_ring(
-        lambda z: mero.pair_distance_power(dim, z, f), c,
-        cfg.ring_radius, cfg.ring_size).residue) for c in (-2.0, -4.0))
-    off = max(abs(mero.residue_ring(
-        lambda z: mero.pair_distance_power(dim, z, f), c,
-        cfg.ring_radius, cfg.ring_size).residue) for c in (-3.0, -5.0))
+    scale = abs(mero.pair_distance_power(DIM, -1.9, f))   # on the ring around -2
+    on = min(abs(mero.residue_ring(lambda z: mero.pair_distance_power(DIM, z, f),
+                                   c).residue) for c in (-2.0, -4.0))
+    off = max(abs(mero.residue_ring(lambda z: mero.pair_distance_power(DIM, z, f),
+                                    c).residue) for c in (-3.0, -5.0))
     loc_ok = 0.0 if (on > 1e-3 * scale and off <= 1e-6 * scale) else 1.0
     _check(out, "res-location", "pole-lattice-localization", loc_ok, 0.5)
     return out
@@ -357,7 +312,6 @@ def residues_suite(cfg: RunConfig):
 
 
 def intertwining_suite(cfg: RunConfig):
-    dim = Dimension(cfg.n)
     out: list = []
     grid = sphgrid.make_grid(64)
 
@@ -365,20 +319,18 @@ def intertwining_suite(cfg: RunConfig):
     for k in (1, 2):
         for i in range(cfg.count(10)):
             f = sphgrid.random_coeffs(16, cfg.seed + 500 + 29 * k + i)
-            g = random_element(dim, cfg.seed + 600 + 31 * k + i, max_boost=0.3)
-            defect = _covariant_intertwining_defect(dim, k, g, f, grid)
+            g = random_element(DIM, cfg.seed + 600 + 31 * k + i, max_boost=0.3)
+            defect = _covariant_intertwining_defect(DIM, k, g, f, grid)
             worst = max(worst, defect)
-    _check(out, "int-covariant", "residue-operator-intertwining", worst,
-           cfg.tol("intertwining", 1e-4))
+    _check(out, "int-covariant", "residue-operator-intertwining", worst, 1e-4)
 
     worst = 0.0
     for i in range(cfg.count(6)):
         lam = 0.3 + 0.1 * i
         f = sphgrid.random_coeffs(16, cfg.seed + 700 + i)
-        g = random_element(dim, cfg.seed + 800 + i, max_boost=0.3)
-        worst = max(worst, _knapp_stein_intertwining_defect(dim, lam, g, f, grid))
-    _check(out, "int-knapp-stein", "kernel-operator-intertwining", worst,
-           cfg.tol("intertwining", 1e-4))
+        g = random_element(DIM, cfg.seed + 800 + i, max_boost=0.3)
+        worst = max(worst, _knapp_stein_intertwining_defect(DIM, lam, g, f, grid))
+    _check(out, "int-knapp-stein", "kernel-operator-intertwining", worst, 1e-4)
     return out
 
 
@@ -417,47 +369,45 @@ SMOOTH_PAIRS = [((1, 1, 1), (3, 1, 1)), ((3, 1, 1), (3, 3, 1)),
                 ((5, 3, 3), (3, 3, 1))]
 
 
-def _conditioned_fields(dim, alpha, seed, grid_size, floor: float = 0.08):
-    """Random real band-limited triples kept only when the form value is
-    not nearly cancelled (|K| above floor times the field norms); a
-    relative invariance defect is meaningless on degenerate draws."""
+def _conditioned_fields(engine, seed):
+    """Random real band-limited triples kept only when the engine's form
+    value is not nearly cancelled (|K| at least 0.08 times the field
+    norms); a relative invariance defect is meaningless on degenerate
+    draws."""
     for attempt in range(16):
         fs = [sphgrid.random_coeffs(4, seed + attempt * 37 + j, real_field=True)
               for j in range(3)]
-        val = trilinear.generic_form(dim, alpha, *fs, grid_size=grid_size)
-        if abs(val) >= floor * float(np.prod([f.l2_norm() for f in fs])):
-            return fs, val
+        scale = float(np.prod([f.l2_norm() for f in fs]))
+        if abs(engine.value(*fs)) >= 0.08 * scale:
+            return fs
     raise RuntimeError("no well-conditioned field triple found")
 
 
 def trilinear_suite(cfg: RunConfig):
-    dim = Dimension(cfg.n)
     out: list = []
     one = sphgrid.coeffs_constant(1.0, 2)
 
-    values = {a: trilinear.generic_form(dim, a, one, one, one, method="direct",
-                                        grid_size=cfg.grid_triple)
+    values = {a: trilinear.generic_form(DIM, a, one, one, one, method="direct",
+                                        grid_size=TRIPLE_GRID)
               for a in set(sum(SMOOTH_PAIRS, ()))}
     worst = 0.0
     for a, b in SMOOTH_PAIRS:
-        ra = trilinear.closed_form_constant(dim, a)
-        rb = trilinear.closed_form_constant(dim, b)
+        ra = trilinear.closed_form_constant(DIM, a)
+        rb = trilinear.closed_form_constant(DIM, b)
         worst = max(worst, abs(values[a] / values[b] - ra / rb) / abs(ra / rb))
-    _check(out, "tri-gamma-ratio", "constant-input-gamma-ratio", worst,
-           cfg.tol("gamma_ratio", 1e-6))
+    _check(out, "tri-gamma-ratio", "constant-input-gamma-ratio", worst, 1e-6)
 
     worst = 0.0
     for i, a in enumerate([(3, 3, 1), (5, 1, 3), (3, 1, 1)]):
         f1 = sphgrid.random_coeffs(4, cfg.seed + 900 + i)
         f2 = sphgrid.random_coeffs(4, cfg.seed + 910 + i)
         f3 = sphgrid.random_coeffs(4, cfg.seed + 920 + i)
-        vd = trilinear.generic_form(dim, a, f1, f2, f3, method="direct",
-                                    grid_size=cfg.grid_triple)
-        vf = trilinear.generic_form(dim, a, f1, f2, f3, method="fast",
-                                    grid_size=cfg.grid_triple)
+        vd = trilinear.generic_form(DIM, a, f1, f2, f3, method="direct",
+                                    grid_size=TRIPLE_GRID)
+        vf = trilinear.generic_form(DIM, a, f1, f2, f3, method="fast",
+                                    grid_size=TRIPLE_GRID)
         worst = max(worst, abs(vd - vf) / abs(vd))
-    _check(out, "tri-fast-direct", "fast-vs-direct-agreement", worst,
-           cfg.tol("fast_direct", 1e-6))
+    _check(out, "tri-fast-direct", "fast-vs-direct-agreement", worst, 1e-6)
 
     worst = 0.0
     for i in range(cfg.count(10)):
@@ -465,45 +415,41 @@ def trilinear_suite(cfg: RunConfig):
         # generic non-integer exponents, singular enough to be interesting
         # but integrable enough that the default grids hold 1e-3
         alpha = tuple(1.45 + 0.5 * rng_a.random() for _ in range(3))
-        g = random_element(dim, cfg.seed + 960 + i, max_boost=0.3)
-        fs, base = _conditioned_fields(dim, alpha, cfg.seed + 970 + 101 * i,
-                                       cfg.grid_triple)
-        worst = max(worst, trilinear.generic_invariance_defect(
-            dim, alpha, g, *fs, grid_size=cfg.grid_triple))
-    _check(out, "tri-invariance", "generic-form-invariance", worst,
-           cfg.tol("invariance", 1e-3))
+        g = random_element(DIM, cfg.seed + 960 + i, max_boost=0.3)
+        engine = trilinear.TripleEngine(DIM, alpha, grid_size=TRIPLE_GRID)
+        fs = _conditioned_fields(engine, cfg.seed + 970 + 101 * i)
+        worst = max(worst, trilinear.generic_invariance_defect(engine, g, *fs))
+    del engine   # free its dense kernel before the (48,96) forms below
+    _check(out, "tri-invariance", "generic-form-invariance", worst, 1e-3)
 
     worst = 0.0
     for k, a1, a2 in ((0, 1.45, 2.83), (1, 1.45, 4.62)):
         for i in range(cfg.count(3)):
-            g = random_element(dim, cfg.seed + 980 + 7 * k + i, max_boost=0.3)
+            g = random_element(DIM, cfg.seed + 980 + 7 * k + i, max_boost=0.3)
             fs = [sphgrid.random_coeffs(4, cfg.seed + 990 + 5 * k + 3 * i + j,
                                         real_field=True) for j in range(3)]
             worst = max(worst, trilinear.singular_invariance_defect(
-                dim, k, a1, a2, g, *fs, grid_size=cfg.grid_double,
+                DIM, k, a1, a2, g, *fs, grid_size=DOUBLE_GRID,
                 L_kernel=16))
-    _check(out, "tri-singular-invariance", "singular-form-invariance", worst,
-           cfg.tol("invariance", 1e-3))
+    _check(out, "tri-singular-invariance", "singular-form-invariance", worst, 1e-3)
 
     fs = [sphgrid.random_coeffs(4, cfg.seed + 1100 + j, real_field=True)
           for j in range(3)]
-    bridge0 = trilinear.residue_bridge_defect(
-        dim, 0, 3.3, 3.7, *fs, ring_radius=0.15, ring_size=cfg.ring_size,
-        grid_size=cfg.grid_double, L_kernel=24)
-    _check(out, "tri-bridge-k0", "residue-bridge-order-zero", bridge0,
-           cfg.tol("bridge", 5e-3))
+    bridge0 = trilinear.residue_bridge_defect(DIM, 0, 3.3, 3.7, *fs,
+                                              grid_size=DOUBLE_GRID, L_kernel=24)
+    _check(out, "tri-bridge-k0", "residue-bridge-order-zero", bridge0, 5e-3)
 
     worst = 0.0
     for a1, a2 in ((2.3, 5.6), (3.1, 4.8)):
-        t_val = trilinear.singular_form(dim, 1, a1, a2, one, one, one,
-                                        grid_size=cfg.grid_double, L_kernel=24)
-        pred = trilinear.closed_form_constant_residue(dim, 1, a1, a2)
-        got = spectral_ops.gjms_constant(dim, 1).c_k * t_val
+        t_val = trilinear.singular_form(DIM, 1, a1, a2, one, one, one,
+                                        grid_size=DOUBLE_GRID, L_kernel=24)
+        pred = trilinear.closed_form_constant_residue(DIM, 1, a1, a2)
+        got = spectral_ops.gjms_constant(DIM, 1).c_k * t_val
         worst = max(worst, abs(got - pred) / abs(pred))
     _check(out, "tri-bridge-k1", "residue-bridge-order-one-closed-channel",
-           worst, cfg.tol("bridge", 5e-3))
+           worst, 5e-3)
 
-    scan = trilinear.pole_scan(dim, "alpha3", window=(-6.5, 0.5),
+    scan = trilinear.pole_scan(DIM, "alpha3", window=(-6.5, 0.5),
                                a1=0.31, a2=0.77)
     found3 = sorted(round(r.position.real) for r in scan if r.family == "alpha3")
     founds = sorted(round(r.position.real * 100) / 100 for r in scan
@@ -512,7 +458,7 @@ def trilinear_suite(cfg: RunConfig):
                 and founds == [-6.08, -4.08, -2.08]
                 and not any(r.family == "unknown" for r in scan))
     _check(out, "tri-pole-planes", "pole-plane-lattice", 0.0 if plane_ok else 1.0, 0.5)
-    scan = trilinear.pole_scan(dim, "singular_line", window=(-3.0, 3.0),
+    scan = trilinear.pole_scan(DIM, "singular_line", window=(-3.0, 3.0),
                                k=1, delta=0.26)
     lines = sorted(round(r.position.real) for r in scan
                    if r.family == "singular_line")
@@ -522,18 +468,16 @@ def trilinear_suite(cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed + 1200)
     f1 = sphgrid.random_coeffs(6, cfg.seed + 1201)
     x3 = _random_points(rng, 1)[0]
-    g = random_element(dim, cfg.seed + 1202, max_boost=0.4)
+    g = random_element(DIM, cfg.seed + 1202, max_boost=0.4)
     _check(out, "tri-pullback", "weighted-section-covariance",
-           trilinear.kernel_pullback_defect(dim, 1, 4.0, g, f1, x3),
-           cfg.tol("pullback", 1e-8))
+           trilinear.kernel_pullback_defect(DIM, 1, 4.0, g, f1, x3), 1e-8)
 
     phi = sphgrid.random_coeffs(6, cfg.seed + 1203)
     y = _random_points(rng, 1)[0]
     pts = _random_points(rng, 30)
     pts = pts[np.linalg.norm(pts - y, axis=1) > 0.7]
     _check(out, "tri-split", "kernel-product-rule-split",
-           trilinear.product_rule_split_defect(dim, 6.0, phi, y, pts),
-           cfg.tol("split", 1e-5))
+           trilinear.product_rule_split_defect(DIM, 6.0, phi, y, pts), 1e-5)
     return out
 
 

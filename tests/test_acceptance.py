@@ -101,13 +101,7 @@ def test_criterion_04_intertwining():
             for i in range(10):
                 f = sg.random_coeffs(16, 7100 + 31 * k + i)
                 g = random_element(DIM, 7200 + 37 * k + i, max_boost=0.3)
-                moved = sg.sht_forward(reps.pi_act_coeffs(DIM, -float(k), g,
-                                                          f, grid))
-                path_a = so.residue_operator_apply(DIM, k, moved)
-                rf = so.residue_operator_apply(DIM, k, f)
-                path_b = sg.sht_forward(reps.pi_act_coeffs(DIM, float(k), g,
-                                                           rf, grid))
-                defect = np.linalg.norm(path_a.c - path_b.c) / f.l2_norm()
+                defect = verify._covariant_intertwining_defect(DIM, k, g, f, grid)
                 assert defect <= 1e-4, f"k={k} i={i} defect={defect:.2e}"
 
 
@@ -160,15 +154,14 @@ def test_criterion_07_trilinear_invariance():
             rng = np.random.default_rng(7400 + i)
             alpha = tuple(1.45 + 0.5 * rng.random() for _ in range(3))
             g = random_element(DIM, 7500 + i, max_boost=0.3)
-            fs, _ = verify._conditioned_fields(DIM, alpha, 7600 + 101 * i,
-                                               (24, 48))
-            d = tri.generic_invariance_defect(DIM, alpha, g, *fs,
-                                              grid_size=(24, 48))
+            engine = tri.TripleEngine(DIM, alpha, grid_size=(24, 48))
+            fs = verify._conditioned_fields(engine, 7600 + 101 * i)
+            d = tri.generic_invariance_defect(engine, g, *fs)
             assert d <= 1e-3, f"generic instance {i}: {d:.2e}"
             defaults.append(d)
             if i < 3:
                 doubled.append(tri.generic_invariance_defect(
-                    DIM, alpha, g, *fs, grid_size=(48, 96)))
+                    tri.TripleEngine(DIM, alpha, grid_size=(48, 96)), g, *fs))
         ratio = np.mean(defaults[:3]) / np.mean(doubled)
         assert ratio >= 4.0, f"generic doubling ratio {ratio:.1f}"
 
@@ -200,7 +193,6 @@ def test_criterion_08_residue_bridge():
     with criterion(8, "residue bridge", 600.0):
         fs = [sg.random_coeffs(4, 7900 + j, real_field=True) for j in range(3)]
         defect = tri.residue_bridge_defect(DIM, 0, 3.3, 3.7, *fs,
-                                           ring_radius=0.15, ring_size=16,
                                            grid_size=(48, 96), L_kernel=24)
         assert defect <= 5e-3, f"k=0 bridge {defect:.2e}"
         one = sg.coeffs_constant(1.0, 2)

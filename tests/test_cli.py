@@ -1,7 +1,6 @@
 import json
 
 import numpy as np
-import pytest
 
 from confsphere import cli, sphgrid as sg, verify
 
@@ -136,19 +135,10 @@ def test_verify_determinism(tmp_path, capsys):
     assert strip(a) == strip(b)
 
 
-def test_config_file_and_env_outdir(tmp_path, capsys, monkeypatch):
-    cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"seed": 99, "quick": True}))
+def test_seed_flag_and_env_outdir(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.OUT_ENV, str(tmp_path / "outs"))
-    code, out = run_cli(["verify", "--config", str(cfgfile),
+    code, out = run_cli(["verify", "--seed", "99", "--quick",
                          "--suite", "residues"], capsys)
     assert code == 0
     report = json.loads((tmp_path / "outs" / "verify_report.json").read_text())
-    assert report["config"]["seed"] == 99
-
-
-def test_config_rejects_unknown_keys(tmp_path):
-    cfgfile = tmp_path / "bad.json"
-    cfgfile.write_text(json.dumps({"no_such_option": 1}))
-    with pytest.raises(ValueError, match="unknown config key"):
-        verify.RunConfig.from_json(cfgfile)
+    assert report["config"] == {"seed": 99, "fault_inject": False, "quick": True}

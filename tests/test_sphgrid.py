@@ -299,3 +299,13 @@ def test_gridfunction_validation(grid16):
     bad[0, 0] = np.inf
     with pytest.raises(ValueError):
         sg.GridFunction(grid16, bad)
+
+
+def test_coeff_index_out_of_range_raises():
+    c = sg.random_coeffs(3, 5)
+    assert c.get(3, -3) == c.c[3, 0]
+    for l, m in ((-1, 0), (0, 2), (4, 0), (2, -3)):
+        with pytest.raises(IndexError):
+            c.get(l, m)
+        with pytest.raises(IndexError):
+            c.set(l, m, 1.0)

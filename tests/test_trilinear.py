@@ -80,7 +80,7 @@ def test_rotation_invariance_exact_at_polynomial_exponents(dim3, rng):
         q[:, 0] = -q[:, 0]
     g = rotation(q, dim3)
     fs = [sg.random_coeffs(3, 70 + j, real_field=True) for j in range(3)]
-    defect = tri.generic_invariance_defect(dim3, (3, 3, 1), g, *fs)
+    defect = tri.generic_invariance_defect(tri.TripleEngine(dim3, (3, 3, 1)), g, *fs)
     assert defect < 1e-9
 
 
