@@ -260,10 +260,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "pole-scan":
         args.family = args.family.replace("-", "_")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:   # the library rejects an argument value
+        parser.error(f"{args.command}: {exc}")
 
 
 if __name__ == "__main__":

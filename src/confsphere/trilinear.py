@@ -21,16 +21,19 @@ prefactor 8 pi^3 and the factor are validated in the test suite against
 exactly integrable polynomial kernels.  Residues are reported with
 respect to the half parameter, matching the convention in `mero`.
 
-Evaluation.  Every form is one blocked contraction (`_middle_columns`):
-outer kernel x middle operator x inner kernel over blocks of the outer
-slot, kernels built one (N x block) slab at a time; the middle is a dense
-chordal kernel, Knapp-Stein eigenvalues or the GJMS eigenvalues of Delta_k.
+Evaluation.  Every generic form is one blocked contraction
+(`_middle_columns`): outer kernel x middle operator x inner kernel over
+blocks of the outer slot, kernels built one (N x block) slab at a time;
+the middle is a dense chordal kernel or Knapp-Stein eigenvalues.  The
+singular forms are exact finite sums of two-point Knapp-Stein pairings
+(`singular_form`), meromorphic in (a1, a2).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,12 +44,11 @@ from .sphgrid import (MAX_DENSE_KERNEL, Grid, GridFunction, HarmonicCoeffs,
                       _real_matmul, make_grid, sht_forward, sht_forward_columns,
                       sht_synthesize_columns, slot_pairings, synth_at_points)
 from .special import gamma_ratio
-from .spectral_ops import (apply_multiplier, gjms_constant, gjms_multiplier,
+from .spectral_ops import (apply_multiplier, gjms_constant,
                            knapp_stein_multipliers, laplacian_multiplier)
-from .mero import residue_ring
+from .mero import pair_separation_power, residue_ring
 
 CONVERGENCE_MARGIN = 0.25
-T_OUTER_MARGIN = 0.25
 KERNEL_BLOCK = 1 << 22   # kernel entries per (N x block) slab of the contraction
 RING_RADIUS = 0.15       # contour rings of the residue bridge and the pole scans
 SCAN_STEP = 0.2          # spacing of the pole-scan ring centers
@@ -149,15 +151,17 @@ def _sample(f, points) -> np.ndarray:
 def _staggered_grids(n_theta: int, n_phi: int, count: int) -> tuple:
     """`count` grids of one size, azimuths offset by multiples of
     dphi / count; built once per process and shared, so their node arrays
-    are read-only.  The Legendre tables are built here, before any kernel
-    temporaries, so these long-lived arrays do not pin freed heap."""
+    are read-only.  The grids share their polar nodes, so one Legendre
+    table serves the set; it is built here, before any kernel temporaries,
+    so this long-lived array does not pin freed heap."""
     dphi = 2.0 * math.pi / n_phi
     grids = tuple(make_grid(n_theta=n_theta, n_phi=n_phi,
                             phi_offset=j * dphi / count) for j in range(count))
+    table = grids[0].legendre
     for g in grids:
         for a in (g.u, g.w, g.phi):
             a.flags.writeable = False
-        g.legendre
+        vars(g)["legendre"] = table     # fills the cached property
     return grids
 
 
@@ -356,43 +360,94 @@ def generic_invariance_defect(engine: TripleEngine, g: ConformalMap,
 # the singular trilinear forms
 
 
+def _band_limited(fields, grid_size, L_kernel):
+    """The inputs as HarmonicCoeffs: coefficients as they are, callables
+    projected to degree L_kernel (default 4x the field degree, capped at
+    what the grid resolves) by analysis on the plain grid of grid_size."""
+    moved = [f for f in fields if not isinstance(f, HarmonicCoeffs)]
+    if not moved:
+        return fields
+    gx = double_grids(grid_size)[0]
+    L_K = (min(gx.L, 4 * _field_degree(*fields)) if L_kernel is None
+           else L_kernel)
+    if L_K > gx.L:
+        raise ValueError(f"grid resolves degree {gx.L}, requested {L_K}")
+    P = gx.flat_points()
+    C = sht_forward_columns(gx, np.stack([_sample(f, P) for f in moved], axis=1), L_K)
+    projected = iter(HarmonicCoeffs(L_K, c.reshape(L_K + 1, -1)) for c in C.T)
+    return [f if isinstance(f, HarmonicCoeffs) else next(projected) for f in fields]
+
+
 def singular_form(dim: Dimension, k: int, a1, a2, f1, f2, f3,
                   grid_size=(48, 96), L_kernel: int | None = None) -> complex:
     """The k-th singular trilinear form
 
-        int int f3(x3) f2(x) Delta_k[f1(.) |x3 - .|^{-rho+a2}](x)
-                |x - x3|^{-rho+a1} dsigma(x) dsigma(x3)
+        int int f3(y) f2(x) Delta_k[f1(.) |y - .|^{-rho+a2}](x)
+                |x - y|^{-rho+a1} dsigma(x) dsigma(y),
 
-    in the direct-evaluation regime Re(a2 - rho) > 2k + 1 (the inner
-    section is then classically 2k+1 times differentiable) and
-    Re a1 > -rho + T_OUTER_MARGIN (integrable outer kernel).  It is the
-    blocked contraction over x3 with the covariant power Delta_k as the
-    middle operator, acting spectrally through its GJMS eigenvalues at
-    elevated truncation.
+    as an exact finite sum of Knapp-Stein pairings.  Delta_k is split off
+    the kernel one factor Delta - (rho+j-1)(rho-j) at a time by
+        Delta[r^s phi] = r^{s-2} {[-(s/2)(s/2+n-2) r^2 + s(s+n-3)] phi
+                                  + s grad r^2 . grad phi + r^2 Delta phi},
+        grad r^2 . grad phi = sum_i y_i [x_i Delta phi - Delta(x_i phi)
+                                         - (n-1) x_i phi],
+    so every term is r^{s'} y^beta psi(x) with psi band-limited, and pairs
+    to (k_{s'+a1}, (f2 psi) (x) (f3 y^beta)) in closed form.  The sum is
+    meromorphic in (a1, a2), so beyond the direct regime (Re(a2 - rho) >
+    2k + 1 and Re a1 > -rho, where the integral converges as written) it
+    is the continuation; it raises on the singular lines a1 + a2 = 2k - 2l,
+    where the pairings have their poles.
+
+    HarmonicCoeffs inputs are used exactly; callables are projected to
+    degree L_kernel on the plain grid of grid_size (see `_band_limited`),
+    so for them the two parameters fix the discretization.
     """
     if dim.n != 3:
-        raise ValueError("trilinear quadrature is implemented for n = 3")
-    a1, a2 = complex(a1), complex(a2)
-    rho = dim.rho
-    if a2.real - rho <= 2 * k + 1:
-        raise ValueError(
-            f"Re(a2 - rho) = {a2.real - rho:g} <= {2 * k + 1}: outside the "
-            "direct regime; the continued singular form (meromorphic in "
-            "(a1, a2)) is not implemented numerically")
-    if a1.real <= -rho + T_OUTER_MARGIN:
-        raise ValueError(f"Re a1 = {a1.real:g} <= {-rho + T_OUTER_MARGIN:g}: "
-                         "outer kernel not safely integrable")
-    gx, g3 = double_grids(grid_size)
-    L_K = (min(gx.L, 4 * _field_degree(f1, f2, f3)) if L_kernel is None
-           else L_kernel)
-    if L_K > gx.L:
-        raise ValueError(f"grid resolves degree {gx.L}, requested {L_K}")
-    Px, P3 = gx.flat_points(), g3.flat_points()
-    middle = _spectral_middle(gx, gx, [gjms_multiplier(dim, k, l)
-                                       for l in range(L_K + 1)])
-    return _contract(Px, _sample(f2, Px) * gx.flat_weights(), a1 - rho,
-                     P3, _sample(f3, P3) * g3.flat_weights(),
-                     _middle_columns(Px, _sample(f1, Px), a2 - rho, middle, P3))
+        raise ValueError("singular forms are implemented for n = 3")
+    f1, f2, f3 = _band_limited((f1, f2, f3), grid_size, L_kernel)
+    rho, n = dim.rho, dim.n
+    sigma = complex(a2) - rho
+    L = f1.L + k                          # the degree bound of every psi
+    L2, L3 = L + f2.L, f3.L + k           # of f2 psi and of f3 y^beta
+    # the minimal grid on which every product below is analyzed exactly
+    D = max(L2, L3, 1)
+    grid = _staggered_grids(D + 1, 2 * D + 1, 1)[0]
+    X = grid.flat_points()
+    lap = np.repeat([laplacian_multiplier(dim, l) for l in range(L + 1)], 2 * L + 1)
+
+    # terms r^{sigma - 2e} y^beta psi, keyed (e, beta), beta the sorted
+    # coordinate indices of the monomial; psi as padded coefficient rows
+    terms = {(0, ()): f1.pad(L).c.reshape(-1)}
+    for j in range(1, k + 1):
+        shift = (rho + j - 1) * (rho - j)
+        keys = list(terms)
+        C = np.stack([terms[key] for key in keys], axis=1)
+        LC = lap[:, None] * C
+        V = sht_synthesize_columns(grid, np.hstack([C, LC]), L)
+        XV = sht_forward_columns(grid, (X[:, :, None] * V[:, None, :])
+                                 .reshape(X.shape[0], -1), L)
+        XV = XV.reshape(-1, 3, 2, len(keys))     # (row, i, psi | Delta psi, term)
+        terms = defaultdict(int)
+        for b, (e, beta) in enumerate(keys):
+            s = sigma - 2 * e
+            terms[e, beta] += LC[:, b] - ((s / 2) * (s / 2 + n - 2) + shift) * C[:, b]
+            terms[e + 1, beta] += s * (s + n - 3) * C[:, b]
+            for i in range(3):
+                x_psi, x_lap_psi = XV[:, i, 0, b], XV[:, i, 1, b]
+                terms[e + 1, tuple(sorted(beta + (i,)))] += (
+                    s * (x_lap_psi - lap * x_psi - (n - 1) * x_psi))
+
+    keys = list(terms)
+    F2, F3 = (sht_synthesize_columns(grid, f.c.reshape(-1, 1), f.L)
+              for f in (f2, f3))
+    G2 = sht_forward_columns(grid, F2 * sht_synthesize_columns(
+        grid, np.stack([terms[key] for key in keys], axis=1), L), L2)
+    G3 = sht_forward_columns(grid, F3 * np.stack(
+        [X[:, list(beta)].prod(axis=1) for _, beta in keys], axis=1), L3)
+    return complex(sum(pair_separation_power(
+        dim, sigma - 2 * e + a1, HarmonicCoeffs(L2, G2[:, b].reshape(L2 + 1, -1)),
+        HarmonicCoeffs(L3, G3[:, b].reshape(L3 + 1, -1)))
+        for b, (e, _) in enumerate(keys)))
 
 
 def singular_invariance_defect(dim: Dimension, k: int, a1, a2,
@@ -400,7 +455,9 @@ def singular_invariance_defect(dim: Dimension, k: int, a1, a2,
                                grid_size=(48, 96),
                                L_kernel: int | None = None) -> float:
     """Relative change of the singular form under the principal-series
-    actions tied to (a1, a2, a3 = -rho - 2k)."""
+    actions tied to (a1, a2, a3 = -rho - 2k).  The moved fields are
+    callables, projected to degree L_kernel on the grid of grid_size; the
+    base value uses the inputs as given."""
     a3 = -dim.rho - 2.0 * k
     lam = lambda_from_alpha((a1, a2, a3)).lam
     base = singular_form(dim, k, a1, a2, f1, f2, f3, grid_size=grid_size,
@@ -422,7 +479,7 @@ def residue_bridge_defect(dim: Dimension, k: int, a1, a2, f1, f2, f3,
     """Relative mismatch between the contour residue of the generic form
     in its third parameter at -rho - 2k (half-parameter convention,
     evaluated through the continued spectral family) and c_k times the
-    singular form (at the same grid size and its default truncation)."""
+    singular form (exact for HarmonicCoeffs inputs)."""
     evaluate, _ = generic_form_alpha3_family(dim, a1, a2, f1, f2, f3,
                                              grid_size=grid_size,
                                              L_kernel=L_kernel)

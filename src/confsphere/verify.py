@@ -24,7 +24,7 @@ SUITE_NAMES = ("geometry", "representation", "bernstein", "residues",
                "intertwining", "trilinear")
 DIM = Dimension(3)
 TRIPLE_GRID = (24, 48)    # the generic forms' three staggered grids
-DOUBLE_GRID = (48, 96)    # the singular forms' and the residue bridge's two grids
+DOUBLE_GRID = (48, 96)    # the residue bridge, and the singular forms' moved fields
 
 
 @dataclass

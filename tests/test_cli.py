@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from confsphere import cli, sphgrid as sg, verify
 
@@ -50,6 +51,18 @@ def test_multiplier_csv(tmp_path, capsys):
     assert len(lines) == 10
     l2 = lines[3].split(",")
     assert abs(float(l2[1]) - (-6.0)) < 1e-10   # Delta_1 on degree 2
+
+
+def test_library_value_errors_are_usage_errors(tmp_path, capsys):
+    # a value the library rejects ends as an argparse error (exit 2, the
+    # message on stderr), not as a traceback
+    for args in (["multiplier", "--kind", "laplacian", "--n", "2"],
+                 ["pair", "--s", "-2"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--out-dir", str(tmp_path)] + args)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: " + args[0] in err and "Traceback" not in err
 
 
 def test_trilinear_command(tmp_path, capsys):

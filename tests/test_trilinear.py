@@ -117,11 +117,11 @@ def test_spectral_family_matches_direct(dim3):
     assert len(weights) == 21
 
 
-def _dense_oracles(dim, fs, grid_size, alpha, singular, L_K):
-    """The trilinear forms from whole N x N kernel matrices: the dense
+def _dense_oracles(dim, fs, grid_size, alpha, L_K):
+    """The generic forms from whole N x N kernel matrices: the dense
     formulas the blocked contraction replaces (test-only reference)."""
     from confsphere.reps import field_from_coeffs
-    from confsphere.spectral_ops import gjms_multiplier, knapp_stein_multipliers
+    from confsphere.spectral_ops import knapp_stein_multipliers
     rho = dim.rho
     a1, a2, a3 = alpha
     rows = 2 * L_K + 1
@@ -144,31 +144,37 @@ def _dense_oracles(dim, fs, grid_size, alpha, singular, L_K):
     D = sg.sht_forward_columns(g2, F2[:, None] * middles["fast"], L_K)
     out["alpha3"] = sg.slot_pairings(
         sg.sht_forward_columns(g1, F1[:, None] * D.T, L_K), L_K)
+    return out
 
-    k, b1, b2 = singular
+
+def _dense_singular_oracle(dim, fs, grid_size, k, a1, a2, L_K):
+    """The singular form by double quadrature on two staggered grids, with
+    Delta_k applied through its GJMS eigenvalues truncated at L_K: the
+    formula the exact finite sum replaces (test-only reference)."""
+    from confsphere.reps import field_from_coeffs
+    from confsphere.spectral_ops import gjms_multiplier
     gx, g3 = tri.double_grids(grid_size)
     Px, P3 = gx.flat_points(), g3.flat_points()
     G1, G2 = (field_from_coeffs(f)(Px) for f in fs[:2])
     G3 = field_from_coeffs(fs[2])(P3)
     mult = np.repeat([gjms_multiplier(dim, k, l) for l in range(L_K + 1)],
-                     rows)[:, None]
+                     2 * L_K + 1)[:, None]
     H = sg.sht_synthesize_columns(
         gx, mult * sg.sht_forward_columns(
-            gx, G1[:, None] * tri.chordal_power(Px, P3, b2 - rho), L_K),
+            gx, G1[:, None] * tri.chordal_power(Px, P3, a2 - dim.rho), L_K),
         L_K)
-    out["singular"] = ((G2 * gx.flat_weights())
-                       @ (H * tri.chordal_power(Px, P3, b1 - rho))
-                       @ (G3 * g3.flat_weights()))
-    return out
+    return ((G2 * gx.flat_weights())
+            @ (H * tri.chordal_power(Px, P3, a1 - dim.rho))
+            @ (G3 * g3.flat_weights()))
 
 
 @pytest.mark.parametrize("alpha", [(1.6, 1.8, 1.55), (1.6 + 0.3j, 1.8, 1.55)])
 def test_blocked_contraction_matches_dense_oracle(dim3, monkeypatch, alpha):
     # (12, 24) has N = 288 nodes; 100 columns per block gives 100, 100, 88;
     # a complex a1 makes the direct middle kernel complex
-    grid_size, singular, L_K = (12, 24), (1, 1.6, 4.62), 8
+    grid_size, L_K = (12, 24), 8
     fs = [sg.random_coeffs(4, 170 + j) for j in range(3)]
-    want = _dense_oracles(dim3, fs, grid_size, alpha, singular, L_K)
+    want = _dense_oracles(dim3, fs, grid_size, alpha, L_K)
     monkeypatch.setattr(tri, "KERNEL_BLOCK", 100 * 288)
     widths = []
     kernel = tri.chordal_power
@@ -189,10 +195,18 @@ def test_blocked_contraction_matches_dense_oracle(dim3, monkeypatch, alpha):
                                           grid_size=grid_size, L_kernel=L_K)
     close(A, want["alpha3"])
     assert widths == [100, 100, 88]
-    widths.clear()
-    close(tri.singular_form(dim3, *singular, *fs, grid_size=grid_size,
-                            L_kernel=L_K), want["singular"])
-    assert widths == [100, 100, 100, 100, 88, 88]
+
+
+def test_singular_quadrature_oracle_converges_to_finite_sum(dim3):
+    # the quadrature the finite sum replaced carries a truncation and a
+    # quadrature error; doubling its whole discretization (grid and L_K)
+    # moves it toward the exact sum
+    fs = [sg.random_coeffs(4, 170 + j) for j in range(3)]
+    k, a1, a2 = 1, 1.6, 4.62
+    exact = tri.singular_form(dim3, k, a1, a2, *fs)
+    errs = [abs(_dense_singular_oracle(dim3, fs, grid_size, k, a1, a2, L_K) - exact)
+            / abs(exact) for grid_size, L_K in (((12, 24), 8), ((24, 48), 16))]
+    assert errs[1] <= errs[0] / 4.0
 
 
 def test_alpha3_family_memory_bounded(dim3):
@@ -216,6 +230,20 @@ def test_direct_engine_refuses_oversized_kernel(dim3):
     with pytest.raises(ValueError, match="dense middle kernel"):
         tri.TripleEngine(dim3, (1.6, 1.8, 1.55), method="direct",
                          grid_size=(96, 192))
+
+
+def test_staggered_grids_share_one_legendre_table(monkeypatch):
+    # the grids of a set share their polar nodes: one table per set, read
+    # by every grid of it (a size no other test builds)
+    calls = []
+    table = sg.legendre_table
+    monkeypatch.setattr(sg, "legendre_table",
+                        lambda L, u: calls.append((L, len(u))) or table(L, u))
+    triple, double = tri.triple_grids((14, 28)), tri.double_grids((14, 28))
+    assert calls == [(13, 14), (13, 14)]
+    for grids in (triple, double):
+        assert all(g.legendre is grids[0].legendre for g in grids)
+        assert not grids[0].legendre.flags.writeable
 
 
 def test_grids_built_once_per_size(dim3, monkeypatch):
@@ -268,11 +296,24 @@ def test_singular_form_constant_closed_value(dim3):
 
 
 def test_singular_form_regime_guards(dim3):
+    # the pairings of the finite sum have their poles on the singular lines
+    # a1 + a2 = 2k - 2l, l >= 0; points off them are continued
     one = sg.coeffs_constant(1.0, 2)
-    with pytest.raises(ValueError, match="direct regime"):
-        tri.singular_form(dim3, 1, 1.3, 3.5, one, one, one)
-    with pytest.raises(ValueError, match="outer kernel"):
-        tri.singular_form(dim3, 0, -0.9, 3.5, one, one, one)
+    for k, a1, a2 in ((1, 0.7, 1.3), (1, 0.5, -0.5), (0, 1.2, -1.2),
+                      (2, 2.5, 1.5), (2, 0.3 + 0.2j, -2.3 - 0.2j)):
+        with pytest.raises(ValueError, match="pole"):
+            tri.singular_form(dim3, k, a1, a2, one, one, one)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_singular_form_constant_inputs_match_closed_residue(dim3, k):
+    # direct (1.3, 3.5) and continued (0.4, 0.9), (0.3, -0.2+0.4i) points
+    one = sg.coeffs_constant(1.0, 2)
+    c_k = gjms_constant(dim3, k).c_k
+    for a1, a2 in ((1.3, 3.5), (0.4, 0.9), (0.3, -0.2 + 0.4j)):
+        got = tri.singular_form(dim3, k, a1, a2, one, one, one)
+        want = tri.closed_form_constant_residue(dim3, k, a1, a2) / c_k
+        assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_singular_invariance(dim3):
@@ -284,11 +325,29 @@ def test_singular_invariance(dim3):
         assert defect < 1e-3
 
 
+def test_singular_invariance_continued(dim3):
+    # below the direct regime, on random fields: the moved fields projected
+    # to degree 16 leave only their projection error
+    g = random_element(dim3, 112, max_boost=0.3)
+    fs = [sg.random_coeffs(4, 125 + j, real_field=True) for j in range(3)]
+    for k, a1, a2 in ((1, 0.4, 0.9), (1, 0.3, -0.2 + 0.4j), (2, 1.1, 0.7)):
+        defect = tri.singular_invariance_defect(dim3, k, a1, a2, g, *fs,
+                                                grid_size=(24, 48), L_kernel=16)
+        assert defect < 1e-9
+
+
 def test_residue_bridge_k0(dim3):
     fs = [sg.random_coeffs(4, 130 + j, real_field=True) for j in range(3)]
     defect = tri.residue_bridge_defect(dim3, 0, 3.3, 3.7, *fs,
                                        grid_size=(48, 96), L_kernel=24)
     assert defect < 5e-3
+
+
+def test_residue_bridge_k1_random_fields(dim3):
+    fs = [sg.random_coeffs(4, 135 + j, real_field=True) for j in range(3)]
+    defect = tri.residue_bridge_defect(dim3, 1, 2.3, 5.6, *fs,
+                                       grid_size=(48, 96), L_kernel=32)
+    assert defect < 1e-7
 
 
 def test_residue_bridge_k1_closed_channel(dim3):
