@@ -266,7 +266,7 @@ def main(argv=None) -> int:
         args.family = args.family.replace("-", "_")
     try:
         return args.func(args)
-    except ValueError as exc:   # the library rejects an argument value
+    except (ValueError, OSError) as exc:   # a rejected value or an unreadable file
         parser.error(f"{args.command}: {exc}")
 
 

@@ -512,7 +512,7 @@ def load_coeffs(path) -> HarmonicCoeffs:
     rows = np.array(blob["coeffs"], dtype=float).reshape(-1, 4)
     l, m = rows[:, 0].astype(int), rows[:, 1].astype(int)
     if np.any((np.abs(m) > l) | (l > L)):
-        raise IndexError("(l, m) out of range in coefficient file")
+        raise ValueError("(l, m) out of range in coefficient file")
     c = np.zeros((L + 1, 2 * L + 1), dtype=complex)
     c[l, m + L] = rows[:, 2] + 1j * rows[:, 3]
     return HarmonicCoeffs(L, c)

@@ -21,11 +21,13 @@ prefactor 8 pi^3 and the factor are validated in the test suite against
 exactly integrable polynomial kernels.  Residues are reported with
 respect to the half parameter, matching the convention in `mero`.
 
-Evaluation.  Every generic form is one blocked contraction
-(`_middle_columns`): outer kernel x middle operator x inner kernel over
-blocks of the outer slot, kernels built one (N x block) slab at a time;
-the middle is a dense chordal kernel or Knapp-Stein eigenvalues.  The
-singular forms are exact finite sums of two-point Knapp-Stein pairings
+Evaluation.  The direct engine, the reference quadrature, contracts the
+three kernels over blocks of the outer slot, one (N x block) slab at a
+time.  The fast engine and the alpha3 family are the harmonic-basis trace
+Tr(M_f1 E_a3 M_f2 E_a1 M_f3 E_a2) = sum_l e_l(a3) A_l, M_f multiplication
+by f and E_a the closed-form Knapp-Stein eigenvalues (`_degree_weights`):
+exact products, so its only error is the tail of E_a3.  The singular
+forms are exact finite sums of two-point Knapp-Stein pairings
 (`singular_form`), meromorphic in (a1, a2).
 """
 
@@ -40,16 +42,16 @@ import numpy as np
 
 from .lorentz import Dimension, ConformalMap, act, conformal_factor, inverse
 from .reps import field_from_coeffs, pi_pointwise
-from .sphgrid import (MAX_DENSE_KERNEL, Grid, GridFunction, HarmonicCoeffs,
+from .sphgrid import (MAX_DENSE_KERNEL, GridFunction, HarmonicCoeffs, _lm_mask,
                       _real_matmul, make_grid, sht_forward, sht_forward_columns,
-                      sht_synthesize_columns, slot_pairings, synth_at_points)
+                      sht_synthesize_columns, synth_at_points)
 from .special import gamma_ratio
 from .spectral_ops import (apply_multiplier, gjms_constant,
                            knapp_stein_multipliers, laplacian_multiplier)
 from .mero import pair_separation_power, residue_ring
 
 CONVERGENCE_MARGIN = 0.25
-KERNEL_BLOCK = 1 << 22   # kernel entries per (N x block) slab of the contraction
+KERNEL_BLOCK = 1 << 22   # entries per (N x block) slab: kernels, trace columns
 RING_RADIUS = 0.15       # contour rings of the residue bridge and the pole scans
 SCAN_STEP = 0.2          # spacing of the pole-scan ring centers
 
@@ -201,46 +203,68 @@ def _check_convergence(dim: Dimension, alpha) -> None:
             + ". Use generic_form_alpha3_family for continued evaluation.")
 
 
-def _spectral_middle(g_in: Grid, g_out: Grid, eigenvalues):
-    """The zonal operator with the given per-degree eigenvalues, from values
-    on g_in (the analysis carries the measure) to values on g_out."""
-    L = len(eigenvalues) - 1
-    mult = np.repeat(eigenvalues, 2 * L + 1)
-    return lambda G: sht_synthesize_columns(
-        g_out, mult[:, None] * sht_forward_columns(g_in, G, L), L)
-
-
-def _middle_columns(Pc, Fc, s_in, middle, Pb):
-    """The one blocked loop of every trilinear form, over the outer slot:
-    yields (sl, H) per block Pb[sl] with H[a, j] = middle(Fc(.) |. - b_j|^{s_in})(a),
-    building the inner kernel one (Nc x block) slab at a time."""
-    block = max(1, KERNEL_BLOCK // Pc.shape[0])
-    for start in range(0, Pb.shape[0], block):
-        sl = slice(start, min(start + block, Pb.shape[0]))
-        yield sl, middle(Fc[:, None] * chordal_power(Pc, Pb[sl], s_in))
-
-
-def _contract(Pa, FWa, s_out, Pb, FWb, columns) -> complex:
-    """sum_b FWb_b sum_a FWa_a |a - b|^{s_out} H[a, b] over the blocks of
-    `_middle_columns`, one (Na x block) outer-kernel slab at a time."""
-    total = 0.0 + 0.0j
-    for sl, H in columns:
-        contrib = FWa @ (H * chordal_power(Pa, Pb[sl], s_out))   # (block,)
-        total += np.dot(contrib, FWb[sl])
-    return complex(total)
-
-
 # ---------------------------------------------------------------------------
 # the generic trilinear form
 
 
+def _field_degree(*fields) -> int:
+    degs = [f.L for f in fields if isinstance(f, HarmonicCoeffs)]
+    return max(degs) if degs else 8
+
+
+def _band_limited(fields, grid_size, L_kernel):
+    """The inputs as HarmonicCoeffs: coefficients as they are, callables
+    projected to degree L_kernel (default 4x the field degree, capped at
+    what the grid resolves) by analysis on the plain grid of grid_size."""
+    moved = [f for f in fields if not isinstance(f, HarmonicCoeffs)]
+    if not moved:
+        return fields
+    gx = double_grids(grid_size)[0]
+    L_K = (min(gx.L, 4 * _field_degree(*fields)) if L_kernel is None
+           else L_kernel)
+    if L_K > gx.L:
+        raise ValueError(f"grid resolves degree {gx.L}, requested {L_K}")
+    P = gx.flat_points()
+    C = sht_forward_columns(gx, np.stack([_sample(f, P) for f in moved], axis=1), L_K)
+    projected = iter(HarmonicCoeffs(L_K, c.reshape(L_K + 1, -1)) for c in C.T)
+    return [f if isinstance(f, HarmonicCoeffs) else next(projected) for f in fields]
+
+
+def _degree_weights(dim: Dimension, a1, a2, fields, grid_size, L: int) -> np.ndarray:
+    """A_l, l <= L, of the trace sum_l e_l(a3) A_l: the sum over m of the
+    ((l, m), (l, m)) entries of M_f2 E_a1 M_f3 E_a2 M_f1, by three
+    synthesize / multiply / analyze steps on the basis columns, exact on
+    the minimal grid of degree D = L + f1.L + f2.L + f3.L, KERNEL_BLOCK // N
+    columns at a time.  Callables are first projected by `_band_limited`."""
+    f1, f2, f3 = _band_limited(fields, grid_size, L)
+    L1 = L + f1.L                   # the degree of M_f1 Y_lm
+    L3 = L1 + f3.L                  # of M_f3 E_a2 M_f1 Y_lm
+    D = max(L3 + f2.L, 1)
+    grid = _staggered_grids(D + 1, 2 * D + 1, 1)[0]
+    F1, F2, F3 = (sht_synthesize_columns(grid, f.c.reshape(-1, 1), f.L)
+                  for f in (f1, f2, f3))
+    E2, E1 = (np.repeat(knapp_stein_multipliers(dim, a, Lx), 2 * Lx + 1)[:, None]
+              for a, Lx in ((a2, L1), (a1, L3)))
+    rows = np.flatnonzero(_lm_mask(L))        # the (l, m) rows of the padded layout
+    A = np.zeros(L + 1, dtype=complex)
+    block = max(1, KERNEL_BLOCK // F1.shape[0])
+    for start in range(0, rows.size, block):
+        r = rows[start:start + block]
+        C = np.zeros(((L + 1) * (2 * L + 1), r.size), dtype=complex)
+        C[r, range(r.size)] = 1.0
+        C = E2 * sht_forward_columns(grid, F1 * sht_synthesize_columns(grid, C, L), L1)
+        C = E1 * sht_forward_columns(grid, F3 * sht_synthesize_columns(grid, C, L1), L3)
+        C = sht_forward_columns(grid, F2 * sht_synthesize_columns(grid, C, L3), L)
+        np.add.at(A, r // (2 * L + 1), C[r, range(r.size)])
+    return A
+
+
 class TripleEngine:
-    """The grids and the middle operator (the first-slot kernel, x3 to x2)
-    of one parameter triple, reusable across input fields; `value` is the
-    blocked contraction over x1, rebuilding the other kernels' slabs on each
-    call.  method "direct" holds the middle kernel as one dense matrix (the
-    reference path, refused above MAX_DENSE_KERNEL entries); "fast" applies
-    its Knapp-Stein eigenvalues up to L_kernel."""
+    """The generic form of one parameter triple, reusable across fields.
+    method "direct" (the reference quadrature) holds the kernel x3 to x2 as
+    one dense matrix, refused above MAX_DENSE_KERNEL entries; `value`
+    contracts it over blocks of x1, rebuilding the other kernels' slabs.
+    "fast" is the trace of `_degree_weights`, exact up to its L_kernel tail."""
 
     def __init__(self, dim: Dimension, alpha, method: str = "direct",
                  grid_size=(24, 48), L_kernel: int | None = None,
@@ -250,34 +274,43 @@ class TripleEngine:
         _check_convergence(dim, alpha)
         self.dim = dim
         self.alpha = tuple(complex(v) for v in alpha)
-        a1 = self.alpha[0]
-        entries = (int(grid_size[0]) * int(grid_size[1])) ** 2
-        if method == "direct" and entries > MAX_DENSE_KERNEL:
-            raise ValueError(f"the dense middle kernel would have {entries} "
-                             f"entries (max {MAX_DENSE_KERNEL}); use method='fast'")
-        self.grids = triple_grids(grid_size)
-        _, g2, g3 = self.grids
+        self.method = method
         if method == "direct":
-            K1 = chordal_power(g2.flat_points(), g3.flat_points(), a1 - dim.rho)
+            entries = (int(grid_size[0]) * int(grid_size[1])) ** 2
+            if entries > MAX_DENSE_KERNEL:
+                raise ValueError(f"the dense middle kernel would have {entries} "
+                                 f"entries (max {MAX_DENSE_KERNEL}); use method='fast'")
+            self.grids = triple_grids(grid_size)
+            _, g2, g3 = self.grids
+            K1 = chordal_power(g2.flat_points(), g3.flat_points(),
+                               self.alpha[0] - dim.rho)
             W3 = g3.flat_weights()[:, None]
             self.middle = lambda G: (K1 @ (W3 * G) if np.iscomplexobj(K1)   # complex a1
                                      else _real_matmul(K1, np.asarray(W3 * G, complex)))
         elif method == "fast":
-            L_K = (min(g3.L, 4 * default_degree) if L_kernel is None
-                   else L_kernel)
-            if L_K > g3.L:
-                raise ValueError(f"grid resolves degree {g3.L}, requested {L_K}")
-            self.middle = _spectral_middle(g3, g2,
-                                           knapp_stein_multipliers(dim, a1, L_K))
+            self.grid_size = grid_size
+            self.L_kernel = (min(double_grids(grid_size)[0].L, 4 * default_degree)
+                             if L_kernel is None else L_kernel)
+            self.eig3 = knapp_stein_multipliers(dim, self.alpha[2], self.L_kernel)
         else:
             raise ValueError("method must be 'direct' or 'fast'")
 
     def value(self, f1, f2, f3) -> complex:
-        rho, (_, a2, a3) = self.dim.rho, self.alpha
+        rho, (a1, a2, a3) = self.dim.rho, self.alpha
+        if self.method == "fast":
+            return complex(np.dot(self.eig3, _degree_weights(
+                self.dim, a1, a2, (f1, f2, f3), self.grid_size, self.L_kernel)))
         P1, P2, P3 = (g.flat_points() for g in self.grids)
         W1, W2, _ = (g.flat_weights() for g in self.grids)
-        return _contract(P2, _sample(f2, P2) * W2, a3 - rho, P1, _sample(f1, P1) * W1,
-                         _middle_columns(P3, _sample(f3, P3), a2 - rho, self.middle, P1))
+        FW1, FW2, F3 = _sample(f1, P1) * W1, _sample(f2, P2) * W2, _sample(f3, P3)
+        # per block of x1: H[x2, x1] = middle(f3(.) |. - x1|^{a2-rho})(x2)
+        block = max(1, KERNEL_BLOCK // P3.shape[0])
+        total = 0.0 + 0.0j
+        for start in range(0, P1.shape[0], block):
+            sl = slice(start, min(start + block, P1.shape[0]))
+            H = self.middle(F3[:, None] * chordal_power(P3, P1[sl], a2 - rho))
+            total += np.dot(FW2 @ (H * chordal_power(P2, P1[sl], a3 - rho)), FW1[sl])
+        return complex(total)
 
 
 def generic_form(dim: Dimension, alpha, f1, f2, f3, method: str = "direct",
@@ -287,10 +320,10 @@ def generic_form(dim: Dimension, alpha, f1, f2, f3, method: str = "direct",
     f1, f2, f3 may be HarmonicCoeffs or callables on point arrays.
 
     method "direct": full triple quadrature with exact kernel matrices.
-    method "fast":   the middle kernel is applied through its zonal
-                     eigenvalues at truncation L_kernel (default: 4x the
-                     field degree, capped at what the grid resolves);
-                     agrees with "direct" to the kernel-truncation error.
+    method "fast":   the harmonic-basis trace, exact up to its tail beyond
+                     L_kernel (default: 4x the field degree, capped at what
+                     the grid resolves); grid_size matters only for
+                     projecting callables.
     Raises outside the safe absolute-convergence region.
     """
     engine = TripleEngine(dim, alpha, method=method, grid_size=grid_size,
@@ -299,42 +332,24 @@ def generic_form(dim: Dimension, alpha, f1, f2, f3, method: str = "direct",
     return engine.value(f1, f2, f3)
 
 
-def _field_degree(*fields) -> int:
-    degs = [f.L for f in fields if isinstance(f, HarmonicCoeffs)]
-    return max(degs) if degs else 8
-
-
 def generic_form_alpha3_family(dim: Dimension, a1, a2, f1, f2, f3,
                                grid_size=(48, 96), L_kernel: int = 32):
     """Continued evaluation of the generic form as a function of the third
-    parameter, with (a1, a2) fixed inside the direct regime.
+    parameter, with (a1, a2) fixed.
 
-    The two outer quadratures and the middle convolution are assembled
-    once; the third-slot kernel acts through its zonal eigenvalues, whose
-    closed form is meromorphic in a3.  The returned callable is therefore
-    meromorphic in a3 off the pole lattice and can be sampled on residue
-    rings around -rho - 2k.
+    The trace is evaluate(a3) = sum_{l <= L_kernel} e_l(a3) A_l, with the
+    weights A_l computed once (`_degree_weights`; grid_size matters only
+    for projecting callables) and the eigenvalues e_l(a3) in closed form,
+    so it is meromorphic in a3 off the pole lattice and can be sampled on
+    residue rings around -rho - 2k.  It converges there only where
+    Re(a1 + a2) > 2k: e_l(a3) A_l grows like l^{2k - a1 - a2 - 1}.
 
     Returns (evaluate, degree_weights): evaluate(a3) -> complex, and the
-    per-degree weights A_l with evaluate(a3) = sum_l e_l(a3 - rho) A_l,
-    useful for truncation diagnostics.
+    per-degree weights A_l, useful for truncation diagnostics.
     """
     if dim.n != 3:
         raise ValueError("trilinear quadrature is implemented for n = 3")
-    g1, g2, g3 = triple_grids(grid_size)
-    if L_kernel > min(g2.L, g3.L):
-        raise ValueError("kernel truncation exceeds what the grid resolves")
-    P1, P2, P3 = (g.flat_points() for g in (g1, g2, g3))
-    F2 = _sample(f2, P2)
-
-    # the x2 analysis of the middle columns, one block of x1 at a time
-    middle = _spectral_middle(g3, g2, knapp_stein_multipliers(dim, a1, L_kernel))
-    D = np.empty(((L_kernel + 1) * (2 * L_kernel + 1), P1.shape[0]), dtype=complex)
-    for sl, H in _middle_columns(P3, _sample(f3, P3), a2 - dim.rho, middle, P1):
-        D[:, sl] = sht_forward_columns(g2, F2[:, None] * H, L_kernel)
-    # the x1 quadrature against Y_lm is the x1 analysis at (l, -m)
-    A = slot_pairings(sht_forward_columns(g1, _sample(f1, P1)[:, None] * D.T,
-                                          L_kernel), L_kernel)
+    A = _degree_weights(dim, a1, a2, (f1, f2, f3), grid_size, L_kernel)
 
     def evaluate(a3: complex) -> complex:
         eig3 = knapp_stein_multipliers(dim, complex(a3), L_kernel)
@@ -358,24 +373,6 @@ def generic_invariance_defect(engine: TripleEngine, g: ConformalMap,
 
 # ---------------------------------------------------------------------------
 # the singular trilinear forms
-
-
-def _band_limited(fields, grid_size, L_kernel):
-    """The inputs as HarmonicCoeffs: coefficients as they are, callables
-    projected to degree L_kernel (default 4x the field degree, capped at
-    what the grid resolves) by analysis on the plain grid of grid_size."""
-    moved = [f for f in fields if not isinstance(f, HarmonicCoeffs)]
-    if not moved:
-        return fields
-    gx = double_grids(grid_size)[0]
-    L_K = (min(gx.L, 4 * _field_degree(*fields)) if L_kernel is None
-           else L_kernel)
-    if L_K > gx.L:
-        raise ValueError(f"grid resolves degree {gx.L}, requested {L_K}")
-    P = gx.flat_points()
-    C = sht_forward_columns(gx, np.stack([_sample(f, P) for f in moved], axis=1), L_K)
-    projected = iter(HarmonicCoeffs(L_K, c.reshape(L_K + 1, -1)) for c in C.T)
-    return [f if isinstance(f, HarmonicCoeffs) else next(projected) for f in fields]
 
 
 def singular_form(dim: Dimension, k: int, a1, a2, f1, f2, f3,
@@ -479,7 +476,10 @@ def residue_bridge_defect(dim: Dimension, k: int, a1, a2, f1, f2, f3,
     """Relative mismatch between the contour residue of the generic form
     in its third parameter at -rho - 2k (half-parameter convention,
     evaluated through the continued spectral family) and c_k times the
-    singular form (exact for HarmonicCoeffs inputs)."""
+    singular form (exact for HarmonicCoeffs inputs).  Raises where the
+    family diverges at the pole, Re(a1 + a2) <= 2k."""
+    if complex(a1 + a2).real <= 2 * k:
+        raise ValueError(f"the alpha3 family diverges unless Re(a1+a2) > 2k = {2 * k}")
     evaluate, _ = generic_form_alpha3_family(dim, a1, a2, f1, f2, f3,
                                              grid_size=grid_size,
                                              L_kernel=L_kernel)

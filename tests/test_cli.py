@@ -65,6 +65,36 @@ def test_library_value_errors_are_usage_errors(tmp_path, capsys):
         assert "error: " + args[0] in err and "Traceback" not in err
 
 
+def test_coefficient_file_errors_are_usage_errors(tmp_path, capsys):
+    # a missing file and an (l, m) beyond the file's L end as argparse
+    # errors (exit 2), not as tracebacks
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": 3, "L": 1, "coeffs": [[2, 0, 1.0, 0.0]]}))
+    with pytest.raises(ValueError, match="out of range"):
+        sg.load_coeffs(bad)
+    for path, message in ((tmp_path / "missing.json", "No such file"),
+                          (bad, "out of range")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["pair", "--s", "1.5", "--f", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: pair" in err and message in err and "Traceback" not in err
+
+
+def test_trilinear_fast_matches_direct(tmp_path, capsys):
+    p = tmp_path / "c.json"
+    sg.save_coeffs(p, sg.coeffs_constant(1.0, 2))
+    values = {}
+    for method in ("direct", "fast"):
+        code, out = run_cli(["trilinear", "--alpha", "3", "1", "1", "--f1", str(p),
+                             "--f2", str(p), "--f3", str(p), "--grid", "16", "32",
+                             "--method", method], capsys)
+        blob = json.loads(out)
+        assert code == 0 and blob["method"] == method
+        values[method] = float(blob["value"][0])
+    assert abs(values["fast"] - values["direct"]) <= 1e-10 * values["direct"]
+
+
 def test_trilinear_command(tmp_path, capsys):
     paths = []
     for j in range(3):

@@ -6,7 +6,7 @@ from scipy.special import loggamma
 from confsphere.lorentz import boost, random_element, rotation
 from confsphere import sphgrid as sg, trilinear as tri
 from confsphere.special import complex_gamma, gamma_ratio
-from confsphere.spectral_ops import gjms_constant
+from confsphere.spectral_ops import gjms_constant, knapp_stein_multipliers
 from conftest import random_unit
 
 FOUR_PI_CUBED = (4 * np.pi) ** 3
@@ -117,14 +117,12 @@ def test_spectral_family_matches_direct(dim3):
     assert len(weights) == 21
 
 
-def _dense_oracles(dim, fs, grid_size, alpha, L_K):
-    """The generic forms from whole N x N kernel matrices: the dense
-    formulas the blocked contraction replaces (test-only reference)."""
+def _dense_direct_oracle(dim, fs, grid_size, alpha):
+    """The direct generic form from whole N x N kernel matrices: the dense
+    formula the blocked contraction replaces (test-only reference)."""
     from confsphere.reps import field_from_coeffs
-    from confsphere.spectral_ops import knapp_stein_multipliers
     rho = dim.rho
     a1, a2, a3 = alpha
-    rows = 2 * L_K + 1
     g1, g2, g3 = tri.triple_grids(grid_size)
     P = [g.flat_points() for g in (g1, g2, g3)]
     W = [g.flat_weights() for g in (g1, g2, g3)]
@@ -132,19 +130,25 @@ def _dense_oracles(dim, fs, grid_size, alpha, L_K):
     K3 = tri.chordal_power(P[0], P[1], a3 - rho)
     K2 = tri.chordal_power(P[2], P[0], a2 - rho)
     K1 = tri.chordal_power(P[1], P[2], a1 - rho)
-    eig1 = np.repeat(knapp_stein_multipliers(dim, a1, L_K), rows)[:, None]
-    middles = {
-        "direct": K1 @ (K2 * (F3 * W[2])[:, None]),
-        "fast": sg.sht_synthesize_columns(
-            g2, eig1 * sg.sht_forward_columns(g3, K2 * F3[:, None], L_K), L_K),
-    }
-    out = {m: np.dot(F1 * W[0],
-                     np.einsum("ab,ba->a", K3, (F2 * W[1])[:, None] * M))
-           for m, M in middles.items()}
-    D = sg.sht_forward_columns(g2, F2[:, None] * middles["fast"], L_K)
-    out["alpha3"] = sg.slot_pairings(
-        sg.sht_forward_columns(g1, F1[:, None] * D.T, L_K), L_K)
-    return out
+    M = K1 @ (K2 * (F3 * W[2])[:, None])
+    return np.dot(F1 * W[0], np.einsum("ab,ba->a", K3, (F2 * W[1])[:, None] * M))
+
+
+def _quadrature_trace_oracle(dim, fs, grid_size, a1, a2, L_K):
+    """The degree weights A_l by triple-grid quadrature, with the middle
+    kernel applied through its eigenvalues truncated at L_K: the formula
+    the exact-product trace replaces (test-only reference)."""
+    from confsphere.reps import field_from_coeffs
+    g1, g2, g3 = tri.triple_grids(grid_size)
+    P = [g.flat_points() for g in (g1, g2, g3)]
+    F1, F2, F3 = (field_from_coeffs(f)(p) for f, p in zip(fs, P))
+    K2 = tri.chordal_power(P[2], P[0], a2 - dim.rho)
+    eig1 = np.repeat(knapp_stein_multipliers(dim, a1, L_K), 2 * L_K + 1)[:, None]
+    middle = sg.sht_synthesize_columns(
+        g2, eig1 * sg.sht_forward_columns(g3, K2 * F3[:, None], L_K), L_K)
+    D = sg.sht_forward_columns(g2, F2[:, None] * middle, L_K)
+    # the x1 quadrature against Y_lm is the x1 analysis at (l, -m)
+    return sg.slot_pairings(sg.sht_forward_columns(g1, F1[:, None] * D.T, L_K), L_K)
 
 
 def _dense_singular_oracle(dim, fs, grid_size, k, a1, a2, L_K):
@@ -172,29 +176,49 @@ def _dense_singular_oracle(dim, fs, grid_size, k, a1, a2, L_K):
 def test_blocked_contraction_matches_dense_oracle(dim3, monkeypatch, alpha):
     # (12, 24) has N = 288 nodes; 100 columns per block gives 100, 100, 88;
     # a complex a1 makes the direct middle kernel complex
-    grid_size, L_K = (12, 24), 8
+    grid_size = (12, 24)
     fs = [sg.random_coeffs(4, 170 + j) for j in range(3)]
-    want = _dense_oracles(dim3, fs, grid_size, alpha, L_K)
+    want = _dense_direct_oracle(dim3, fs, grid_size, alpha)
     monkeypatch.setattr(tri, "KERNEL_BLOCK", 100 * 288)
     widths = []
     kernel = tri.chordal_power
     monkeypatch.setattr(tri, "chordal_power",
                         lambda P, Q, s: widths.append(Q.shape[0]) or kernel(P, Q, s))
-
-    def close(got, ref):
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-
-    for method in ("direct", "fast"):
-        engine = tri.TripleEngine(dim3, alpha, method=method,
-                                  grid_size=grid_size, L_kernel=L_K)
-        widths.clear()
-        close(engine.value(*fs), want[method])
-        assert widths == [100, 100, 100, 100, 88, 88]
+    engine = tri.TripleEngine(dim3, alpha, method="direct", grid_size=grid_size)
     widths.clear()
-    _, A = tri.generic_form_alpha3_family(dim3, alpha[0], alpha[1], *fs,
-                                          grid_size=grid_size, L_kernel=L_K)
-    close(A, want["alpha3"])
-    assert widths == [100, 100, 88]
+    got = engine.value(*fs)
+    assert abs(got - want) <= 1e-13 * abs(want)
+    assert widths == [100, 100, 100, 100, 88, 88]
+
+
+def test_trace_quadrature_oracle_converges_to_exact_trace(dim3):
+    # the grid quadrature the exact-product trace replaced carries a
+    # quadrature and a middle-kernel truncation error; doubling its whole
+    # discretization (grid and L_K) moves it toward the exact weights A_l
+    # and the fast value at the same truncation
+    fs = [sg.random_coeffs(4, 170 + j) for j in range(3)]
+    a1, a2, a3 = 1.6, 1.8, 1.55
+    errs = []
+    for grid_size, L_K in (((12, 24), 8), ((24, 48), 16)):
+        _, A = tri.generic_form_alpha3_family(dim3, a1, a2, *fs, L_kernel=L_K)
+        fast = tri.generic_form(dim3, (a1, a2, a3), *fs, method="fast", L_kernel=L_K)
+        A_quad = _quadrature_trace_oracle(dim3, fs, grid_size, a1, a2, L_K)
+        v_quad = np.dot(knapp_stein_multipliers(dim3, a3, L_K), A_quad)
+        errs.append(max(np.max(np.abs(A_quad - A)) / np.max(np.abs(A)),
+                        abs(v_quad - fast) / abs(fast)))
+    assert errs[1] <= errs[0] / 4.0
+
+
+@pytest.mark.parametrize("alpha, tol", [((2.5, 2.7, 2.9), 1e-13),
+                                        ((2.5 + 0.5j, 1.2, 3.8), 1e-13),
+                                        ((1.62, 1.71, 1.83), 1e-10)])
+def test_fast_constant_inputs_match_closed_form(dim3, alpha, tol):
+    # exact products: what is left is the tail of the trace beyond degree
+    # 32, which decays like L^-(Re sum alpha + rho)
+    one = sg.coeffs_constant(1.0)
+    got = tri.generic_form(dim3, alpha, one, one, one, method="fast", L_kernel=32)
+    want = tri.closed_form_constant(dim3, alpha)
+    assert abs(got - want) <= tol * abs(want)
 
 
 def test_singular_quadrature_oracle_converges_to_finite_sum(dim3):
@@ -223,6 +247,24 @@ def test_alpha3_family_memory_bounded(dim3):
     finally:
         tracemalloc.stop()
     assert peak < 450e6
+
+
+def test_alpha3_family_memory_bounded_on_projected_fields(dim3):
+    # moved fields projected to degree 16, trace to degree 32: the exact
+    # grid has degree 80 and N = 13041 nodes, so the 1089 basis columns
+    # would take 227 MB per array in one block
+    import tracemalloc
+    from confsphere.reps import pi_pointwise
+    g = random_element(dim3, 185, max_boost=0.3)
+    fs = [sg.random_coeffs(4, 186 + j, real_field=True) for j in range(3)]
+    moved = tri._band_limited([pi_pointwise(dim3, 0.5, g, f) for f in fs], (48, 96), 16)
+    tracemalloc.start()
+    try:
+        tri.generic_form_alpha3_family(dim3, 3.3, 3.7, *moved, L_kernel=32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 400e6
 
 
 def test_direct_engine_refuses_oversized_kernel(dim3):
@@ -348,6 +390,17 @@ def test_residue_bridge_k1_random_fields(dim3):
     defect = tri.residue_bridge_defect(dim3, 1, 2.3, 5.6, *fs,
                                        grid_size=(48, 96), L_kernel=32)
     assert defect < 1e-7
+
+
+def test_residue_bridge_guard_where_family_diverges(dim3):
+    # at k = 1, (0.4, 0.9) the terms e_l A_l grow like l^{2k-a1-a2-1}: the
+    # family's mismatch against the finite sum grew with L instead of
+    # shrinking
+    fs = [sg.random_coeffs(4, 135 + j, real_field=True) for j in range(3)]
+    for k, a1, a2 in ((1, 0.4, 0.9), (0, -0.3, 0.3 + 0.5j), (2, 2.5, 1.5)):
+        with pytest.raises(ValueError, match=r"Re\(a1\+a2\) > 2k"):
+            tri.residue_bridge_defect(dim3, k, a1, a2, *fs, grid_size=(24, 48),
+                                      L_kernel=16)
 
 
 def test_residue_bridge_k1_closed_channel(dim3):
