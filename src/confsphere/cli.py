@@ -140,11 +140,19 @@ def cmd_trilinear(args) -> int:
             tuple(_parse_complex(v) for v in args.alpha))
     fields = [sphgrid.load_coeffs(p) for p in (args.f1, args.f2, args.f3)]
     grid_size = tuple(args.grid)
-    value = trilinear.generic_form(DIM, triple.alpha, *fields,
-                                   method=args.method, grid_size=grid_size)
-    reduced = (max(8, 2 * grid_size[0] // 3), max(16, 2 * grid_size[1] // 3))
-    coarse = trilinear.generic_form(DIM, triple.alpha, *fields,
-                                    method=args.method, grid_size=reduced)
+    engine = trilinear.TripleEngine(DIM, triple.alpha, method=args.method,
+                                    grid_size=grid_size,
+                                    default_degree=max(f.L for f in fields))
+    value = engine.value(*fields)
+    if args.method == "fast":
+        # exact products: the error is the trace's tail beyond L_kernel,
+        # estimated against the trace cut at two thirds of it
+        coarse = trilinear.generic_form(DIM, triple.alpha, *fields, method="fast",
+                                        L_kernel=2 * engine.L_kernel // 3)
+    else:
+        reduced = (max(8, 2 * grid_size[0] // 3), max(16, 2 * grid_size[1] // 3))
+        coarse = trilinear.generic_form(DIM, triple.alpha, *fields,
+                                        method="direct", grid_size=reduced)
     estimate = abs(value - coarse) / (abs(value) + 1e-300)
     _emit(args, "trilinear.json", {
         "alpha": [_cnum(a) for a in triple.alpha],

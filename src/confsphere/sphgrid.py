@@ -25,8 +25,6 @@ from .lorentz import Dimension
 from .special import tanhsinh_unit, ultraspherical_table
 
 MAX_DEGREE = 512
-MAX_DENSE_KERNEL = 1 << 26   # dense N x N kernel entries: 512 MB real, grid (64, 128);
-                             # not the working set, 2-3 such arrays while building it
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +504,8 @@ def save_coeffs(path, coeffs: HarmonicCoeffs, n: int = 3) -> None:
 def load_coeffs(path) -> HarmonicCoeffs:
     with open(path) as fh:
         blob = json.load(fh)
+    if not isinstance(blob, dict) or not {"L", "coeffs"} <= blob.keys():
+        raise ValueError('a coefficient file is a JSON object with keys "L" and "coeffs"')
     if blob.get("n", 3) != 3:
         raise ValueError("coefficient files are supported for n = 3 only")
     L = int(blob["L"])

@@ -21,14 +21,17 @@ prefactor 8 pi^3 and the factor are validated in the test suite against
 exactly integrable polynomial kernels.  Residues are reported with
 respect to the half parameter, matching the convention in `mero`.
 
-Evaluation.  The direct engine, the reference quadrature, contracts the
-three kernels over blocks of the outer slot, one (N x block) slab at a
-time.  The fast engine and the alpha3 family are the harmonic-basis trace
-Tr(M_f1 E_a3 M_f2 E_a1 M_f3 E_a2) = sum_l e_l(a3) A_l, M_f multiplication
-by f and E_a the closed-form Knapp-Stein eigenvalues (`_degree_weights`):
-exact products, so its only error is the tail of E_a3.  The singular
-forms are exact finite sums of two-point Knapp-Stein pairings
-(`singular_form`), meromorphic in (a1, a2).
+Evaluation.  The direct engine, the reference quadrature, runs on three
+staggered grids that share their polar nodes and n_phi, so each kernel
+between two of them is block-circulant in azimuth and is held as one
+nt x n_phi x nt table.  Per polar ring of x1 it applies the middle kernel
+as n_phi (nt x nt) products in azimuthal frequency: O(nt N^2) work per
+value and no N x N array.  The fast engine and the alpha3 family are the
+harmonic-basis trace Tr(M_f1 E_a3 M_f2 E_a1 M_f3 E_a2) = sum_l e_l(a3) A_l,
+M_f multiplication by f and E_a the closed-form Knapp-Stein eigenvalues
+(`_degree_weights`): exact products, so its only error is the tail of
+E_a3.  The singular forms are exact finite sums of two-point Knapp-Stein
+pairings (`singular_form`), meromorphic in (a1, a2).
 """
 
 from __future__ import annotations
@@ -42,16 +45,18 @@ import numpy as np
 
 from .lorentz import Dimension, ConformalMap, act, conformal_factor, inverse
 from .reps import field_from_coeffs, pi_pointwise
-from .sphgrid import (MAX_DENSE_KERNEL, GridFunction, HarmonicCoeffs, _lm_mask,
-                      _real_matmul, make_grid, sht_forward, sht_forward_columns,
-                      sht_synthesize_columns, synth_at_points)
+from .sphgrid import (GridFunction, HarmonicCoeffs, _lm_mask, make_grid,
+                      sht_forward, sht_forward_columns, sht_synthesize_columns,
+                      synth_at_points)
 from .special import gamma_ratio
 from .spectral_ops import (apply_multiplier, gjms_constant,
                            knapp_stein_multipliers, laplacian_multiplier)
 from .mero import pair_separation_power, residue_ring
 
 CONVERGENCE_MARGIN = 0.25
-KERNEL_BLOCK = 1 << 22   # entries per (N x block) slab: kernels, trace columns
+KERNEL_BLOCK = 1 << 22   # entries per (N x block) slab of trace columns
+MAX_RING_WORKSET = 1 << 23   # complex entries of the direct engine's per-ring
+                             # arrays, 4 nt n_phi^2: 128 MB, grids up to (80, 160)
 RING_RADIUS = 0.15       # contour rings of the residue bridge and the pole scans
 SCAN_STEP = 0.2          # spacing of the pole-scan ring centers
 
@@ -252,18 +257,32 @@ def _degree_weights(dim: Dimension, a1, a2, fields, grid_size, L: int) -> np.nda
         r = rows[start:start + block]
         C = np.zeros(((L + 1) * (2 * L + 1), r.size), dtype=complex)
         C[r, range(r.size)] = 1.0
-        C = E2 * sht_forward_columns(grid, F1 * sht_synthesize_columns(grid, C, L), L1)
-        C = E1 * sht_forward_columns(grid, F3 * sht_synthesize_columns(grid, C, L1), L3)
-        C = sht_forward_columns(grid, F2 * sht_synthesize_columns(grid, C, L3), L)
+        for E, F, L_in, L_out in ((E2, F1, L, L1), (E1, F3, L1, L3), (1.0, F2, L3, L)):
+            # one (N x block) value array and one coefficient block alive at
+            # a time: they set the peak memory of the alpha3 family
+            V = F * sht_synthesize_columns(grid, C, L_in)
+            del C
+            C = E * sht_forward_columns(grid, V, L_out)
+            del V
         np.add.at(A, r // (2 * L + 1), C[r, range(r.size)])
     return A
 
 
+def _azimuth_table(A, B, s) -> np.ndarray:
+    """The kernel |x - y|^s from grid A to grid B of one staggered set as
+    its table k[i, d, i'] = |x_{i,d} - y_{i',0}|^s: the grids share their
+    polar nodes and n_phi, so the kernel is block-circulant in azimuth,
+    entry ((i, j), (i', j')) = k[i, (j - j') mod n_phi, i']."""
+    nt, npz = A.shape
+    return chordal_power(A.flat_points(), B.flat_points()[::npz], s).reshape(nt, npz, nt)
+
+
 class TripleEngine:
     """The generic form of one parameter triple, reusable across fields.
-    method "direct" (the reference quadrature) holds the kernel x3 to x2 as
-    one dense matrix, refused above MAX_DENSE_KERNEL entries; `value`
-    contracts it over blocks of x1, rebuilding the other kernels' slabs.
+    method "direct" (the reference quadrature) holds each kernel as its
+    azimuth table (`_azimuth_table`), the middle one x2 to x3 transformed
+    in azimuth; `value` runs over the polar rings of x1, refused when the
+    per-ring arrays would exceed MAX_RING_WORKSET complex entries.
     "fast" is the trace of `_degree_weights`, exact up to its L_kernel tail."""
 
     def __init__(self, dim: Dimension, alpha, method: str = "direct",
@@ -276,17 +295,20 @@ class TripleEngine:
         self.alpha = tuple(complex(v) for v in alpha)
         self.method = method
         if method == "direct":
-            entries = (int(grid_size[0]) * int(grid_size[1])) ** 2
-            if entries > MAX_DENSE_KERNEL:
-                raise ValueError(f"the dense middle kernel would have {entries} "
-                                 f"entries (max {MAX_DENSE_KERNEL}); use method='fast'")
-            self.grids = triple_grids(grid_size)
-            _, g2, g3 = self.grids
-            K1 = chordal_power(g2.flat_points(), g3.flat_points(),
-                               self.alpha[0] - dim.rho)
-            W3 = g3.flat_weights()[:, None]
-            self.middle = lambda G: (K1 @ (W3 * G) if np.iscomplexobj(K1)   # complex a1
-                                     else _real_matmul(K1, np.asarray(W3 * G, complex)))
+            nt, npz = (int(v) for v in grid_size)
+            entries = 4 * nt * npz * npz
+            if entries > MAX_RING_WORKSET:
+                raise ValueError(f"the direct engine's per-ring working set would "
+                                 f"have {entries} complex entries (max "
+                                 f"{MAX_RING_WORKSET}); use method='fast'")
+            self.grids = g1, g2, g3 = triple_grids(grid_size)
+            rho, (a1, a2, a3) = dim.rho, self.alpha
+            # tables [i1, d, i3] and [i1, d, i2] of the kernels x3 to x1 and
+            # x2 to x1, and [q, i3, i2], the kernel x2 to x3 transformed in d
+            self.inner = _azimuth_table(g3, g1, a2 - rho).transpose(2, 1, 0).copy()
+            self.outer = _azimuth_table(g2, g1, a3 - rho).transpose(2, 1, 0).copy()
+            self.middle = np.fft.fft(_azimuth_table(g2, g3, a1 - rho),
+                                     axis=1).transpose(1, 2, 0).copy()
         elif method == "fast":
             self.grid_size = grid_size
             self.L_kernel = (min(double_grids(grid_size)[0].L, 4 * default_degree)
@@ -296,20 +318,27 @@ class TripleEngine:
             raise ValueError("method must be 'direct' or 'fast'")
 
     def value(self, f1, f2, f3) -> complex:
-        rho, (a1, a2, a3) = self.dim.rho, self.alpha
         if self.method == "fast":
+            a1, a2, _ = self.alpha
             return complex(np.dot(self.eig3, _degree_weights(
                 self.dim, a1, a2, (f1, f2, f3), self.grid_size, self.L_kernel)))
-        P1, P2, P3 = (g.flat_points() for g in self.grids)
-        W1, W2, _ = (g.flat_weights() for g in self.grids)
-        FW1, FW2, F3 = _sample(f1, P1) * W1, _sample(f2, P2) * W2, _sample(f3, P3)
-        # per block of x1: H[x2, x1] = middle(f3(.) |. - x1|^{a2-rho})(x2)
-        block = max(1, KERNEL_BLOCK // P3.shape[0])
+        nt, npz = self.grids[0].shape
+        FW1, FW2, FW3 = (
+            (_sample(f, g.flat_points()) * g.flat_weights()).reshape(nt, npz)
+            for f, g in zip((f1, f2, f3), self.grids))
+        shift = (np.arange(npz)[:, None] - np.arange(npz)) % npz   # [j, j1]: j - j1
+        FW3t = FW3.T[:, None, :]                                   # [j3, 1, i3]
+        # per ring i1 of x1, all its azimuths j1 at once:
+        #   G[j3, j1, i3] = f3 w3 (x3) |x3 - x1|^{a2-rho},
+        #   H[j2, j1, i2] = sum_x3 |x2 - x3|^{a1-rho} G, a circular
+        #                   convolution in j3, so one product per frequency,
+        # then the sum of f2 w2 (x2) |x2 - x1|^{a3-rho} H against f1 w1 (x1)
         total = 0.0 + 0.0j
-        for start in range(0, P1.shape[0], block):
-            sl = slice(start, min(start + block, P1.shape[0]))
-            H = self.middle(F3[:, None] * chordal_power(P3, P1[sl], a2 - rho))
-            total += np.dot(FW2 @ (H * chordal_power(P2, P1[sl], a3 - rho)), FW1[sl])
+        for i1 in range(nt):
+            G = self.inner[i1][shift] * FW3t
+            H = np.fft.ifft(np.fft.fft(G, axis=0) @ self.middle, axis=0)
+            total += np.einsum("jki,jki,ji->k", H, self.outer[i1][shift],
+                               FW2.T) @ FW1[i1]
         return complex(total)
 
 
@@ -359,12 +388,14 @@ def generic_form_alpha3_family(dim: Dimension, a1, a2, f1, f2, f3,
 
 
 def generic_invariance_defect(engine: TripleEngine, g: ConformalMap,
-                              f1, f2, f3) -> float:
+                              f1, f2, f3, base: complex | None = None) -> float:
     """Relative change of the engine's generic form when the three inputs
-    move by the principal-series actions tied to its alpha."""
+    move by the principal-series actions tied to its alpha; `base`, the
+    engine's value on the inputs, is evaluated when not given."""
     dim = engine.dim
     lam = lambda_from_alpha(engine.alpha).lam
-    base = engine.value(f1, f2, f3)
+    if base is None:
+        base = engine.value(f1, f2, f3)
     moved = engine.value(pi_pointwise(dim, lam[0], g, f1),
                          pi_pointwise(dim, lam[1], g, f2),
                          pi_pointwise(dim, lam[2], g, f3))

@@ -373,13 +373,14 @@ def _conditioned_fields(engine, seed):
     """Random real band-limited triples kept only when the engine's form
     value is not nearly cancelled (|K| at least 0.08 times the field
     norms); a relative invariance defect is meaningless on degenerate
-    draws."""
+    draws.  Returns the triple and its form value."""
     for attempt in range(16):
         fs = [sphgrid.random_coeffs(4, seed + attempt * 37 + j, real_field=True)
               for j in range(3)]
         scale = float(np.prod([f.l2_norm() for f in fs]))
-        if abs(engine.value(*fs)) >= 0.08 * scale:
-            return fs
+        value = engine.value(*fs)
+        if abs(value) >= 0.08 * scale:
+            return fs, value
     raise RuntimeError("no well-conditioned field triple found")
 
 
@@ -417,9 +418,9 @@ def trilinear_suite(cfg: RunConfig):
         alpha = tuple(1.45 + 0.5 * rng_a.random() for _ in range(3))
         g = random_element(DIM, cfg.seed + 960 + i, max_boost=0.3)
         engine = trilinear.TripleEngine(DIM, alpha, grid_size=TRIPLE_GRID)
-        fs = _conditioned_fields(engine, cfg.seed + 970 + 101 * i)
-        worst = max(worst, trilinear.generic_invariance_defect(engine, g, *fs))
-    del engine   # free its dense kernel before the (48,96) forms below
+        fs, base = _conditioned_fields(engine, cfg.seed + 970 + 101 * i)
+        worst = max(worst, trilinear.generic_invariance_defect(engine, g, *fs,
+                                                               base=base))
     _check(out, "tri-invariance", "generic-form-invariance", worst, 1e-3)
 
     worst = 0.0

@@ -155,8 +155,8 @@ def test_criterion_07_trilinear_invariance():
             alpha = tuple(1.45 + 0.5 * rng.random() for _ in range(3))
             g = random_element(DIM, 7500 + i, max_boost=0.3)
             engine = tri.TripleEngine(DIM, alpha, grid_size=(24, 48))
-            fs = verify._conditioned_fields(engine, 7600 + 101 * i)
-            d = tri.generic_invariance_defect(engine, g, *fs)
+            fs, base = verify._conditioned_fields(engine, 7600 + 101 * i)
+            d = tri.generic_invariance_defect(engine, g, *fs, base=base)
             assert d <= 1e-3, f"generic instance {i}: {d:.2e}"
             defaults.append(d)
             if i < 3:

@@ -66,14 +66,23 @@ def test_library_value_errors_are_usage_errors(tmp_path, capsys):
 
 
 def test_coefficient_file_errors_are_usage_errors(tmp_path, capsys):
-    # a missing file and an (l, m) beyond the file's L end as argparse
-    # errors (exit 2), not as tracebacks
+    # a missing file, an (l, m) beyond the file's L, a file without its
+    # "L" key and one that is not a JSON object end as argparse errors
+    # (exit 2), not as tracebacks
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n": 3, "L": 1, "coeffs": [[2, 0, 1.0, 0.0]]}))
+    no_L = tmp_path / "noL.json"
+    no_L.write_text(json.dumps({"n": 3, "coeffs": [[0, 0, 1.0, 0.0]]}))
+    rows = tmp_path / "rows.json"
+    rows.write_text(json.dumps([[0, 0, 1.0, 0.0]]))
     with pytest.raises(ValueError, match="out of range"):
         sg.load_coeffs(bad)
+    for path in (no_L, rows):
+        with pytest.raises(ValueError, match="JSON object with keys"):
+            sg.load_coeffs(path)
     for path, message in ((tmp_path / "missing.json", "No such file"),
-                          (bad, "out of range")):
+                          (bad, "out of range"), (no_L, "JSON object"),
+                          (rows, "JSON object")):
         with pytest.raises(SystemExit) as exc:
             cli.main(["pair", "--s", "1.5", "--f", str(path)])
         assert exc.value.code == 2
@@ -93,6 +102,25 @@ def test_trilinear_fast_matches_direct(tmp_path, capsys):
         assert code == 0 and blob["method"] == method
         values[method] = float(blob["value"][0])
     assert abs(values["fast"] - values["direct"]) <= 1e-10 * values["direct"]
+
+
+def test_trilinear_fast_truncation_estimate(tmp_path, capsys):
+    # the fast value is exact up to the tail of its trace beyond L_kernel
+    # (8 here): the estimate is positive and bounds the true error
+    from confsphere import trilinear as tri
+    from confsphere.lorentz import Dimension
+    p = tmp_path / "c.json"
+    sg.save_coeffs(p, sg.coeffs_constant(1.0, 2))
+    alpha = (1.62, 1.71, 1.83)
+    code, out = run_cli(["trilinear", "--alpha", *map(str, alpha), "--f1", str(p),
+                         "--f2", str(p), "--f3", str(p), "--grid", "24", "48",
+                         "--method", "fast"], capsys)
+    blob = json.loads(out)
+    want = tri.closed_form_constant(Dimension(3), alpha).real
+    error = abs(float(blob["value"][0]) - want) / want
+    estimate = float(blob["truncation_error_estimate"])
+    assert code == 0 and error > 1e-9
+    assert estimate >= error
 
 
 def test_trilinear_command(tmp_path, capsys):

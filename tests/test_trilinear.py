@@ -119,14 +119,13 @@ def test_spectral_family_matches_direct(dim3):
 
 def _dense_direct_oracle(dim, fs, grid_size, alpha):
     """The direct generic form from whole N x N kernel matrices: the dense
-    formula the blocked contraction replaces (test-only reference)."""
-    from confsphere.reps import field_from_coeffs
+    formula the azimuthal ring loop replaces (test-only reference)."""
     rho = dim.rho
     a1, a2, a3 = alpha
     g1, g2, g3 = tri.triple_grids(grid_size)
     P = [g.flat_points() for g in (g1, g2, g3)]
     W = [g.flat_weights() for g in (g1, g2, g3)]
-    F1, F2, F3 = (field_from_coeffs(f)(p) for f, p in zip(fs, P))
+    F1, F2, F3 = (tri._sample(f, p) for f, p in zip(fs, P))
     K3 = tri.chordal_power(P[0], P[1], a3 - rho)
     K2 = tri.chordal_power(P[2], P[0], a2 - rho)
     K1 = tri.chordal_power(P[1], P[2], a1 - rho)
@@ -173,22 +172,19 @@ def _dense_singular_oracle(dim, fs, grid_size, k, a1, a2, L_K):
 
 
 @pytest.mark.parametrize("alpha", [(1.6, 1.8, 1.55), (1.6 + 0.3j, 1.8, 1.55)])
-def test_blocked_contraction_matches_dense_oracle(dim3, monkeypatch, alpha):
-    # (12, 24) has N = 288 nodes; 100 columns per block gives 100, 100, 88;
-    # a complex a1 makes the direct middle kernel complex
-    grid_size = (12, 24)
+def test_direct_engine_matches_dense_oracle(dim3, alpha):
+    # the ring loop over x1 with the middle kernel applied per azimuthal
+    # frequency is the dense triple sum in another order: a complex a1
+    # makes the middle table complex, (9, 19) has an odd n_phi, and the
+    # boosted callable is not band-limited
+    from confsphere.reps import pi_pointwise
     fs = [sg.random_coeffs(4, 170 + j) for j in range(3)]
-    want = _dense_direct_oracle(dim3, fs, grid_size, alpha)
-    monkeypatch.setattr(tri, "KERNEL_BLOCK", 100 * 288)
-    widths = []
-    kernel = tri.chordal_power
-    monkeypatch.setattr(tri, "chordal_power",
-                        lambda P, Q, s: widths.append(Q.shape[0]) or kernel(P, Q, s))
-    engine = tri.TripleEngine(dim3, alpha, method="direct", grid_size=grid_size)
-    widths.clear()
-    got = engine.value(*fs)
-    assert abs(got - want) <= 1e-13 * abs(want)
-    assert widths == [100, 100, 100, 100, 88, 88]
+    moved = pi_pointwise(dim3, 0.6, random_element(dim3, 175, max_boost=0.3), fs[0])
+    for grid_size in ((12, 24), (9, 19)):
+        engine = tri.TripleEngine(dim3, alpha, method="direct", grid_size=grid_size)
+        for inputs in (fs, [moved] + fs[1:]):
+            want = _dense_direct_oracle(dim3, inputs, grid_size, alpha)
+            assert abs(engine.value(*inputs) - want) <= 1e-13 * abs(want)
 
 
 def test_trace_quadrature_oracle_converges_to_exact_trace(dim3):
@@ -267,9 +263,26 @@ def test_alpha3_family_memory_bounded_on_projected_fields(dim3):
     assert peak < 400e6
 
 
-def test_direct_engine_refuses_oversized_kernel(dim3):
-    # grid (96, 192): the dense middle kernel alone would be 2.7 GB
-    with pytest.raises(ValueError, match="dense middle kernel"):
+def test_direct_engine_memory_bounded(dim3):
+    # no N x N array: at (48, 96) one dense real kernel alone is 170 MB;
+    # the azimuth tables and one ring's arrays take a few tens of MB
+    import tracemalloc
+    fs = [sg.random_coeffs(4, 180 + j, real_field=True) for j in range(3)]
+    tri.triple_grids((48, 96))
+    tracemalloc.start()
+    try:
+        tri.TripleEngine(dim3, (1.62, 1.71, 1.83), grid_size=(48, 96)).value(*fs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+
+
+def test_direct_engine_refuses_oversized_kernel(dim3, monkeypatch):
+    # grid (96, 192): one ring's arrays would be 4 * 96 * 192^2 complex
+    # entries, 226 MB; refused before any kernel table is built
+    monkeypatch.setattr(tri, "chordal_power", None)
+    with pytest.raises(ValueError, match="per-ring working set"):
         tri.TripleEngine(dim3, (1.6, 1.8, 1.55), method="direct",
                          grid_size=(96, 192))
 
