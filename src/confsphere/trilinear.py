@@ -30,8 +30,11 @@ value and no N x N array.  The fast engine and the alpha3 family are the
 harmonic-basis trace Tr(M_f1 E_a3 M_f2 E_a1 M_f3 E_a2) = sum_l e_l(a3) A_l,
 M_f multiplication by f and E_a the closed-form Knapp-Stein eigenvalues
 (`_degree_weights`): exact products, so its only error is the tail of
-E_a3.  The singular forms are exact finite sums of two-point Knapp-Stein
-pairings (`singular_form`), meromorphic in (a1, a2).
+E_a3.  It streams the basis columns sorted by order m in 4 MB slabs, and
+since multiplying by a degree-L_f field moves m by at most L_f, each
+transform touches only the orders a slab can reach.  The singular forms
+are exact finite sums of two-point Knapp-Stein pairings (`singular_form`),
+meromorphic in (a1, a2).
 """
 
 from __future__ import annotations
@@ -45,16 +48,16 @@ import numpy as np
 
 from .lorentz import Dimension, ConformalMap, act, conformal_factor, inverse
 from .reps import field_from_coeffs, pi_pointwise
-from .sphgrid import (GridFunction, HarmonicCoeffs, _lm_mask, make_grid,
-                      sht_forward, sht_forward_columns, sht_synthesize_columns,
-                      synth_at_points)
+from .sphgrid import (GridFunction, HarmonicCoeffs, _lm_mask, _phase_matrix,
+                      make_grid, sht_forward, sht_forward_columns,
+                      sht_synthesize_columns, synth_at_points)
 from .special import gamma_ratio
 from .spectral_ops import (apply_multiplier, gjms_constant,
                            knapp_stein_multipliers, laplacian_multiplier)
 from .mero import pair_separation_power, residue_ring
 
 CONVERGENCE_MARGIN = 0.25
-KERNEL_BLOCK = 1 << 22   # entries per (N x block) slab of trace columns
+KERNEL_BLOCK = 1 << 18   # entries per (N x block) slab of trace columns: 4 MB complex
 MAX_RING_WORKSET = 1 << 23   # complex entries of the direct engine's per-ring
                              # arrays, 4 nt n_phi^2: 128 MB, grids up to (80, 160)
 RING_RADIUS = 0.15       # contour rings of the residue bridge and the pole scans
@@ -217,15 +220,21 @@ def _field_degree(*fields) -> int:
     return max(degs) if degs else 8
 
 
+def _default_L_kernel(grid_size, degree: int) -> int:
+    """4x the field degree, at least 8, capped at what the plain grid of
+    grid_size resolves."""
+    return min(double_grids(grid_size)[0].L, max(8, 4 * degree))
+
+
 def _band_limited(fields, grid_size, L_kernel):
     """The inputs as HarmonicCoeffs: coefficients as they are, callables
-    projected to degree L_kernel (default 4x the field degree, capped at
-    what the grid resolves) by analysis on the plain grid of grid_size."""
+    projected to degree L_kernel (default `_default_L_kernel`) by analysis
+    on the plain grid of grid_size."""
     moved = [f for f in fields if not isinstance(f, HarmonicCoeffs)]
     if not moved:
         return fields
     gx = double_grids(grid_size)[0]
-    L_K = (min(gx.L, 4 * _field_degree(*fields)) if L_kernel is None
+    L_K = (_default_L_kernel(grid_size, _field_degree(*fields)) if L_kernel is None
            else L_kernel)
     if L_K > gx.L:
         raise ValueError(f"grid resolves degree {gx.L}, requested {L_K}")
@@ -237,34 +246,46 @@ def _band_limited(fields, grid_size, L_kernel):
 
 def _degree_weights(dim: Dimension, a1, a2, fields, grid_size, L: int) -> np.ndarray:
     """A_l, l <= L, of the trace sum_l e_l(a3) A_l: the sum over m of the
-    ((l, m), (l, m)) entries of M_f2 E_a1 M_f3 E_a2 M_f1, by three
-    synthesize / multiply / analyze steps on the basis columns, exact on
-    the minimal grid of degree D = L + f1.L + f2.L + f3.L, KERNEL_BLOCK // N
-    columns at a time.  Callables are first projected by `_band_limited`."""
+    ((l, m), (l, m)) entries of M_f2 E_a1 M_f3 E_a2 M_f1, exact on the
+    minimal grid of degree D = L + f1.L + f2.L + f3.L.  The basis columns
+    run sorted by m in slabs of KERNEL_BLOCK // N: F1 Y_lm is formed from
+    the grid's Legendre rows and phases, analyzed, scaled by E_a2,
+    synthesized, multiplied by F3, analyzed, scaled by E_a1, synthesized
+    and multiplied by F2, and the diagonal entries are read as weighted
+    dot products with conj(Y_lm).  A degree-L_f factor moves the order m
+    by at most L_f, so each transform runs on the slab's order window
+    widened by f1.L, then by f1.L + f3.L.  Callables are first projected
+    by `_band_limited`."""
     f1, f2, f3 = _band_limited(fields, grid_size, L)
     L1 = L + f1.L                   # the degree of M_f1 Y_lm
     L3 = L1 + f3.L                  # of M_f3 E_a2 M_f1 Y_lm
     D = max(L3 + f2.L, 1)
     grid = _staggered_grids(D + 1, 2 * D + 1, 1)[0]
-    F1, F2, F3 = (sht_synthesize_columns(grid, f.c.reshape(-1, 1), f.L)
+    nt, npz = grid.shape
+    F1, F2, F3 = (sht_synthesize_columns(grid, f.c.reshape(-1, 1), f.L).reshape(nt, npz, 1)
                   for f in (f1, f2, f3))
-    E2, E1 = (np.repeat(knapp_stein_multipliers(dim, a, Lx), 2 * Lx + 1)[:, None]
-              for a, Lx in ((a2, L1), (a1, L3)))
-    rows = np.flatnonzero(_lm_mask(L))        # the (l, m) rows of the padded layout
+    e2, e1 = knapp_stein_multipliers(dim, a2, L1), knapp_stein_multipliers(dim, a1, L3)
+    j, l = np.nonzero(_lm_mask(L).T)            # the basis columns, sorted by m
+    m = j - L
+    phases = _phase_matrix(grid, L)
     A = np.zeros(L + 1, dtype=complex)
-    block = max(1, KERNEL_BLOCK // F1.shape[0])
-    for start in range(0, rows.size, block):
-        r = rows[start:start + block]
-        C = np.zeros(((L + 1) * (2 * L + 1), r.size), dtype=complex)
-        C[r, range(r.size)] = 1.0
-        for E, F, L_in, L_out in ((E2, F1, L, L1), (E1, F3, L1, L3), (1.0, F2, L3, L)):
-            # one (N x block) value array and one coefficient block alive at
-            # a time: they set the peak memory of the alpha3 family
-            V = F * sht_synthesize_columns(grid, C, L_in)
-            del C
-            C = E * sht_forward_columns(grid, V, L_out)
-            del V
-        np.add.at(A, r // (2 * L + 1), C[r, range(r.size)])
+    block = max(1, KERNEL_BLOCK // (nt * npz))
+    for r in (slice(start, start + block) for start in range(0, l.size, block)):
+        w1 = (max(m[r][0] - f1.L, -L1), min(m[r][-1] + f1.L, L1))
+        w3 = (max(w1[0] - f3.L, -L3), min(w1[1] + f3.L, L3))
+        # Y_lm(u_i, phi_j) = P[c, i] conj(phase[c, j]) for the slab's columns c
+        P = grid.legendre[l[r] * (l[r] + 1) // 2 + abs(m[r])] * np.where(
+            m[r] < 0, (-1.0) ** m[r], 1.0)[:, None]
+        phase = phases[j[r]]
+        V = F1 * P.T[:, None, :] * np.conj(phase).T
+        C = sht_forward_columns(grid, V.reshape(nt * npz, -1), L1, w1)
+        C = (e2[:, None] * C.reshape(L1 + 1, -1)).reshape(C.shape)
+        V = F3.reshape(-1, 1) * sht_synthesize_columns(grid, C, L1, w1)
+        C = sht_forward_columns(grid, V, L3, w3)
+        C = (e1[:, None] * C.reshape(L3 + 1, -1)).reshape(C.shape)
+        V = F2 * sht_synthesize_columns(grid, C, L3, w3).reshape(nt, npz, -1)
+        G = np.einsum("ijc,cj->ic", V, phase)
+        np.add.at(A, l[r], grid.dphi * np.einsum("ic,ci,i->c", G, P, grid.w))
     return A
 
 
@@ -311,7 +332,7 @@ class TripleEngine:
                                      axis=1).transpose(1, 2, 0).copy()
         elif method == "fast":
             self.grid_size = grid_size
-            self.L_kernel = (min(double_grids(grid_size)[0].L, 4 * default_degree)
+            self.L_kernel = (_default_L_kernel(grid_size, default_degree)
                              if L_kernel is None else L_kernel)
             self.eig3 = knapp_stein_multipliers(dim, self.alpha[2], self.L_kernel)
         else:
@@ -350,9 +371,9 @@ def generic_form(dim: Dimension, alpha, f1, f2, f3, method: str = "direct",
 
     method "direct": full triple quadrature with exact kernel matrices.
     method "fast":   the harmonic-basis trace, exact up to its tail beyond
-                     L_kernel (default: 4x the field degree, capped at what
-                     the grid resolves); grid_size matters only for
-                     projecting callables.
+                     L_kernel (default: 4x the field degree, at least 8,
+                     capped at what the grid resolves); grid_size matters
+                     only for projecting callables.
     Raises outside the safe absolute-convergence region.
     """
     engine = TripleEngine(dim, alpha, method=method, grid_size=grid_size,

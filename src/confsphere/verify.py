@@ -10,6 +10,7 @@ broke, not just where.
 from __future__ import annotations
 
 import math
+import resource
 import time
 from dataclasses import dataclass, asdict
 
@@ -51,6 +52,7 @@ class SuiteResult:
     name: str
     checks: list
     elapsed_s: float
+    maxrss_mb: float      # the process's resident-set high-water mark after the suite
 
     @property
     def passed(self) -> bool:
@@ -502,7 +504,8 @@ def run_suite(name: str, cfg: RunConfig) -> SuiteResult:
     start = time.perf_counter()
     checks = _SUITES[name](cfg)
     return SuiteResult(name=name, checks=checks,
-                       elapsed_s=time.perf_counter() - start)
+                       elapsed_s=time.perf_counter() - start,
+                       maxrss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 
 
 def run_all(cfg: RunConfig, suites=None):
@@ -524,6 +527,7 @@ def build_report(cfg: RunConfig, results) -> dict:
             "name": res.name,
             "passed": res.passed,
             "elapsed_s": res.elapsed_s,
+            "maxrss_mb": res.maxrss_mb,
             "checks": [{
                 "id": c.id,
                 "identity": c.identity,
@@ -566,7 +570,7 @@ def validate_report(report: dict):
         elif not isinstance(report[key], typ):
             problems.append(f"key {key!r} has type {type(report[key]).__name__}")
     for suite in report.get("suites", []):
-        for key in ("name", "passed", "elapsed_s", "checks"):
+        for key in ("name", "passed", "elapsed_s", "maxrss_mb", "checks"):
             if key not in suite:
                 problems.append(f"suite missing {key!r}")
         for check in suite.get("checks", []):

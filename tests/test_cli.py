@@ -123,6 +123,25 @@ def test_trilinear_fast_truncation_estimate(tmp_path, capsys):
     assert estimate >= error
 
 
+def test_trilinear_fast_on_degree_zero_file(tmp_path, capsys):
+    # a degree-0 file still gets a trace to degree 8, not 4 x 0 = 0, and
+    # an estimate that is positive and bounds the true error
+    from confsphere import trilinear as tri
+    from confsphere.lorentz import Dimension
+    p = tmp_path / "c.json"
+    sg.save_coeffs(p, sg.coeffs_constant(1.0))
+    alpha = (1.62, 1.71, 1.83)
+    code, out = run_cli(["trilinear", "--alpha", *map(str, alpha), "--f1", str(p),
+                         "--f2", str(p), "--f3", str(p), "--grid", "24", "48",
+                         "--method", "fast"], capsys)
+    blob = json.loads(out)
+    want = tri.closed_form_constant(Dimension(3), alpha).real
+    error = abs(float(blob["value"][0]) - want) / want
+    estimate = float(blob["truncation_error_estimate"])
+    assert code == 0 and error <= 1e-7
+    assert estimate >= error and estimate > 0
+
+
 def test_trilinear_command(tmp_path, capsys):
     paths = []
     for j in range(3):
@@ -201,6 +220,7 @@ def test_verify_determinism(tmp_path, capsys):
         rep.pop("timings")
         for s in rep["suites"]:
             s.pop("elapsed_s")
+            s.pop("maxrss_mb")
         return rep
 
     assert strip(a) == strip(b)

@@ -229,9 +229,34 @@ def test_singular_quadrature_oracle_converges_to_finite_sum(dim3):
     assert errs[1] <= errs[0] / 4.0
 
 
+def test_degree_weights_match_dense_operator_oracle(dim3):
+    # the streamed, order-windowed trace against the diagonal of the dense
+    # product M_f2 E_a1 M_f3 E_a2 M_f1, each M_f built by full transforms
+    # of the identity columns on a larger, offset grid.  The complex fields
+    # have unequal degrees, so a window widened by the wrong field's
+    # degree drops orders that the dense product keeps.
+    f1, f2, f3 = (sg.random_coeffs(d, 200 + d) for d in (2, 3, 1))
+    L, a1, a2 = 6, 1.7 + 0.2j, 2.4
+    L1, L3 = L + f1.L, L + f1.L + f3.L
+    grid = sg.make_grid(L3 + f2.L + 2, phi_offset=0.37)
+
+    def M(f, L_in, L_out):
+        F = sg.sht_synthesize_columns(grid, f.c.reshape(-1, 1), f.L)
+        I = np.eye((L_in + 1) * (2 * L_in + 1))
+        return sg.sht_forward_columns(grid, F * sg.sht_synthesize_columns(grid, I, L_in), L_out)
+
+    def E(a, Lx):
+        return np.repeat(knapp_stein_multipliers(dim3, a, Lx), 2 * Lx + 1)[:, None]
+
+    T = M(f2, L3, L) @ (E(a1, L3) * (M(f3, L1, L3) @ (E(a2, L1) * M(f1, L, L1))))
+    want = (np.diagonal(T).reshape(L + 1, 2 * L + 1) * sg._lm_mask(L)).sum(axis=1)
+    got = tri._degree_weights(dim3, a1, a2, (f1, f2, f3), (24, 48), L)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_alpha3_family_memory_bounded(dim3):
-    # the family holds no N x N kernel: at (48, 96) one dense complex
-    # kernel alone is 340 MB
+    # the family holds no N x N kernel (at (48, 96) one dense complex
+    # kernel alone is 340 MB), and its trace streams slabs of 4 MB arrays
     import tracemalloc
     fs = [sg.random_coeffs(4, 180 + j, real_field=True) for j in range(3)]
     tri.triple_grids((48, 96))
@@ -242,13 +267,13 @@ def test_alpha3_family_memory_bounded(dim3):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 450e6
+    assert peak < 64e6
 
 
 def test_alpha3_family_memory_bounded_on_projected_fields(dim3):
     # moved fields projected to degree 16, trace to degree 32: the exact
     # grid has degree 80 and N = 13041 nodes, so the 1089 basis columns
-    # would take 227 MB per array in one block
+    # would take 227 MB per array in one block; the slabs take 4 MB
     import tracemalloc
     from confsphere.reps import pi_pointwise
     g = random_element(dim3, 185, max_boost=0.3)
@@ -260,7 +285,21 @@ def test_alpha3_family_memory_bounded_on_projected_fields(dim3):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 400e6
+    assert peak < 64e6
+
+
+def test_fast_engine_memory_bounded(dim3):
+    # degree-4 fields, trace to degree 32: the 1089 basis columns on the
+    # exact grid (N = 4005) would take 70 MB per array in one block
+    import tracemalloc
+    fs = [sg.random_coeffs(4, 180 + j, real_field=True) for j in range(3)]
+    tracemalloc.start()
+    try:
+        tri.generic_form(dim3, (1.62, 1.71, 1.83), *fs, method="fast", L_kernel=32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
 
 
 def test_direct_engine_memory_bounded(dim3):

@@ -32,6 +32,14 @@ def test_report_roundtrip_and_schema(quick_results):
     assert [s["name"] for s in blob["suites"]] == list(verify.SUITE_NAMES)
 
 
+def test_report_records_suite_memory(quick_results):
+    cfg = verify.RunConfig(quick=True)
+    report = verify.build_report(cfg, quick_results)
+    assert all(s["maxrss_mb"] > 0 for s in report["suites"])
+    del report["suites"][0]["maxrss_mb"]
+    assert "suite missing 'maxrss_mb'" in verify.validate_report(report)
+
+
 def test_schema_validator_catches_problems(quick_results):
     cfg = verify.RunConfig(quick=True)
     report = verify.build_report(cfg, quick_results)
