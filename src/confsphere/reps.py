@@ -15,12 +15,17 @@ import numpy as np
 
 from .lorentz import ConformalMap, Dimension, act, base_point, conformal_factor, inverse
 from .sphgrid import (GridFunction, HarmonicCoeffs, quad, sht_forward,
-                      synth_at_points, value_at_pole)
+                      sht_inverse, synth_at_points, value_at_pole)
 
 
 def pi_act(dim: Dimension, lam: complex, g: ConformalMap,
            f: GridFunction) -> GridFunction:
-    """Apply pi_lambda(g) to a sampled function (n = 3 grids)."""
+    """Apply pi_lambda(g) to a sampled function (n = 3 grids).
+
+    For inputs that are truly sampled, such as a field already moved by
+    some pi_lambda(g): the samples are analyzed to the grid's full degree
+    and every one of those coefficients is synthesized at the moved
+    points.  A field known by its coefficients goes to pi_act_coeffs."""
     if dim.n != 3:
         raise ValueError("grid representations are implemented for n = 3")
     coeffs = sht_forward(f)
@@ -29,8 +34,13 @@ def pi_act(dim: Dimension, lam: complex, g: ConformalMap,
 
 def pi_act_coeffs(dim: Dimension, lam: complex, g: ConformalMap,
                   coeffs: HarmonicCoeffs, grid) -> GridFunction:
-    """Same as pi_act but with the band limit made explicit by passing
-    coefficients; avoids re-analyzing a field that is already spectral."""
+    """pi_lambda(g) applied to a band-limited field given by its
+    coefficients, sampled on the grid.
+
+    Use it whenever the coefficients are known: it synthesizes only up to
+    their degree, while pi_act on the same field's samples re-analyzes
+    them to the grid's degree and synthesizes the rounding noise above
+    the band limit as well.  The two agree to rounding."""
     return GridFunction(grid, pi_pointwise(dim, lam, g, coeffs)(grid.points()))
 
 
@@ -58,15 +68,18 @@ def field_from_coeffs(coeffs: HarmonicCoeffs):
 
 
 def duality_defect(dim: Dimension, lam: complex, g: ConformalMap,
-                   f: GridFunction, phi: GridFunction) -> float:
-    """|int pi_lambda(g)f . phi - int f . pi_{-lambda}(g^{-1}) phi|.
+                   f: HarmonicCoeffs, phi: HarmonicCoeffs, grid) -> float:
+    """|int pi_lambda(g)f . phi - int f . pi_{-lambda}(g^{-1}) phi| on the grid.
 
     Vanishes identically for the continuum pairing; what remains is the
     quadrature error of the two pullbacks.
     """
-    lhs = quad(GridFunction(f.grid, pi_act(dim, lam, g, f).values * phi.values))
-    rhs = quad(GridFunction(f.grid, f.values
-                            * pi_act(dim, -complex(lam), inverse(g), phi).values))
+    f_vals = sht_inverse(f.pad(grid.L), grid).values
+    phi_vals = sht_inverse(phi.pad(grid.L), grid).values
+    lhs = quad(GridFunction(grid, pi_act_coeffs(dim, lam, g, f, grid).values
+                            * phi_vals))
+    rhs = quad(GridFunction(grid, f_vals * pi_act_coeffs(
+        dim, -complex(lam), inverse(g), phi, grid).values))
     return abs(lhs - rhs)
 
 

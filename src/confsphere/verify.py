@@ -45,6 +45,7 @@ class CheckResult:
     measured: float
     tolerance: float
     passed: bool
+    elapsed_s: float      # since the previous check of the suite, or its start
 
 
 @dataclass
@@ -61,10 +62,13 @@ class SuiteResult:
 
 def _check(results: list, cid: str, identity: str, measured: float,
            tolerance: float) -> None:
+    """Record one check.  Its elapsed_s holds the finish time until
+    run_suite turns it into the time the check took."""
     measured = float(measured)
     results.append(CheckResult(id=cid, identity=identity, measured=measured,
                                tolerance=float(tolerance),
-                               passed=bool(measured <= tolerance)))
+                               passed=bool(measured <= tolerance),
+                               elapsed_s=time.perf_counter()))
 
 
 def _random_points(rng, count, n=3):
@@ -112,10 +116,9 @@ def geometry_suite(cfg: RunConfig):
         pulled = sphgrid.GridFunction(grid, f_field(act(inverse(g), grid.points())))
         lhs = sphgrid.quad(pulled)
         kap = conformal_factor(g, grid.points())
-        weighted = sphgrid.GridFunction(
-            grid, f_field(grid.points()) * kap ** (DIM.n - 1))
-        rhs = sphgrid.quad(weighted)
-        scale = float(np.abs(f_field(grid.points())).max()) * 4.0 * math.pi
+        f_here = f_field(grid.points())
+        rhs = sphgrid.quad(sphgrid.GridFunction(grid, f_here * kap ** (DIM.n - 1)))
+        scale = float(np.abs(f_here).max()) * 4.0 * math.pi
         worst_var = max(worst_var, abs(lhs - rhs) / scale)
     _check(out, "geo-varchange", "conformal-jacobian-change-of-variables",
            worst_var, 1e-8)
@@ -138,9 +141,10 @@ def representation_suite(cfg: RunConfig):
         g2 = random_element(DIM, cfg.seed + 57 + i, max_boost=0.5)
         lam = complex(0.4, -0.2) if i % 2 else 0.8
         coeffs = sphgrid.random_coeffs(8, cfg.seed + 70 + i)
-        f = sphgrid.sht_inverse(coeffs.pad(group_grid.L), group_grid)
-        lhs = reps.pi_act(DIM, lam, compose(g1, g2), f)
-        rhs = reps.pi_act(DIM, lam, g1, reps.pi_act(DIM, lam, g2, f))
+        lhs = reps.pi_act_coeffs(DIM, lam, compose(g1, g2), coeffs, group_grid)
+        # pi(g2)f is no longer band-limited: the outer step acts on samples
+        inner = reps.pi_act_coeffs(DIM, lam, g2, coeffs, group_grid)
+        rhs = reps.pi_act(DIM, lam, g1, inner)
         rel = (np.abs(lhs.values - rhs.values).max()
                / np.abs(lhs.values).max())
         worst_grp = max(worst_grp, float(rel))
@@ -151,10 +155,8 @@ def representation_suite(cfg: RunConfig):
         g = random_element(DIM, cfg.seed + 91 + i, max_boost=0.5)
         cf = sphgrid.random_coeffs(8, cfg.seed + 101 + i)
         cp = sphgrid.random_coeffs(8, cfg.seed + 111 + i)
-        f = sphgrid.sht_inverse(cf.pad(grid.L), grid)
-        phi = sphgrid.sht_inverse(cp.pad(grid.L), grid)
-        defect = reps.duality_defect(DIM, 0.7, g, f, phi)
-        scale = sphgrid.norm_l2(f) * sphgrid.norm_l2(phi)
+        defect = reps.duality_defect(DIM, 0.7, g, cf, cp, grid)
+        scale = cf.l2_norm() * cp.l2_norm()
         worst_dual = max(worst_dual, defect / scale)
     _check(out, "rep-duality", "principal-series-duality", worst_dual, 1e-6)
 
@@ -174,7 +176,7 @@ def representation_suite(cfg: RunConfig):
         g = random_element(DIM, cfg.seed + 151 + i, max_boost=0.5)
         coeffs = sphgrid.random_coeffs(8, cfg.seed + 161 + i)
         f = sphgrid.sht_inverse(coeffs.pad(grid.L), grid)
-        moved = reps.pi_act(DIM, 1j * (0.3 + 0.2 * i), g, f)
+        moved = reps.pi_act_coeffs(DIM, 1j * (0.3 + 0.2 * i), g, coeffs, grid)
         worst_uni = max(worst_uni,
                         abs(sphgrid.norm_l2(moved) - sphgrid.norm_l2(f))
                         / sphgrid.norm_l2(f))
@@ -503,8 +505,11 @@ def run_suite(name: str, cfg: RunConfig) -> SuiteResult:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     start = time.perf_counter()
     checks = _SUITES[name](cfg)
-    return SuiteResult(name=name, checks=checks,
-                       elapsed_s=time.perf_counter() - start,
+    elapsed = time.perf_counter() - start
+    previous = start
+    for c in checks:
+        c.elapsed_s, previous = c.elapsed_s - previous, c.elapsed_s
+    return SuiteResult(name=name, checks=checks, elapsed_s=elapsed,
                        maxrss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 
 
@@ -534,6 +539,7 @@ def build_report(cfg: RunConfig, results) -> dict:
                 "measured": _fmt(c.measured),
                 "tolerance": _fmt(c.tolerance),
                 "passed": c.passed,
+                "elapsed_s": c.elapsed_s,
             } for c in res.checks],
         })
     return {
@@ -557,6 +563,7 @@ CHECK_SCHEMA = {
     "measured": (int, float),
     "tolerance": (int, float),
     "passed": bool,
+    "elapsed_s": (int, float),
 }
 
 

@@ -73,8 +73,9 @@ def test_criterion_02_geometry_suite():
             lhs = sg.quad(sg.GridFunction(
                 grid, field(act(inverse(g), grid.points()))))
             kap = conformal_factor(g, grid.points())
-            rhs = sg.quad(sg.GridFunction(grid, field(grid.points()) * kap ** 2))
-            scale = float(np.abs(field(grid.points())).max()) * 4.0 * np.pi
+            here = field(grid.points())
+            rhs = sg.quad(sg.GridFunction(grid, here * kap ** 2))
+            scale = float(np.abs(here).max()) * 4.0 * np.pi
             assert abs(lhs - rhs) <= 1e-8 * scale
 
 

@@ -221,6 +221,8 @@ def test_verify_determinism(tmp_path, capsys):
         for s in rep["suites"]:
             s.pop("elapsed_s")
             s.pop("maxrss_mb")
+            for c in s["checks"]:
+                c.pop("elapsed_s")
         return rep
 
     assert strip(a) == strip(b)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from confsphere.lorentz import (boost, compose, identity, inverse,
                                 random_element, rotation)
@@ -45,14 +46,28 @@ def test_group_law(dim3, grid32):
 
 
 def test_duality(dim3, grid32, rng):
-    f = sg.sht_inverse(sg.random_coeffs(6, 7).pad(32), grid32)
-    phi = sg.sht_inverse(sg.random_coeffs(6, 8).pad(32), grid32)
-    assert reps.duality_defect(dim3, 0.7, identity(dim3), f, phi) < 1e-13
+    cf, cp = sg.random_coeffs(6, 7), sg.random_coeffs(6, 8)
+    assert reps.duality_defect(dim3, 0.7, identity(dim3), cf, cp, grid32) < 1e-13
     grot, _ = _rotation(rng, dim3)
-    assert reps.duality_defect(dim3, 0.0, grot, f, phi) < 1e-12
+    assert reps.duality_defect(dim3, 0.0, grot, cf, cp, grid32) < 1e-12
     g = boost(0.3, dim3)
+    f = sg.sht_inverse(cf.pad(32), grid32)
+    phi = sg.sht_inverse(cp.pad(32), grid32)
     scale = sg.norm_l2(f) * sg.norm_l2(phi)
-    assert reps.duality_defect(dim3, 0.7, g, f, phi) < 1e-6 * scale
+    assert reps.duality_defect(dim3, 0.7, g, cf, cp, grid32) < 1e-6 * scale
+
+
+@pytest.mark.parametrize("L", [32, 64])
+def test_pi_act_on_padded_samples_matches_coefficients(dim3, L):
+    # a band-limited field may go through pi_act_coeffs instead of pi_act
+    grid = sg.make_grid(L)
+    for i, lam in enumerate((0.8, complex(0.4, -0.2), 0.9j)):
+        c = sg.random_coeffs(8, 300 + i)
+        g = random_element(dim3, 310 + i, max_boost=0.5)
+        sampled = reps.pi_act(dim3, lam, g, sg.sht_inverse(c.pad(L), grid))
+        exact = reps.pi_act_coeffs(dim3, lam, g, c, grid)
+        rel = np.abs(sampled.values - exact.values).max() / np.abs(exact.values).max()
+        assert rel < 1e-12
 
 
 def test_dirac_identity_and_boost(dim3):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from confsphere import verify
+from confsphere import reps, verify
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +38,34 @@ def test_report_records_suite_memory(quick_results):
     assert all(s["maxrss_mb"] > 0 for s in report["suites"])
     del report["suites"][0]["maxrss_mb"]
     assert "suite missing 'maxrss_mb'" in verify.validate_report(report)
+
+
+def test_report_records_check_time(quick_results):
+    cfg = verify.RunConfig(quick=True)
+    for res in quick_results:
+        spent = [c.elapsed_s for c in res.checks]
+        assert all(t >= 0 for t in spent)
+        assert sum(spent) <= res.elapsed_s
+    report = verify.build_report(cfg, quick_results)
+    del report["suites"][0]["checks"][0]["elapsed_s"]
+    assert "check missing 'elapsed_s'" in verify.validate_report(report)
+
+
+def test_representation_suite_synthesizes_only_sampled_fields(monkeypatch):
+    # band-limited inputs act through their coefficients; only the outer
+    # step of the group law acts on samples, re-analyzed to degree 64
+    degrees = []
+    synth = reps.synth_at_points
+
+    def counted(coeffs, points):
+        degrees.append(coeffs.L)
+        return synth(coeffs, points)
+
+    monkeypatch.setattr(reps, "synth_at_points", counted)
+    cfg = verify.RunConfig(quick=True)
+    assert verify.run_suite("representation", cfg).passed
+    assert degrees.count(64) == cfg.count(5)
+    assert degrees.count(32) == 0
 
 
 def test_schema_validator_catches_problems(quick_results):
