@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lorentz import Dimension
-from .sphgrid import (Grid, HarmonicCoeffs, degree_pairings, sht_forward_columns,
-                      slot_pairings)
+from .sphgrid import HarmonicCoeffs, degree_pairings
 from .spectral_ops import gjms_constant, gjms_multiplier, knapp_stein_multipliers
 
 POLE_GUARD = 1e-6
@@ -168,36 +167,3 @@ def residue_separation_power_ring(dim: Dimension, k: int, f1: HarmonicCoeffs,
     center = -dim.rho - 2.0 * k
     fit = residue_ring(lambda a: pair_separation_power(dim, a, f1, f2), center)
     return fit.residue / 2.0
-
-
-# ---------------------------------------------------------------------------
-# general (non-product) two-sphere data
-
-
-def _grid_slot_pairings(values, grid1: Grid, grid2: Grid, L: int) -> np.ndarray:
-    """Degree-by-degree pairings of two-sphere data sampled on grid1 x
-    grid2 (shape N1 x N2, flat): analysis in x, then in y.  Summing
-    mult_l times these equals int (M f)(y, y) dsigma(y) for the diagonal
-    multiplier M acting in either slot, since
-    sum_j w_j Y_lm(y_j) h(y_j) = (-1)^m (analysis of h)[l, -m]."""
-    A = sht_forward_columns(grid1, np.asarray(values, dtype=complex), L)
-    return slot_pairings(sht_forward_columns(grid2, A.T, L), L)
-
-
-def pair_separation_power_grid(dim: Dimension, alpha: complex, values,
-                               grid1: Grid, grid2: Grid, L: int) -> complex:
-    """(k_alpha, f) for f sampled on grid1 x grid2 (shape N1 x N2, flat),
-    through the zonal expansion of the kernel at truncation L."""
-    eig = knapp_stein_multipliers(dim, complex(alpha), L)
-    return complex(np.dot(eig, _grid_slot_pairings(values, grid1, grid2, L)))
-
-
-def residue_separation_power_grid(dim: Dimension, k: int, values,
-                                  grid1: Grid, grid2: Grid, L: int) -> complex:
-    """Predicted residue (half-parameter convention) for general two-sphere
-    data: int (R_k f)(x, x) dsigma(x), the residue operator applied in
-    either slot (it is diagonal in degree) and integrated along the
-    diagonal."""
-    mult = np.array([gjms_multiplier(dim, k, l) for l in range(L + 1)])
-    pairs = _grid_slot_pairings(values, grid1, grid2, L)
-    return complex(gjms_constant(dim, k).c_k * np.dot(mult, pairs))

@@ -1,10 +1,14 @@
 """Verification suites: every check pins one mathematical identity of the
 library to a numeric tolerance and reports the measured defect.
 
-The suites are consumed by the command-line `verify` driver and mirrored
-by the acceptance test module.  Each check carries a stable `identity`
-string naming what it validates, so a failing run says which identity
-broke, not just where.
+The suites are consumed by the command-line `verify` driver.  Each
+identity's defect arithmetic is written once, as a check function that
+takes the instances to check (seeds, exponents, counts) and returns
+their defects: a suite draws its instances from its RunConfig and checks
+the worst defect, and each acceptance criterion calls the same function
+with its own instances.  Each check carries a stable `identity` string
+naming what it validates, so a failing run says which identity broke,
+not just where.
 """
 
 from __future__ import annotations
@@ -71,6 +75,12 @@ def _check(results: list, cid: str, identity: str, measured: float,
                                elapsed_s=time.perf_counter()))
 
 
+def _worst(defects) -> float:
+    """The largest defect; NaN when any is NaN, so its check fails; 0.0
+    when there is none."""
+    return float(np.max(defects, initial=0.0))
+
+
 def _random_points(rng, count, n=3):
     pts = rng.normal(size=(count, n))
     return pts / np.linalg.norm(pts, axis=1)[:, None]
@@ -81,48 +91,58 @@ def _random_points(rng, count, n=3):
 
 
 def geometry_suite(cfg: RunConfig):
-    rng = np.random.default_rng(cfg.seed)
     out: list = []
     count = cfg.count(100)
+    coc, inv, cov = conformal_factor_defects(
+        np.random.default_rng(cfg.seed),
+        [cfg.seed + 2 * i for i in range(count)]).max(axis=0)
+    _check(out, "geo-cocycle", "conformal-factor-cocycle", coc, 1e-10)
+    _check(out, "geo-inverse", "conformal-factor-inverse-law", inv, 1e-10)
+    _check(out, "geo-covariance", "chordal-distance-covariance", cov, 1e-10)
+    _check(out, "geo-varchange", "conformal-jacobian-change-of-variables",
+           _worst(jacobian_defects([(cfg.seed + 1000 + i, cfg.seed + 2000 + i)
+                                    for i in range(count)])), 1e-8)
+    return out
 
-    worst_coc = worst_inv = worst_cov = 0.0
-    for i in range(count):
-        g1 = random_element(DIM, cfg.seed + 2 * i, max_boost=1.0)
-        g2 = random_element(DIM, cfg.seed + 2 * i + 1, max_boost=1.0)
+
+def conformal_factor_defects(rng, seeds) -> np.ndarray:
+    """Per seed: the worst cocycle (relative), inverse-law and covariance
+    defects of g1, g2 seeded seed, seed + 1 on 8 + 8 points from rng."""
+    rows = []
+    for seed in seeds:
+        g1 = random_element(DIM, seed, max_boost=1.0)
+        g2 = random_element(DIM, seed + 1, max_boost=1.0)
         x = _random_points(rng, 8, DIM.n)
         k12 = conformal_factor(compose(g1, g2), x)
         coc = np.abs(k12 - conformal_factor(g1, act(g2, x))
                      * conformal_factor(g2, x)) / np.abs(k12)
-        worst_coc = max(worst_coc, float(coc.max()))
         gi = inverse(g1)
         inv = np.abs(conformal_factor(g1, act(gi, x))
                      * conformal_factor(gi, x) - 1.0)
-        worst_inv = max(worst_inv, float(inv.max()))
         y = _random_points(rng, 8, DIM.n)
         lhs = np.linalg.norm(act(g1, x) - act(g1, y), axis=1)
         rhs = (np.sqrt(conformal_factor(g1, x) * conformal_factor(g1, y))
                * np.linalg.norm(x - y, axis=1))
-        worst_cov = max(worst_cov, float(np.abs(lhs - rhs).max()))
-    _check(out, "geo-cocycle", "conformal-factor-cocycle", worst_coc, 1e-10)
-    _check(out, "geo-inverse", "conformal-factor-inverse-law", worst_inv, 1e-10)
-    _check(out, "geo-covariance", "chordal-distance-covariance", worst_cov, 1e-10)
+        rows.append((coc.max(), inv.max(), np.abs(lhs - rhs).max()))
+    return np.array(rows)
 
+
+def jacobian_defects(instances) -> list:
+    """Per (group seed, field seed): |int f o g^-1 - int f kappa_g^{n-1}|
+    / (4 pi max|f|) on the degree-32 grid."""
     grid = sphgrid.make_grid(32)
-    worst_var = 0.0
-    for i in range(count):
-        g = random_element(DIM, cfg.seed + 1000 + i, max_boost=0.5)
-        coeffs = sphgrid.random_coeffs(10, cfg.seed + 2000 + i)
-        f_field = reps.field_from_coeffs(coeffs)
+    defects = []
+    for g_seed, f_seed in instances:
+        g = random_element(DIM, g_seed, max_boost=0.5)
+        f_field = reps.field_from_coeffs(sphgrid.random_coeffs(10, f_seed))
         pulled = sphgrid.GridFunction(grid, f_field(act(inverse(g), grid.points())))
         lhs = sphgrid.quad(pulled)
         kap = conformal_factor(g, grid.points())
         f_here = f_field(grid.points())
         rhs = sphgrid.quad(sphgrid.GridFunction(grid, f_here * kap ** (DIM.n - 1)))
         scale = float(np.abs(f_here).max()) * 4.0 * math.pi
-        worst_var = max(worst_var, abs(lhs - rhs) / scale)
-    _check(out, "geo-varchange", "conformal-jacobian-change-of-variables",
-           worst_var, 1e-8)
-    return out
+        defects.append(abs(lhs - rhs) / scale)
+    return defects
 
 
 # ---------------------------------------------------------------------------
@@ -188,55 +208,50 @@ def representation_suite(cfg: RunConfig):
 # bernstein
 
 
-def area_closed_form(dim: Dimension, s: complex) -> complex:
-    """2^{n-1} pi^rho 2^s Gamma(s/2 + rho) / Gamma(s/2 + 2 rho)."""
-    rho = dim.rho
-    s = complex(s)
-    return (2.0 ** (dim.n - 1) * math.pi ** rho * 2.0 ** s
-            * complex_gamma(s / 2.0 + rho) / complex_gamma(s / 2.0 + 2.0 * rho))
-
-
 def bernstein_suite(cfg: RunConfig):
     out: list = []
-    one = sphgrid.coeffs_constant(1.0, 0)
-
-    worst = 0.0
-    for s in (2.0, 0.5, complex(-1.5, 0.3), complex(-3.2, 0.4)):
-        got = mero.pair_distance_power(DIM, s, one)
-        want = area_closed_form(DIM, s)
-        worst = max(worst, abs(got - want) / abs(want))
-    _check(out, "bern-area", "distance-power-area-closed-form", worst, 1e-7)
-
-    worst = 0.0
+    _check(out, "bern-area", "distance-power-area-closed-form",
+           _worst(area_defects((2.0, 0.5, complex(-1.5, 0.3), complex(-3.2, 0.4)))),
+           1e-7)
     # offsets chosen so no continuation step lands on a zero of s(s+n-3)
-    for n in (3, 4, 5):
-        dn = Dimension(n)
-        for re_off in (0.55, 0.8, 1.05, 1.3):
-            s = -(n - 1) + re_off
-            direct = sphgrid.kernel_eigenvalues(dn, s, 32)
-            descended = _descend_once(dn, s, 32)
-            rel = np.abs(direct - descended) / np.abs(direct)
-            worst = max(worst, float(rel.max()))
-        s = -(n - 1) + 0.7 + 0.3j
-        direct = sphgrid.kernel_eigenvalues(dn, s, 32)
-        descended = _descend_once(dn, s, 32)
-        worst = max(worst, float((np.abs(direct - descended)
-                                  / np.abs(direct)).max()))
-    _check(out, "bern-descent", "descent-vs-direct-kernel-eigenvalues", worst, 1e-8)
-
+    _check(out, "bern-descent", "descent-vs-direct-kernel-eigenvalues",
+           _worst(descent_defects([(n, -(n - 1) + off) for n in (3, 4, 5)
+                                   for off in (0.55, 0.8, 1.05, 1.3, 0.7 + 0.3j)])),
+           1e-8)
     _check(out, "bern-kernel", "kernel-level-step-down-identity",
            _kernel_level_defect(DIM, 5.0, cfg.seed), 1e-6)
     return out
 
 
-def _descend_once(dim: Dimension, s: complex, L: int) -> np.ndarray:
-    """One Bernstein-Sato step down from quadrature eigenvalues at s + 2:
-    the oracle side of bern-descent, independent of the closed form."""
-    up = sphgrid.kernel_eigenvalues(dim, s + 2.0, L)
-    step = complex(s) + 2.0
-    num = np.array([spectral_ops.bernstein_multiplier(dim, step, l)
-                    for l in range(L + 1)])
-    return num * up / spectral_ops.bernstein_rhs_factor(dim, step)
+def area_defects(exponents) -> list:
+    """Per exponent s: the relative gap of (|e - x|^s, 1) to its closed form
+    2^{n-1} pi^rho 2^s Gamma(s/2 + rho) / Gamma(s/2 + 2 rho)."""
+    one = sphgrid.coeffs_constant(1.0, 0)
+    rho = DIM.rho
+    defects = []
+    for s in exponents:
+        got = mero.pair_distance_power(DIM, s, one)
+        s = complex(s)
+        want = (2.0 ** (DIM.n - 1) * math.pi ** rho * 2.0 ** s
+                * complex_gamma(s / 2.0 + rho) / complex_gamma(s / 2.0 + 2.0 * rho))
+        defects.append(abs(got - want) / abs(want))
+    return defects
+
+
+def descent_defects(instances) -> list:
+    """Per (n, s): the worst relative gap, l <= 32, between the kernel
+    eigenvalues at s and one Bernstein-Sato step down from those at s + 2."""
+    defects = []
+    for n, s in instances:
+        dn = Dimension(n)
+        direct = sphgrid.kernel_eigenvalues(dn, s, 32)
+        up = sphgrid.kernel_eigenvalues(dn, s + 2.0, 32)
+        step = complex(s) + 2.0
+        num = np.array([spectral_ops.bernstein_multiplier(dn, step, l)
+                        for l in range(33)])
+        descended = num * up / spectral_ops.bernstein_rhs_factor(dn, step)
+        defects.append(float((np.abs(direct - descended) / np.abs(direct)).max()))
+    return defects
 
 
 def _kernel_level_defect(dim: Dimension, s: float, seed: int) -> float:
@@ -273,19 +288,11 @@ def residues_suite(cfg: RunConfig):
     _check(out, "res-gamma", "gamma-pole-residue", abs(gfit.residue - 1.0), 1e-8)
 
     fault = 1.01 if cfg.fault_inject else 1.0
-    worst = 0.0
-    for k in (0, 1, 2):
-        for i in range(cfg.count(10)):
-            f = sphgrid.random_coeffs(8, cfg.seed + 300 + 17 * k + i)
-            want = mero.covariant_power_at_pole(DIM, k, f)
-            if abs(want) < 0.05 * f.l2_norm():
-                continue
-            if k == 1:
-                want = want * fault
-            got = mero.residue_pair_distance_power(DIM, k, f)
-            worst = max(worst, abs(got - want) / abs(want))
+    defects = [residue_operator_defect(k, sphgrid.random_coeffs(8, cfg.seed + 300 + 17 * k + i),
+                                       fault if k == 1 else 1.0)
+               for k in (0, 1, 2) for i in range(cfg.count(10))]
     _check(out, "res-operator", "kernel-residue-equals-covariant-power",
-           worst, 1e-4)
+           _worst([d for d in defects if d is not None]), 1e-4)
 
     one = sphgrid.coeffs_constant(1.0, 0)
     _check(out, "res-const", "first-residue-point-mass",
@@ -293,10 +300,9 @@ def residues_suite(cfg: RunConfig):
 
     f1 = sphgrid.random_coeffs(6, cfg.seed + 401)
     f2 = sphgrid.random_coeffs(6, cfg.seed + 402)
-    sym = abs(mero.residue_separation_power(DIM, 1, f1, f2)
-              - mero.residue_separation_power(DIM, 1, f2, f1))
-    ring = mero.residue_separation_power_ring(DIM, 1, f1, f2)
     pred = mero.residue_separation_power(DIM, 1, f1, f2)
+    sym = abs(pred - mero.residue_separation_power(DIM, 1, f2, f1))
+    ring = mero.residue_separation_power_ring(DIM, 1, f1, f2)
     sym = max(sym, abs(ring - pred) / abs(pred))
     _check(out, "res-symmetry", "residue-operator-symmetry", sym, 1e-6)
 
@@ -311,6 +317,18 @@ def residues_suite(cfg: RunConfig):
     return out
 
 
+def residue_operator_defect(k: int, f, fault: float = 1.0):
+    """Relative gap between the k-th residue of s -> (|e - x|^s, f) and
+    `fault` c_k times the k-th covariant power of f at e; None when that
+    power nearly cancels (below 0.05 ||f||)."""
+    want = mero.covariant_power_at_pole(DIM, k, f)
+    if abs(want) < 0.05 * f.l2_norm():
+        return None
+    want = want * fault
+    got = mero.residue_pair_distance_power(DIM, k, f)
+    return abs(got - want) / abs(want)
+
+
 # ---------------------------------------------------------------------------
 # intertwining
 
@@ -319,14 +337,10 @@ def intertwining_suite(cfg: RunConfig):
     out: list = []
     grid = sphgrid.make_grid(64)
 
-    worst = 0.0
-    for k in (1, 2):
-        for i in range(cfg.count(10)):
-            f = sphgrid.random_coeffs(16, cfg.seed + 500 + 29 * k + i)
-            g = random_element(DIM, cfg.seed + 600 + 31 * k + i, max_boost=0.3)
-            defect = _covariant_intertwining_defect(DIM, k, g, f, grid)
-            worst = max(worst, defect)
-    _check(out, "int-covariant", "residue-operator-intertwining", worst, 1e-4)
+    _check(out, "int-covariant", "residue-operator-intertwining",
+           _worst(covariant_intertwining_defects(
+               grid, [(k, cfg.seed + 500 + 29 * k + i, cfg.seed + 600 + 31 * k + i)
+                      for k in (1, 2) for i in range(cfg.count(10))])), 1e-4)
 
     worst = 0.0
     for i in range(cfg.count(6)):
@@ -338,16 +352,20 @@ def intertwining_suite(cfg: RunConfig):
     return out
 
 
-def _covariant_intertwining_defect(dim, k, g, f, grid) -> float:
-    """|| R_k pi_{-k}(g) f - pi_k(g) R_k f ||_2 / ||f||_2 at the grid's
-    truncation."""
-    L = grid.L
-    moved = sphgrid.sht_forward(reps.pi_act_coeffs(dim, -float(k), g, f, grid))
-    path_a = spectral_ops.residue_operator_apply(dim, k, moved)
-    rf = spectral_ops.residue_operator_apply(dim, k, f)
-    path_b = sphgrid.sht_forward(reps.pi_act_coeffs(dim, float(k), g, rf, grid))
-    diff = path_a.c - path_b.c[: L + 1]
-    return float(np.linalg.norm(diff) / f.l2_norm())
+def covariant_intertwining_defects(grid, instances) -> list:
+    """Per (k, field seed, group seed): || R_k pi_{-k}(g) f - pi_k(g) R_k f ||
+    / ||f|| at the grid's truncation."""
+    defects = []
+    for k, f_seed, g_seed in instances:
+        f = sphgrid.random_coeffs(16, f_seed)
+        g = random_element(DIM, g_seed, max_boost=0.3)
+        moved = sphgrid.sht_forward(reps.pi_act_coeffs(DIM, -float(k), g, f, grid))
+        path_a = spectral_ops.residue_operator_apply(DIM, k, moved)
+        rf = spectral_ops.residue_operator_apply(DIM, k, f)
+        path_b = sphgrid.sht_forward(reps.pi_act_coeffs(DIM, float(k), g, rf, grid))
+        diff = path_a.c - path_b.c[: grid.L + 1]
+        defects.append(float(np.linalg.norm(diff) / f.l2_norm()))
+    return defects
 
 
 def _knapp_stein_intertwining_defect(dim, lam, g, f, grid) -> float:
@@ -390,84 +408,36 @@ def _conditioned_fields(engine, seed):
 
 def trilinear_suite(cfg: RunConfig):
     out: list = []
-    one = sphgrid.coeffs_constant(1.0, 2)
-
-    values = {a: trilinear.generic_form(DIM, a, one, one, one, method="direct",
-                                        grid_size=TRIPLE_GRID)
-              for a in set(sum(SMOOTH_PAIRS, ()))}
-    worst = 0.0
-    for a, b in SMOOTH_PAIRS:
-        ra = trilinear.closed_form_constant(DIM, a)
-        rb = trilinear.closed_form_constant(DIM, b)
-        worst = max(worst, abs(values[a] / values[b] - ra / rb) / abs(ra / rb))
-    _check(out, "tri-gamma-ratio", "constant-input-gamma-ratio", worst, 1e-6)
-
-    worst = 0.0
-    for i, a in enumerate([(3, 3, 1), (5, 1, 3), (3, 1, 1)]):
-        f1 = sphgrid.random_coeffs(4, cfg.seed + 900 + i)
-        f2 = sphgrid.random_coeffs(4, cfg.seed + 910 + i)
-        f3 = sphgrid.random_coeffs(4, cfg.seed + 920 + i)
-        vd = trilinear.generic_form(DIM, a, f1, f2, f3, method="direct",
-                                    grid_size=TRIPLE_GRID)
-        vf = trilinear.generic_form(DIM, a, f1, f2, f3, method="fast",
-                                    grid_size=TRIPLE_GRID)
-        worst = max(worst, abs(vd - vf) / abs(vd))
-    _check(out, "tri-fast-direct", "fast-vs-direct-agreement", worst, 1e-6)
-
-    worst = 0.0
-    for i in range(cfg.count(10)):
-        rng_a = np.random.default_rng(cfg.seed + 950 + i)
-        # generic non-integer exponents, singular enough to be interesting
-        # but integrable enough that the default grids hold 1e-3
-        alpha = tuple(1.45 + 0.5 * rng_a.random() for _ in range(3))
-        g = random_element(DIM, cfg.seed + 960 + i, max_boost=0.3)
-        engine = trilinear.TripleEngine(DIM, alpha, grid_size=TRIPLE_GRID)
-        fs, base = _conditioned_fields(engine, cfg.seed + 970 + 101 * i)
-        worst = max(worst, trilinear.generic_invariance_defect(engine, g, *fs,
-                                                               base=base))
-    _check(out, "tri-invariance", "generic-form-invariance", worst, 1e-3)
-
-    worst = 0.0
-    for k, a1, a2 in ((0, 1.45, 2.83), (1, 1.45, 4.62)):
-        for i in range(cfg.count(3)):
-            g = random_element(DIM, cfg.seed + 980 + 7 * k + i, max_boost=0.3)
-            fs = [sphgrid.random_coeffs(4, cfg.seed + 990 + 5 * k + 3 * i + j,
-                                        real_field=True) for j in range(3)]
-            worst = max(worst, trilinear.singular_invariance_defect(
-                DIM, k, a1, a2, g, *fs, grid_size=DOUBLE_GRID,
-                L_kernel=16))
-    _check(out, "tri-singular-invariance", "singular-form-invariance", worst, 1e-3)
-
-    fs = [sphgrid.random_coeffs(4, cfg.seed + 1100 + j, real_field=True)
-          for j in range(3)]
-    bridge0 = trilinear.residue_bridge_defect(DIM, 0, 3.3, 3.7, *fs,
-                                              grid_size=DOUBLE_GRID, L_kernel=24)
-    _check(out, "tri-bridge-k0", "residue-bridge-order-zero", bridge0, 5e-3)
-
-    worst = 0.0
-    for a1, a2 in ((2.3, 5.6), (3.1, 4.8)):
-        t_val = trilinear.singular_form(DIM, 1, a1, a2, one, one, one,
-                                        grid_size=DOUBLE_GRID, L_kernel=24)
-        pred = trilinear.closed_form_constant_residue(DIM, 1, a1, a2)
-        got = spectral_ops.gjms_constant(DIM, 1).c_k * t_val
-        worst = max(worst, abs(got - pred) / abs(pred))
+    _check(out, "tri-gamma-ratio", "constant-input-gamma-ratio",
+           _worst(gamma_ratio_defects(SMOOTH_PAIRS)[0]), 1e-6)
+    _check(out, "tri-fast-direct", "fast-vs-direct-agreement",
+           _worst(fast_direct_defects(
+               [(a, (cfg.seed + 900 + i, cfg.seed + 910 + i, cfg.seed + 920 + i))
+                for i, a in enumerate([(3, 3, 1), (5, 1, 3), (3, 1, 1)])])), 1e-6)
+    _check(out, "tri-invariance", "generic-form-invariance",
+           _worst([d for d, *_ in generic_invariance_defects(
+               [(cfg.seed + 950 + i, cfg.seed + 960 + i, cfg.seed + 970 + 101 * i)
+                for i in range(cfg.count(10))])]), 1e-3)
+    _check(out, "tri-singular-invariance", "singular-form-invariance",
+           _worst([d for d, *_ in singular_invariance_defects(
+               [(k, a1, a2, cfg.seed + 980 + 7 * k + i, cfg.seed + 990 + 5 * k + 3 * i)
+                for k, a1, a2 in ((0, 1.45, 2.83), (1, 1.45, 4.62))
+                for i in range(cfg.count(3))])]), 1e-3)
+    _check(out, "tri-bridge-k0", "residue-bridge-order-zero",
+           bridge_order_zero_defect(cfg.seed + 1100), 5e-3)
     _check(out, "tri-bridge-k1", "residue-bridge-order-one-closed-channel",
-           worst, 5e-3)
+           _worst([d for d, *_ in bridge_order_one_defects(((2.3, 5.6), (3.1, 4.8)))]),
+           5e-3)
 
-    scan = trilinear.pole_scan(DIM, "alpha3", window=(-6.5, 0.5),
-                               a1=0.31, a2=0.77)
-    found3 = sorted(round(r.position.real) for r in scan if r.family == "alpha3")
-    founds = sorted(round(r.position.real * 100) / 100 for r in scan
-                    if r.family == "sum")
-    plane_ok = (found3 == [-5, -3, -1]
-                and founds == [-6.08, -4.08, -2.08]
-                and not any(r.family == "unknown" for r in scan))
+    planes = pole_families("alpha3", (-6.5, 0.5), a1=0.31, a2=0.77)
+    plane_ok = ([round(p) for p in planes.get("alpha3", [])] == [-5, -3, -1]
+                and [round(p * 100) / 100 for p in planes.get("sum", [])]
+                == [-6.08, -4.08, -2.08]
+                and "unknown" not in planes)
     _check(out, "tri-pole-planes", "pole-plane-lattice", 0.0 if plane_ok else 1.0, 0.5)
-    scan = trilinear.pole_scan(DIM, "singular_line", window=(-3.0, 3.0),
-                               k=1, delta=0.26)
-    lines = sorted(round(r.position.real) for r in scan
-                   if r.family == "singular_line")
-    line_ok = lines == [0, 2] and not any(r.family == "unknown" for r in scan)
+    lines = pole_families("singular_line", (-3.0, 3.0), k=1, delta=0.26)
+    line_ok = ([round(p) for p in lines.get("singular_line", [])] == [0, 2]
+               and "unknown" not in lines)
     _check(out, "tri-pole-lines", "singular-line-lattice", 0.0 if line_ok else 1.0, 0.5)
 
     rng = np.random.default_rng(cfg.seed + 1200)
@@ -484,6 +454,92 @@ def trilinear_suite(cfg: RunConfig):
     _check(out, "tri-split", "kernel-product-rule-split",
            trilinear.product_rule_split_defect(DIM, 6.0, phi, y, pts), 1e-5)
     return out
+
+
+def gamma_ratio_defects(pairs):
+    """Per exponent pair (a, b): the relative gap of K_a(1,1,1) / K_b(1,1,1)
+    to the closed form's ratio.  Returns the gaps and the values K_a."""
+    one = sphgrid.coeffs_constant(1.0, 2)
+    values = {a: trilinear.generic_form(DIM, a, one, one, one, method="direct",
+                                        grid_size=TRIPLE_GRID)
+              for a in set(sum(pairs, ()))}
+    defects = []
+    for a, b in pairs:
+        ra = trilinear.closed_form_constant(DIM, a)
+        rb = trilinear.closed_form_constant(DIM, b)
+        defects.append(abs(values[a] / values[b] - ra / rb) / abs(ra / rb))
+    return defects, values
+
+
+def fast_direct_defects(instances) -> list:
+    """Per (alpha, three field seeds): the relative fast-vs-direct gap."""
+    defects = []
+    for a, seeds in instances:
+        fs = [sphgrid.random_coeffs(4, s) for s in seeds]
+        vd = trilinear.generic_form(DIM, a, *fs, method="direct",
+                                    grid_size=TRIPLE_GRID)
+        vf = trilinear.generic_form(DIM, a, *fs, method="fast",
+                                    grid_size=TRIPLE_GRID)
+        defects.append(abs(vd - vf) / abs(vd))
+    return defects
+
+
+def generic_invariance_defects(instances) -> list:
+    """Per (exponent seed, group seed, field seed): the generic form's
+    invariance defect as (defect, alpha, g, fields)."""
+    drawn = []
+    for a_seed, g_seed, f_seed in instances:
+        rng_a = np.random.default_rng(a_seed)
+        # generic non-integer exponents, singular enough to be interesting
+        # but integrable enough that the default grids hold 1e-3
+        alpha = tuple(1.45 + 0.5 * rng_a.random() for _ in range(3))
+        g = random_element(DIM, g_seed, max_boost=0.3)
+        engine = trilinear.TripleEngine(DIM, alpha, grid_size=TRIPLE_GRID)
+        fs, base = _conditioned_fields(engine, f_seed)
+        drawn.append((trilinear.generic_invariance_defect(engine, g, *fs, base=base),
+                      alpha, g, fs))
+    return drawn
+
+
+def singular_invariance_defects(instances) -> list:
+    """Per (k, a1, a2, group seed, field seed): the k-th singular form's
+    invariance defect as (defect, g, fields)."""
+    drawn = []
+    for k, a1, a2, g_seed, f_seed in instances:
+        g = random_element(DIM, g_seed, max_boost=0.3)
+        fs = [sphgrid.random_coeffs(4, f_seed + j, real_field=True) for j in range(3)]
+        drawn.append((trilinear.singular_invariance_defect(
+            DIM, k, a1, a2, g, *fs, grid_size=DOUBLE_GRID, L_kernel=16), g, fs))
+    return drawn
+
+
+def bridge_order_zero_defect(field_seed: int) -> float:
+    """residue_bridge_defect at k = 0, (a1, a2) = (3.3, 3.7)."""
+    fs = [sphgrid.random_coeffs(4, field_seed + j, real_field=True) for j in range(3)]
+    return trilinear.residue_bridge_defect(DIM, 0, 3.3, 3.7, *fs,
+                                           grid_size=DOUBLE_GRID, L_kernel=24)
+
+
+def bridge_order_one_defects(points) -> list:
+    """Per (a1, a2): the relative gap of c_1 T^(1)(1,1,1) to the closed
+    form's residue at a3 = -rho - 2, as (gap, T^(1)(1,1,1), residue)."""
+    one = sphgrid.coeffs_constant(1.0, 2)
+    drawn = []
+    for a1, a2 in points:
+        t_val = trilinear.singular_form(DIM, 1, a1, a2, one, one, one,
+                                        grid_size=DOUBLE_GRID, L_kernel=24)
+        pred = trilinear.closed_form_constant_residue(DIM, 1, a1, a2)
+        got = spectral_ops.gjms_constant(DIM, 1).c_k * t_val
+        drawn.append((abs(got - pred) / abs(pred), t_val, pred))
+    return drawn
+
+
+def pole_families(family: str, window, **params) -> dict:
+    """Sorted real parts of the poles trilinear.pole_scan finds, by family."""
+    found: dict = {}
+    for r in trilinear.pole_scan(DIM, family, window=window, **params):
+        found.setdefault(r.family, []).append(r.position.real)
+    return {fam: sorted(pos) for fam, pos in found.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +613,14 @@ REPORT_SCHEMA = {
     "timings": dict,
 }
 
+SUITE_SCHEMA = {
+    "name": str,
+    "passed": bool,
+    "elapsed_s": (int, float),
+    "maxrss_mb": (int, float),
+    "checks": list,
+}
+
 CHECK_SCHEMA = {
     "id": str,
     "identity": str,
@@ -567,25 +631,33 @@ CHECK_SCHEMA = {
 }
 
 
+def _schema_problems(level: str, record, schema: dict) -> list:
+    """Keys of `schema` that `record` lacks or holds with the wrong type."""
+    if not isinstance(record, dict):
+        return [f"{level} is {type(record).__name__}, not an object"]
+    problems = []
+    for key, typ in schema.items():
+        value = record.get(key)
+        if key not in record:
+            problems.append(f"{level} missing {key!r}")
+        elif not isinstance(value, typ) or (isinstance(value, bool) and typ is not bool):
+            problems.append(f"{level} key {key!r} has type {type(value).__name__}")
+    return problems
+
+
 def validate_report(report: dict):
     """Structural validation of a verification report; returns a list of
     problems (empty when the report conforms)."""
-    problems = []
-    for key, typ in REPORT_SCHEMA.items():
-        if key not in report:
-            problems.append(f"missing key {key!r}")
-        elif not isinstance(report[key], typ):
-            problems.append(f"key {key!r} has type {type(report[key]).__name__}")
-    for suite in report.get("suites", []):
-        for key in ("name", "passed", "elapsed_s", "maxrss_mb", "checks"):
-            if key not in suite:
-                problems.append(f"suite missing {key!r}")
-        for check in suite.get("checks", []):
-            for key, typ in CHECK_SCHEMA.items():
-                if key not in check:
-                    problems.append(f"check missing {key!r}")
-                elif not isinstance(check[key], typ):
-                    problems.append(f"check key {key!r} has wrong type")
-            if check.get("identity", "") == "":
+    problems = _schema_problems("report", report, REPORT_SCHEMA)
+    for suite in _listed(report, "suites"):
+        problems += _schema_problems("suite", suite, SUITE_SCHEMA)
+        for check in _listed(suite, "checks"):
+            problems += _schema_problems("check", check, CHECK_SCHEMA)
+            if isinstance(check, dict) and check.get("identity", "") == "":
                 problems.append("check with empty identity")
     return problems
+
+
+def _listed(record, key) -> list:
+    value = record.get(key) if isinstance(record, dict) else None
+    return value if isinstance(value, list) else []

@@ -164,24 +164,6 @@ def test_separation_residue_symmetry(dim3):
     assert abs(r1 - r2) <= 1e-6 * abs(r1)
 
 
-def test_separation_grid_form(dim3):
-    g1 = sg.make_grid(12)
-    g2 = sg.make_grid(12, phi_offset=0.2)
-    c1, c2 = sg.random_coeffs(4, 28), sg.random_coeffs(4, 29)
-    c3, c4 = sg.random_coeffs(4, 30), sg.random_coeffs(4, 31)
-    f = lambda c, g: sg.sht_inverse(c.pad(12), g).values.reshape(-1)
-    F4 = (np.outer(f(c1, g1), f(c2, g2)) + np.outer(f(c3, g1), f(c4, g2)))
-    alpha = 2.6
-    got = mero.pair_separation_power_grid(dim3, alpha, F4, g1, g2, L=8)
-    want = (mero.pair_separation_power(dim3, alpha, c1, c2)
-            + mero.pair_separation_power(dim3, alpha, c3, c4))
-    assert abs(got - want) / abs(want) < 1e-10
-    rg = mero.residue_separation_power_grid(dim3, 1, F4, g1, g2, L=8)
-    rw = (mero.residue_separation_power(dim3, 1, c1, c2)
-          + mero.residue_separation_power(dim3, 1, c3, c4))
-    assert abs(rg - rw) / abs(rw) < 1e-8
-
-
 def test_finite_smoothness_continuation(dim3):
     """A profile with limited smoothness at the base point continues
     stably only down to the matching pole; beyond that the truncated

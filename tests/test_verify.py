@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,18 @@ from confsphere import reps, verify
 def quick_results():
     cfg = verify.RunConfig(quick=True)
     return verify.run_all(cfg)
+
+
+def test_quick_measured_values_are_pinned(quick_results):
+    # verify --quick at the default seed; the BLAS thread count moves these
+    # values by at most 1.1e-15, so 1e-12 absolute leaves room only for that
+    pinned = json.loads((Path(__file__).parent / "data"
+                         / "verify_quick_measured.json").read_text())
+    checks = [c for res in quick_results for c in res.checks]
+    assert [c.id for c in checks] == list(pinned)
+    moved = {c.id: (c.measured, pinned[c.id]) for c in checks
+             if not abs(c.measured - pinned[c.id]) <= 1e-12}
+    assert not moved, moved
 
 
 def test_all_suites_pass_on_correct_build(quick_results):
@@ -74,9 +87,19 @@ def test_schema_validator_catches_problems(quick_results):
     bad = json.loads(json.dumps(report))
     del bad["all_passed"]
     bad["suites"][0]["checks"][0]["identity"] = ""
+    bad["suites"][1]["passed"] = "no"
+    bad["suites"][2]["maxrss_mb"] = "61.0"
+    bad["suites"][3]["checks"][0]["measured"] = None
+    bad["suites"][4]["checks"][0]["tolerance"] = True
     problems = verify.validate_report(bad)
     assert any("all_passed" in p for p in problems)
     assert any("empty identity" in p for p in problems)
+    assert "suite key 'passed' has type str" in problems
+    assert "suite key 'maxrss_mb' has type str" in problems
+    assert "check key 'measured' has type NoneType" in problems
+    assert "check key 'tolerance' has type bool" in problems
+    assert verify.validate_report({**report, "suites": [[]]}) == [
+        "suite is list, not an object"]
 
 
 def test_fault_injection_breaks_only_residues():
