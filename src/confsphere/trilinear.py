@@ -24,10 +24,17 @@ respect to the half parameter, matching the convention in `mero`.
 Evaluation.  The direct engine, the reference quadrature, runs on three
 staggered grids that share their polar nodes and n_phi, so each kernel
 between two of them is block-circulant in azimuth and is held as one
-nt x n_phi x nt table.  Per polar ring of x1 it applies the middle kernel
-as n_phi (nt x nt) products in azimuthal frequency: O(nt N^2) work per
-value and no N x N array.  The fast engine and the alpha3 family are the
-harmonic-basis trace Tr(M_f1 E_a3 M_f2 E_a1 M_f3 E_a2) = sum_l e_l(a3) A_l,
+nt x n_phi x nt table and its FFT over the azimuth difference.  On
+band-limited inputs the quadrature sum is taken in azimuthal frequency:
+each field's DFT on its grid's rings comes exactly from its coefficients
+and the Legendre rows, only its nonzero orders are kept, folded mod
+n_phi, and the three spectra are contracted with the transformed tables:
+O(n_phi B nt^3 + n_phi B^2 nt^2) work per value for B orders.  Callables
+(moved fields, not band-limited) are sampled; per polar ring of x1 the
+middle kernel acts as n_phi (nt x nt) products in azimuthal frequency:
+O(nt N^2) work per value.  Neither path holds an N x N array.  The fast
+engine and the alpha3 family are the harmonic-basis trace
+Tr(M_f1 E_a3 M_f2 E_a1 M_f3 E_a2) = sum_l e_l(a3) A_l,
 M_f multiplication by f and E_a the closed-form Knapp-Stein eigenvalues
 (`_degree_weights`): exact products, so its only error is the tail of
 E_a3.  It streams the basis columns sorted by order m in 4 MB slabs, and
@@ -49,7 +56,7 @@ import numpy as np
 from .lorentz import Dimension, ConformalMap, act, conformal_factor, inverse
 from .reps import field_from_coeffs, pi_pointwise
 from .sphgrid import (GridFunction, HarmonicCoeffs, _lm_mask, _phase_matrix,
-                      make_grid, sht_forward, sht_forward_columns,
+                      legendre_table, make_grid, sht_forward, sht_forward_columns,
                       sht_synthesize_columns, synth_at_points)
 from .special import gamma_ratio
 from .spectral_ops import (apply_multiplier, gjms_constant,
@@ -59,7 +66,8 @@ from .mero import pair_separation_power, residue_ring
 CONVERGENCE_MARGIN = 0.25
 KERNEL_BLOCK = 1 << 18   # entries per (N x block) slab of trace columns: 4 MB complex
 MAX_RING_WORKSET = 1 << 23   # complex entries of the direct engine's per-ring
-                             # arrays, 4 nt n_phi^2: 128 MB, grids up to (80, 160)
+                             # arrays, 4 nt n_phi^2, which also bound each chunk
+                             # of its frequency path: 128 MB, grids up to (80, 160)
 RING_RADIUS = 0.15       # contour rings of the residue bridge and the pole scans
 SCAN_STEP = 0.2          # spacing of the pole-scan ring centers
 
@@ -298,13 +306,37 @@ def _azimuth_table(A, B, s) -> np.ndarray:
     return chordal_power(A.flat_points(), B.flat_points()[::npz], s).reshape(nt, npz, nt)
 
 
+def _ring_spectrum(f: HarmonicCoeffs, grid) -> tuple:
+    """f w dphi on the grid's polar rings transformed in azimuth, exactly
+    from the coefficients: for phi_j = phi_0 + j dphi,
+        F[k, i] = sum_j f(u_i, phi_j) w_i dphi e^{-2 pi i k j / n_phi}
+                = 2 pi w_i sum_{m = k mod n_phi} e^{i m phi_0} sum_l c_lm p_lm(u_i).
+    Returns the residues k of f's nonzero orders and F, zero off them."""
+    L = f.L
+    c = np.where(_lm_mask(L), f.c, 0.0)
+    keep = np.any(c != 0, axis=0)
+    m = np.arange(-L, L + 1)[keep]
+    tab = grid.legendre if L <= grid.L else legendre_table(L, grid.u)
+    l = np.arange(L + 1)[:, None]
+    rows = tab[np.where(np.abs(m) <= l, l * (l + 1) // 2 + np.abs(m), 0)]
+    G = np.einsum("lm,lmi->mi", c[:, keep] * np.where(m < 0, (-1.0) ** m, 1.0), rows)
+    k = m % grid.n_phi
+    F = np.zeros((grid.n_phi, grid.n_theta), dtype=complex)
+    np.add.at(F, k, 2.0 * math.pi * np.exp(1j * m * grid.phi[0])[:, None] * G * grid.w)
+    return np.flatnonzero(np.bincount(k, minlength=grid.n_phi)), F
+
+
 class TripleEngine:
     """The generic form of one parameter triple, reusable across fields.
     method "direct" (the reference quadrature) holds each kernel as its
-    azimuth table (`_azimuth_table`), the middle one x2 to x3 transformed
-    in azimuth; `value` runs over the polar rings of x1, refused when the
-    per-ring arrays would exceed MAX_RING_WORKSET complex entries.
-    "fast" is the trace of `_degree_weights`, exact up to its L_kernel tail."""
+    azimuth table (`_azimuth_table`) and its transform in azimuth, refused
+    when the per-ring arrays would exceed MAX_RING_WORKSET complex entries.
+    On three HarmonicCoeffs `value` contracts their exact azimuthal spectra
+    (`_ring_spectrum`) with the transformed tables (`_spectral_value`); on
+    any callable, a moved field that is not band-limited, it samples the
+    inputs and runs over the polar rings of x1.  Both are the same
+    quadrature sum.  "fast" is the trace of `_degree_weights`, exact up to
+    its L_kernel tail."""
 
     def __init__(self, dim: Dimension, alpha, method: str = "direct",
                  grid_size=(24, 48), L_kernel: int | None = None,
@@ -325,9 +357,12 @@ class TripleEngine:
             self.grids = g1, g2, g3 = triple_grids(grid_size)
             rho, (a1, a2, a3) = dim.rho, self.alpha
             # tables [i1, d, i3] and [i1, d, i2] of the kernels x3 to x1 and
-            # x2 to x1, and [q, i3, i2], the kernel x2 to x3 transformed in d
+            # x2 to x1, and all three transformed in d: inner_hat [q, i3, i1],
+            # outer_hat [p, i1, i2] and middle [q, i3, i2], the kernel x2 to x3
             self.inner = _azimuth_table(g3, g1, a2 - rho).transpose(2, 1, 0).copy()
             self.outer = _azimuth_table(g2, g1, a3 - rho).transpose(2, 1, 0).copy()
+            self.inner_hat = np.fft.fft(self.inner, axis=1).transpose(1, 2, 0).copy()
+            self.outer_hat = np.fft.fft(self.outer, axis=1).transpose(1, 0, 2).copy()
             self.middle = np.fft.fft(_azimuth_table(g2, g3, a1 - rho),
                                      axis=1).transpose(1, 2, 0).copy()
         elif method == "fast":
@@ -343,6 +378,8 @@ class TripleEngine:
             a1, a2, _ = self.alpha
             return complex(np.dot(self.eig3, _degree_weights(
                 self.dim, a1, a2, (f1, f2, f3), self.grid_size, self.L_kernel)))
+        if all(isinstance(f, HarmonicCoeffs) for f in (f1, f2, f3)):
+            return self._spectral_value(f1, f2, f3)
         nt, npz = self.grids[0].shape
         FW1, FW2, FW3 = (
             (_sample(f, g.flat_points()) * g.flat_weights()).reshape(nt, npz)
@@ -361,6 +398,35 @@ class TripleEngine:
             total += np.einsum("jki,jki,ji->k", H, self.outer[i1][shift],
                                FW2.T) @ FW1[i1]
         return complex(total)
+
+    def _spectral_value(self, f1, f2, f3) -> complex:
+        """The ring loop's quadrature sum in azimuthal frequency, for
+        band-limited inputs: with the fields' spectra F (`_ring_spectrum`)
+        and the transformed tables,
+            value = n^-3 sum_{p, m1, m2} sum_{i1, i2, i3} F1[m1, i1]
+                    F2[m2, i2] F3[m3, i3] outer_hat[p, i1, i2]
+                    middle[-m2-p, i3, i2] inner_hat[m1-p, i3, i1],
+        n = n_phi, orders mod n and m3 = -m1-m2.  Per chunk of p,
+        X = (F1 inner_hat) outer_hat and Z = F2 middle, and W[i3, m1, m2]
+        sums X Z over p and i2: O(n B nt^3 + n B^2 nt^2) for B orders.  A
+        chunk's arrays hold at most the ring loop's per-ring entries
+        4 nt n^2, which __init__ keeps within MAX_RING_WORKSET."""
+        nt, npz = self.grids[0].shape
+        (k1, F1), (k2, F2), (_, F3) = (_ring_spectrum(f, g)
+                                       for f, g in zip((f1, f2, f3), self.grids))
+        F1, F2 = F1[k1], F2[k2]
+        W = np.zeros((nt, k1.size, k2.size), dtype=complex)
+        chunk = max(1, 4 * npz * npz // (nt * max(1, 2 * k1.size + k2.size)))
+        for start in range(0, npz, chunk):
+            p = np.arange(start, min(start + chunk, npz))[:, None]
+            X = self.inner_hat[(k1 - p) % npz]                  # [p, m1, i3, i1]
+            X *= F1[:, None, :]
+            X = X @ self.outer_hat[p]                           # [p, m1, i3, i2]
+            Z = self.middle[(-k2 - p) % npz]                    # [p, m2, i3, i2]
+            Z *= F2[:, None, :]
+            W += (X.transpose(0, 2, 1, 3) @ Z.transpose(0, 2, 3, 1)).sum(axis=0)
+        F3 = F3[-(k1[:, None] + k2) % npz]                     # [m1, m2, i3]
+        return complex(np.einsum("jab,abj->", W, F3)) / npz ** 3
 
 
 def generic_form(dim: Dimension, alpha, f1, f2, f3, method: str = "direct",

@@ -154,7 +154,7 @@ def representation_suite(cfg: RunConfig):
     grid = sphgrid.make_grid(32)
     count = cfg.count(20)
 
-    worst_grp = 0.0
+    group = []
     group_grid = sphgrid.make_grid(64)   # composed boosts decay slowly
     for i in range(cfg.count(5)):
         g1 = random_element(DIM, cfg.seed + 31 + i, max_boost=0.5)
@@ -167,20 +167,20 @@ def representation_suite(cfg: RunConfig):
         rhs = reps.pi_act(DIM, lam, g1, inner)
         rel = (np.abs(lhs.values - rhs.values).max()
                / np.abs(lhs.values).max())
-        worst_grp = max(worst_grp, float(rel))
-    _check(out, "rep-group-law", "principal-series-group-law", worst_grp, 1e-9)
+        group.append(float(rel))
+    _check(out, "rep-group-law", "principal-series-group-law", _worst(group), 1e-9)
 
-    worst_dual = 0.0
+    duality = []
     for i in range(cfg.count(5)):
         g = random_element(DIM, cfg.seed + 91 + i, max_boost=0.5)
         cf = sphgrid.random_coeffs(8, cfg.seed + 101 + i)
         cp = sphgrid.random_coeffs(8, cfg.seed + 111 + i)
         defect = reps.duality_defect(DIM, 0.7, g, cf, cp, grid)
         scale = cf.l2_norm() * cp.l2_norm()
-        worst_dual = max(worst_dual, defect / scale)
-    _check(out, "rep-duality", "principal-series-duality", worst_dual, 1e-6)
+        duality.append(defect / scale)
+    _check(out, "rep-duality", "principal-series-duality", _worst(duality), 1e-6)
 
-    worst_dirac = 0.0
+    dirac = []
     dirac_grid = sphgrid.make_grid(96)   # composed boosts decay slowly
     for i in range(count):
         g = random_element(DIM, cfg.seed + 131 + i, max_boost=0.6)
@@ -188,19 +188,18 @@ def representation_suite(cfg: RunConfig):
         phi = sphgrid.random_coeffs(10, cfg.seed + 141 + i)
         a = reps.dirac_pair(DIM, lam, g, phi)
         b = reps.dirac_pair_dual(DIM, lam, g, phi, dirac_grid)
-        worst_dirac = max(worst_dirac, abs(a - b) / abs(a))
-    _check(out, "rep-dirac", "point-mass-transformation-law", worst_dirac, 1e-9)
+        dirac.append(abs(a - b) / abs(a))
+    _check(out, "rep-dirac", "point-mass-transformation-law", _worst(dirac), 1e-9)
 
-    worst_uni = 0.0
+    unitary = []
     for i in range(cfg.count(5)):
         g = random_element(DIM, cfg.seed + 151 + i, max_boost=0.5)
         coeffs = sphgrid.random_coeffs(8, cfg.seed + 161 + i)
         f = sphgrid.sht_inverse(coeffs.pad(grid.L), grid)
         moved = reps.pi_act_coeffs(DIM, 1j * (0.3 + 0.2 * i), g, coeffs, grid)
-        worst_uni = max(worst_uni,
-                        abs(sphgrid.norm_l2(moved) - sphgrid.norm_l2(f))
-                        / sphgrid.norm_l2(f))
-    _check(out, "rep-unitary", "imaginary-axis-isometry", worst_uni, 1e-6)
+        unitary.append(abs(sphgrid.norm_l2(moved) - sphgrid.norm_l2(f))
+                       / sphgrid.norm_l2(f))
+    _check(out, "rep-unitary", "imaginary-axis-isometry", _worst(unitary), 1e-6)
     return out
 
 
@@ -342,13 +341,14 @@ def intertwining_suite(cfg: RunConfig):
                grid, [(k, cfg.seed + 500 + 29 * k + i, cfg.seed + 600 + 31 * k + i)
                       for k in (1, 2) for i in range(cfg.count(10))])), 1e-4)
 
-    worst = 0.0
+    knapp_stein = []
     for i in range(cfg.count(6)):
         lam = 0.3 + 0.1 * i
         f = sphgrid.random_coeffs(16, cfg.seed + 700 + i)
         g = random_element(DIM, cfg.seed + 800 + i, max_boost=0.3)
-        worst = max(worst, _knapp_stein_intertwining_defect(DIM, lam, g, f, grid))
-    _check(out, "int-knapp-stein", "kernel-operator-intertwining", worst, 1e-4)
+        knapp_stein.append(_knapp_stein_intertwining_defect(DIM, lam, g, f, grid))
+    _check(out, "int-knapp-stein", "kernel-operator-intertwining", _worst(knapp_stein),
+           1e-4)
     return out
 
 

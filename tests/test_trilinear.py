@@ -172,19 +172,71 @@ def _dense_singular_oracle(dim, fs, grid_size, k, a1, a2, L_K):
 
 
 @pytest.mark.parametrize("alpha", [(1.6, 1.8, 1.55), (1.6 + 0.3j, 1.8, 1.55)])
-def test_direct_engine_matches_dense_oracle(dim3, alpha):
-    # the ring loop over x1 with the middle kernel applied per azimuthal
-    # frequency is the dense triple sum in another order: a complex a1
-    # makes the middle table complex, (9, 19) has an odd n_phi, and the
-    # boosted callable is not band-limited
+def test_direct_engine_matches_dense_oracle(dim3, alpha, monkeypatch):
+    # a boosted callable is not band-limited, so a call with one takes the
+    # ring loop over x1 (the frequency path is disabled here), with the
+    # middle kernel applied per azimuthal frequency: the dense triple sum
+    # in another order.  A complex a1 makes the middle table complex, and
+    # (9, 19) has an odd n_phi.
     from confsphere.reps import pi_pointwise
     fs = [sg.random_coeffs(4, 170 + j) for j in range(3)]
     moved = pi_pointwise(dim3, 0.6, random_element(dim3, 175, max_boost=0.3), fs[0])
+    monkeypatch.setattr(tri.TripleEngine, "_spectral_value", None)
     for grid_size in ((12, 24), (9, 19)):
         engine = tri.TripleEngine(dim3, alpha, method="direct", grid_size=grid_size)
-        for inputs in (fs, [moved] + fs[1:]):
-            want = _dense_direct_oracle(dim3, inputs, grid_size, alpha)
-            assert abs(engine.value(*inputs) - want) <= 1e-13 * abs(want)
+        inputs = [moved] + fs[1:]
+        want = _dense_direct_oracle(dim3, inputs, grid_size, alpha)
+        assert abs(engine.value(*inputs) - want) <= 1e-13 * abs(want)
+
+
+def _spectrum_cases(n_phi):
+    """Field triples for the direct engine's frequency path: constants
+    (L = 0); a real degree-4 field, a complex one whose only orders are
+    -3, 0 and 2, and a constant; and degrees whose orders alias on the
+    grid, 3 L >= n_phi for the first and 2 L + 1 > n_phi for the third."""
+    one = sg.coeffs_constant(1.0)
+    sparse = sg.random_coeffs(5, 171)
+    sparse.c[:, ~np.isin(np.arange(-5, 6), (-3, 0, 2))] = 0.0
+    return [(one, one, one),
+            (sg.random_coeffs(4, 172, real_field=True), sparse, one),
+            (sg.random_coeffs(-(-n_phi // 3), 173), sg.random_coeffs(2, 174),
+             sg.random_coeffs(n_phi // 2 + 1, 175))]
+
+
+SPECTRUM_ALPHAS = {"real": (1.6, 1.8, 1.55), "complex": (1.6 + 0.3j, 1.8, 2.5 - 0.2j),
+                   "integer": (3, 1, 1)}
+
+
+@pytest.mark.parametrize("grid_size, alpha", [
+    pytest.param(g, a, id=f"{g[0]}x{g[1]}-{kind}")
+    for g, kinds in (((9, 19), SPECTRUM_ALPHAS), ((12, 24), SPECTRUM_ALPHAS),
+                     ((24, 48), ("complex",)))
+    for kind, a in ((k, SPECTRUM_ALPHAS[k]) for k in kinds)])
+def test_frequency_path_matches_ring_loop_and_dense_oracle(dim3, grid_size, alpha,
+                                                           monkeypatch):
+    # three HarmonicCoeffs are contracted in azimuthal frequency from their
+    # exact spectra, without sampling; the same fields as callables take
+    # the ring loop, and the dense oracle sums the whole N x N kernels
+    from confsphere.reps import field_from_coeffs
+    engine = tri.TripleEngine(dim3, alpha, grid_size=grid_size)
+    for fs in _spectrum_cases(grid_size[1]):
+        ring = engine.value(*map(field_from_coeffs, fs))
+        dense = _dense_direct_oracle(dim3, fs, grid_size, alpha)
+        with monkeypatch.context() as m:
+            m.setattr(tri, "_sample", None)
+            got = engine.value(*fs)
+        assert abs(got - ring) <= 1e-13 * abs(ring)
+        assert abs(got - dense) <= 1e-13 * abs(dense)
+
+
+def test_frequency_path_matches_ring_loop_on_large_grid(dim3):
+    # (48, 96): the frequency path runs in several chunks of p, and the
+    # third field's degree 49 is above the grid's own Legendre table
+    from confsphere.reps import field_from_coeffs
+    engine = tri.TripleEngine(dim3, SPECTRUM_ALPHAS["complex"], grid_size=(48, 96))
+    fs = _spectrum_cases(96)[2]
+    ring = engine.value(*map(field_from_coeffs, fs))
+    assert abs(engine.value(*fs) - ring) <= 1e-13 * abs(ring)
 
 
 def test_trace_quadrature_oracle_converges_to_exact_trace(dim3):
@@ -302,19 +354,33 @@ def test_fast_engine_memory_bounded(dim3):
     assert peak < 64e6
 
 
-def test_direct_engine_memory_bounded(dim3):
-    # no N x N array: at (48, 96) one dense real kernel alone is 170 MB;
-    # the azimuth tables and one ring's arrays take a few tens of MB
+def _direct_engine_peak(dim, fs):
+    """tracemalloc peak of one direct engine and one value at (48, 96)."""
     import tracemalloc
-    fs = [sg.random_coeffs(4, 180 + j, real_field=True) for j in range(3)]
     tri.triple_grids((48, 96))
     tracemalloc.start()
     try:
-        tri.TripleEngine(dim3, (1.62, 1.71, 1.83), grid_size=(48, 96)).value(*fs)
-        peak = tracemalloc.get_traced_memory()[1]
+        tri.TripleEngine(dim, (1.62, 1.71, 1.83), grid_size=(48, 96)).value(*fs)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 100e6
+
+
+def test_direct_engine_memory_bounded(dim3):
+    # no N x N array: at (48, 96) one dense real kernel alone is 170 MB;
+    # the azimuth tables and one chunk of the frequency path take a few
+    # tens of MB
+    fs = [sg.random_coeffs(4, 180 + j, real_field=True) for j in range(3)]
+    assert _direct_engine_peak(dim3, fs) < 100e6
+
+
+def test_direct_engine_memory_bounded_on_callables(dim3):
+    # callables take the ring loop: the azimuth tables and one ring's
+    # arrays, 4 nt n_phi^2 complex entries (28 MB at (48, 96))
+    from confsphere.reps import field_from_coeffs
+    fs = [field_from_coeffs(sg.random_coeffs(4, 180 + j, real_field=True))
+          for j in range(3)]
+    assert _direct_engine_peak(dim3, fs) < 100e6
 
 
 def test_direct_engine_refuses_oversized_kernel(dim3, monkeypatch):

@@ -1,9 +1,11 @@
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from confsphere import reps, verify
+from confsphere import reps, sphgrid, verify
 
 
 @pytest.fixture(scope="module")
@@ -123,3 +125,32 @@ def test_representation_suite_passes_at_other_seeds(seed):
     res = verify.run_suite("representation", verify.RunConfig(quick=True, seed=seed))
     failing = [(c.id, c.measured) for c in res.checks if not c.passed]
     assert not failing, failing
+
+
+@pytest.mark.parametrize("suite, cid, module, attr", [
+    ("representation", "rep-group-law", reps, "pi_act"),
+    ("representation", "rep-duality", reps, "duality_defect"),
+    ("representation", "rep-dirac", reps, "dirac_pair"),
+    ("representation", "rep-unitary", sphgrid, "norm_l2"),
+    ("intertwining", "int-knapp-stein", verify, "_knapp_stein_intertwining_defect"),
+])
+def test_nan_defect_fails_its_check(monkeypatch, suite, cid, module, attr):
+    # the first instance's defect turns NaN; in Python max(0.0, nan) is
+    # 0.0, so a check that folds its defects with max would pass with 0.0
+    original = getattr(module, attr)
+    calls = []
+
+    def poisoned(*args, **kwargs):
+        out = original(*args, **kwargs)
+        calls.append(attr)
+        if len(calls) > 1:
+            return out
+        if hasattr(out, "values"):
+            return SimpleNamespace(values=np.full(out.values.shape, np.nan))
+        return out * np.nan
+
+    monkeypatch.setattr(module, attr, poisoned)
+    res = verify.run_suite(suite, verify.RunConfig(quick=True))
+    assert calls
+    failing = {c.id: c.measured for c in res.checks if not c.passed}
+    assert list(failing) == [cid] and np.isnan(failing[cid])
