@@ -23,18 +23,16 @@ respect to the half parameter, matching the convention in `mero`.
 
 Evaluation.  The direct engine, the reference quadrature, runs on three
 staggered grids that share their polar nodes and n_phi, so each kernel
-between two of them is block-circulant in azimuth and is held as one
-nt x n_phi x nt table and its FFT over the azimuth difference.  On
-band-limited inputs the quadrature sum is taken in azimuthal frequency:
-each field's DFT on its grid's rings comes exactly from its coefficients
-and the Legendre rows, only its nonzero orders are kept, folded mod
-n_phi, and the three spectra are contracted with the transformed tables:
-O(n_phi B nt^3 + n_phi B^2 nt^2) work per value for B orders.  Callables
-(moved fields, not band-limited) are sampled; per polar ring of x1 the
-middle kernel acts as n_phi (nt x nt) products in azimuthal frequency:
-O(nt N^2) work per value.  Neither path holds an N x N array.  The fast
-engine and the alpha3 family are the harmonic-basis trace
-Tr(M_f1 E_a3 M_f2 E_a1 M_f3 E_a2) = sum_l e_l(a3) A_l,
+between two of them is block-circulant in azimuth and is held as the FFT
+of one nt x n_phi x nt table over the azimuth difference.  The quadrature
+sum is taken in azimuthal frequency: the three fields' DFTs on their
+grids' rings are contracted with the transformed tables, O(n_phi B nt^3 +
+n_phi B^2 nt^2) work per value for B orders and no N x N array.  A
+HarmonicCoeffs gives its DFT exactly from its coefficients and the
+Legendre rows, only its nonzero orders kept, folded mod n_phi; a callable
+(a moved field, not band-limited) gives the FFT of its ring samples, all
+B = n_phi orders.  The fast engine and the alpha3 family are the
+harmonic-basis trace Tr(M_f1 E_a3 M_f2 E_a1 M_f3 E_a2) = sum_l e_l(a3) A_l,
 M_f multiplication by f and E_a the closed-form Knapp-Stein eigenvalues
 (`_degree_weights`): exact products, so its only error is the tail of
 E_a3.  It streams the basis columns sorted by order m in 4 MB slabs, and
@@ -65,9 +63,9 @@ from .mero import pair_separation_power, residue_ring
 
 CONVERGENCE_MARGIN = 0.25
 KERNEL_BLOCK = 1 << 18   # entries per (N x block) slab of trace columns: 4 MB complex
-MAX_RING_WORKSET = 1 << 23   # complex entries of the direct engine's per-ring
-                             # arrays, 4 nt n_phi^2, which also bound each chunk
-                             # of its frequency path: 128 MB, grids up to (80, 160)
+MAX_RING_WORKSET = 1 << 23   # complex entries of the direct engine's contraction,
+                             # its per-chunk arrays and W, at most about
+                             # 4 nt n_phi^2: 128 MB, grids up to (80, 160)
 RING_RADIUS = 0.15       # contour rings of the residue bridge and the pole scans
 SCAN_STEP = 0.2          # spacing of the pole-scan ring centers
 
@@ -306,12 +304,18 @@ def _azimuth_table(A, B, s) -> np.ndarray:
     return chordal_power(A.flat_points(), B.flat_points()[::npz], s).reshape(nt, npz, nt)
 
 
-def _ring_spectrum(f: HarmonicCoeffs, grid) -> tuple:
-    """f w dphi on the grid's polar rings transformed in azimuth, exactly
-    from the coefficients: for phi_j = phi_0 + j dphi,
-        F[k, i] = sum_j f(u_i, phi_j) w_i dphi e^{-2 pi i k j / n_phi}
-                = 2 pi w_i sum_{m = k mod n_phi} e^{i m phi_0} sum_l c_lm p_lm(u_i).
-    Returns the residues k of f's nonzero orders and F, zero off them."""
+def _ring_spectrum(f, grid) -> tuple:
+    """f w dphi on the grid's polar rings transformed in azimuth: for
+    phi_j = phi_0 + j dphi,
+        F[k, i] = sum_j f(u_i, phi_j) w_i dphi e^{-2 pi i k j / n_phi}.
+    A callable is sampled and each ring transformed by FFT, every residue
+    k counted as nonzero.  A HarmonicCoeffs gives F exactly from its coefficients,
+        F[k, i] = 2 pi w_i sum_{m = k mod n_phi} e^{i m phi_0} sum_l c_lm p_lm(u_i),
+    nonzero only at the residues of its nonzero orders.  Returns those
+    residues k and F, zero off them."""
+    if not isinstance(f, HarmonicCoeffs):
+        FW = _sample(f, grid.flat_points()) * grid.flat_weights()
+        return np.arange(grid.n_phi), np.fft.fft(FW.reshape(grid.shape), axis=1).T
     L = f.L
     c = np.where(_lm_mask(L), f.c, 0.0)
     keep = np.any(c != 0, axis=0)
@@ -328,15 +332,14 @@ def _ring_spectrum(f: HarmonicCoeffs, grid) -> tuple:
 
 class TripleEngine:
     """The generic form of one parameter triple, reusable across fields.
-    method "direct" (the reference quadrature) holds each kernel as its
-    azimuth table (`_azimuth_table`) and its transform in azimuth, refused
-    when the per-ring arrays would exceed MAX_RING_WORKSET complex entries.
-    On three HarmonicCoeffs `value` contracts their exact azimuthal spectra
-    (`_ring_spectrum`) with the transformed tables (`_spectral_value`); on
-    any callable, a moved field that is not band-limited, it samples the
-    inputs and runs over the polar rings of x1.  Both are the same
-    quadrature sum.  "fast" is the trace of `_degree_weights`, exact up to
-    its L_kernel tail."""
+    method "direct" (the reference quadrature) holds each kernel's azimuth
+    table (`_azimuth_table`) transformed in azimuth, refused when the
+    contraction's working set would exceed MAX_RING_WORKSET complex
+    entries.  `value` contracts the fields' azimuthal spectra on their
+    grids' rings (`_ring_spectrum`: exact and sparse in m for
+    HarmonicCoeffs, the FFT of the ring samples for callables) with the
+    transformed tables.  "fast" is the trace of `_degree_weights`, exact
+    up to its L_kernel tail."""
 
     def __init__(self, dim: Dimension, alpha, method: str = "direct",
                  grid_size=(24, 48), L_kernel: int | None = None,
@@ -351,18 +354,18 @@ class TripleEngine:
             nt, npz = (int(v) for v in grid_size)
             entries = 4 * nt * npz * npz
             if entries > MAX_RING_WORKSET:
-                raise ValueError(f"the direct engine's per-ring working set would "
+                raise ValueError(f"the direct engine's contraction working set would "
                                  f"have {entries} complex entries (max "
                                  f"{MAX_RING_WORKSET}); use method='fast'")
             self.grids = g1, g2, g3 = triple_grids(grid_size)
             rho, (a1, a2, a3) = dim.rho, self.alpha
-            # tables [i1, d, i3] and [i1, d, i2] of the kernels x3 to x1 and
-            # x2 to x1, and all three transformed in d: inner_hat [q, i3, i1],
-            # outer_hat [p, i1, i2] and middle [q, i3, i2], the kernel x2 to x3
-            self.inner = _azimuth_table(g3, g1, a2 - rho).transpose(2, 1, 0).copy()
-            self.outer = _azimuth_table(g2, g1, a3 - rho).transpose(2, 1, 0).copy()
-            self.inner_hat = np.fft.fft(self.inner, axis=1).transpose(1, 2, 0).copy()
-            self.outer_hat = np.fft.fft(self.outer, axis=1).transpose(1, 0, 2).copy()
+            # the tables [i3, d, i1], [i2, d, i1] and [i2, d, i3] of the
+            # kernels x3 to x1, x2 to x1 and x2 to x3, transformed in d:
+            # inner_hat [q, i3, i1], outer_hat [p, i1, i2], middle [q, i3, i2]
+            self.inner_hat = np.fft.fft(_azimuth_table(g3, g1, a2 - rho),
+                                        axis=1).transpose(1, 0, 2).copy()
+            self.outer_hat = np.fft.fft(_azimuth_table(g2, g1, a3 - rho),
+                                        axis=1).transpose(1, 2, 0).copy()
             self.middle = np.fft.fft(_azimuth_table(g2, g3, a1 - rho),
                                      axis=1).transpose(1, 2, 0).copy()
         elif method == "fast":
@@ -374,43 +377,21 @@ class TripleEngine:
             raise ValueError("method must be 'direct' or 'fast'")
 
     def value(self, f1, f2, f3) -> complex:
-        if self.method == "fast":
-            a1, a2, _ = self.alpha
-            return complex(np.dot(self.eig3, _degree_weights(
-                self.dim, a1, a2, (f1, f2, f3), self.grid_size, self.L_kernel)))
-        if all(isinstance(f, HarmonicCoeffs) for f in (f1, f2, f3)):
-            return self._spectral_value(f1, f2, f3)
-        nt, npz = self.grids[0].shape
-        FW1, FW2, FW3 = (
-            (_sample(f, g.flat_points()) * g.flat_weights()).reshape(nt, npz)
-            for f, g in zip((f1, f2, f3), self.grids))
-        shift = (np.arange(npz)[:, None] - np.arange(npz)) % npz   # [j, j1]: j - j1
-        FW3t = FW3.T[:, None, :]                                   # [j3, 1, i3]
-        # per ring i1 of x1, all its azimuths j1 at once:
-        #   G[j3, j1, i3] = f3 w3 (x3) |x3 - x1|^{a2-rho},
-        #   H[j2, j1, i2] = sum_x3 |x2 - x3|^{a1-rho} G, a circular
-        #                   convolution in j3, so one product per frequency,
-        # then the sum of f2 w2 (x2) |x2 - x1|^{a3-rho} H against f1 w1 (x1)
-        total = 0.0 + 0.0j
-        for i1 in range(nt):
-            G = self.inner[i1][shift] * FW3t
-            H = np.fft.ifft(np.fft.fft(G, axis=0) @ self.middle, axis=0)
-            total += np.einsum("jki,jki,ji->k", H, self.outer[i1][shift],
-                               FW2.T) @ FW1[i1]
-        return complex(total)
-
-    def _spectral_value(self, f1, f2, f3) -> complex:
-        """The ring loop's quadrature sum in azimuthal frequency, for
-        band-limited inputs: with the fields' spectra F (`_ring_spectrum`)
+        """The form on three fields.  Direct: the quadrature sum in
+        azimuthal frequency, with the fields' spectra F (`_ring_spectrum`)
         and the transformed tables,
             value = n^-3 sum_{p, m1, m2} sum_{i1, i2, i3} F1[m1, i1]
                     F2[m2, i2] F3[m3, i3] outer_hat[p, i1, i2]
                     middle[-m2-p, i3, i2] inner_hat[m1-p, i3, i1],
         n = n_phi, orders mod n and m3 = -m1-m2.  Per chunk of p,
         X = (F1 inner_hat) outer_hat and Z = F2 middle, and W[i3, m1, m2]
-        sums X Z over p and i2: O(n B nt^3 + n B^2 nt^2) for B orders.  A
-        chunk's arrays hold at most the ring loop's per-ring entries
-        4 nt n^2, which __init__ keeps within MAX_RING_WORKSET."""
+        sums X Z over p and i2: O(n B nt^3 + n B^2 nt^2) for B orders, B = n
+        for a callable.  A chunk's arrays and W hold at most about
+        4 nt n^2 entries, which __init__ keeps within MAX_RING_WORKSET."""
+        if self.method == "fast":
+            a1, a2, _ = self.alpha
+            return complex(np.dot(self.eig3, _degree_weights(
+                self.dim, a1, a2, (f1, f2, f3), self.grid_size, self.L_kernel)))
         nt, npz = self.grids[0].shape
         (k1, F1), (k2, F2), (_, F3) = (_ring_spectrum(f, g)
                                        for f, g in zip((f1, f2, f3), self.grids))
@@ -435,7 +416,9 @@ def generic_form(dim: Dimension, alpha, f1, f2, f3, method: str = "direct",
 
     f1, f2, f3 may be HarmonicCoeffs or callables on point arrays.
 
-    method "direct": full triple quadrature with exact kernel matrices.
+    method "direct": the reference triple quadrature on three staggered
+                     grids of grid_size, taken in azimuthal frequency
+                     (`TripleEngine`); L_kernel is not used.
     method "fast":   the harmonic-basis trace, exact up to its tail beyond
                      L_kernel (default: 4x the field degree, at least 8,
                      capped at what the grid resolves); grid_size matters

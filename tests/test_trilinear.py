@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
 from scipy.special import loggamma
 
 from confsphere.lorentz import boost, random_element, rotation
@@ -119,7 +120,8 @@ def test_spectral_family_matches_direct(dim3):
 
 def _dense_direct_oracle(dim, fs, grid_size, alpha):
     """The direct generic form from whole N x N kernel matrices: the dense
-    formula the azimuthal ring loop replaces (test-only reference)."""
+    quadrature sum that the direct engine takes in azimuthal frequency
+    (test-only reference)."""
     rho = dim.rho
     a1, a2, a3 = alpha
     g1, g2, g3 = tri.triple_grids(grid_size)
@@ -172,25 +174,26 @@ def _dense_singular_oracle(dim, fs, grid_size, k, a1, a2, L_K):
 
 
 @pytest.mark.parametrize("alpha", [(1.6, 1.8, 1.55), (1.6 + 0.3j, 1.8, 1.55)])
-def test_direct_engine_matches_dense_oracle(dim3, alpha, monkeypatch):
-    # a boosted callable is not band-limited, so a call with one takes the
-    # ring loop over x1 (the frequency path is disabled here), with the
-    # middle kernel applied per azimuthal frequency: the dense triple sum
-    # in another order.  A complex a1 makes the middle table complex, and
-    # (9, 19) has an odd n_phi.
+def test_direct_engine_matches_dense_oracle(dim3, alpha):
+    # a boosted callable is not band-limited, so its spectrum is the FFT of
+    # its ring samples, every residue nonzero; the contraction in azimuthal
+    # frequency is the dense triple sum in another order.  One moved field
+    # and two HarmonicCoeffs mix both kinds of spectrum; three moved fields
+    # take only sampled ones.  A complex a1 makes the middle table complex,
+    # and (9, 19) has an odd n_phi.
     from confsphere.reps import pi_pointwise
     fs = [sg.random_coeffs(4, 170 + j) for j in range(3)]
-    moved = pi_pointwise(dim3, 0.6, random_element(dim3, 175, max_boost=0.3), fs[0])
-    monkeypatch.setattr(tri.TripleEngine, "_spectral_value", None)
+    g = random_element(dim3, 175, max_boost=0.3)
+    moved = [pi_pointwise(dim3, 0.6, g, f) for f in fs]
     for grid_size in ((12, 24), (9, 19)):
         engine = tri.TripleEngine(dim3, alpha, method="direct", grid_size=grid_size)
-        inputs = [moved] + fs[1:]
-        want = _dense_direct_oracle(dim3, inputs, grid_size, alpha)
-        assert abs(engine.value(*inputs) - want) <= 1e-13 * abs(want)
+        for inputs in ([moved[0]] + fs[1:], moved):
+            want = _dense_direct_oracle(dim3, inputs, grid_size, alpha)
+            assert abs(engine.value(*inputs) - want) <= 1e-13 * abs(want)
 
 
 def _spectrum_cases(n_phi):
-    """Field triples for the direct engine's frequency path: constants
+    """Field triples for the direct engine's exact spectra: constants
     (L = 0); a real degree-4 field, a complex one whose only orders are
     -3, 0 and 2, and a constant; and degrees whose orders alias on the
     grid, 3 L >= n_phi for the first and 2 L + 1 > n_phi for the third."""
@@ -212,31 +215,53 @@ SPECTRUM_ALPHAS = {"real": (1.6, 1.8, 1.55), "complex": (1.6 + 0.3j, 1.8, 2.5 - 
     for g, kinds in (((9, 19), SPECTRUM_ALPHAS), ((12, 24), SPECTRUM_ALPHAS),
                      ((24, 48), ("complex",)))
     for kind, a in ((k, SPECTRUM_ALPHAS[k]) for k in kinds)])
-def test_frequency_path_matches_ring_loop_and_dense_oracle(dim3, grid_size, alpha,
-                                                           monkeypatch):
-    # three HarmonicCoeffs are contracted in azimuthal frequency from their
-    # exact spectra, without sampling; the same fields as callables take
-    # the ring loop, and the dense oracle sums the whole N x N kernels
+def test_coefficient_spectrum_matches_sampled_spectrum_and_dense_oracle(
+        dim3, grid_size, alpha, monkeypatch):
+    # three HarmonicCoeffs are contracted from their exact spectra, sparse
+    # in m and without sampling; the same fields as callables are
+    # contracted from the FFT of their ring samples, and the dense oracle
+    # sums the whole N x N kernels
     from confsphere.reps import field_from_coeffs
     engine = tri.TripleEngine(dim3, alpha, grid_size=grid_size)
     for fs in _spectrum_cases(grid_size[1]):
-        ring = engine.value(*map(field_from_coeffs, fs))
+        sampled = engine.value(*map(field_from_coeffs, fs))
         dense = _dense_direct_oracle(dim3, fs, grid_size, alpha)
         with monkeypatch.context() as m:
             m.setattr(tri, "_sample", None)
             got = engine.value(*fs)
-        assert abs(got - ring) <= 1e-13 * abs(ring)
+        assert abs(got - sampled) <= 1e-13 * abs(sampled)
         assert abs(got - dense) <= 1e-13 * abs(dense)
 
 
-def test_frequency_path_matches_ring_loop_on_large_grid(dim3):
-    # (48, 96): the frequency path runs in several chunks of p, and the
-    # third field's degree 49 is above the grid's own Legendre table
+def test_coefficient_spectrum_matches_sampled_spectrum_on_large_grid(dim3):
+    # (48, 96): the contraction runs in several chunks of p, and the third
+    # field's degree 49 is above the grid's own Legendre table
     from confsphere.reps import field_from_coeffs
     engine = tri.TripleEngine(dim3, SPECTRUM_ALPHAS["complex"], grid_size=(48, 96))
     fs = _spectrum_cases(96)[2]
-    ring = engine.value(*map(field_from_coeffs, fs))
-    assert abs(engine.value(*fs) - ring) <= 1e-13 * abs(ring)
+    sampled = engine.value(*map(field_from_coeffs, fs))
+    assert abs(engine.value(*fs) - sampled) <= 1e-13 * abs(sampled)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(case=st.sampled_from([(9, 19), (12, 24)]).flatmap(
+           lambda g: st.tuples(st.just(g), st.integers(0, g[1]))),
+       slot=st.integers(0, 2), seed=st.integers(0, 2 ** 16))
+def test_ring_spectrum_exact_from_coefficients_property(case, slot, seed):
+    # the exact spectrum of a degree-L field against the FFT of its ring
+    # samples, on one grid of a staggered set (nonzero phi_0); degrees up
+    # to n_phi fold orders onto each other mod n_phi.  Off the residues it
+    # returns, the coefficient spectrum is exactly zero.
+    from confsphere.reps import field_from_coeffs
+    grid_size, degree = case
+    grid = tri.triple_grids(grid_size)[slot]
+    f = sg.random_coeffs(degree, seed)
+    k, F = tri._ring_spectrum(f, grid)
+    _, S = tri._ring_spectrum(field_from_coeffs(f), grid)
+    assert np.abs(F - S).max() <= 1e-13 * np.abs(F).max()
+    off = np.ones(grid.n_phi, dtype=bool)
+    off[k] = False
+    assert not F[off].any()
 
 
 def test_trace_quadrature_oracle_converges_to_exact_trace(dim3):
@@ -368,15 +393,16 @@ def _direct_engine_peak(dim, fs):
 
 def test_direct_engine_memory_bounded(dim3):
     # no N x N array: at (48, 96) one dense real kernel alone is 170 MB;
-    # the azimuth tables and one chunk of the frequency path take a few
-    # tens of MB
+    # the transformed tables and one chunk of the contraction take 40 MB
+    # (tracemalloc peak)
     fs = [sg.random_coeffs(4, 180 + j, real_field=True) for j in range(3)]
     assert _direct_engine_peak(dim3, fs) < 100e6
 
 
 def test_direct_engine_memory_bounded_on_callables(dim3):
-    # callables take the ring loop: the azimuth tables and one ring's
-    # arrays, 4 nt n_phi^2 complex entries (28 MB at (48, 96))
+    # callables enter the contraction with all n_phi orders: the
+    # transformed tables, W and one chunk's arrays, about 4 nt n_phi^2
+    # complex entries, take 53 MB at (48, 96) (tracemalloc peak)
     from confsphere.reps import field_from_coeffs
     fs = [field_from_coeffs(sg.random_coeffs(4, 180 + j, real_field=True))
           for j in range(3)]
@@ -384,10 +410,11 @@ def test_direct_engine_memory_bounded_on_callables(dim3):
 
 
 def test_direct_engine_refuses_oversized_kernel(dim3, monkeypatch):
-    # grid (96, 192): one ring's arrays would be 4 * 96 * 192^2 complex
-    # entries, 226 MB; refused before any kernel table is built
+    # grid (96, 192): the contraction's working set would be about
+    # 4 * 96 * 192^2 complex entries, 226 MB; refused before any kernel
+    # table is built
     monkeypatch.setattr(tri, "chordal_power", None)
-    with pytest.raises(ValueError, match="per-ring working set"):
+    with pytest.raises(ValueError, match="contraction working set"):
         tri.TripleEngine(dim3, (1.6, 1.8, 1.55), method="direct",
                          grid_size=(96, 192))
 
