@@ -265,11 +265,7 @@ def random_coeffs(L: int, seed: int, scale=None, real_field: bool = False) -> Ha
 # ---------------------------------------------------------------------------
 # transforms: one batched pair on the padded layout.  A batch holds B
 # functions as columns, sampled values in flat node order (n_nodes, B) or
-# coefficients as rows HarmonicCoeffs.c.reshape(-1) ((L+1)(2L+1), B).  An
-# order window (lo, hi), -L <= lo <= hi <= L, restricts both to the orders
-# lo..hi: coefficient rows ((L+1)(hi-lo+1), B), (l, m) at l (hi-lo+1) + m - lo,
-# and values whose other orders are zero.  The full window is the padded
-# layout.
+# coefficients as rows HarmonicCoeffs.c.reshape(-1) ((L+1)(2L+1), B).
 
 
 def _phase_matrix(grid: Grid, L: int) -> np.ndarray:
@@ -278,23 +274,14 @@ def _phase_matrix(grid: Grid, L: int) -> np.ndarray:
     return np.exp(-1j * np.outer(m, grid.phi))
 
 
-def _order_blocks(grid: Grid, L: int, orders):
-    """Yields, per order m in `orders` (0 <= m <= L), the rows p_lm(u_i),
-    l = m..L, of the grid's table (a fresh table only when synthesizing
-    above the grid's degree)."""
+def _order_blocks(grid: Grid, L: int):
+    """Yields, per order m = 0..L, the rows p_lm(u_i), l = m..L, of the
+    grid's table (a fresh table only when synthesizing above the grid's
+    degree)."""
     tab = grid.legendre if L <= grid.L else legendre_table(L, grid.u)
     l = np.arange(L + 1)
-    for m in orders:
+    for m in range(L + 1):
         yield m, tab[l[m:] * (l[m:] + 1) // 2 + m]
-
-
-def _window(L: int, window):
-    """(lo, hi) of an order window, the whole band when None; and the
-    orders 0..L whose m or -m falls inside it."""
-    lo, hi = (-L, L) if window is None else window
-    if not -L <= lo <= hi <= L:
-        raise ValueError(f"order window {window} outside -{L}..{L}")
-    return lo, hi, range(max(0, lo, -hi), max(hi, -lo) + 1)
 
 
 def _real_matmul(P: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -303,43 +290,35 @@ def _real_matmul(P: np.ndarray, X: np.ndarray) -> np.ndarray:
     return (P @ X.view(float)).view(complex)
 
 
-def sht_forward_columns(grid: Grid, V: np.ndarray, L: int, window=None) -> np.ndarray:
+def sht_forward_columns(grid: Grid, V: np.ndarray, L: int) -> np.ndarray:
     """Analysis of a batch: V has shape (n_nodes, B); returns coefficient
-    rows ((L+1)(2L+1), B) in the padded layout, or ((L+1)(hi-lo+1), B)
-    for the orders of an order window (lo, hi)."""
+    rows ((L+1)(2L+1), B) in the padded layout."""
     if L > grid.L:
         raise ValueError(f"grid supports degree {grid.L}, requested {L}")
-    lo, hi, orders = _window(L, window)
     nt, npz = grid.shape
     B = V.shape[1]
-    phase = _phase_matrix(grid, L)[L + lo: L + hi + 1]
-    G = (phase * grid.dphi) @ V.reshape(nt, npz, B)  # (nt, hi-lo+1, B)
-    out = np.zeros((L + 1, hi - lo + 1, B), dtype=complex)
-    for m, block in _order_blocks(grid, L, orders):
+    G = (_phase_matrix(grid, L) * grid.dphi) @ V.reshape(nt, npz, B)  # (nt, 2L+1, B)
+    out = np.zeros((L + 1, 2 * L + 1, B), dtype=complex)
+    for m, block in _order_blocks(grid, L):
         block = block * grid.w
-        if m <= hi:
-            out[m:, m - lo] = _real_matmul(block, G[:, m - lo])
-        if m > 0 and -m >= lo:
-            out[m:, -m - lo] = (-1) ** m * _real_matmul(block, G[:, -m - lo])
+        out[m:, L + m] = _real_matmul(block, G[:, L + m])
+        if m > 0:
+            out[m:, L - m] = (-1) ** m * _real_matmul(block, G[:, L - m])
     return out.reshape(-1, B)
 
 
-def sht_synthesize_columns(grid: Grid, C: np.ndarray, L: int, window=None) -> np.ndarray:
+def sht_synthesize_columns(grid: Grid, C: np.ndarray, L: int) -> np.ndarray:
     """Synthesis of a batch onto a grid (the inverse of
     sht_forward_columns when the grid resolves L): C has shape
-    ((L+1)(2L+1), B), or ((L+1)(hi-lo+1), B) for an order window (lo, hi);
-    returns values (n_nodes, B)."""
-    lo, hi, orders = _window(L, window)
+    ((L+1)(2L+1), B); returns values (n_nodes, B)."""
     B = C.shape[1]
-    C = np.ascontiguousarray(C, dtype=complex).reshape(L + 1, hi - lo + 1, B)
-    H = np.empty((grid.n_theta, hi - lo + 1, B), dtype=complex)
-    for m, block in _order_blocks(grid, L, orders):
-        if m <= hi:
-            H[:, m - lo] = _real_matmul(block.T, C[m:, m - lo])
-        if m > 0 and -m >= lo:
-            H[:, -m - lo] = (-1) ** m * _real_matmul(block.T, C[m:, -m - lo])
-    phase = _phase_matrix(grid, L)[L + lo: L + hi + 1]
-    return (np.conj(phase).T @ H).reshape(-1, B)
+    C = np.ascontiguousarray(C, dtype=complex).reshape(L + 1, 2 * L + 1, B)
+    H = np.empty((grid.n_theta, 2 * L + 1, B), dtype=complex)
+    for m, block in _order_blocks(grid, L):
+        H[:, L + m] = _real_matmul(block.T, C[m:, L + m])
+        if m > 0:
+            H[:, L - m] = (-1) ** m * _real_matmul(block.T, C[m:, L - m])
+    return (np.conj(_phase_matrix(grid, L)).T @ H).reshape(-1, B)
 
 
 def sht_forward(f: GridFunction, L: int | None = None) -> HarmonicCoeffs:

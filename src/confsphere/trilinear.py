@@ -35,9 +35,9 @@ B = n_phi orders.  The fast engine and the alpha3 family are the
 harmonic-basis trace Tr(M_f1 E_a3 M_f2 E_a1 M_f3 E_a2) = sum_l e_l(a3) A_l,
 M_f multiplication by f and E_a the closed-form Knapp-Stein eigenvalues
 (`_degree_weights`): exact products, so its only error is the tail of
-E_a3.  It streams the basis columns sorted by order m in 4 MB slabs, and
-since multiplying by a degree-L_f field moves m by at most L_f, each
-transform touches only the orders a slab can reach.  The singular forms
+E_a3.  It works order by order on the polar Gauss nodes: multiplying by
+a degree-L_f field is a convolution in m with its ring profiles, and E_a
+acts on each order through that order's Legendre rows.  The singular forms
 are exact finite sums of two-point Knapp-Stein pairings (`singular_form`),
 meromorphic in (a1, a2).
 """
@@ -53,7 +53,7 @@ import numpy as np
 
 from .lorentz import Dimension, ConformalMap, act, conformal_factor, inverse
 from .reps import field_from_coeffs, pi_pointwise
-from .sphgrid import (GridFunction, HarmonicCoeffs, _lm_mask, _phase_matrix,
+from .sphgrid import (GridFunction, HarmonicCoeffs, _real_matmul,
                       legendre_table, make_grid, sht_forward, sht_forward_columns,
                       sht_synthesize_columns, synth_at_points)
 from .special import gamma_ratio
@@ -62,9 +62,10 @@ from .spectral_ops import (apply_multiplier, gjms_constant,
 from .mero import pair_separation_power, residue_ring
 
 CONVERGENCE_MARGIN = 0.25
-KERNEL_BLOCK = 1 << 18   # entries per (N x block) slab of trace columns: 4 MB complex
+KERNEL_BLOCK = 1 << 18   # complex entries of one chunk of starting orders in
+                         # _degree_weights: 4 MB
 MAX_RING_WORKSET = 1 << 23   # complex entries of the direct engine's contraction,
-                             # its per-chunk arrays and W, at most about
+                             # its per-chunk arrays, their product and W, at most about
                              # 4 nt n_phi^2: 128 MB, grids up to (80, 160)
 RING_RADIUS = 0.15       # contour rings of the residue bridge and the pole scans
 SCAN_STEP = 0.2          # spacing of the pole-scan ring centers
@@ -250,48 +251,72 @@ def _band_limited(fields, grid_size, L_kernel):
     return [f if isinstance(f, HarmonicCoeffs) else next(projected) for f in fields]
 
 
+def _order_rows(tab: np.ndarray, m, lo: int, hi: int) -> np.ndarray:
+    """Q_m[l](u_i), l = lo..hi, for the int array of orders m, from a packed
+    Legendre table: p_{l|m|}, times (-1)^m for m < 0, zero where l < |m|,
+    so Y_lm = Q_m[l](u) e^{i m phi}.  Shape m.shape + (hi - lo + 1, nodes)."""
+    m = np.asarray(m)[..., None]
+    a, l = np.abs(m), np.arange(lo, hi + 1)
+    scale = np.where(l >= a, np.where(m < 0, (-1.0) ** a, 1.0), 0.0)
+    return tab[l * (l + 1) // 2 + np.minimum(a, l)] * scale[..., None]
+
+
+def _ring_profiles(f: HarmonicCoeffs, tab: np.ndarray) -> np.ndarray:
+    """F_m(u_i) = sum_l c_lm Q_m[l](u_i), rows m = -f.L..f.L, so that
+    f = sum_m F_m(u) e^{i m phi}, on the nodes of a table reaching f.L."""
+    return np.einsum("lm,mli->mi", f.c, _order_rows(tab, np.arange(-f.L, f.L + 1), 0, f.L))
+
+
 def _degree_weights(dim: Dimension, a1, a2, fields, grid_size, L: int) -> np.ndarray:
     """A_l, l <= L, of the trace sum_l e_l(a3) A_l: the sum over m of the
-    ((l, m), (l, m)) entries of M_f2 E_a1 M_f3 E_a2 M_f1, exact on the
-    minimal grid of degree D = L + f1.L + f2.L + f3.L.  The basis columns
-    run sorted by m in slabs of KERNEL_BLOCK // N: F1 Y_lm is formed from
-    the grid's Legendre rows and phases, analyzed, scaled by E_a2,
-    synthesized, multiplied by F3, analyzed, scaled by E_a1, synthesized
-    and multiplied by F2, and the diagonal entries are read as weighted
-    dot products with conj(Y_lm).  A degree-L_f factor moves the order m
-    by at most L_f, so each transform runs on the slab's order window
-    widened by f1.L, then by f1.L + f3.L.  Callables are first projected
-    by `_band_limited`."""
+    ((l, m), (l, m)) entries of M_f2 E_a1 M_f3 E_a2 M_f1, order by order on
+    the D + 1 Gauss nodes, D = L + f1.L + f2.L + f3.L, where every polar
+    integral is exact.  M_f moves order m to m + d with the factor F_d
+    (`_ring_profiles`), and E_a cut at degree L_c acts on order m as
+    K_m = Q_m^T diag(e) Q_m diag(2 pi w), Q_m the rows of `_order_rows`:
+        A_l = sum_m sum_{d1, d3} 2 pi sum_i w_i Q_m[l] F2_{-d}
+              K1_{m+d}(F3_{d3} K2_{m+d1}(F1_{d1} Q_m[l])),
+    d = d1 + d3, |d| <= f2.L, K2 of E_a2 cut at L + f1.L and K1 of E_a1
+    at L + f1.L + f3.L.  The starting orders run in chunks sorted by |m|,
+    columns l from the chunk's least |m|, with batched real products; a
+    chunk's arrays stay within about KERNEL_BLOCK complex entries.
+    Callables are first projected by `_band_limited`."""
     f1, f2, f3 = _band_limited(fields, grid_size, L)
     L1 = L + f1.L                   # the degree of M_f1 Y_lm
     L3 = L1 + f3.L                  # of M_f3 E_a2 M_f1 Y_lm
     D = max(L3 + f2.L, 1)
     grid = _staggered_grids(D + 1, 2 * D + 1, 1)[0]
-    nt, npz = grid.shape
-    F1, F2, F3 = (sht_synthesize_columns(grid, f.c.reshape(-1, 1), f.L).reshape(nt, npz, 1)
-                  for f in (f1, f2, f3))
+    tab, nt, w = grid.legendre, grid.n_theta, 2.0 * math.pi * grid.w
+    dmax = min(f2.L, f1.L + f3.L)
+    d1, d = np.arange(-f1.L, f1.L + 1), np.arange(-dmax, dmax + 1)
+    F1, F3 = (w * _ring_profiles(f, tab) for f in (f1, f3))
+    F2 = (w * _ring_profiles(f2, tab))[f2.L - d]               # F2_{-d}
     e2, e1 = knapp_stein_multipliers(dim, a2, L1), knapp_stein_multipliers(dim, a1, L3)
-    j, l = np.nonzero(_lm_mask(L).T)            # the basis columns, sorted by m
-    m = j - L
-    phases = _phase_matrix(grid, L)
+    orders = np.array(sorted(range(-L, L + 1), key=abs))
+    # per starting order, about four arrays of d1.size (then d.size) x nt x L3
+    block = max(1, KERNEL_BLOCK // (4 * (d1.size + d.size) * nt * (L3 + 1)))
     A = np.zeros(L + 1, dtype=complex)
-    block = max(1, KERNEL_BLOCK // (nt * npz))
-    for r in (slice(start, start + block) for start in range(0, l.size, block)):
-        w1 = (max(m[r][0] - f1.L, -L1), min(m[r][-1] + f1.L, L1))
-        w3 = (max(w1[0] - f3.L, -L3), min(w1[1] + f3.L, L3))
-        # Y_lm(u_i, phi_j) = P[c, i] conj(phase[c, j]) for the slab's columns c
-        P = grid.legendre[l[r] * (l[r] + 1) // 2 + abs(m[r])] * np.where(
-            m[r] < 0, (-1.0) ** m[r], 1.0)[:, None]
-        phase = phases[j[r]]
-        V = F1 * P.T[:, None, :] * np.conj(phase).T
-        C = sht_forward_columns(grid, V.reshape(nt * npz, -1), L1, w1)
-        C = (e2[:, None] * C.reshape(L1 + 1, -1)).reshape(C.shape)
-        V = F3.reshape(-1, 1) * sht_synthesize_columns(grid, C, L1, w1)
-        C = sht_forward_columns(grid, V, L3, w3)
-        C = (e1[:, None] * C.reshape(L3 + 1, -1)).reshape(C.shape)
-        V = F2 * sht_synthesize_columns(grid, C, L3, w3).reshape(nt, npz, -1)
-        G = np.einsum("ijc,cj->ic", V, phase)
-        np.add.at(A, l[r], grid.dphi * np.einsum("ic,ci,i->c", G, P, grid.w))
+    for m in (orders[start: start + block] for start in range(0, orders.size, block)):
+        lo = abs(m[0])
+        X = np.ascontiguousarray(_order_rows(tab, m, lo, L).swapaxes(1, 2))  # [b, i, l]
+        # K2 (F1 Y_lm) on the orders m + d1
+        r = max(0, lo - f1.L)
+        Q = _order_rows(tab, m[:, None] + d1, r, L1)                     # [b, d1, l', i]
+        C = _real_matmul(Q, F1[:, :, None] * X[:, None]) * e2[r:, None]
+        V = _real_matmul(Q.swapaxes(2, 3), C)                            # [b, d1, i, l]
+        # times F3_{d3}, summed onto the orders m + d: for each d3 the d1 in
+        # lo1..hi1, contiguous in V and in S
+        S = np.zeros((m.size, d.size, nt, X.shape[2]), dtype=complex)
+        for F, d3 in zip(F3, range(-f3.L, f3.L + 1)):
+            lo1, hi1 = max(-f1.L, -dmax - d3), min(f1.L, dmax - d3)
+            if lo1 <= hi1:
+                S[:, lo1 + d3 + dmax: hi1 + d3 + dmax + 1] += (
+                    F[:, None] * V[:, lo1 + f1.L: hi1 + f1.L + 1])
+        # K1 on the orders m + d, times F2_{-d}, paired with Y_lm
+        r = max(0, lo - dmax)
+        Q = _order_rows(tab, m[:, None] + d, r, L3)                      # [b, d, l'', i]
+        V = _real_matmul(Q.swapaxes(2, 3), _real_matmul(Q, S) * e1[r:, None])
+        A[lo:] += np.einsum("di,bil,bdil->l", F2, X, V)
     return A
 
 
@@ -316,17 +341,11 @@ def _ring_spectrum(f, grid) -> tuple:
     if not isinstance(f, HarmonicCoeffs):
         FW = _sample(f, grid.flat_points()) * grid.flat_weights()
         return np.arange(grid.n_phi), np.fft.fft(FW.reshape(grid.shape), axis=1).T
-    L = f.L
-    c = np.where(_lm_mask(L), f.c, 0.0)
-    keep = np.any(c != 0, axis=0)
-    m = np.arange(-L, L + 1)[keep]
-    tab = grid.legendre if L <= grid.L else legendre_table(L, grid.u)
-    l = np.arange(L + 1)[:, None]
-    rows = tab[np.where(np.abs(m) <= l, l * (l + 1) // 2 + np.abs(m), 0)]
-    G = np.einsum("lm,lmi->mi", c[:, keep] * np.where(m < 0, (-1.0) ** m, 1.0), rows)
+    G = _ring_profiles(f, grid.legendre if f.L <= grid.L else legendre_table(f.L, grid.u))
+    m = np.arange(-f.L, f.L + 1)[G.any(axis=1)]
     k = m % grid.n_phi
     F = np.zeros((grid.n_phi, grid.n_theta), dtype=complex)
-    np.add.at(F, k, 2.0 * math.pi * np.exp(1j * m * grid.phi[0])[:, None] * G * grid.w)
+    np.add.at(F, k, 2.0 * math.pi * np.exp(1j * m * grid.phi[0])[:, None] * G[m + f.L] * grid.w)
     return np.flatnonzero(np.bincount(k, minlength=grid.n_phi)), F
 
 
@@ -386,8 +405,9 @@ class TripleEngine:
         n = n_phi, orders mod n and m3 = -m1-m2.  Per chunk of p,
         X = (F1 inner_hat) outer_hat and Z = F2 middle, and W[i3, m1, m2]
         sums X Z over p and i2: O(n B nt^3 + n B^2 nt^2) for B orders, B = n
-        for a callable.  A chunk's arrays and W hold at most about
-        4 nt n^2 entries, which __init__ keeps within MAX_RING_WORKSET."""
+        for a callable.  A chunk's arrays, their product X Z and W hold at
+        most about 4 nt n^2 entries, kept within MAX_RING_WORKSET by
+        __init__; with the tables, 3 n nt^2, that bounds the working set."""
         if self.method == "fast":
             a1, a2, _ = self.alpha
             return complex(np.dot(self.eig3, _degree_weights(
@@ -396,8 +416,10 @@ class TripleEngine:
         (k1, F1), (k2, F2), (_, F3) = (_ring_spectrum(f, g)
                                        for f, g in zip((f1, f2, f3), self.grids))
         F1, F2 = F1[k1], F2[k2]
-        W = np.zeros((nt, k1.size, k2.size), dtype=complex)
-        chunk = max(1, 4 * npz * npz // (nt * max(1, 2 * k1.size + k2.size)))
+        B1, B2 = k1.size, k2.size
+        W = np.zeros((nt, B1, B2), dtype=complex)
+        # per p, X twice and Z, nt^2 (2 B1 + B2), and their product, nt B1 B2
+        chunk = max(1, (4 * npz * npz - B1 * B2) // (nt * (2 * B1 + B2) + B1 * B2))
         for start in range(0, npz, chunk):
             p = np.arange(start, min(start + chunk, npz))[:, None]
             X = self.inner_hat[(k1 - p) % npz]                  # [p, m1, i3, i1]
@@ -405,7 +427,9 @@ class TripleEngine:
             X = X @ self.outer_hat[p]                           # [p, m1, i3, i2]
             Z = self.middle[(-k2 - p) % npz]                    # [p, m2, i3, i2]
             Z *= F2[:, None, :]
-            W += (X.transpose(0, 2, 1, 3) @ Z.transpose(0, 2, 3, 1)).sum(axis=0)
+            for XZ in X.transpose(0, 2, 1, 3) @ Z.transpose(0, 2, 3, 1):  # [i3, m1, m2]
+                W += XZ
+            del XZ               # the last slice would keep the product into the next chunk
         F3 = F3[-(k1[:, None] + k2) % npz]                     # [m1, m2, i3]
         return complex(np.einsum("jab,abj->", W, F3)) / npz ** 3
 
@@ -437,8 +461,8 @@ def generic_form_alpha3_family(dim: Dimension, a1, a2, f1, f2, f3,
     parameter, with (a1, a2) fixed.
 
     The trace is evaluate(a3) = sum_{l <= L_kernel} e_l(a3) A_l, with the
-    weights A_l computed once (`_degree_weights`; grid_size matters only
-    for projecting callables) and the eigenvalues e_l(a3) in closed form,
+    weights A_l computed once on the polar nodes (`_degree_weights`;
+    grid_size matters only for projecting callables) and the e_l(a3) in closed form,
     so it is meromorphic in a3 off the pole lattice and can be sampled on
     residue rings around -rho - 2k.  It converges there only where
     Re(a1 + a2) > 2k: e_l(a3) A_l grows like l^{2k - a1 - a2 - 1}.

@@ -50,6 +50,7 @@ class CheckResult:
     tolerance: float
     passed: bool
     elapsed_s: float      # since the previous check of the suite, or its start
+    maxrss_mb: float      # the process's resident-set high-water mark after the check
 
 
 @dataclass
@@ -69,10 +70,11 @@ def _check(results: list, cid: str, identity: str, measured: float,
     """Record one check.  Its elapsed_s holds the finish time until
     run_suite turns it into the time the check took."""
     measured = float(measured)
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     results.append(CheckResult(id=cid, identity=identity, measured=measured,
                                tolerance=float(tolerance),
                                passed=bool(measured <= tolerance),
-                               elapsed_s=time.perf_counter()))
+                               elapsed_s=time.perf_counter(), maxrss_mb=rss))
 
 
 def _worst(defects) -> float:
@@ -596,6 +598,7 @@ def build_report(cfg: RunConfig, results) -> dict:
                 "tolerance": _fmt(c.tolerance),
                 "passed": c.passed,
                 "elapsed_s": c.elapsed_s,
+                "maxrss_mb": c.maxrss_mb,
             } for c in res.checks],
         })
     return {
@@ -628,6 +631,7 @@ CHECK_SCHEMA = {
     "tolerance": (int, float),
     "passed": bool,
     "elapsed_s": (int, float),
+    "maxrss_mb": (int, float),
 }
 
 

@@ -223,6 +223,7 @@ def test_verify_determinism(tmp_path, capsys):
             s.pop("maxrss_mb")
             for c in s["checks"]:
                 c.pop("elapsed_s")
+                c.pop("maxrss_mb")
         return rep
 
     assert strip(a) == strip(b)

@@ -274,31 +274,6 @@ def test_batched_transforms_match():
         assert np.abs(C3[:, 1] - 2j * c.c.reshape(-1)).max() < 2 * tol
 
 
-@pytest.mark.parametrize("window", [(-3, 5), (2, 7), (-9, -4), (-12, 12)])
-def test_order_window_matches_full_transform(window):
-    # on data confined to the orders lo..hi, the windowed transforms equal
-    # the full ones restricted to those orders
-    L, (lo, hi) = 12, window
-    grid = sg.make_grid(16, phi_offset=0.2)
-    c = sg.random_coeffs(L, 31)
-    c.c[:, : L + lo] = 0.0
-    c.c[:, L + hi + 1:] = 0.0
-    tol = _rounding_tol(c)
-    X = np.stack([c.c, 1j * c.c], axis=-1)
-    C = X.reshape(-1, 2)
-    Cw = X[:, L + lo: L + hi + 1].reshape(-1, 2)
-    V = sg.sht_synthesize_columns(grid, C, L)
-    assert np.abs(sg.sht_synthesize_columns(grid, Cw, L, window) - V).max() < tol
-    assert np.abs(sg.sht_forward_columns(grid, V, L, window) - Cw).max() < tol
-
-
-def test_order_window_validation(grid16):
-    V = np.ones((grid16.n_theta * grid16.n_phi, 1))
-    for window in ((-9, 2), (3, 2), (0, 9)):
-        with pytest.raises(ValueError, match="order window"):
-            sg.sht_forward_columns(grid16, V, 8, window)
-
-
 def test_grid_builds_its_legendre_table_once(monkeypatch):
     calls = []
     table = sg.legendre_table

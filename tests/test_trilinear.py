@@ -306,14 +306,11 @@ def test_singular_quadrature_oracle_converges_to_finite_sum(dim3):
     assert errs[1] <= errs[0] / 4.0
 
 
-def test_degree_weights_match_dense_operator_oracle(dim3):
-    # the streamed, order-windowed trace against the diagonal of the dense
-    # product M_f2 E_a1 M_f3 E_a2 M_f1, each M_f built by full transforms
-    # of the identity columns on a larger, offset grid.  The complex fields
-    # have unequal degrees, so a window widened by the wrong field's
-    # degree drops orders that the dense product keeps.
-    f1, f2, f3 = (sg.random_coeffs(d, 200 + d) for d in (2, 3, 1))
-    L, a1, a2 = 6, 1.7 + 0.2j, 2.4
+def _dense_degree_weights(dim, fields, L, a1, a2):
+    """The diagonal of the dense product M_f2 E_a1 M_f3 E_a2 M_f1, each M_f
+    built by full transforms of the identity columns on a larger, offset
+    grid, summed over m."""
+    f1, f2, f3 = fields
     L1, L3 = L + f1.L, L + f1.L + f3.L
     grid = sg.make_grid(L3 + f2.L + 2, phi_offset=0.37)
 
@@ -323,17 +320,58 @@ def test_degree_weights_match_dense_operator_oracle(dim3):
         return sg.sht_forward_columns(grid, F * sg.sht_synthesize_columns(grid, I, L_in), L_out)
 
     def E(a, Lx):
-        return np.repeat(knapp_stein_multipliers(dim3, a, Lx), 2 * Lx + 1)[:, None]
+        return np.repeat(knapp_stein_multipliers(dim, a, Lx), 2 * Lx + 1)[:, None]
 
     T = M(f2, L3, L) @ (E(a1, L3) * (M(f3, L1, L3) @ (E(a2, L1) * M(f1, L, L1))))
-    want = (np.diagonal(T).reshape(L + 1, 2 * L + 1) * sg._lm_mask(L)).sum(axis=1)
-    got = tri._degree_weights(dim3, a1, a2, (f1, f2, f3), (24, 48), L)
-    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    return (np.diagonal(T).reshape(L + 1, 2 * L + 1) * sg._lm_mask(L)).sum(axis=1)
+
+
+def test_degree_weights_match_dense_operator_oracle(dim3):
+    # the order-by-order trace against the dense operator product.  The
+    # complex fields have unequal degrees (a constant in slot 1, then in
+    # slot 2), so an order or a convolution range taken from the wrong
+    # field's degree drops terms that the dense product keeps; L = 0 and 1
+    # are the smallest traces
+    for degrees, L, a1, a2 in (((2, 3, 1), 6, 1.7 + 0.2j, 2.4 - 0.3j),
+                               ((0, 2, 1), 0, 1.3 - 0.4j, 2.1 + 0.5j),
+                               ((1, 0, 2), 1, 2.2 + 0.1j, 1.6 + 0.7j)):
+        fs = [sg.random_coeffs(d, 200 + d) for d in degrees]
+        want = _dense_degree_weights(dim3, fs, L, a1, a2)
+        got = tri._degree_weights(dim3, a1, a2, fs, (24, 48), L)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_degree_weights_use_no_column_transform(dim3, monkeypatch):
+    # on band-limited inputs the weights are built from ring profiles on
+    # the polar nodes: no field or basis column is sampled on a grid
+    def refuse(*args, **kwargs):
+        raise AssertionError("column transform called")
+
+    monkeypatch.setattr(tri, "sht_forward_columns", refuse)
+    monkeypatch.setattr(tri, "sht_synthesize_columns", refuse)
+    fs = [sg.random_coeffs(3, 210 + j) for j in range(3)]
+    assert np.all(np.isfinite(tri._degree_weights(dim3, 1.6, 1.8, fs, (24, 48), 8)))
+
+
+def test_degree_weights_memory_bounded_at_high_degree(dim3):
+    # degree-3 fields, trace to degree 64: 4225 basis columns on 74 polar
+    # nodes.  One chunk of starting orders at a time, its arrays within
+    # KERNEL_BLOCK complex entries, and the grid's Legendre table
+    import tracemalloc
+    fs = [sg.random_coeffs(3, 180 + j, real_field=True) for j in range(3)]
+    tracemalloc.start()
+    try:
+        tri._degree_weights(dim3, 3.3, 3.7, fs, (48, 96), 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
 
 
 def test_alpha3_family_memory_bounded(dim3):
     # the family holds no N x N kernel (at (48, 96) one dense complex
-    # kernel alone is 340 MB), and its trace streams slabs of 4 MB arrays
+    # kernel alone is 340 MB), and its trace works on the polar nodes in
+    # chunks of starting orders, each within KERNEL_BLOCK complex entries
     import tracemalloc
     fs = [sg.random_coeffs(4, 180 + j, real_field=True) for j in range(3)]
     tri.triple_grids((48, 96))
@@ -348,9 +386,10 @@ def test_alpha3_family_memory_bounded(dim3):
 
 
 def test_alpha3_family_memory_bounded_on_projected_fields(dim3):
-    # moved fields projected to degree 16, trace to degree 32: the exact
-    # grid has degree 80 and N = 13041 nodes, so the 1089 basis columns
-    # would take 227 MB per array in one block; the slabs take 4 MB
+    # moved fields projected to degree 16, trace to degree 32: on a grid
+    # of degree 80, N = 13041 nodes, the 1089 basis columns would take
+    # 227 MB per array in one block; the trace holds them only as their
+    # profiles on the 81 polar nodes, a chunk of orders at a time
     import tracemalloc
     from confsphere.reps import pi_pointwise
     g = random_element(dim3, 185, max_boost=0.3)
@@ -366,8 +405,8 @@ def test_alpha3_family_memory_bounded_on_projected_fields(dim3):
 
 
 def test_fast_engine_memory_bounded(dim3):
-    # degree-4 fields, trace to degree 32: the 1089 basis columns on the
-    # exact grid (N = 4005) would take 70 MB per array in one block
+    # degree-4 fields, trace to degree 32: the 1089 basis columns on a
+    # grid of degree 44 (N = 4005) would take 70 MB per array in one block
     import tracemalloc
     fs = [sg.random_coeffs(4, 180 + j, real_field=True) for j in range(3)]
     tracemalloc.start()
@@ -401,12 +440,23 @@ def test_direct_engine_memory_bounded(dim3):
 
 def test_direct_engine_memory_bounded_on_callables(dim3):
     # callables enter the contraction with all n_phi orders: the
-    # transformed tables, W and one chunk's arrays, about 4 nt n_phi^2
-    # complex entries, take 53 MB at (48, 96) (tracemalloc peak)
+    # transformed tables, W and one chunk's arrays and their product take
+    # 32 MB at (48, 96) (tracemalloc peak)
     from confsphere.reps import field_from_coeffs
     fs = [field_from_coeffs(sg.random_coeffs(4, 180 + j, real_field=True))
           for j in range(3)]
     assert _direct_engine_peak(dim3, fs) < 100e6
+
+
+def test_direct_engine_callables_within_documented_working_set(dim3):
+    # TripleEngine.value's bound: the three transformed tables, 3 n nt^2
+    # complex entries, plus at most 4 nt n^2 for W, one chunk's arrays and
+    # their batched product; at (48, 96) that is 38.9 MB
+    from confsphere.reps import field_from_coeffs
+    fs = [field_from_coeffs(sg.random_coeffs(4, 180 + j, real_field=True))
+          for j in range(3)]
+    nt, n = 48, 96
+    assert _direct_engine_peak(dim3, fs) <= 16 * (3 * n * nt * nt + 4 * nt * n * n)
 
 
 def test_direct_engine_refuses_oversized_kernel(dim3, monkeypatch):

@@ -66,6 +66,18 @@ def test_report_records_check_time(quick_results):
     assert "check missing 'elapsed_s'" in verify.validate_report(report)
 
 
+def test_report_records_check_memory(quick_results):
+    # each check stamps the resident-set high-water mark, which only rises
+    cfg = verify.RunConfig(quick=True)
+    marks = [c.maxrss_mb for res in quick_results for c in res.checks]
+    assert marks[0] > 0 and marks == sorted(marks)
+    for res in quick_results:
+        assert res.checks[-1].maxrss_mb <= res.maxrss_mb
+    report = verify.build_report(cfg, quick_results)
+    del report["suites"][0]["checks"][0]["maxrss_mb"]
+    assert "check missing 'maxrss_mb'" in verify.validate_report(report)
+
+
 def test_representation_suite_synthesizes_only_sampled_fields(monkeypatch):
     # band-limited inputs act through their coefficients; only the outer
     # step of the group law acts on samples, re-analyzed to degree 64
