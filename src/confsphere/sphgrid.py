@@ -214,9 +214,6 @@ class HarmonicCoeffs:
         self._check_index(l, m)
         self.c[l, m + self.L] = val
 
-    def copy(self) -> "HarmonicCoeffs":
-        return HarmonicCoeffs(self.L, self.c.copy())
-
     def l2_norm(self) -> float:
         return float(np.linalg.norm(self.c))
 
@@ -246,15 +243,13 @@ def _lm_mask(L: int) -> np.ndarray:
     return np.abs(np.arange(-L, L + 1))[None, :] <= l
 
 
-def random_coeffs(L: int, seed: int, scale=None, real_field: bool = False) -> HarmonicCoeffs:
-    """Reproducible random band-limited coefficients.  scale(l) damps the
-    degrees (default 1); real_field enforces the conjugation symmetry that
-    makes the synthesized function real-valued."""
+def random_coeffs(L: int, seed: int, real_field: bool = False) -> HarmonicCoeffs:
+    """Reproducible random band-limited coefficients; real_field enforces
+    the conjugation symmetry that makes the synthesized function
+    real-valued."""
     draw = np.random.default_rng(seed).normal(size=((L + 1) ** 2, 2))
     c = np.zeros((L + 1, 2 * L + 1), dtype=complex)
     c[_lm_mask(L)] = draw[:, 0] + 1j * draw[:, 1]
-    if scale is not None:
-        c *= np.array([float(scale(l)) for l in range(L + 1)])[:, None]
     if real_field:
         c[:, L] = c[:, L].real
         m = np.arange(1, L + 1)
@@ -508,8 +503,13 @@ def load_coeffs(path) -> HarmonicCoeffs:
         raise ValueError('a coefficient file is a JSON object with keys "L" and "coeffs"')
     if blob.get("n", 3) != 3:
         raise ValueError("coefficient files are supported for n = 3 only")
-    L = int(blob["L"])
+    L = blob["L"]
+    if not (isinstance(L, (int, float)) and L in range(MAX_DEGREE + 1)):
+        raise ValueError(f'"L" must be an integer in 0..{MAX_DEGREE}, got {L!r}')
+    L = int(L)
     rows = np.array(blob["coeffs"], dtype=float).reshape(-1, 4)
+    if np.any(rows[:, :2] != np.round(rows[:, :2])):
+        raise ValueError("non-integer (l, m) in coefficient file")
     l, m = rows[:, 0].astype(int), rows[:, 1].astype(int)
     if np.any((np.abs(m) > l) | (l > L)):
         raise ValueError("(l, m) out of range in coefficient file")

@@ -39,7 +39,9 @@ E_a3.  It works order by order on the polar Gauss nodes: multiplying by
 a degree-L_f field is a convolution in m with its ring profiles, and E_a
 acts on each order through that order's Legendre rows.  The singular forms
 are exact finite sums of two-point Knapp-Stein pairings (`singular_form`),
-meromorphic in (a1, a2).
+meromorphic in (a1, a2).  This spectral layer takes HarmonicCoeffs only;
+callables enter only the direct engine and `singular_invariance_defect`,
+which projects its moved fields once (`_band_limited`).
 """
 
 from __future__ import annotations
@@ -234,21 +236,26 @@ def _default_L_kernel(grid_size, degree: int) -> int:
 
 
 def _band_limited(fields, grid_size, L_kernel):
-    """The inputs as HarmonicCoeffs: coefficients as they are, callables
-    projected to degree L_kernel (default `_default_L_kernel`) by analysis
-    on the plain grid of grid_size."""
-    moved = [f for f in fields if not isinstance(f, HarmonicCoeffs)]
-    if not moved:
-        return fields
+    """Callables projected to HarmonicCoeffs of degree L_kernel (default
+    `_default_L_kernel`) by analysis on the plain grid of grid_size."""
     gx = double_grids(grid_size)[0]
     L_K = (_default_L_kernel(grid_size, _field_degree(*fields)) if L_kernel is None
            else L_kernel)
     if L_K > gx.L:
         raise ValueError(f"grid resolves degree {gx.L}, requested {L_K}")
     P = gx.flat_points()
-    C = sht_forward_columns(gx, np.stack([_sample(f, P) for f in moved], axis=1), L_K)
-    projected = iter(HarmonicCoeffs(L_K, c.reshape(L_K + 1, -1)) for c in C.T)
-    return [f if isinstance(f, HarmonicCoeffs) else next(projected) for f in fields]
+    C = sht_forward_columns(gx, np.stack([_sample(f, P) for f in fields], axis=1), L_K)
+    return [HarmonicCoeffs(L_K, c.reshape(L_K + 1, -1)) for c in C.T]
+
+
+def _coeffs_only(fields):
+    """The fields, if each is a HarmonicCoeffs, all the spectral layer
+    takes; TypeError otherwise."""
+    for f in fields:
+        if not isinstance(f, HarmonicCoeffs):
+            raise TypeError(f"expected HarmonicCoeffs, got {type(f).__name__}: project "
+                            "a callable to coefficients first (e.g. sphgrid.sht_forward)")
+    return fields
 
 
 def _order_rows(tab: np.ndarray, m, lo: int, hi: int) -> np.ndarray:
@@ -267,7 +274,7 @@ def _ring_profiles(f: HarmonicCoeffs, tab: np.ndarray) -> np.ndarray:
     return np.einsum("lm,mli->mi", f.c, _order_rows(tab, np.arange(-f.L, f.L + 1), 0, f.L))
 
 
-def _degree_weights(dim: Dimension, a1, a2, fields, grid_size, L: int) -> np.ndarray:
+def _degree_weights(dim: Dimension, a1, a2, fields, L: int) -> np.ndarray:
     """A_l, l <= L, of the trace sum_l e_l(a3) A_l: the sum over m of the
     ((l, m), (l, m)) entries of M_f2 E_a1 M_f3 E_a2 M_f1, order by order on
     the D + 1 Gauss nodes, D = L + f1.L + f2.L + f3.L, where every polar
@@ -280,8 +287,8 @@ def _degree_weights(dim: Dimension, a1, a2, fields, grid_size, L: int) -> np.nda
     at L + f1.L + f3.L.  The starting orders run in chunks sorted by |m|,
     columns l from the chunk's least |m|, with batched real products; a
     chunk's arrays stay within about KERNEL_BLOCK complex entries.
-    Callables are first projected by `_band_limited`."""
-    f1, f2, f3 = _band_limited(fields, grid_size, L)
+    The fields are HarmonicCoeffs; anything else raises TypeError."""
+    f1, f2, f3 = _coeffs_only(fields)
     L1 = L + f1.L                   # the degree of M_f1 Y_lm
     L3 = L1 + f3.L                  # of M_f3 E_a2 M_f1 Y_lm
     D = max(L3 + f2.L, 1)
@@ -357,8 +364,9 @@ class TripleEngine:
     entries.  `value` contracts the fields' azimuthal spectra on their
     grids' rings (`_ring_spectrum`: exact and sparse in m for
     HarmonicCoeffs, the FFT of the ring samples for callables) with the
-    transformed tables.  "fast" is the trace of `_degree_weights`, exact
-    up to its L_kernel tail."""
+    transformed tables.  "fast" is `generic_form_alpha3_family` at a3,
+    exact up to its L_kernel tail; it takes HarmonicCoeffs only, and
+    grid_size only caps its default L_kernel."""
 
     def __init__(self, dim: Dimension, alpha, method: str = "direct",
                  grid_size=(24, 48), L_kernel: int | None = None,
@@ -388,10 +396,8 @@ class TripleEngine:
             self.middle = np.fft.fft(_azimuth_table(g2, g3, a1 - rho),
                                      axis=1).transpose(1, 2, 0).copy()
         elif method == "fast":
-            self.grid_size = grid_size
             self.L_kernel = (_default_L_kernel(grid_size, default_degree)
                              if L_kernel is None else L_kernel)
-            self.eig3 = knapp_stein_multipliers(dim, self.alpha[2], self.L_kernel)
         else:
             raise ValueError("method must be 'direct' or 'fast'")
 
@@ -409,9 +415,10 @@ class TripleEngine:
         most about 4 nt n^2 entries, kept within MAX_RING_WORKSET by
         __init__; with the tables, 3 n nt^2, that bounds the working set."""
         if self.method == "fast":
-            a1, a2, _ = self.alpha
-            return complex(np.dot(self.eig3, _degree_weights(
-                self.dim, a1, a2, (f1, f2, f3), self.grid_size, self.L_kernel)))
+            a1, a2, a3 = self.alpha
+            evaluate, _ = generic_form_alpha3_family(self.dim, a1, a2, f1, f2, f3,
+                                                     self.L_kernel)
+            return evaluate(a3)
         nt, npz = self.grids[0].shape
         (k1, F1), (k2, F2), (_, F3) = (_ring_spectrum(f, g)
                                        for f, g in zip((f1, f2, f3), self.grids))
@@ -438,15 +445,14 @@ def generic_form(dim: Dimension, alpha, f1, f2, f3, method: str = "direct",
                  grid_size=(24, 48), L_kernel: int | None = None) -> complex:
     """The generic invariant trilinear form on three fields.
 
-    f1, f2, f3 may be HarmonicCoeffs or callables on point arrays.
-
     method "direct": the reference triple quadrature on three staggered
                      grids of grid_size, taken in azimuthal frequency
-                     (`TripleEngine`); L_kernel is not used.
+                     (`TripleEngine`); f1, f2, f3 may be HarmonicCoeffs or
+                     callables on point arrays; L_kernel is not used.
     method "fast":   the harmonic-basis trace, exact up to its tail beyond
                      L_kernel (default: 4x the field degree, at least 8,
-                     capped at what the grid resolves); grid_size matters
-                     only for projecting callables.
+                     capped at what the grid of grid_size resolves);
+                     HarmonicCoeffs only.
     Raises outside the safe absolute-convergence region.
     """
     engine = TripleEngine(dim, alpha, method=method, grid_size=grid_size,
@@ -456,14 +462,14 @@ def generic_form(dim: Dimension, alpha, f1, f2, f3, method: str = "direct",
 
 
 def generic_form_alpha3_family(dim: Dimension, a1, a2, f1, f2, f3,
-                               grid_size=(48, 96), L_kernel: int = 32):
+                               L_kernel: int = 32):
     """Continued evaluation of the generic form as a function of the third
     parameter, with (a1, a2) fixed.
 
     The trace is evaluate(a3) = sum_{l <= L_kernel} e_l(a3) A_l, with the
-    weights A_l computed once on the polar nodes (`_degree_weights`;
-    grid_size matters only for projecting callables) and the e_l(a3) in closed form,
-    so it is meromorphic in a3 off the pole lattice and can be sampled on
+    weights A_l computed once on the polar nodes (`_degree_weights`, which
+    takes HarmonicCoeffs only) and the e_l(a3) in closed form, so it is
+    meromorphic in a3 off the pole lattice and can be sampled on
     residue rings around -rho - 2k.  It converges there only where
     Re(a1 + a2) > 2k: e_l(a3) A_l grows like l^{2k - a1 - a2 - 1}.
 
@@ -472,7 +478,7 @@ def generic_form_alpha3_family(dim: Dimension, a1, a2, f1, f2, f3,
     """
     if dim.n != 3:
         raise ValueError("trilinear quadrature is implemented for n = 3")
-    A = _degree_weights(dim, a1, a2, (f1, f2, f3), grid_size, L_kernel)
+    A = _degree_weights(dim, a1, a2, (f1, f2, f3), L_kernel)
 
     def evaluate(a3: complex) -> complex:
         eig3 = knapp_stein_multipliers(dim, complex(a3), L_kernel)
@@ -500,8 +506,7 @@ def generic_invariance_defect(engine: TripleEngine, g: ConformalMap,
 # the singular trilinear forms
 
 
-def singular_form(dim: Dimension, k: int, a1, a2, f1, f2, f3,
-                  grid_size=(48, 96), L_kernel: int | None = None) -> complex:
+def singular_form(dim: Dimension, k: int, a1, a2, f1, f2, f3) -> complex:
     """The k-th singular trilinear form
 
         int int f3(y) f2(x) Delta_k[f1(.) |y - .|^{-rho+a2}](x)
@@ -520,13 +525,12 @@ def singular_form(dim: Dimension, k: int, a1, a2, f1, f2, f3,
     is the continuation; it raises on the singular lines a1 + a2 = 2k - 2l,
     where the pairings have their poles.
 
-    HarmonicCoeffs inputs are used exactly; callables are projected to
-    degree L_kernel on the plain grid of grid_size (see `_band_limited`),
-    so for them the two parameters fix the discretization.
+    The inputs are HarmonicCoeffs, used exactly; anything else raises
+    TypeError.
     """
     if dim.n != 3:
         raise ValueError("singular forms are implemented for n = 3")
-    f1, f2, f3 = _band_limited((f1, f2, f3), grid_size, L_kernel)
+    _coeffs_only((f1, f2, f3))
     rho, n = dim.rho, dim.n
     sigma = complex(a2) - rho
     L = f1.L + k                          # the degree bound of every psi
@@ -577,19 +581,15 @@ def singular_invariance_defect(dim: Dimension, k: int, a1, a2,
                                grid_size=(48, 96),
                                L_kernel: int | None = None) -> float:
     """Relative change of the singular form under the principal-series
-    actions tied to (a1, a2, a3 = -rho - 2k).  The moved fields are
-    callables, projected to degree L_kernel on the grid of grid_size; the
-    base value uses the inputs as given."""
+    actions tied to (a1, a2, a3 = -rho - 2k).  The inputs are
+    HarmonicCoeffs; the moved fields are callables, projected once to
+    degree L_kernel on the plain grid of grid_size (`_band_limited`)."""
     a3 = -dim.rho - 2.0 * k
     lam = lambda_from_alpha((a1, a2, a3)).lam
-    base = singular_form(dim, k, a1, a2, f1, f2, f3, grid_size=grid_size,
-                         L_kernel=L_kernel)
-    moved = singular_form(dim, k, a1, a2,
-                          pi_pointwise(dim, lam[0], g, f1),
-                          pi_pointwise(dim, lam[1], g, f2),
-                          pi_pointwise(dim, lam[2], g, f3),
-                          grid_size=grid_size, L_kernel=L_kernel)
-    return abs(moved - base) / abs(base)
+    base = singular_form(dim, k, a1, a2, f1, f2, f3)
+    moved = _band_limited([pi_pointwise(dim, lj, g, f)
+                           for lj, f in zip(lam, (f1, f2, f3))], grid_size, L_kernel)
+    return abs(singular_form(dim, k, a1, a2, *moved) - base) / abs(base)
 
 
 # ---------------------------------------------------------------------------
@@ -597,21 +597,19 @@ def singular_invariance_defect(dim: Dimension, k: int, a1, a2,
 
 
 def residue_bridge_defect(dim: Dimension, k: int, a1, a2, f1, f2, f3,
-                          grid_size=(48, 96), L_kernel: int = 32) -> float:
+                          L_kernel: int = 32) -> float:
     """Relative mismatch between the contour residue of the generic form
     in its third parameter at -rho - 2k (half-parameter convention,
     evaluated through the continued spectral family) and c_k times the
-    singular form (exact for HarmonicCoeffs inputs).  Raises where the
-    family diverges at the pole, Re(a1 + a2) <= 2k."""
+    singular form, on HarmonicCoeffs inputs.  Raises where the family
+    diverges at the pole, Re(a1 + a2) <= 2k."""
     if complex(a1 + a2).real <= 2 * k:
         raise ValueError(f"the alpha3 family diverges unless Re(a1+a2) > 2k = {2 * k}")
-    evaluate, _ = generic_form_alpha3_family(dim, a1, a2, f1, f2, f3,
-                                             grid_size=grid_size,
-                                             L_kernel=L_kernel)
+    evaluate, _ = generic_form_alpha3_family(dim, a1, a2, f1, f2, f3, L_kernel)
     center = -dim.rho - 2.0 * k
     fit = residue_ring(evaluate, center, radius=RING_RADIUS)
     lhs = fit.residue / 2.0
-    t_val = singular_form(dim, k, a1, a2, f1, f2, f3, grid_size=grid_size)
+    t_val = singular_form(dim, k, a1, a2, f1, f2, f3)
     rhs = gjms_constant(dim, k).c_k * t_val
     return abs(lhs - rhs) / abs(rhs)
 

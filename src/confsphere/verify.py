@@ -29,7 +29,7 @@ SUITE_NAMES = ("geometry", "representation", "bernstein", "residues",
                "intertwining", "trilinear")
 DIM = Dimension(3)
 TRIPLE_GRID = (24, 48)    # the generic forms' three staggered grids
-DOUBLE_GRID = (48, 96)    # the residue bridge, and the singular forms' moved fields
+DOUBLE_GRID = (48, 96)    # projects the moved fields of the singular invariance checks
 
 
 @dataclass
@@ -518,8 +518,7 @@ def singular_invariance_defects(instances) -> list:
 def bridge_order_zero_defect(field_seed: int) -> float:
     """residue_bridge_defect at k = 0, (a1, a2) = (3.3, 3.7)."""
     fs = [sphgrid.random_coeffs(4, field_seed + j, real_field=True) for j in range(3)]
-    return trilinear.residue_bridge_defect(DIM, 0, 3.3, 3.7, *fs,
-                                           grid_size=DOUBLE_GRID, L_kernel=24)
+    return trilinear.residue_bridge_defect(DIM, 0, 3.3, 3.7, *fs, L_kernel=24)
 
 
 def bridge_order_one_defects(points) -> list:
@@ -528,8 +527,7 @@ def bridge_order_one_defects(points) -> list:
     one = sphgrid.coeffs_constant(1.0, 2)
     drawn = []
     for a1, a2 in points:
-        t_val = trilinear.singular_form(DIM, 1, a1, a2, one, one, one,
-                                        grid_size=DOUBLE_GRID, L_kernel=24)
+        t_val = trilinear.singular_form(DIM, 1, a1, a2, one, one, one)
         pred = trilinear.closed_form_constant_residue(DIM, 1, a1, a2)
         got = spectral_ops.gjms_constant(DIM, 1).c_k * t_val
         drawn.append((abs(got - pred) / abs(pred), t_val, pred))

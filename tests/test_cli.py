@@ -65,23 +65,32 @@ def test_library_value_errors_are_usage_errors(tmp_path, capsys):
         assert "error: " + args[0] in err and "Traceback" not in err
 
 
-def test_coefficient_file_errors_are_usage_errors(tmp_path, capsys):
-    # a missing file, an (l, m) beyond the file's L, a file without its
-    # "L" key and one that is not a JSON object end as argparse errors
-    # (exit 2), not as tracebacks
+def test_coefficient_file_errors_are_usage_errors(tmp_path, capsys, monkeypatch):
+    # a missing file, an (l, m) beyond the file's L, a non-integer (l, m),
+    # an L beyond sphgrid.MAX_DEGREE, a file without its "L" key and one
+    # that is not a JSON object end as argparse errors (exit 2), not as
+    # tracebacks; the huge L is refused before its coefficient array is
+    # allocated
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n": 3, "L": 1, "coeffs": [[2, 0, 1.0, 0.0]]}))
+    frac = tmp_path / "frac.json"
+    frac.write_text(json.dumps({"n": 3, "L": 2, "coeffs": [[1.5, 0, 1, 0], [2, -1.9, 0, 2]]}))
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"n": 3, "L": 20000, "coeffs": [[0, 0, 1.0, 0.0]]}))
     no_L = tmp_path / "noL.json"
     no_L.write_text(json.dumps({"n": 3, "coeffs": [[0, 0, 1.0, 0.0]]}))
     rows = tmp_path / "rows.json"
     rows.write_text(json.dumps([[0, 0, 1.0, 0.0]]))
-    with pytest.raises(ValueError, match="out of range"):
-        sg.load_coeffs(bad)
-    for path in (no_L, rows):
-        with pytest.raises(ValueError, match="JSON object with keys"):
-            sg.load_coeffs(path)
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "zeros", None)       # no coefficient array is allocated
+        for path, message in ((bad, "out of range"), (frac, "non-integer"),
+                              (huge, "integer in 0..512"), (no_L, "JSON object with keys"),
+                              (rows, "JSON object with keys")):
+            with pytest.raises(ValueError, match=message):
+                sg.load_coeffs(path)
     for path, message in ((tmp_path / "missing.json", "No such file"),
-                          (bad, "out of range"), (no_L, "JSON object"),
+                          (bad, "out of range"), (frac, "non-integer"),
+                          (huge, "integer in 0..512"), (no_L, "JSON object"),
                           (rows, "JSON object")):
         with pytest.raises(SystemExit) as exc:
             cli.main(["pair", "--s", "1.5", "--f", str(path)])

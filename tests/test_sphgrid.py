@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 import scipy.special as sp
+from hypothesis import given, settings, strategies as st
 
 from confsphere.lorentz import Dimension
 from confsphere import sphgrid as sg
@@ -56,6 +57,24 @@ def test_parseval(grid32):
     c = sg.random_coeffs(24, 3).pad(32)
     f = sg.sht_inverse(c, grid32)
     power = sg.quad(sg.GridFunction(grid32, np.abs(f.values) ** 2))
+    assert abs(power - c.l2_norm() ** 2) < 1e-9 * c.l2_norm() ** 2
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(L=st.integers(1, 32), extra_theta=st.integers(0, 3), extra_phi=st.integers(0, 3),
+       phi_offset=st.floats(0.0, 2 * np.pi), data=st.data())
+def test_roundtrip_and_parseval_property(L, extra_theta, extra_phi, phi_offset, data):
+    # explicit sizes at or above the minimal ones for degree L (n_phi odd
+    # and even), a random azimuth offset and a random degree up to the
+    # grid's: analysis inverts synthesis, with nothing aliased above the
+    # field's degree, and the quadrature of |f|^2 is its coefficient norm
+    grid = sg.make_grid(n_theta=L + 1 + extra_theta, n_phi=2 * L + 1 + extra_phi,
+                        phi_offset=phi_offset)
+    degree = data.draw(st.integers(0, grid.L), label="degree")
+    c = sg.random_coeffs(degree, data.draw(st.integers(0, 2 ** 16), label="seed")).pad(grid.L)
+    f = sg.sht_inverse(c, grid)
+    assert np.abs(sg.sht_forward(f).c - c.c).max() / np.abs(c.c).max() < 1e-10
+    power = sg.quad(sg.GridFunction(grid, np.abs(f.values) ** 2))
     assert abs(power - c.l2_norm() ** 2) < 1e-9 * c.l2_norm() ** 2
 
 

@@ -111,8 +111,7 @@ def test_permutation_symmetry(dim3):
 
 def test_spectral_family_matches_direct(dim3):
     fs = [sg.random_coeffs(4, 95 + j) for j in range(3)]
-    evaluate, weights = tri.generic_form_alpha3_family(
-        dim3, 3.0, 3.0, *fs, grid_size=(24, 48), L_kernel=20)
+    evaluate, weights = tri.generic_form_alpha3_family(dim3, 3.0, 3.0, *fs, L_kernel=20)
     direct = tri.generic_form(dim3, (3.0, 3.0, 1.0), *fs)
     assert abs(evaluate(1.0) - direct) <= 1e-4 * abs(direct)
     assert len(weights) == 21
@@ -337,7 +336,7 @@ def test_degree_weights_match_dense_operator_oracle(dim3):
                                ((1, 0, 2), 1, 2.2 + 0.1j, 1.6 + 0.7j)):
         fs = [sg.random_coeffs(d, 200 + d) for d in degrees]
         want = _dense_degree_weights(dim3, fs, L, a1, a2)
-        got = tri._degree_weights(dim3, a1, a2, fs, (24, 48), L)
+        got = tri._degree_weights(dim3, a1, a2, fs, L)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -350,7 +349,7 @@ def test_degree_weights_use_no_column_transform(dim3, monkeypatch):
     monkeypatch.setattr(tri, "sht_forward_columns", refuse)
     monkeypatch.setattr(tri, "sht_synthesize_columns", refuse)
     fs = [sg.random_coeffs(3, 210 + j) for j in range(3)]
-    assert np.all(np.isfinite(tri._degree_weights(dim3, 1.6, 1.8, fs, (24, 48), 8)))
+    assert np.all(np.isfinite(tri._degree_weights(dim3, 1.6, 1.8, fs, 8)))
 
 
 def test_degree_weights_memory_bounded_at_high_degree(dim3):
@@ -361,7 +360,7 @@ def test_degree_weights_memory_bounded_at_high_degree(dim3):
     fs = [sg.random_coeffs(3, 180 + j, real_field=True) for j in range(3)]
     tracemalloc.start()
     try:
-        tri._degree_weights(dim3, 3.3, 3.7, fs, (48, 96), 64)
+        tri._degree_weights(dim3, 3.3, 3.7, fs, 64)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -377,8 +376,7 @@ def test_alpha3_family_memory_bounded(dim3):
     tri.triple_grids((48, 96))
     tracemalloc.start()
     try:
-        tri.generic_form_alpha3_family(dim3, 3.3, 3.7, *fs,
-                                       grid_size=(48, 96), L_kernel=24)
+        tri.generic_form_alpha3_family(dim3, 3.3, 3.7, *fs, L_kernel=24)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -493,13 +491,13 @@ def test_grids_built_once_per_size(dim3, monkeypatch):
         grids[0].u[0] = 0.0
     one = sg.coeffs_constant(1.0, 2)
     tri.generic_form(dim3, (1.0, 1.0, 1.0), one, one, one, grid_size=(12, 24))
-    tri.singular_form(dim3, 1, 2.3, 5.6, one, one, one, grid_size=(12, 24))
+    tri.singular_form(dim3, 1, 2.3, 5.6, one, one, one)
     calls = []
     table = sg.legendre_table
     monkeypatch.setattr(sg, "legendre_table",
                         lambda L, u: calls.append(L) or table(L, u))
     tri.generic_form(dim3, (1.0, 1.0, 1.0), one, one, one, grid_size=(12, 24))
-    tri.singular_form(dim3, 1, 2.3, 5.6, one, one, one, grid_size=(12, 24))
+    tri.singular_form(dim3, 1, 2.3, 5.6, one, one, one)
     assert tri.triple_grids((12, 24)) is grids
     assert calls == []
 
@@ -509,8 +507,7 @@ def test_singular_form_k0_reduction(dim3):
     # added exponents
     fs = [sg.random_coeffs(4, 100 + j) for j in range(3)]
     a1, a2 = 1.3, 2.6
-    got = tri.singular_form(dim3, 0, a1, a2, *fs, grid_size=(48, 96),
-                            L_kernel=24)
+    got = tri.singular_form(dim3, 0, a1, a2, *fs)
     gx, g3 = tri.double_grids((48, 96))
     from confsphere.reps import field_from_coeffs
     F1 = field_from_coeffs(fs[0])(gx.flat_points())
@@ -525,8 +522,7 @@ def test_singular_form_constant_closed_value(dim3):
     # hand-derived: T_1(a1, a2; 1, 1, 1)
     one = sg.coeffs_constant(1.0, 2)
     for a1, a2 in ((2.3, 5.6), (3.1, 4.8)):
-        got = tri.singular_form(dim3, 1, a1, a2, one, one, one,
-                                grid_size=(48, 96), L_kernel=24)
+        got = tri.singular_form(dim3, 1, a1, a2, one, one, one)
         want = (-4 * np.pi ** 2 * 2 ** (a1 + a2) * (a1 - 1) * (a2 - 1)
                 / ((a1 + a2 - 2) * (a1 + a2)))
         assert abs(got - want) <= 1e-6 * abs(want)
@@ -575,15 +571,13 @@ def test_singular_invariance_continued(dim3):
 
 def test_residue_bridge_k0(dim3):
     fs = [sg.random_coeffs(4, 130 + j, real_field=True) for j in range(3)]
-    defect = tri.residue_bridge_defect(dim3, 0, 3.3, 3.7, *fs,
-                                       grid_size=(48, 96), L_kernel=24)
+    defect = tri.residue_bridge_defect(dim3, 0, 3.3, 3.7, *fs, L_kernel=24)
     assert defect < 5e-3
 
 
 def test_residue_bridge_k1_random_fields(dim3):
     fs = [sg.random_coeffs(4, 135 + j, real_field=True) for j in range(3)]
-    defect = tri.residue_bridge_defect(dim3, 1, 2.3, 5.6, *fs,
-                                       grid_size=(48, 96), L_kernel=32)
+    defect = tri.residue_bridge_defect(dim3, 1, 2.3, 5.6, *fs, L_kernel=32)
     assert defect < 1e-7
 
 
@@ -594,23 +588,39 @@ def test_residue_bridge_guard_where_family_diverges(dim3):
     fs = [sg.random_coeffs(4, 135 + j, real_field=True) for j in range(3)]
     for k, a1, a2 in ((1, 0.4, 0.9), (0, -0.3, 0.3 + 0.5j), (2, 2.5, 1.5)):
         with pytest.raises(ValueError, match=r"Re\(a1\+a2\) > 2k"):
-            tri.residue_bridge_defect(dim3, k, a1, a2, *fs, grid_size=(24, 48),
-                                      L_kernel=16)
+            tri.residue_bridge_defect(dim3, k, a1, a2, *fs, L_kernel=16)
+
+
+def test_spectral_layer_refuses_callables(dim3):
+    # the trace and the finite sum are exact on coefficients; a callable
+    # in any slot (here a moved field) raises instead of being projected
+    # on a grid the caller did not choose
+    from confsphere.reps import pi_pointwise
+    g = random_element(dim3, 113, max_boost=0.3)
+    fs = [sg.random_coeffs(3, 215 + j, real_field=True) for j in range(3)]
+    for slot in range(3):
+        mixed = list(fs)
+        mixed[slot] = pi_pointwise(dim3, 0.5, g, fs[slot])
+        for call in (lambda: tri._degree_weights(dim3, 1.6, 1.8, mixed, 8),
+                     lambda: tri.generic_form_alpha3_family(dim3, 1.6, 1.8, *mixed),
+                     lambda: tri.singular_form(dim3, 1, 1.45, 4.62, *mixed),
+                     lambda: tri.residue_bridge_defect(dim3, 0, 3.3, 3.7, *mixed),
+                     lambda: tri.generic_form(dim3, (1.6, 1.8, 1.55), *mixed,
+                                              method="fast")):
+            with pytest.raises(TypeError, match="expected HarmonicCoeffs"):
+                call()
 
 
 def test_residue_bridge_k1_closed_channel(dim3):
     one = sg.coeffs_constant(1.0, 2)
     for a1, a2 in ((2.3, 5.6), (3.1, 4.8)):
-        t_val = tri.singular_form(dim3, 1, a1, a2, one, one, one,
-                                  grid_size=(48, 96), L_kernel=24)
+        t_val = tri.singular_form(dim3, 1, a1, a2, one, one, one)
         got = gjms_constant(dim3, 1).c_k * t_val
         want = tri.closed_form_constant_residue(dim3, 1, a1, a2)
         assert abs(got - want) <= 5e-3 * abs(want)
     # constant-free cross-check: ratios across the two parameter points
-    t1 = tri.singular_form(dim3, 1, 2.3, 5.6, one, one, one,
-                           grid_size=(48, 96), L_kernel=24)
-    t2 = tri.singular_form(dim3, 1, 3.1, 4.8, one, one, one,
-                           grid_size=(48, 96), L_kernel=24)
+    t1 = tri.singular_form(dim3, 1, 2.3, 5.6, one, one, one)
+    t2 = tri.singular_form(dim3, 1, 3.1, 4.8, one, one, one)
     w1 = tri.closed_form_constant_residue(dim3, 1, 2.3, 5.6)
     w2 = tri.closed_form_constant_residue(dim3, 1, 3.1, 4.8)
     assert abs(t1 / t2 - w1 / w2) <= 5e-3 * abs(w1 / w2)
