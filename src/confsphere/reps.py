@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .lorentz import ConformalMap, Dimension, act, base_point, conformal_factor, inverse
-from .sphgrid import (GridFunction, HarmonicCoeffs, quad, sht_forward,
-                      sht_inverse, synth_at_points, value_at_pole)
+from .sphgrid import (GridFunction, HarmonicCoeffs, quad, sampled_value_at_pole,
+                      sht_forward, sht_inverse, synth_at_points)
 
 
 def pi_act(dim: Dimension, lam: complex, g: ConformalMap,
@@ -96,8 +96,8 @@ def dirac_pair(dim: Dimension, lam: complex, g: ConformalMap,
 def dirac_pair_dual(dim: Dimension, lam: complex, g: ConformalMap,
                     phi: HarmonicCoeffs, grid) -> complex:
     """The same pairing through the distributional route: apply
-    pi_{-lambda}(g^{-1}) to phi on the grid, re-analyze, and read off the
-    value at the base point.  Independent of the closed form in dirac_pair
-    except for the group arithmetic itself."""
+    pi_{-lambda}(g^{-1}) to phi on the grid and read off the value at the
+    base point of its degree-grid.L projection.  Independent of the closed
+    form in dirac_pair except for the group arithmetic itself."""
     moved = pi_act_coeffs(dim, -complex(lam), inverse(g), phi, grid)
-    return value_at_pole(sht_forward(moved))
+    return sampled_value_at_pole(moved)

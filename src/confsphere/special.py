@@ -36,8 +36,12 @@ def _lanczos(z: complex):
     return z + _LANCZOS_G + 0.5, x
 
 
+def _is_pole(z: complex) -> bool:
+    return z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real)
+
+
 def _check_pole(z: complex) -> None:
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real):
+    if _is_pole(z):
         raise ZeroDivisionError(f"gamma pole at z={z}")
 
 
@@ -68,9 +72,19 @@ def _log_gamma(z: complex) -> complex:
 
 def gamma_ratio(num, den):
     """prod Gamma(num_i) / prod Gamma(den_j) for scalar sequences, summed
-    in log space and exponentiated once."""
-    log = (sum(_log_gamma(complex(a)) for a in num)
-           - sum(_log_gamma(complex(b)) for b in den))
+    in log space and exponentiated once.
+
+    At exact Gamma poles: 0 where the denominator has more of them than
+    the numerator (the ratio's limit), ZeroDivisionError where it has as
+    many or fewer.  Poles are counted only once a log-Gamma has raised."""
+    try:
+        log = (sum(_log_gamma(complex(a)) for a in num)
+               - sum(_log_gamma(complex(b)) for b in den))
+    except ZeroDivisionError:
+        if (sum(_is_pole(complex(b)) for b in den)
+                > sum(_is_pole(complex(a)) for a in num)):
+            return 0j
+        raise
     return cmath.exp(log)
 
 

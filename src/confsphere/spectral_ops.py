@@ -25,11 +25,6 @@ def laplacian_multiplier(dim: Dimension, l: int) -> float:
     return -float(l) * (l + dim.n - 2.0)
 
 
-def yamabe_shift(dim: Dimension) -> float:
-    """Constant term of the conformal Laplacian: -(n-1)(n-3)/4."""
-    return -0.25 * (dim.n - 1.0) * (dim.n - 3.0)
-
-
 def gjms_multiplier(dim: Dimension, k: int, l: int) -> float:
     """Eigenvalue of the k-th covariant power: the product over j <= k of
     (Delta - (rho+j-1)(rho-j)), evaluated in the factored form
@@ -121,7 +116,3 @@ def knapp_stein_multipliers(dim: Dimension, alpha: complex, L: int) -> np.ndarra
             ([1.0], (l - 1.0 - h) / (l - 1.0 + d + h))))
     return vals
 
-
-def knapp_stein_multiplier(dim: Dimension, alpha: complex, l: int) -> complex:
-    """Single eigenvalue e_l(alpha); see knapp_stein_multipliers."""
-    return complex(knapp_stein_multipliers(dim, alpha, l)[l])

@@ -25,6 +25,8 @@ from .lorentz import Dimension
 from .special import tanhsinh_unit, ultraspherical_table
 
 MAX_DEGREE = 512
+# doubles in the Legendre block that synth_at_points fills per order (1 MB)
+SYNTH_BLOCK = 1 << 17
 
 
 # ---------------------------------------------------------------------------
@@ -36,26 +38,37 @@ def plm_index(l: int, m: int) -> int:
     return l * (l + 1) // 2 + m
 
 
-def _legendre_rows(L: int, u: np.ndarray):
-    """The normalized associated Legendre recurrence, streamed: yields
-    (l, m, p_lm(u)) for m = 0..L and l = m..L, m-major.  Stable for the
-    degrees used here (L <= 512)."""
+def _scalars(v: np.ndarray) -> list:
+    """The entries of a 1-D array as 0-d arrays."""
+    return [v[j, ...] for j in range(v.size)]
+
+
+def _legendre_orders(L: int, u: np.ndarray, block: np.ndarray):
+    """The normalized associated Legendre recurrence, order by order: for
+    m = 0..L, fills the leading L+1-m rows of block (shape (L+1, len(u)))
+    with p_lm(u), l = m..L, and yields (m, that view).  The next order
+    overwrites it.  Stable for the degrees used here (L <= MAX_DEGREE)."""
     s = np.sqrt(np.maximum(1.0 - u * u, 0.0))
-    pmm = np.full(u.shape, 1.0 / math.sqrt(4.0 * math.pi))
+    tmp = np.empty_like(s)
+    rows = list(block)
+    rows[0][...] = 1.0 / math.sqrt(4.0 * math.pi)
     for m in range(L + 1):
         if m > 0:
-            pmm = -math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s * pmm
-        yield m, m, pmm
-        p_prev2, p_prev1 = None, pmm
-        for l in range(m + 1, L + 1):
-            if l == m + 1:
-                p = math.sqrt(2.0 * m + 3.0) * u * pmm
-            else:
-                a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-                b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-                p = a * (u * p_prev1 - b * p_prev2)
-            yield l, m, p
-            p_prev2, p_prev1 = p_prev1, p
+            rows[0] *= -math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s
+        if m < L:
+            np.multiply(math.sqrt(2.0 * m + 3.0) * u, rows[0], rows[1])
+        # rows l = m + k, k >= 2; their coefficients enter as 0-d arrays,
+        # the cheapest operand for a ufunc whose output is given
+        l = np.arange(m + 2.0, L + 1.0)
+        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+        b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+        for k, ak, bk in zip(range(2, L + 1 - m), _scalars(a), _scalars(b)):
+            row = rows[k]
+            np.multiply(u, rows[k - 1], row)
+            np.multiply(bk, rows[k - 2], tmp)
+            np.subtract(row, tmp, row)
+            np.multiply(row, ak, row)
+        yield m, block[: L + 1 - m]
 
 
 def legendre_table(L: int, u: np.ndarray) -> np.ndarray:
@@ -67,10 +80,11 @@ def legendre_table(L: int, u: np.ndarray) -> np.ndarray:
     degree is a leading slice of this one.
     """
     u = np.asarray(u, dtype=float)
-    tab = np.empty(((L + 1) * (L + 2) // 2,) + u.shape)
-    for l, m, p in _legendre_rows(L, u):
-        tab[plm_index(l, m)] = p
-    return tab
+    tab = np.empty(((L + 1) * (L + 2) // 2, u.size))
+    l = np.arange(L + 1)
+    for m, rows in _legendre_orders(L, u.reshape(-1), np.empty((L + 1, u.size))):
+        tab[plm_index(l[m:], m)] = rows
+    return tab.reshape(tab.shape[:1] + u.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -333,31 +347,34 @@ def sht_inverse(coeffs: HarmonicCoeffs, grid: Grid) -> GridFunction:
 def synth_at_points(coeffs: HarmonicCoeffs, points: np.ndarray) -> np.ndarray:
     """Evaluate the band-limited function at arbitrary points (..., 3).
 
-    Consumes the Legendre recurrence row by row, so memory stays
-    O(points) even for large L.
+    Runs over chunks of points.  Per chunk and order m, the Legendre rows
+    l = m..L fill one block of at most SYNTH_BLOCK doubles, and one real
+    matrix product contracts them with the +m and -m coefficient columns,
+    so memory stays O(points) plus that block for every L.
     """
     pts = np.asarray(points, dtype=float)
     shape = pts.shape[:-1]
     pts = pts.reshape(-1, 3)
-    u = np.clip(pts[:, 0], -1.0, 1.0)
-    phi = np.arctan2(pts[:, 2], pts[:, 1])
-    L, c = coeffs.L, coeffs.c
-    out = np.zeros(pts.shape[0], dtype=complex)
-    for l, m, p in _legendre_rows(L, u):
-        if l == m:
-            acc_pos = np.zeros(pts.shape[0], dtype=complex)
-            acc_neg = np.zeros(pts.shape[0], dtype=complex)
-        if c[l, L + m] != 0:
-            acc_pos += c[l, L + m] * p
-        if m > 0 and c[l, L - m] != 0:
-            acc_neg += c[l, L - m] * p
-        if l < L:
-            continue
-        if m == 0:
-            out += acc_pos
-        else:
-            out += acc_pos * np.exp(1j * m * phi)
-            out += (-1) ** m * acc_neg * np.exp(-1j * m * phi)
+    L = coeffs.L
+    # per order, the columns c[l, m] and (-1)^m c[l, -m], l = m..L, as rows
+    cols = [np.stack([coeffs.c[m:, L + m], (-1) ** m * coeffs.c[m:, L - m]], axis=1)
+            for m in range(L + 1)]
+    chunk = max(1, SYNTH_BLOCK // (L + 1))
+    block = np.empty((L + 1, min(chunk, len(pts))))
+    out = np.empty(len(pts), dtype=complex)
+    for start in range(0, len(pts), chunk):
+        x = pts[start: start + chunk]
+        u = np.clip(x[:, 0], -1.0, 1.0)
+        phi = np.arctan2(x[:, 2], x[:, 1])
+        acc = out[start: start + chunk]
+        for m, rows in _legendre_orders(L, u, block[:, : len(x)]):
+            pos, neg = _real_matmul(rows.T, cols[m]).T
+            if m == 0:
+                acc[:] = pos
+            else:
+                e = np.exp(1j * m * phi)
+                acc += pos * e
+                acc += neg * np.conj(e)
     return out.reshape(shape)
 
 
@@ -368,6 +385,16 @@ def value_at_pole(coeffs: HarmonicCoeffs) -> complex:
     return complex(np.dot(coeffs.c[:, coeffs.L], scale))
 
 
+def sampled_value_at_pole(f: GridFunction) -> complex:
+    """value_at_pole(sht_forward(f)) read from the samples: only the zonal
+    part contributes, so ring i enters through its sum over phi, weighted
+    by w_i dphi sum_{l <= grid.L} (2l+1)/(4 pi) P_l(u_i)."""
+    grid = f.grid
+    l = np.arange(grid.L + 1)
+    zonal = ((2 * l + 1) / (4.0 * math.pi)) @ ultraspherical_table(0.5, grid.L, grid.u)
+    return complex(np.dot(f.values.sum(axis=1), grid.w * grid.dphi * zonal))
+
+
 def degree_pairings(a: HarmonicCoeffs, b: HarmonicCoeffs) -> np.ndarray:
     """Degree-by-degree bilinear pairings sum_m (-1)^m a[l, m] b[l, -m],
     l = 0..min(a.L, b.L)."""
@@ -375,23 +402,6 @@ def degree_pairings(a: HarmonicCoeffs, b: HarmonicCoeffs) -> np.ndarray:
     ac = a.c[: L + 1, a.L - L: a.L + L + 1]
     bc = b.c[: L + 1, b.L - L: b.L + L + 1]
     return (ac * bc[:, ::-1]) @ (-1.0) ** np.arange(-L, L + 1)
-
-
-def slot_pairings(C: np.ndarray, L: int) -> np.ndarray:
-    """Degree-by-degree pairings sum_m (-1)^m C[(l, m), (l, -m)] of the two
-    slots of a coefficient matrix (rows and columns both in the padded
-    layout): degree_pairings of two-sphere data that need not be a
-    product."""
-    C = C.reshape(L + 1, 2 * L + 1, L + 1, 2 * L + 1)
-    l = np.arange(L + 1)
-    diag = np.diagonal(C[l, :, l, ::-1], axis1=1, axis2=2)
-    return diag @ (-1.0) ** np.arange(-L, L + 1)
-
-
-def pair_bilinear(a: HarmonicCoeffs, b: HarmonicCoeffs) -> complex:
-    """The bilinear pairing int f g dsigma in coefficient form:
-    sum_lm (-1)^m a[l, m] b[l, -m]."""
-    return complex(degree_pairings(a, b).sum())
 
 
 def inner(a: HarmonicCoeffs, b: HarmonicCoeffs) -> complex:
@@ -420,20 +430,14 @@ def zonal_integral(dim: Dimension, F, singular_power: complex = 0.0,
     return _zonal_quadrature(dim, F, singular_power, L=None, rtol=rtol)
 
 
-def funk_hecke(dim: Dimension, F, l: int, singular_power: complex = 0.0,
-               rtol: float = 1e-12) -> complex:
-    """Eigenvalue of the zonal convolution f -> int F(<x, y>) f(y) dsigma(y)
-    on degree-l spherical harmonics: the profile integrated against the
-    ultraspherical polynomial normalized at 1, with the (1-t^2)^{(n-3)/2}
-    weight and the |S^{n-2}| area factor.  Reduces to 2 pi int F P_l dt
-    for n = 3 and to the plain area integral for l = 0.  See
-    zonal_integral for the role of singular_power."""
-    return funk_hecke_table(dim, F, l, singular_power=singular_power,
-                            rtol=rtol)[l]
-
-
 def funk_hecke_table(dim: Dimension, F, L: int, singular_power: complex = 0.0,
                      rtol: float = 1e-12) -> np.ndarray:
+    """Eigenvalues, l = 0..L, of the zonal convolution
+    f -> int F(<x, y>) f(y) dsigma(y) on degree-l spherical harmonics: the
+    profile integrated against the ultraspherical polynomial normalized at
+    1, with the (1-t^2)^{(n-3)/2} weight and the |S^{n-2}| area factor.
+    Reduces to 2 pi int F P_l dt for n = 3 and to the plain area integral
+    for l = 0.  See zonal_integral for the role of singular_power."""
     return np.asarray(_zonal_quadrature(dim, F, singular_power, L=L,
                                         rtol=rtol))
 

@@ -44,3 +44,9 @@ def knapp_stein_oracle(n, s, L):
     if np.isrealobj(s):
         return pref * sp.poch(-h, l) * sp.rgamma(l + d + h)
     return pref * sp.rgamma(-h) * np.exp(sp.loggamma(l - h) - sp.loggamma(l + d + h))
+
+
+def pair_bilinear(a, b):
+    """The bilinear pairing int f g dsigma in coefficient form:
+    sum_lm (-1)^m a[l, m] b[l, -m]."""
+    return complex(sphgrid.degree_pairings(a, b).sum())

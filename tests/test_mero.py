@@ -4,6 +4,7 @@ import scipy.special as sp
 
 from confsphere import mero, sphgrid as sg
 from confsphere.special import complex_gamma
+from conftest import pair_bilinear
 
 
 def area_family(s, n=3):
@@ -152,7 +153,7 @@ def test_pair_separation_against_double_quadrature(dim3):
 def test_separation_residue_k0(dim3):
     c1, c2 = sg.random_coeffs(5, 8), sg.random_coeffs(5, 9)
     ring = mero.residue_separation_power_ring(dim3, 0, c1, c2)
-    want = np.pi * sg.pair_bilinear(c1, c2)
+    want = np.pi * pair_bilinear(c1, c2)
     assert abs(ring - want) <= 1e-6 * abs(want)
 
 

@@ -9,6 +9,16 @@ from confsphere import spectral_ops as so
 from conftest import knapp_stein_oracle
 
 
+def yamabe_shift(dim):
+    """Constant term of the conformal Laplacian: -(n-1)(n-3)/4."""
+    return -0.25 * (dim.n - 1.0) * (dim.n - 3.0)
+
+
+def knapp_stein_multiplier(dim, alpha, l):
+    """Single eigenvalue e_l(alpha); see knapp_stein_multipliers."""
+    return complex(so.knapp_stein_multipliers(dim, alpha, l)[l])
+
+
 def radial_laplacian_fd(profile, theta, n, h=1e-4):
     """The rotation-invariant Laplacian as a radial operator,
     phi'' + (n-2) cot(theta) phi', by central differences."""
@@ -51,10 +61,10 @@ def test_gjms_k1_is_yamabe():
     for n in (3, 4, 5):
         dim = Dimension(n)
         for l in range(12):
-            want = so.laplacian_multiplier(dim, l) + so.yamabe_shift(dim)
+            want = so.laplacian_multiplier(dim, l) + yamabe_shift(dim)
             assert abs(so.gjms_multiplier(dim, 1, l) - want) < 1e-12
     # the shift vanishes for n = 3
-    assert so.yamabe_shift(Dimension(3)) == 0.0
+    assert yamabe_shift(Dimension(3)) == 0.0
 
 
 def test_gjms_alternative_factorization():
@@ -64,7 +74,7 @@ def test_gjms_alternative_factorization():
         for k in range(5):
             for l in range(33):
                 alt = 1.0
-                d1 = so.laplacian_multiplier(dim, l) + so.yamabe_shift(dim)
+                d1 = so.laplacian_multiplier(dim, l) + yamabe_shift(dim)
                 for j in range(1, k + 1):
                     alt *= d1 + j * (j - 1)
                 assert abs(so.gjms_multiplier(dim, k, l) - alt) <= 1e-10 * max(1.0, abs(alt))
@@ -174,13 +184,13 @@ def test_knapp_stein_pole_structure():
     for l in (0, 2):
         for k in (0, 1):
             center = -dim.rho - 2.0 * k
-            fit = residue_ring(lambda a: so.knapp_stein_multiplier(dim, a, l),
+            fit = residue_ring(lambda a: knapp_stein_multiplier(dim, a, l),
                                center, 0.1, 16)
             want = 2.0 * so.gjms_constant(dim, k).c_k * so.gjms_multiplier(dim, k, l)
             assert abs(fit.residue - want) <= 1e-8 * max(1.0, abs(want))
-            off = residue_ring(lambda a: so.knapp_stein_multiplier(dim, a, l),
+            off = residue_ring(lambda a: knapp_stein_multiplier(dim, a, l),
                                center + 1.0, 0.1, 16)
-            scale = abs(so.knapp_stein_multiplier(dim, center + 1.1, l))
+            scale = abs(knapp_stein_multiplier(dim, center + 1.1, l))
             assert abs(off.residue) < 1e-8 * max(1.0, scale)
 
 
@@ -206,7 +216,7 @@ def test_knapp_stein_poles_and_exceptional_points():
         zero = want == 0.0
         assert zero.any() and np.all(got[zero] == 0.0)
         assert np.max(np.abs(got[~zero] - want[~zero]) / np.abs(want[~zero])) < 1e-13
-    assert abs(so.knapp_stein_multiplier(Dimension(4), -6.0 + 1.5, 1)
+    assert abs(knapp_stein_multiplier(Dimension(4), -6.0 + 1.5, 1)
                - np.pi ** 2 / 2) < 1e-13
 
 
@@ -227,8 +237,8 @@ def test_knapp_stein_ladder_property(n, l, re, im):
     assume(_lattice_distance(n, s) >= 0.05 and _lattice_distance(n, s - 2.0) >= 0.05)
     assume(abs(s - 2.0 * round(re / 2.0)) >= 0.05)
     dim = Dimension(n)
-    up = so.knapp_stein_multiplier(dim, s + dim.rho, l)
-    down = so.knapp_stein_multiplier(dim, s - 2.0 + dim.rho, l)
+    up = knapp_stein_multiplier(dim, s + dim.rho, l)
+    down = knapp_stein_multiplier(dim, s - 2.0 + dim.rho, l)
     lhs = down * s * (s + n - 3.0)
     rhs = (-l * (l + n - 2.0) + (s / 2) * (s / 2 + n - 2.0)) * up
     scale = max(abs(lhs), abs(up) * (l * (l + n - 2.0) + abs(s / 2 * (s / 2 + n - 2.0))))

@@ -1,4 +1,6 @@
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from confsphere.lorentz import Dimension
 from confsphere import sphgrid as sg
 from confsphere import spectral_ops as so
-from conftest import knapp_stein_oracle, random_unit
+from conftest import knapp_stein_oracle, pair_bilinear, random_unit
 
 
 def test_quad_area(grid16):
@@ -117,6 +119,111 @@ def test_value_at_pole(grid16):
     assert abs(sg.value_at_pole(c) - complex(want)) < 1e-12
 
 
+def _legendre_rows_reference(L, u):
+    """The Legendre recurrence as the row-by-row generator legendre_table
+    was first built on: (l, m, p_lm(u)), m-major (test-only reference)."""
+    s = np.sqrt(np.maximum(1.0 - u * u, 0.0))
+    pmm = np.full(u.shape, 1.0 / np.sqrt(4.0 * np.pi))
+    for m in range(L + 1):
+        if m > 0:
+            pmm = -math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s * pmm
+        yield m, m, pmm
+        p_prev2, p_prev1 = None, pmm
+        for l in range(m + 1, L + 1):
+            if l == m + 1:
+                p = math.sqrt(2.0 * m + 3.0) * u * pmm
+            else:
+                a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+                b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+                p = a * (u * p_prev1 - b * p_prev2)
+            yield l, m, p
+            p_prev2, p_prev1 = p_prev1, p
+
+
+def test_legendre_table_bitwise_equal_to_row_generator(rng):
+    for L in (0, 1, 2, 17, 96):
+        for u in (np.polynomial.legendre.leggauss(L + 3)[0],
+                  np.array([-1.0, -1.0 + 1e-15, 0.0, 1.0 - 1e-15, 1.0]),
+                  rng.uniform(-1.0, 1.0, size=(2, 3))):
+            want = np.empty(((L + 1) * (L + 2) // 2,) + u.shape)
+            for l, m, p in _legendre_rows_reference(L, u):
+                want[sg.plm_index(l, m)] = p
+            got = sg.legendre_table(L, u)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _sph_harm_oracle(c, pts):
+    """sum_lm c_lm Y_lm at the points through scipy's sph_harm_y_all (pole
+    on the first axis), in batches of points so each table stays small."""
+    L = c.L
+    theta = np.arccos(np.clip(pts[:, 0], -1.0, 1.0))
+    phi = np.arctan2(pts[:, 2], pts[:, 1])
+    # scipy's m axis holds m at index m mod (2L+1)
+    c_scipy = np.roll(c.c, -L, axis=1)
+    batch = max(1, (1 << 20) // (L + 1) ** 2)
+    return np.concatenate([
+        np.einsum("lm,lmn->n", c_scipy,
+                  sp.sph_harm_y_all(L, L, theta[i: i + batch], phi[i: i + batch]))
+        for i in range(0, len(pts), batch)])
+
+
+@pytest.mark.parametrize("L", [0, 1, 2, 17, 96])
+def test_synth_at_points_against_scipy(L, rng):
+    # exact poles, points one rounding step inside them, then random
+    # points, one more than a chunk in all: a chunk's Legendre block holds
+    # at most SYNTH_BLOCK doubles, and the counts one below, at and one
+    # above the chunk length cover a short, an exact and a one-point last
+    # chunk
+    chunk = sg.SYNTH_BLOCK // (L + 1)
+    near = np.sqrt(1.0 - (1.0 - 1e-15) ** 2)
+    special = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0],
+                        [1.0 - 1e-15, near, 0.0], [-(1.0 - 1e-15), 0.0, -near]])
+    pts = np.concatenate([special, random_unit(rng, chunk + 1 - len(special))])
+    c = sg.random_coeffs(L, 40 + L)
+    tol = _rounding_tol(c)
+    want = _sph_harm_oracle(c, pts)
+    for count in (chunk - 1, chunk, chunk + 1):
+        assert np.abs(sg.synth_at_points(c, pts[:count]) - want[:count]).max() < tol
+    # one point of shape (3,) gives a 0-d array; (2, 3, 3) gives (2, 3)
+    one = sg.synth_at_points(c, pts[0])
+    assert one.shape == () and abs(one - want[0]) < tol
+    block = sg.synth_at_points(c, pts[:6].reshape(2, 3, 3))
+    assert block.shape == (2, 3)
+    assert np.abs(block - want[:6].reshape(2, 3)).max() < tol
+
+
+def test_synth_at_points_memory_bounded_at_high_degree():
+    # degree 128 on a moved 129 x 257 grid: one Legendre block of at most
+    # SYNTH_BLOCK doubles (1 MB), plus arrays of O(points) size, the
+    # output among them; the generator this replaced peaked at 5.0 MB
+    from confsphere.lorentz import act, boost
+    pts = act(boost(0.3, Dimension(3)), sg.make_grid(128).flat_points())
+    c = sg.random_coeffs(128, 12)
+    tracemalloc.start()
+    try:
+        sg.synth_at_points(c, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * sg.SYNTH_BLOCK + 4 * 16 * len(pts)
+
+
+def test_sampled_value_at_pole_matches_coefficient_route():
+    # the pole value of the grid-degree projection, read from the zonal
+    # ring sums, against analysis followed by value_at_pole: on band-limited
+    # samples and on a moved field, which is not band-limited
+    from confsphere.lorentz import boost
+    from confsphere.reps import pi_act_coeffs
+    for L in (16, 96):
+        grid = sg.make_grid(L, phi_offset=0.2)
+        c = sg.random_coeffs(8, 30 + L)
+        for f in (sg.sht_inverse(c, grid),
+                  pi_act_coeffs(Dimension(3), 0.3 + 0.1j, boost(0.4, Dimension(3)), c, grid)):
+            want = sg.value_at_pole(sg.sht_forward(f))
+            assert abs(sg.sampled_value_at_pole(f) - want) < 1e-13 * abs(want)
+
+
 def test_real_field_symmetry():
     c = sg.random_coeffs(8, 4, real_field=True)
     g = sg.make_grid(8)
@@ -163,11 +270,22 @@ def test_zonal_integral_area_family(n, s):
     assert abs(got_bb - want) / abs(want) < 1e-5
 
 
+def funk_hecke(dim, F, l, singular_power=0.0, rtol=1e-12):
+    """Eigenvalue of the zonal convolution f -> int F(<x, y>) f(y) dsigma(y)
+    on degree-l spherical harmonics: the profile integrated against the
+    ultraspherical polynomial normalized at 1, with the (1-t^2)^{(n-3)/2}
+    weight and the |S^{n-2}| area factor.  Reduces to 2 pi int F P_l dt
+    for n = 3 and to the plain area integral for l = 0.  See
+    zonal_integral for the role of singular_power."""
+    return sg.funk_hecke_table(dim, F, l, singular_power=singular_power,
+                               rtol=rtol)[l]
+
+
 def test_funk_hecke_l0_matches_zonal():
     d3 = Dimension(3)
     for s in (0.0, 1.3):
         F = lambda t: (2 - 2 * t) ** (s / 2)
-        a = sg.funk_hecke(d3, F, 0)
+        a = funk_hecke(d3, F, 0)
         b = sg.zonal_integral(d3, F)
         assert abs(a - b) < 1e-10 * abs(b)
         want = 2 ** (s + 3) * np.pi / (s + 2)
@@ -177,7 +295,7 @@ def test_funk_hecke_l0_matches_zonal():
 def test_funk_hecke_constant_higher_degrees():
     d3 = Dimension(3)
     for l in (1, 2, 5):
-        assert abs(sg.funk_hecke(d3, lambda t: np.ones_like(t), l)) < 1e-10
+        assert abs(funk_hecke(d3, lambda t: np.ones_like(t), l)) < 1e-10
 
 
 def test_funk_hecke_against_legendre_quadrature():
@@ -189,7 +307,7 @@ def test_funk_hecke_against_legendre_quadrature():
     scale = 2 * np.pi * np.dot(w, F(u))
     for l in (0, 1, 3, 6):
         want = 2 * np.pi * np.dot(w, F(u) * sp.eval_legendre(l, u))
-        got = sg.funk_hecke(d3, F, l, rtol=1e-14)
+        got = funk_hecke(d3, F, l, rtol=1e-14)
         assert abs(got - want) < 1e-10 * abs(want) + 1e-13 * scale
 
 
@@ -244,7 +362,7 @@ def test_bilinear_and_inner_pairings(grid16):
     f1 = sg.sht_inverse(c1.pad(16), grid16)
     f2 = sg.sht_inverse(c2.pad(16), grid16)
     want = sg.quad(sg.GridFunction(grid16, f1.values * f2.values))
-    assert abs(sg.pair_bilinear(c1, c2) - want) < 1e-12 * abs(want) + 1e-12
+    assert abs(pair_bilinear(c1, c2) - want) < 1e-12 * abs(want) + 1e-12
     want_h = sg.quad(sg.GridFunction(grid16, f1.values * np.conj(f2.values)))
     assert abs(sg.inner(c1, c2) - want_h) < 1e-12 * abs(want_h) + 1e-12
 

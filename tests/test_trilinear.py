@@ -134,6 +134,17 @@ def _dense_direct_oracle(dim, fs, grid_size, alpha):
     return np.dot(F1 * W[0], np.einsum("ab,ba->a", K3, (F2 * W[1])[:, None] * M))
 
 
+def slot_pairings(C, L):
+    """Degree-by-degree pairings sum_m (-1)^m C[(l, m), (l, -m)] of the two
+    slots of a coefficient matrix (rows and columns both in the padded
+    layout): degree_pairings of two-sphere data that need not be a
+    product."""
+    C = C.reshape(L + 1, 2 * L + 1, L + 1, 2 * L + 1)
+    l = np.arange(L + 1)
+    diag = np.diagonal(C[l, :, l, ::-1], axis1=1, axis2=2)
+    return diag @ (-1.0) ** np.arange(-L, L + 1)
+
+
 def _quadrature_trace_oracle(dim, fs, grid_size, a1, a2, L_K):
     """The degree weights A_l by triple-grid quadrature, with the middle
     kernel applied through its eigenvalues truncated at L_K: the formula
@@ -148,7 +159,7 @@ def _quadrature_trace_oracle(dim, fs, grid_size, a1, a2, L_K):
         g2, eig1 * sg.sht_forward_columns(g3, K2 * F3[:, None], L_K), L_K)
     D = sg.sht_forward_columns(g2, F2[:, None] * middle, L_K)
     # the x1 quadrature against Y_lm is the x1 analysis at (l, -m)
-    return sg.slot_pairings(sg.sht_forward_columns(g1, F1[:, None] * D.T, L_K), L_K)
+    return slot_pairings(sg.sht_forward_columns(g1, F1[:, None] * D.T, L_K), L_K)
 
 
 def _dense_singular_oracle(dim, fs, grid_size, k, a1, a2, L_K):
@@ -707,14 +718,21 @@ def test_gamma_ratio_large_arguments_against_scipy(dim3):
                                                * abs(np.exp(log_want)))
 
 
-def test_gamma_ratio_poles_raise():
+def test_gamma_ratio_poles_raise(dim3):
     for pole in (0.0, -1.0, -7.0):
         with pytest.raises(ZeroDivisionError):
             complex_gamma(pole)
         with pytest.raises(ZeroDivisionError):
             gamma_ratio([pole], [1.5])
+        # more poles below than above: the ratio's limit, 0
+        assert gamma_ratio([1.5], [pole]) == 0.0
+        # as many above as below: the limit is finite but not taken
         with pytest.raises(ZeroDivisionError):
-            gamma_ratio([1.5], [pole])
+            gamma_ratio([pole, 1.5], [pole - 1.0])
+    # a1 + a3 = -2: the constant channel vanishes (4.8e-7 at distance 1e-9)
+    assert tri.closed_form_constant(dim3, (0.6, 0.8, -2.6)) == 0.0
+    near = tri.closed_form_constant(dim3, (0.6, 0.8, -2.6 + 1e-9))
+    assert 0.0 < abs(near) < 1e-6
 
 
 def test_log_space_closed_forms_match_products(dim3, monkeypatch):
