@@ -51,10 +51,10 @@ def _emit(args, name: str, blob: dict) -> None:
         print(f"wrote {target}", file=sys.stderr)
 
 
-def _load_field(spec_text: str, L: int):
-    """Field argument: 'const:VALUE' or a coefficient-file path."""
+def _load_field(spec_text: str):
+    """Field argument: 'const:VALUE' (degree 0) or a coefficient-file path."""
     if spec_text.startswith("const:"):
-        return sphgrid.coeffs_constant(_parse_complex(spec_text[6:]), L=min(L, 2))
+        return sphgrid.coeffs_constant(_parse_complex(spec_text[6:]))
     return sphgrid.load_coeffs(spec_text)
 
 
@@ -105,7 +105,7 @@ def cmd_multiplier(args) -> int:
 
 def cmd_pair(args) -> int:
     s = _parse_complex(args.s)
-    f = _load_field(args.f, args.L)
+    f = _load_field(args.f)
     value = mero.pair_distance_power(DIM, s, f)
     _emit(args, "pair.json", {
         "s": _cnum(s), "n": DIM.n, "L": f.L, "value": _cnum(value),
@@ -114,7 +114,7 @@ def cmd_pair(args) -> int:
 
 
 def cmd_residue(args) -> int:
-    f = _load_field(args.f, args.L)
+    f = _load_field(args.f)
     center = -(DIM.n - 1.0) - 2.0 * args.k
     fit = mero.residue_ring(lambda z: mero.pair_distance_power(DIM, z, f),
                             center, radius=args.radius, m=args.ring_size)
@@ -139,27 +139,26 @@ def cmd_trilinear(args) -> int:
         triple = trilinear.lambda_from_alpha(
             tuple(_parse_complex(v) for v in args.alpha))
     fields = [sphgrid.load_coeffs(p) for p in (args.f1, args.f2, args.f3)]
-    grid_size = tuple(args.grid)
-    engine = trilinear.TripleEngine(DIM, triple.alpha, method=args.method,
-                                    grid_size=grid_size,
-                                    default_degree=max(f.L for f in fields))
-    value = engine.value(*fields)
     if args.method == "fast":
         # exact products: the error is the trace's tail beyond L_kernel,
         # estimated against the trace cut at two thirds of it
-        coarse = trilinear.generic_form(DIM, triple.alpha, *fields, method="fast",
-                                        L_kernel=2 * engine.L_kernel // 3)
+        L_kernel = trilinear.trace_degree(*fields)
+        used = {"L_kernel": L_kernel}
+        settings = [{"L_kernel": L} for L in (L_kernel, 2 * L_kernel // 3)]
     else:
+        grid_size = tuple(args.grid)
+        used = {"grid": list(grid_size)}
         reduced = (max(8, 2 * grid_size[0] // 3), max(16, 2 * grid_size[1] // 3))
-        coarse = trilinear.generic_form(DIM, triple.alpha, *fields,
-                                        method="direct", grid_size=reduced)
+        settings = [{"grid_size": g} for g in (grid_size, reduced)]
+    value, coarse = (trilinear.generic_form(DIM, triple.alpha, *fields,
+                                            method=args.method, **kw) for kw in settings)
     estimate = abs(value - coarse) / (abs(value) + 1e-300)
     _emit(args, "trilinear.json", {
         "alpha": [_cnum(a) for a in triple.alpha],
         "lambda": [_cnum(l) for l in triple.lam],
         "value": _cnum(value),
         "method": args.method,
-        "grid": list(grid_size),
+        **used,
         "truncation_error_estimate": _fmt(estimate),
     })
     return 0
@@ -224,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("pair", help="regularized pairing (|e-x|^s, f)")
     q.add_argument("--s", required=True, help="exponent, e.g. 2 or -1.5+0.3j")
     q.add_argument("--f", default="const:1", help="coeff file or const:VALUE")
-    q.add_argument("--L", type=int, default=16)
     q.add_argument("--save", action="store_true")
     q.set_defaults(func=cmd_pair)
 
@@ -232,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
                                        "the k-th pole")
     r.add_argument("--k", type=int, default=0)
     r.add_argument("--f", default="const:1")
-    r.add_argument("--L", type=int, default=16)
     r.add_argument("--radius", type=float, default=0.1)
     r.add_argument("--ring-size", type=int, default=16)
     r.add_argument("--save", action="store_true")
@@ -247,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--f3", required=True)
     t.add_argument("--method", choices=("direct", "fast"), default="direct")
     t.add_argument("--grid", nargs=2, type=int, default=(24, 48),
-                   metavar=("NTHETA", "NPHI"))
+                   metavar=("NTHETA", "NPHI"), help="direct method only")
     t.add_argument("--save", action="store_true")
     t.set_defaults(func=cmd_trilinear)
 

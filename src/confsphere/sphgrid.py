@@ -511,12 +511,17 @@ def load_coeffs(path) -> HarmonicCoeffs:
     if not (isinstance(L, (int, float)) and L in range(MAX_DEGREE + 1)):
         raise ValueError(f'"L" must be an integer in 0..{MAX_DEGREE}, got {L!r}')
     L = int(L)
-    rows = np.array(blob["coeffs"], dtype=float).reshape(-1, 4)
+    rows = np.array(blob["coeffs"], dtype=float)
+    if rows.size and (rows.ndim != 2 or rows.shape[1] != 4):
+        raise ValueError('"coeffs" must be a list of rows [l, m, re, im]')
+    rows = rows.reshape(-1, 4)
     if np.any(rows[:, :2] != np.round(rows[:, :2])):
         raise ValueError("non-integer (l, m) in coefficient file")
     l, m = rows[:, 0].astype(int), rows[:, 1].astype(int)
     if np.any((np.abs(m) > l) | (l > L)):
         raise ValueError("(l, m) out of range in coefficient file")
+    if len(set(zip(l.tolist(), m.tolist()))) < len(l):
+        raise ValueError("duplicate (l, m) rows in coefficient file")
     c = np.zeros((L + 1, 2 * L + 1), dtype=complex)
     c[l, m + L] = rows[:, 2] + 1j * rows[:, 3]
     return HarmonicCoeffs(L, c)

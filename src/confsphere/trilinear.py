@@ -21,27 +21,28 @@ prefactor 8 pi^3 and the factor are validated in the test suite against
 exactly integrable polynomial kernels.  Residues are reported with
 respect to the half parameter, matching the convention in `mero`.
 
-Evaluation.  The direct engine, the reference quadrature, runs on three
-staggered grids that share their polar nodes and n_phi, so each kernel
-between two of them is block-circulant in azimuth and is held as the FFT
-of one nt x n_phi x nt table over the azimuth difference.  The quadrature
-sum is taken in azimuthal frequency: the three fields' DFTs on their
-grids' rings are contracted with the transformed tables, O(n_phi B nt^3 +
-n_phi B^2 nt^2) work per value for B orders and no N x N array.  A
+Evaluation.  The direct engine (`TripleEngine`), the reference quadrature,
+runs on three staggered grids that share their polar nodes and n_phi, so
+each kernel between two of them is block-circulant in azimuth and is held
+as the FFT of one nt x n_phi x nt table over the azimuth difference.  The
+quadrature sum is taken in azimuthal frequency: the three fields' DFTs on
+their grids' rings are contracted with the transformed tables, O(n_phi B
+nt^3 + n_phi B^2 nt^2) work per value for B orders and no N x N array.  A
 HarmonicCoeffs gives its DFT exactly from its coefficients and the
 Legendre rows, only its nonzero orders kept, folded mod n_phi; a callable
 (a moved field, not band-limited) gives the FFT of its ring samples, all
-B = n_phi orders.  The fast engine and the alpha3 family are the
+B = n_phi orders.  The fast method is the alpha3 family at a3, the
 harmonic-basis trace Tr(M_f1 E_a3 M_f2 E_a1 M_f3 E_a2) = sum_l e_l(a3) A_l,
 M_f multiplication by f and E_a the closed-form Knapp-Stein eigenvalues
-(`_degree_weights`): exact products, so its only error is the tail of
-E_a3.  It works order by order on the polar Gauss nodes: multiplying by
-a degree-L_f field is a convolution in m with its ring profiles, and E_a
-acts on each order through that order's Legendre rows.  The singular forms
-are exact finite sums of two-point Knapp-Stein pairings (`singular_form`),
-meromorphic in (a1, a2).  This spectral layer takes HarmonicCoeffs only;
-callables enter only the direct engine and `singular_invariance_defect`,
-which projects its moved fields once (`_band_limited`).
+(`_degree_weights`): exact products, so its only error is the tail of E_a3
+beyond L_kernel (default `trace_degree`).  It works order by order on the
+polar Gauss nodes: multiplying by a degree-L_f field is a convolution in m
+with its ring profiles, and E_a acts on each order through that order's
+Legendre rows.  The singular forms are exact finite sums of two-point
+Knapp-Stein pairings (`singular_form`), meromorphic in (a1, a2).  This
+spectral layer takes HarmonicCoeffs only; callables enter only the direct
+engine and `singular_invariance_defect`, which projects its moved fields
+once (`_band_limited`).  grid_size selects grids and nothing else.
 """
 
 from __future__ import annotations
@@ -192,9 +193,9 @@ def triple_grids(grid_size=(24, 48)):
     return _staggered_grids(nt, npz, 3)
 
 
-def double_grids(grid_size=(48, 96)):
+def _plain_grid(grid_size):
     nt, npz = (int(v) for v in grid_size)
-    return _staggered_grids(nt, npz, 2)
+    return _staggered_grids(nt, npz, 1)[0]
 
 
 def chordal_power(P: np.ndarray, Q: np.ndarray, s: complex) -> np.ndarray:
@@ -224,28 +225,22 @@ def _check_convergence(dim: Dimension, alpha) -> None:
 # the generic trilinear form
 
 
-def _field_degree(*fields) -> int:
-    degs = [f.L for f in fields if isinstance(f, HarmonicCoeffs)]
-    return max(degs) if degs else 8
+def trace_degree(*fields) -> int:
+    """The default degree of the trace's kernel truncation and of the
+    projection of moved fields: 4x the largest input degree, at least 8.
+    The fields are HarmonicCoeffs; anything else raises TypeError."""
+    return max(8, 4 * max(f.L for f in _coeffs_only(fields)))
 
 
-def _default_L_kernel(grid_size, degree: int) -> int:
-    """4x the field degree, at least 8, capped at what the plain grid of
-    grid_size resolves."""
-    return min(double_grids(grid_size)[0].L, max(8, 4 * degree))
-
-
-def _band_limited(fields, grid_size, L_kernel):
-    """Callables projected to HarmonicCoeffs of degree L_kernel (default
-    `_default_L_kernel`) by analysis on the plain grid of grid_size."""
-    gx = double_grids(grid_size)[0]
-    L_K = (_default_L_kernel(grid_size, _field_degree(*fields)) if L_kernel is None
-           else L_kernel)
-    if L_K > gx.L:
-        raise ValueError(f"grid resolves degree {gx.L}, requested {L_K}")
+def _band_limited(fields, grid_size, L_kernel: int):
+    """Callables projected to HarmonicCoeffs of degree L_kernel by analysis
+    on the plain grid of grid_size."""
+    gx = _plain_grid(grid_size)
+    if L_kernel > gx.L:
+        raise ValueError(f"grid resolves degree {gx.L}, requested {L_kernel}")
     P = gx.flat_points()
-    C = sht_forward_columns(gx, np.stack([_sample(f, P) for f in fields], axis=1), L_K)
-    return [HarmonicCoeffs(L_K, c.reshape(L_K + 1, -1)) for c in C.T]
+    C = sht_forward_columns(gx, np.stack([_sample(f, P) for f in fields], axis=1), L_kernel)
+    return [HarmonicCoeffs(L_kernel, c.reshape(L_kernel + 1, -1)) for c in C.T]
 
 
 def _coeffs_only(fields):
@@ -357,49 +352,43 @@ def _ring_spectrum(f, grid) -> tuple:
 
 
 class TripleEngine:
-    """The generic form of one parameter triple, reusable across fields.
-    method "direct" (the reference quadrature) holds each kernel's azimuth
-    table (`_azimuth_table`) transformed in azimuth, refused when the
-    contraction's working set would exceed MAX_RING_WORKSET complex
-    entries.  `value` contracts the fields' azimuthal spectra on their
-    grids' rings (`_ring_spectrum`: exact and sparse in m for
-    HarmonicCoeffs, the FFT of the ring samples for callables) with the
-    transformed tables.  "fast" is `generic_form_alpha3_family` at a3,
-    exact up to its L_kernel tail; it takes HarmonicCoeffs only, and
-    grid_size only caps its default L_kernel."""
+    """The direct generic form of one parameter triple, the reference
+    quadrature on the three staggered grids of grid_size, reusable across
+    fields.  It holds each kernel's azimuth table (`_azimuth_table`)
+    transformed in azimuth, refused when the contraction's working set
+    would exceed MAX_RING_WORKSET complex entries.  `value` contracts the
+    fields' azimuthal spectra on their grids' rings (`_ring_spectrum`:
+    exact and sparse in m for HarmonicCoeffs, the FFT of the ring samples
+    for callables) with the transformed tables.  method must be "direct";
+    the harmonic-basis trace is `generic_form(..., method="fast")`."""
 
     def __init__(self, dim: Dimension, alpha, method: str = "direct",
-                 grid_size=(24, 48), L_kernel: int | None = None,
-                 default_degree: int = 8):
+                 grid_size=(24, 48)):
+        if method != "direct":
+            raise ValueError(f"TripleEngine is the direct quadrature, got method={method!r}; "
+                             "the harmonic-basis trace is generic_form(..., method='fast')")
         if dim.n != 3:
             raise ValueError("trilinear quadrature is implemented for n = 3")
         _check_convergence(dim, alpha)
         self.dim = dim
         self.alpha = tuple(complex(v) for v in alpha)
-        self.method = method
-        if method == "direct":
-            nt, npz = (int(v) for v in grid_size)
-            entries = 4 * nt * npz * npz
-            if entries > MAX_RING_WORKSET:
-                raise ValueError(f"the direct engine's contraction working set would "
-                                 f"have {entries} complex entries (max "
-                                 f"{MAX_RING_WORKSET}); use method='fast'")
-            self.grids = g1, g2, g3 = triple_grids(grid_size)
-            rho, (a1, a2, a3) = dim.rho, self.alpha
-            # the tables [i3, d, i1], [i2, d, i1] and [i2, d, i3] of the
-            # kernels x3 to x1, x2 to x1 and x2 to x3, transformed in d:
-            # inner_hat [q, i3, i1], outer_hat [p, i1, i2], middle [q, i3, i2]
-            self.inner_hat = np.fft.fft(_azimuth_table(g3, g1, a2 - rho),
-                                        axis=1).transpose(1, 0, 2).copy()
-            self.outer_hat = np.fft.fft(_azimuth_table(g2, g1, a3 - rho),
-                                        axis=1).transpose(1, 2, 0).copy()
-            self.middle = np.fft.fft(_azimuth_table(g2, g3, a1 - rho),
-                                     axis=1).transpose(1, 2, 0).copy()
-        elif method == "fast":
-            self.L_kernel = (_default_L_kernel(grid_size, default_degree)
-                             if L_kernel is None else L_kernel)
-        else:
-            raise ValueError("method must be 'direct' or 'fast'")
+        nt, npz = (int(v) for v in grid_size)
+        entries = 4 * nt * npz * npz
+        if entries > MAX_RING_WORKSET:
+            raise ValueError(f"the direct engine's contraction working set would "
+                             f"have {entries} complex entries (max "
+                             f"{MAX_RING_WORKSET}); use generic_form(..., method='fast')")
+        self.grids = g1, g2, g3 = triple_grids(grid_size)
+        rho, (a1, a2, a3) = dim.rho, self.alpha
+        # the tables [i3, d, i1], [i2, d, i1] and [i2, d, i3] of the
+        # kernels x3 to x1, x2 to x1 and x2 to x3, transformed in d:
+        # inner_hat [q, i3, i1], outer_hat [p, i1, i2], middle [q, i3, i2]
+        self.inner_hat = np.fft.fft(_azimuth_table(g3, g1, a2 - rho),
+                                    axis=1).transpose(1, 0, 2).copy()
+        self.outer_hat = np.fft.fft(_azimuth_table(g2, g1, a3 - rho),
+                                    axis=1).transpose(1, 2, 0).copy()
+        self.middle = np.fft.fft(_azimuth_table(g2, g3, a1 - rho),
+                                 axis=1).transpose(1, 2, 0).copy()
 
     def value(self, f1, f2, f3) -> complex:
         """The form on three fields.  Direct: the quadrature sum in
@@ -414,11 +403,6 @@ class TripleEngine:
         for a callable.  A chunk's arrays, their product X Z and W hold at
         most about 4 nt n^2 entries, kept within MAX_RING_WORKSET by
         __init__; with the tables, 3 n nt^2, that bounds the working set."""
-        if self.method == "fast":
-            a1, a2, a3 = self.alpha
-            evaluate, _ = generic_form_alpha3_family(self.dim, a1, a2, f1, f2, f3,
-                                                     self.L_kernel)
-            return evaluate(a3)
         nt, npz = self.grids[0].shape
         (k1, F1), (k2, F2), (_, F3) = (_ring_spectrum(f, g)
                                        for f, g in zip((f1, f2, f3), self.grids))
@@ -449,24 +433,29 @@ def generic_form(dim: Dimension, alpha, f1, f2, f3, method: str = "direct",
                      grids of grid_size, taken in azimuthal frequency
                      (`TripleEngine`); f1, f2, f3 may be HarmonicCoeffs or
                      callables on point arrays; L_kernel is not used.
-    method "fast":   the harmonic-basis trace, exact up to its tail beyond
-                     L_kernel (default: 4x the field degree, at least 8,
-                     capped at what the grid of grid_size resolves);
-                     HarmonicCoeffs only.
+    method "fast":   `generic_form_alpha3_family` at a3, the harmonic-basis
+                     trace, exact up to its tail beyond L_kernel (default
+                     `trace_degree` of the fields); HarmonicCoeffs only;
+                     grid_size is not used.
     Raises outside the safe absolute-convergence region.
     """
-    engine = TripleEngine(dim, alpha, method=method, grid_size=grid_size,
-                          L_kernel=L_kernel,
-                          default_degree=_field_degree(f1, f2, f3))
-    return engine.value(f1, f2, f3)
+    if method != "fast":
+        return TripleEngine(dim, alpha, method=method, grid_size=grid_size).value(f1, f2, f3)
+    if dim.n != 3:
+        raise ValueError("trilinear quadrature is implemented for n = 3")
+    _check_convergence(dim, alpha)
+    a1, a2, a3 = (complex(v) for v in alpha)
+    evaluate, _ = generic_form_alpha3_family(dim, a1, a2, f1, f2, f3, L_kernel)
+    return evaluate(a3)
 
 
 def generic_form_alpha3_family(dim: Dimension, a1, a2, f1, f2, f3,
-                               L_kernel: int = 32):
+                               L_kernel: int | None = None):
     """Continued evaluation of the generic form as a function of the third
     parameter, with (a1, a2) fixed.
 
-    The trace is evaluate(a3) = sum_{l <= L_kernel} e_l(a3) A_l, with the
+    The trace is evaluate(a3) = sum_{l <= L_kernel} e_l(a3) A_l, L_kernel
+    by default `trace_degree` of the fields, with the
     weights A_l computed once on the polar nodes (`_degree_weights`, which
     takes HarmonicCoeffs only) and the e_l(a3) in closed form, so it is
     meromorphic in a3 off the pole lattice and can be sampled on
@@ -478,6 +467,8 @@ def generic_form_alpha3_family(dim: Dimension, a1, a2, f1, f2, f3,
     """
     if dim.n != 3:
         raise ValueError("trilinear quadrature is implemented for n = 3")
+    if L_kernel is None:
+        L_kernel = trace_degree(f1, f2, f3)
     A = _degree_weights(dim, a1, a2, (f1, f2, f3), L_kernel)
 
     def evaluate(a3: complex) -> complex:
@@ -583,10 +574,13 @@ def singular_invariance_defect(dim: Dimension, k: int, a1, a2,
     """Relative change of the singular form under the principal-series
     actions tied to (a1, a2, a3 = -rho - 2k).  The inputs are
     HarmonicCoeffs; the moved fields are callables, projected once to
-    degree L_kernel on the plain grid of grid_size (`_band_limited`)."""
+    degree L_kernel (default `trace_degree` of the inputs, capped at what
+    the grid resolves) on the plain grid of grid_size (`_band_limited`)."""
     a3 = -dim.rho - 2.0 * k
     lam = lambda_from_alpha((a1, a2, a3)).lam
     base = singular_form(dim, k, a1, a2, f1, f2, f3)
+    if L_kernel is None:
+        L_kernel = min(_plain_grid(grid_size).L, trace_degree(f1, f2, f3))
     moved = _band_limited([pi_pointwise(dim, lj, g, f)
                            for lj, f in zip(lam, (f1, f2, f3))], grid_size, L_kernel)
     return abs(singular_form(dim, k, a1, a2, *moved) - base) / abs(base)
@@ -597,10 +591,11 @@ def singular_invariance_defect(dim: Dimension, k: int, a1, a2,
 
 
 def residue_bridge_defect(dim: Dimension, k: int, a1, a2, f1, f2, f3,
-                          L_kernel: int = 32) -> float:
+                          L_kernel: int | None = None) -> float:
     """Relative mismatch between the contour residue of the generic form
     in its third parameter at -rho - 2k (half-parameter convention,
-    evaluated through the continued spectral family) and c_k times the
+    evaluated through the continued spectral family, L_kernel by default
+    `trace_degree` of the fields) and c_k times the
     singular form, on HarmonicCoeffs inputs.  Raises where the family
     diverges at the pole, Re(a1 + a2) <= 2k."""
     if complex(a1 + a2).real <= 2 * k:

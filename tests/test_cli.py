@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ def test_pair_constant_prints_8pi(capsys):
     assert abs(value - 8 * np.pi) < 1e-10
     # twelve significant digits in scientific notation
     assert blob["value"][0] == "2.51327412287e+01"
+    assert blob["L"] == 0          # a constant is built at degree 0
 
 
 def test_residue_constant_prints_pi(capsys):
@@ -99,6 +101,29 @@ def test_coefficient_file_errors_are_usage_errors(tmp_path, capsys, monkeypatch)
         assert "error: pair" in err and message in err and "Traceback" not in err
 
 
+def test_malformed_coefficient_rows_are_usage_errors(tmp_path, capsys, monkeypatch):
+    # rows that are not 4 numbers (regrouped by 4, these would load as
+    # c(0, 0) = 2) and a repeated (l, m) (the second row would overwrite
+    # the first, c(0, 0) = 5) are refused before the coefficient array is
+    # allocated, and the CLI reports them as argparse errors (exit 2)
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps({"n": 3, "L": 1, "coeffs": [[0, 0], [1, 0], [0, 0], [2, 0]]}))
+    twice = tmp_path / "twice.json"
+    twice.write_text(json.dumps({"n": 3, "L": 1, "coeffs": [[0, 0, 1, 0], [0, 0, 5, 0]]}))
+    cases = ((short, "rows [l, m, re, im]"), (twice, "duplicate (l, m)"))
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "zeros", None)       # no coefficient array is allocated
+        for path, message in cases:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                sg.load_coeffs(path)
+    for path, message in cases:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["pair", "--s", "1.5", "--f", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: pair" in err and message in err and "Traceback" not in err
+
+
 def test_trilinear_fast_matches_direct(tmp_path, capsys):
     p = tmp_path / "c.json"
     sg.save_coeffs(p, sg.coeffs_constant(1.0, 2))
@@ -149,6 +174,26 @@ def test_trilinear_fast_on_degree_zero_file(tmp_path, capsys):
     estimate = float(blob["truncation_error_estimate"])
     assert code == 0 and error <= 1e-7
     assert estimate >= error and estimate > 0
+
+
+def test_trilinear_fast_reports_its_L_kernel(tmp_path, capsys):
+    # degree-7 files: the trace runs to trace_degree = 28 whatever --grid
+    # says, and the output names that degree instead of a grid
+    from confsphere import trilinear as tri
+    from confsphere.lorentz import Dimension
+    fs = [sg.random_coeffs(7, 150 + j) for j in range(3)]
+    paths = []
+    for j, f in enumerate(fs):
+        paths.append(tmp_path / f"f{j}.json")
+        sg.save_coeffs(paths[-1], f)
+    alpha = (1.62, 1.71, 1.83)
+    code, out = run_cli(["trilinear", "--alpha", *map(str, alpha), "--f1", str(paths[0]),
+                         "--f2", str(paths[1]), "--f3", str(paths[2]), "--grid", "16", "32",
+                         "--method", "fast"], capsys)
+    blob = json.loads(out)
+    assert code == 0 and blob["L_kernel"] == 28 and "grid" not in blob
+    want = tri.generic_form(Dimension(3), alpha, *fs, method="fast", L_kernel=28)
+    assert blob["value"] == [f"{want.real:.11e}", f"{want.imag:.11e}"]
 
 
 def test_trilinear_command(tmp_path, capsys):

@@ -93,6 +93,22 @@ def test_fast_agrees_with_direct(dim3):
         assert abs(vd - vf) <= 1e-6 * abs(vd)
 
 
+def test_fast_value_is_the_alpha3_family_at_a3_whatever_the_grid(dim3):
+    # the fast default L_kernel is trace_degree of the fields, 4 x 7 = 28;
+    # the grid (16, 32), which resolves degree 15, does not cap it
+    fs = [sg.random_coeffs(7, 140 + j) for j in range(3)]
+    a1, a2, a3 = 1.62 + 0j, 1.71 + 0j, 1.83 + 0j
+    assert tri.trace_degree(*fs) == 28
+    evaluate, _ = tri.generic_form_alpha3_family(dim3, a1, a2, *fs, L_kernel=28)
+    fast = tri.generic_form(dim3, (a1, a2, a3), *fs, method="fast", grid_size=(16, 32))
+    assert fast == evaluate(a3)
+
+
+def test_triple_engine_is_the_direct_quadrature_only(dim3):
+    with pytest.raises(ValueError, match=r"generic_form\(\.\.\., method='fast'\)"):
+        tri.TripleEngine(dim3, (1.6, 1.8, 1.55), method="fast")
+
+
 def test_permutation_symmetry(dim3):
     # swapping two slots together with their exponents fixes the value;
     # exact quadrature (polynomial kernels) shows the identity at machine
@@ -168,7 +184,7 @@ def _dense_singular_oracle(dim, fs, grid_size, k, a1, a2, L_K):
     formula the exact finite sum replaces (test-only reference)."""
     from confsphere.reps import field_from_coeffs
     from confsphere.spectral_ops import gjms_multiplier
-    gx, g3 = tri.double_grids(grid_size)
+    gx, g3 = tri._staggered_grids(*grid_size, 2)
     Px, P3 = gx.flat_points(), g3.flat_points()
     G1, G2 = (field_from_coeffs(f)(Px) for f in fs[:2])
     G3 = field_from_coeffs(fs[2])(P3)
@@ -485,7 +501,7 @@ def test_staggered_grids_share_one_legendre_table(monkeypatch):
     table = sg.legendre_table
     monkeypatch.setattr(sg, "legendre_table",
                         lambda L, u: calls.append((L, len(u))) or table(L, u))
-    triple, double = tri.triple_grids((14, 28)), tri.double_grids((14, 28))
+    triple, double = tri.triple_grids((14, 28)), tri._staggered_grids(14, 28, 2)
     assert calls == [(13, 14), (13, 14)]
     for grids in (triple, double):
         assert all(g.legendre is grids[0].legendre for g in grids)
@@ -497,7 +513,7 @@ def test_grids_built_once_per_size(dim3, monkeypatch):
     # a repeated evaluation builds no Legendre table
     grids = tri.triple_grids((12, 24))
     assert tri.triple_grids([12, 24]) is grids
-    assert tri.double_grids((np.int64(12), 24)) is tri.double_grids((12, 24))
+    assert tri._plain_grid((np.int64(12), 24)) is tri._plain_grid((12, 24))
     with pytest.raises(ValueError):
         grids[0].u[0] = 0.0
     one = sg.coeffs_constant(1.0, 2)
@@ -519,7 +535,7 @@ def test_singular_form_k0_reduction(dim3):
     fs = [sg.random_coeffs(4, 100 + j) for j in range(3)]
     a1, a2 = 1.3, 2.6
     got = tri.singular_form(dim3, 0, a1, a2, *fs)
-    gx, g3 = tri.double_grids((48, 96))
+    gx, g3 = tri._staggered_grids(48, 96, 2)
     from confsphere.reps import field_from_coeffs
     F1 = field_from_coeffs(fs[0])(gx.flat_points())
     F2 = field_from_coeffs(fs[1])(gx.flat_points())
@@ -567,6 +583,17 @@ def test_singular_invariance(dim3):
         defect = tri.singular_invariance_defect(dim3, k, a1, a2, g, *fs,
                                                 grid_size=(48, 96), L_kernel=16)
         assert defect < 1e-3
+
+
+def test_singular_invariance_default_projection_degree(dim3):
+    # degree-4 inputs: the moved fields are projected to trace_degree of
+    # the inputs, 16, below the 47 that the grid (48, 96) resolves
+    g = random_element(dim3, 111, max_boost=0.3)
+    fs = [sg.random_coeffs(4, 120 + j, real_field=True) for j in range(3)]
+    args = (dim3, 0, 1.45, 2.83, g, *fs)
+    default = tri.singular_invariance_defect(*args, grid_size=(48, 96))
+    assert default == tri.singular_invariance_defect(*args, grid_size=(48, 96), L_kernel=16)
+    assert default != tri.singular_invariance_defect(*args, grid_size=(48, 96), L_kernel=32)
 
 
 def test_singular_invariance_continued(dim3):
