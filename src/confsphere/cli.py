@@ -82,6 +82,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_multiplier(args) -> int:
+    if not 0 <= args.L <= sphgrid.MAX_DEGREE:
+        raise ValueError(f"--L must be an integer in 0..{sphgrid.MAX_DEGREE}, got {args.L}")
     dim = Dimension(args.n)
     if args.kind == "laplacian":
         vals = np.array([spectral_ops.laplacian_multiplier(dim, l)
@@ -140,26 +142,24 @@ def cmd_trilinear(args) -> int:
             tuple(_parse_complex(v) for v in args.alpha))
     fields = [sphgrid.load_coeffs(p) for p in (args.f1, args.f2, args.f3)]
     if args.method == "fast":
-        # exact products: the error is the trace's tail beyond L_kernel,
-        # estimated against the trace cut at two thirds of it
-        L_kernel = trilinear.trace_degree(*fields)
-        used = {"L_kernel": L_kernel}
-        settings = [{"L_kernel": L} for L in (L_kernel, 2 * L_kernel // 3)]
+        # the K-type sum is exact: its extent and level residual, no estimate
+        S = sum(f.L for f in fields)
+        _, residual = trilinear.ktype_coefficients(DIM, triple.alpha, S)
+        value = trilinear.generic_form(DIM, triple.alpha, *fields, method="fast")
+        used = {"S": S, "recurrence_residual": _fmt(residual)}
     else:
         grid_size = tuple(args.grid)
-        used = {"grid": list(grid_size)}
         reduced = (max(8, 2 * grid_size[0] // 3), max(16, 2 * grid_size[1] // 3))
-        settings = [{"grid_size": g} for g in (grid_size, reduced)]
-    value, coarse = (trilinear.generic_form(DIM, triple.alpha, *fields,
-                                            method=args.method, **kw) for kw in settings)
-    estimate = abs(value - coarse) / (abs(value) + 1e-300)
+        value, coarse = (trilinear.generic_form(DIM, triple.alpha, *fields, grid_size=g)
+                         for g in (grid_size, reduced))
+        used = {"grid": list(grid_size),
+                "truncation_error_estimate": _fmt(abs(value - coarse) / (abs(value) + 1e-300))}
     _emit(args, "trilinear.json", {
         "alpha": [_cnum(a) for a in triple.alpha],
         "lambda": [_cnum(l) for l in triple.lam],
         "value": _cnum(value),
         "method": args.method,
         **used,
-        "truncation_error_estimate": _fmt(estimate),
     })
     return 0
 

@@ -31,14 +31,15 @@ nt^3 + n_phi B^2 nt^2) work per value for B orders and no N x N array.  A
 HarmonicCoeffs gives its DFT exactly from its coefficients and the
 Legendre rows, only its nonzero orders kept, folded mod n_phi; a callable
 (a moved field, not band-limited) gives the FFT of its ring samples, all
-B = n_phi orders.  The fast method is the alpha3 family at a3, the
-harmonic-basis trace Tr(M_f1 E_a3 M_f2 E_a1 M_f3 E_a2) = sum_l e_l(a3) A_l,
-M_f multiplication by f and E_a the closed-form Knapp-Stein eigenvalues
-(`_degree_weights`): exact products, so its only error is the tail of E_a3
-beyond L_kernel (default `trace_degree`).  It works order by order on the
-polar Gauss nodes: multiplying by a degree-L_f field is a convolution in m
-with its ring profiles, and E_a acts on each order through that order's
-Legendre rows.  The singular forms are exact finite sums of two-point
+B = n_phi orders.  The fast method is the alpha3 family at a3, an exact
+finite sum over K-types: the form is O(3)-invariant, so for band-limited
+inputs T(f1, f2, f3) = sum_l tau(l) G(l) over l_j <= deg f_j, tau(l) the
+form on three Legendre polynomials (`ktype_coefficients`, solved level by
+level from the boost's invariance equations, seeded by the closed form)
+and G(l) the fields' degree-component integrals (`_component_integrals`).
+It is meromorphic in alpha on all of C^3, with no convergence region
+(after Bernstein & Reznikov, Moscow Math. J. 4 (2004)).
+The singular forms are exact finite sums of two-point
 Knapp-Stein pairings (`singular_form`), meromorphic in (a1, a2).  This
 spectral layer takes HarmonicCoeffs only; callables enter only the direct
 engine and `singular_invariance_defect`, which projects its moved fields
@@ -56,17 +57,16 @@ import numpy as np
 
 from .lorentz import Dimension, ConformalMap, act, conformal_factor, inverse
 from .reps import field_from_coeffs, pi_pointwise
-from .sphgrid import (GridFunction, HarmonicCoeffs, _real_matmul,
-                      legendre_table, make_grid, sht_forward, sht_forward_columns,
-                      sht_synthesize_columns, synth_at_points)
+from .sphgrid import (GridFunction, HarmonicCoeffs, legendre_table, make_grid,
+                      sht_forward, sht_forward_columns, sht_synthesize_columns,
+                      synth_at_points)
 from .special import gamma_ratio
-from .spectral_ops import (apply_multiplier, gjms_constant,
-                           knapp_stein_multipliers, laplacian_multiplier)
+from .spectral_ops import apply_multiplier, gjms_constant, laplacian_multiplier
 from .mero import pair_separation_power, residue_ring
 
 CONVERGENCE_MARGIN = 0.25
-KERNEL_BLOCK = 1 << 18   # complex entries of one chunk of starting orders in
-                         # _degree_weights: 4 MB
+RANK_TOL = 1e-10         # least singular value of a K-type level's system,
+                         # relative to its largest, below which it is refused
 MAX_RING_WORKSET = 1 << 23   # complex entries of the direct engine's contraction,
                              # its per-chunk arrays, their product and W, at most about
                              # 4 nt n_phi^2: 128 MB, grids up to (80, 160)
@@ -218,7 +218,7 @@ def _check_convergence(dim: Dimension, alpha) -> None:
         raise ValueError(
             "parameters outside the safe absolute-convergence region "
             f"(margin {CONVERGENCE_MARGIN}): " + "; ".join(bad)
-            + ". Use generic_form_alpha3_family for continued evaluation.")
+            + ". Use generic_form(..., method='fast') for continued evaluation.")
 
 
 # ---------------------------------------------------------------------------
@@ -226,21 +226,20 @@ def _check_convergence(dim: Dimension, alpha) -> None:
 
 
 def trace_degree(*fields) -> int:
-    """The default degree of the trace's kernel truncation and of the
-    projection of moved fields: 4x the largest input degree, at least 8.
-    The fields are HarmonicCoeffs; anything else raises TypeError."""
+    """The default degree to which `singular_invariance_defect` projects its
+    moved fields: 4x the largest input degree, at least 8; HarmonicCoeffs only."""
     return max(8, 4 * max(f.L for f in _coeffs_only(fields)))
 
 
-def _band_limited(fields, grid_size, L_kernel: int):
-    """Callables projected to HarmonicCoeffs of degree L_kernel by analysis
+def _band_limited(fields, grid_size, L: int):
+    """Callables projected to HarmonicCoeffs of degree L by analysis
     on the plain grid of grid_size."""
     gx = _plain_grid(grid_size)
-    if L_kernel > gx.L:
-        raise ValueError(f"grid resolves degree {gx.L}, requested {L_kernel}")
+    if L > gx.L:
+        raise ValueError(f"grid resolves degree {gx.L}, requested {L}")
     P = gx.flat_points()
-    C = sht_forward_columns(gx, np.stack([_sample(f, P) for f in fields], axis=1), L_kernel)
-    return [HarmonicCoeffs(L_kernel, c.reshape(L_kernel + 1, -1)) for c in C.T]
+    C = sht_forward_columns(gx, np.stack([_sample(f, P) for f in fields], axis=1), L)
+    return [HarmonicCoeffs(L, c.reshape(L + 1, -1)) for c in C.T]
 
 
 def _coeffs_only(fields):
@@ -251,75 +250,6 @@ def _coeffs_only(fields):
             raise TypeError(f"expected HarmonicCoeffs, got {type(f).__name__}: project "
                             "a callable to coefficients first (e.g. sphgrid.sht_forward)")
     return fields
-
-
-def _order_rows(tab: np.ndarray, m, lo: int, hi: int) -> np.ndarray:
-    """Q_m[l](u_i), l = lo..hi, for the int array of orders m, from a packed
-    Legendre table: p_{l|m|}, times (-1)^m for m < 0, zero where l < |m|,
-    so Y_lm = Q_m[l](u) e^{i m phi}.  Shape m.shape + (hi - lo + 1, nodes)."""
-    m = np.asarray(m)[..., None]
-    a, l = np.abs(m), np.arange(lo, hi + 1)
-    scale = np.where(l >= a, np.where(m < 0, (-1.0) ** a, 1.0), 0.0)
-    return tab[l * (l + 1) // 2 + np.minimum(a, l)] * scale[..., None]
-
-
-def _ring_profiles(f: HarmonicCoeffs, tab: np.ndarray) -> np.ndarray:
-    """F_m(u_i) = sum_l c_lm Q_m[l](u_i), rows m = -f.L..f.L, so that
-    f = sum_m F_m(u) e^{i m phi}, on the nodes of a table reaching f.L."""
-    return np.einsum("lm,mli->mi", f.c, _order_rows(tab, np.arange(-f.L, f.L + 1), 0, f.L))
-
-
-def _degree_weights(dim: Dimension, a1, a2, fields, L: int) -> np.ndarray:
-    """A_l, l <= L, of the trace sum_l e_l(a3) A_l: the sum over m of the
-    ((l, m), (l, m)) entries of M_f2 E_a1 M_f3 E_a2 M_f1, order by order on
-    the D + 1 Gauss nodes, D = L + f1.L + f2.L + f3.L, where every polar
-    integral is exact.  M_f moves order m to m + d with the factor F_d
-    (`_ring_profiles`), and E_a cut at degree L_c acts on order m as
-    K_m = Q_m^T diag(e) Q_m diag(2 pi w), Q_m the rows of `_order_rows`:
-        A_l = sum_m sum_{d1, d3} 2 pi sum_i w_i Q_m[l] F2_{-d}
-              K1_{m+d}(F3_{d3} K2_{m+d1}(F1_{d1} Q_m[l])),
-    d = d1 + d3, |d| <= f2.L, K2 of E_a2 cut at L + f1.L and K1 of E_a1
-    at L + f1.L + f3.L.  The starting orders run in chunks sorted by |m|,
-    columns l from the chunk's least |m|, with batched real products; a
-    chunk's arrays stay within about KERNEL_BLOCK complex entries.
-    The fields are HarmonicCoeffs; anything else raises TypeError."""
-    f1, f2, f3 = _coeffs_only(fields)
-    L1 = L + f1.L                   # the degree of M_f1 Y_lm
-    L3 = L1 + f3.L                  # of M_f3 E_a2 M_f1 Y_lm
-    D = max(L3 + f2.L, 1)
-    grid = _staggered_grids(D + 1, 2 * D + 1, 1)[0]
-    tab, nt, w = grid.legendre, grid.n_theta, 2.0 * math.pi * grid.w
-    dmax = min(f2.L, f1.L + f3.L)
-    d1, d = np.arange(-f1.L, f1.L + 1), np.arange(-dmax, dmax + 1)
-    F1, F3 = (w * _ring_profiles(f, tab) for f in (f1, f3))
-    F2 = (w * _ring_profiles(f2, tab))[f2.L - d]               # F2_{-d}
-    e2, e1 = knapp_stein_multipliers(dim, a2, L1), knapp_stein_multipliers(dim, a1, L3)
-    orders = np.array(sorted(range(-L, L + 1), key=abs))
-    # per starting order, about four arrays of d1.size (then d.size) x nt x L3
-    block = max(1, KERNEL_BLOCK // (4 * (d1.size + d.size) * nt * (L3 + 1)))
-    A = np.zeros(L + 1, dtype=complex)
-    for m in (orders[start: start + block] for start in range(0, orders.size, block)):
-        lo = abs(m[0])
-        X = np.ascontiguousarray(_order_rows(tab, m, lo, L).swapaxes(1, 2))  # [b, i, l]
-        # K2 (F1 Y_lm) on the orders m + d1
-        r = max(0, lo - f1.L)
-        Q = _order_rows(tab, m[:, None] + d1, r, L1)                     # [b, d1, l', i]
-        C = _real_matmul(Q, F1[:, :, None] * X[:, None]) * e2[r:, None]
-        V = _real_matmul(Q.swapaxes(2, 3), C)                            # [b, d1, i, l]
-        # times F3_{d3}, summed onto the orders m + d: for each d3 the d1 in
-        # lo1..hi1, contiguous in V and in S
-        S = np.zeros((m.size, d.size, nt, X.shape[2]), dtype=complex)
-        for F, d3 in zip(F3, range(-f3.L, f3.L + 1)):
-            lo1, hi1 = max(-f1.L, -dmax - d3), min(f1.L, dmax - d3)
-            if lo1 <= hi1:
-                S[:, lo1 + d3 + dmax: hi1 + d3 + dmax + 1] += (
-                    F[:, None] * V[:, lo1 + f1.L: hi1 + f1.L + 1])
-        # K1 on the orders m + d, times F2_{-d}, paired with Y_lm
-        r = max(0, lo - dmax)
-        Q = _order_rows(tab, m[:, None] + d, r, L3)                      # [b, d, l'', i]
-        V = _real_matmul(Q.swapaxes(2, 3), _real_matmul(Q, S) * e1[r:, None])
-        A[lo:] += np.einsum("di,bil,bdil->l", F2, X, V)
-    return A
 
 
 def _azimuth_table(A, B, s) -> np.ndarray:
@@ -343,8 +273,13 @@ def _ring_spectrum(f, grid) -> tuple:
     if not isinstance(f, HarmonicCoeffs):
         FW = _sample(f, grid.flat_points()) * grid.flat_weights()
         return np.arange(grid.n_phi), np.fft.fft(FW.reshape(grid.shape), axis=1).T
-    G = _ring_profiles(f, grid.legendre if f.L <= grid.L else legendre_table(f.L, grid.u))
-    m = np.arange(-f.L, f.L + 1)[G.any(axis=1)]
+    # G[m + f.L, i] = sum_l c_lm p_{l|m|}(u_i), times (-1)^m for m < 0
+    tab = grid.legendre if f.L <= grid.L else legendre_table(f.L, grid.u)
+    m, l = np.arange(-f.L, f.L + 1)[:, None], np.arange(f.L + 1)
+    a = np.abs(m)
+    sign = np.where(l >= a, np.where(m < 0, (-1.0) ** a, 1.0), 0.0)
+    G = np.einsum("lm,mli->mi", f.c, tab[l * (l + 1) // 2 + np.minimum(a, l)] * sign[..., None])
+    m = m[G.any(axis=1), 0]
     k = m % grid.n_phi
     F = np.zeros((grid.n_phi, grid.n_theta), dtype=complex)
     np.add.at(F, k, 2.0 * math.pi * np.exp(1j * m * grid.phi[0])[:, None] * G[m + f.L] * grid.w)
@@ -360,13 +295,13 @@ class TripleEngine:
     fields' azimuthal spectra on their grids' rings (`_ring_spectrum`:
     exact and sparse in m for HarmonicCoeffs, the FFT of the ring samples
     for callables) with the transformed tables.  method must be "direct";
-    the harmonic-basis trace is `generic_form(..., method="fast")`."""
+    the exact K-type sum is `generic_form(..., method="fast")`."""
 
     def __init__(self, dim: Dimension, alpha, method: str = "direct",
                  grid_size=(24, 48)):
         if method != "direct":
             raise ValueError(f"TripleEngine is the direct quadrature, got method={method!r}; "
-                             "the harmonic-basis trace is generic_form(..., method='fast')")
+                             "the exact K-type sum is generic_form(..., method='fast')")
         if dim.n != 3:
             raise ValueError("trilinear quadrature is implemented for n = 3")
         _check_convergence(dim, alpha)
@@ -426,56 +361,125 @@ class TripleEngine:
 
 
 def generic_form(dim: Dimension, alpha, f1, f2, f3, method: str = "direct",
-                 grid_size=(24, 48), L_kernel: int | None = None) -> complex:
+                 grid_size=(24, 48)) -> complex:
     """The generic invariant trilinear form on three fields.
 
-    method "direct": the reference triple quadrature on three staggered
-                     grids of grid_size, taken in azimuthal frequency
-                     (`TripleEngine`); f1, f2, f3 may be HarmonicCoeffs or
-                     callables on point arrays; L_kernel is not used.
-    method "fast":   `generic_form_alpha3_family` at a3, the harmonic-basis
-                     trace, exact up to its tail beyond L_kernel (default
-                     `trace_degree` of the fields); HarmonicCoeffs only;
-                     grid_size is not used.
-    Raises outside the safe absolute-convergence region.
+    method "direct": the reference quadrature `TripleEngine` on the three
+                     grids of grid_size; HarmonicCoeffs or callables;
+                     raises outside the absolute-convergence region.
+    method "fast":   `generic_form_alpha3_family` at a3, exact on all of
+                     C^3; HarmonicCoeffs only; grid_size is not used.
     """
     if method != "fast":
         return TripleEngine(dim, alpha, method=method, grid_size=grid_size).value(f1, f2, f3)
+    return generic_form_alpha3_family(dim, alpha[0], alpha[1], f1, f2, f3)(alpha[2])
+
+
+def _triangles(N: int) -> np.ndarray:
+    """The K-types l of level l1 + l2 + l3 = N on a triangle, by (l1, l2)."""
+    l1, l2 = np.divmod(np.arange((N + 1) ** 2), N + 1)
+    l3 = N - l1 - l2
+    return np.stack([l1, l2, l3], axis=1)[(l3 >= abs(l1 - l2)) & (l3 <= l1 + l2)]
+
+
+@functools.cache
+def _ktype_level(s: int) -> tuple:
+    """The equations at odd level s, one per triple next to a triangle of
+    level s + 1: their count and, read-only, those triangles' l1, l2, l3 and
+    the entries of [A | B] (acting on tau at levels s + 1, then s - 1) as
+    rows, columns, slots j and coefficients (mu_j + shift) factor."""
+    E, up = np.eye(3, dtype=int), _triangles(s + 1)
+    eqs = (up[:, None] - E).reshape(-1, 3)
+    eqs = np.unique(eqs[eqs.min(axis=1) >= 0], axis=0)
+    terms = []
+    for sign, offset in ((1, 0), (-1, len(up))):
+        t, pos = _triangles(s + sign), np.full((s + 2,) * 3, -1)
+        pos[tuple(t.T)] = offset + np.arange(len(t))   # index -1 lands on -1 too
+        col = pos[tuple(np.moveaxis(eqs[:, None] + sign * E, -1, 0))]
+        row, j = np.nonzero(col >= 0)
+        l = eqs[row, j]
+        terms.append((row, col[row, j], j, -l if sign > 0 else l + 1,
+                      (l + (sign > 0)) / (2 * l + 1)))
+    arrays = [*up.T, *(np.concatenate(x) for x in zip(*terms))]
+    for a in arrays:
+        a.flags.writeable = False
+    return len(eqs), arrays
+
+
+def ktype_coefficients(dim: Dimension, alpha, S: int) -> tuple:
+    """tau(l) = T(P_l1, P_l2, P_l3) for l1 + l2 + l3 <= S, P_l the Legendre
+    polynomial in x . e, e the polar axis.  The boost along e acts as
+    dpi_lam(X) = V . grad + mu x_e, mu = -(rho + lam), V the tangential
+    part of e; with x_e P_l = [(l+1) P_{l+1} + l P_{l-1}] / (2l+1) its
+    invariance gives, per l of odd sum, sum_j [(mu_j - l_j)(l_j+1)
+    tau(l + e_j) + (mu_j + l_j + 1) l_j tau(l - e_j)] / (2l_j+1) = 0.  From
+    tau(0,0,0) = `closed_form_constant`, each even level s + 1 is one
+    least-squares solve of the equations at level s; ValueError where its
+    least singular value falls to RANK_TOL of its largest (never the
+    minimum-norm answer), and at a Gamma pole of the seed.  Returns tau,
+    an (S+1)^3 array, and the worst relative level residual |A x - b| / |b|."""
+    alpha = tuple(complex(v) for v in alpha)
+    try:
+        seed = closed_form_constant(dim, alpha)
+    except ZeroDivisionError:
+        raise ValueError(f"the seed closed_form_constant has a Gamma pole at "
+                         f"alpha = {alpha}") from None
+    mu = -(dim.rho + np.array(lambda_from_alpha(alpha).lam))
+    tau = np.zeros((S + 1,) * 3, dtype=complex)
+    tau[0, 0, 0] = seed
+    prev, worst = np.array([seed]), 0.0
+    for s in range(1, S, 2):
+        rows, (l1, l2, l3, row, col, j, shift, factor) = _ktype_level(s)
+        n = l1.size
+        M = np.zeros((rows, n + prev.size), dtype=complex)
+        M[row, col] = (mu[j] + shift) * factor
+        A, b = M[:, :n], -(M[:, n:] @ prev)
+        prev, _, _, sv = np.linalg.lstsq(A, b, rcond=None)
+        if sv.size < n or sv[-1] <= RANK_TOL * sv[0]:
+            raise ValueError(f"the K-type recurrence loses rank at level {s + 1} "
+                             f"for alpha = {alpha}")
+        worst = max(worst, np.linalg.norm(A @ prev - b) / (np.linalg.norm(b) or 1.0))
+        tau[l1, l2, l3] = prev
+    return tau, worst
+
+
+def _component_integrals(fields) -> np.ndarray:
+    """G[l1, l2, l3] = int f1_l1 f2_l2 f3_l3 / int P_l1 P_l2 P_l3, f_l the
+    degree-l part of f, on the triangles of even sum (zero elsewhere), so
+    that T(f1, f2, f3) = sum tau G.  The integrands have degree at most
+    S = f1.L + f2.L + f3.L, so the grid of degree ceil(S/2) is exact."""
+    D = max(1, (sum(f.L for f in fields) + 1) // 2)
+    grid = _staggered_grids(D + 1, 2 * D + 1, 1)[0]
+    P = np.repeat(np.polynomial.legendre.legvander(grid.u, max(f.L for f in fields)),
+                  grid.n_phi, axis=0)                 # P_l at the grid's nodes
+    parts = []
+    for f in fields:
+        l = np.arange(f.L + 1)
+        C = np.zeros((f.L + 1, 2 * f.L + 1, f.L + 1), dtype=complex)
+        C[l, :, l] = f.c                              # column l: the degree-l part
+        parts.append(sht_synthesize_columns(grid, C.reshape(-1, f.L + 1), f.L))
+    num, den = (np.einsum("p,pa,pb,pc->abc", grid.flat_weights(), *V, optimize=True)
+                for V in (parts, [P[:, : f.L + 1] for f in fields]))
+    l1, l2, l3 = np.ix_(*(np.arange(f.L + 1) for f in fields))
+    keep = ((l1 + l2 + l3) % 2 == 0) & (abs(l1 - l2) <= l3) & (l3 <= l1 + l2)
+    return np.where(keep, num / np.where(keep, den, 1.0), 0.0)
+
+
+def generic_form_alpha3_family(dim: Dimension, a1, a2, f1, f2, f3):
+    """The generic form as a function of a3, (a1, a2) fixed, on
+    HarmonicCoeffs (TypeError otherwise): the degree-component integrals
+    once, then evaluate(a3) runs `ktype_coefficients` to S = f1.L + f2.L +
+    f3.L and contracts.  Exact and meromorphic in a3, so residue rings may
+    sit around -rho - 2k for any (a1, a2)."""
     if dim.n != 3:
-        raise ValueError("trilinear quadrature is implemented for n = 3")
-    _check_convergence(dim, alpha)
-    a1, a2, a3 = (complex(v) for v in alpha)
-    evaluate, _ = generic_form_alpha3_family(dim, a1, a2, f1, f2, f3, L_kernel)
-    return evaluate(a3)
-
-
-def generic_form_alpha3_family(dim: Dimension, a1, a2, f1, f2, f3,
-                               L_kernel: int | None = None):
-    """Continued evaluation of the generic form as a function of the third
-    parameter, with (a1, a2) fixed.
-
-    The trace is evaluate(a3) = sum_{l <= L_kernel} e_l(a3) A_l, L_kernel
-    by default `trace_degree` of the fields, with the
-    weights A_l computed once on the polar nodes (`_degree_weights`, which
-    takes HarmonicCoeffs only) and the e_l(a3) in closed form, so it is
-    meromorphic in a3 off the pole lattice and can be sampled on
-    residue rings around -rho - 2k.  It converges there only where
-    Re(a1 + a2) > 2k: e_l(a3) A_l grows like l^{2k - a1 - a2 - 1}.
-
-    Returns (evaluate, degree_weights): evaluate(a3) -> complex, and the
-    per-degree weights A_l, useful for truncation diagnostics.
-    """
-    if dim.n != 3:
-        raise ValueError("trilinear quadrature is implemented for n = 3")
-    if L_kernel is None:
-        L_kernel = trace_degree(f1, f2, f3)
-    A = _degree_weights(dim, a1, a2, (f1, f2, f3), L_kernel)
+        raise ValueError("trilinear forms are implemented for n = 3")
+    G = _component_integrals(_coeffs_only((f1, f2, f3)))
 
     def evaluate(a3: complex) -> complex:
-        eig3 = knapp_stein_multipliers(dim, complex(a3), L_kernel)
-        return complex(np.dot(eig3, A))
+        tau, _ = ktype_coefficients(dim, (a1, a2, a3), f1.L + f2.L + f3.L)
+        return complex(np.sum(tau[: f1.L + 1, : f2.L + 1, : f3.L + 1] * G))
 
-    return evaluate, A
+    return evaluate
 
 
 def generic_invariance_defect(engine: TripleEngine, g: ConformalMap,
@@ -590,17 +594,13 @@ def singular_invariance_defect(dim: Dimension, k: int, a1, a2,
 # the residue bridge
 
 
-def residue_bridge_defect(dim: Dimension, k: int, a1, a2, f1, f2, f3,
-                          L_kernel: int | None = None) -> float:
+def residue_bridge_defect(dim: Dimension, k: int, a1, a2, f1, f2, f3) -> float:
     """Relative mismatch between the contour residue of the generic form
     in its third parameter at -rho - 2k (half-parameter convention,
-    evaluated through the continued spectral family, L_kernel by default
-    `trace_degree` of the fields) and c_k times the
-    singular form, on HarmonicCoeffs inputs.  Raises where the family
-    diverges at the pole, Re(a1 + a2) <= 2k."""
-    if complex(a1 + a2).real <= 2 * k:
-        raise ValueError(f"the alpha3 family diverges unless Re(a1+a2) > 2k = {2 * k}")
-    evaluate, _ = generic_form_alpha3_family(dim, a1, a2, f1, f2, f3, L_kernel)
+    evaluated through `generic_form_alpha3_family`, exact and meromorphic
+    for any (a1, a2)) and c_k times the singular form, on HarmonicCoeffs
+    inputs."""
+    evaluate = generic_form_alpha3_family(dim, a1, a2, f1, f2, f3)
     center = -dim.rho - 2.0 * k
     fit = residue_ring(evaluate, center, radius=RING_RADIUS)
     lhs = fit.residue / 2.0

@@ -480,8 +480,7 @@ def fast_direct_defects(instances) -> list:
         fs = [sphgrid.random_coeffs(4, s) for s in seeds]
         vd = trilinear.generic_form(DIM, a, *fs, method="direct",
                                     grid_size=TRIPLE_GRID)
-        vf = trilinear.generic_form(DIM, a, *fs, method="fast",
-                                    grid_size=TRIPLE_GRID)
+        vf = trilinear.generic_form(DIM, a, *fs, method="fast")
         defects.append(abs(vd - vf) / abs(vd))
     return defects
 
@@ -518,7 +517,7 @@ def singular_invariance_defects(instances) -> list:
 def bridge_order_zero_defect(field_seed: int) -> float:
     """residue_bridge_defect at k = 0, (a1, a2) = (3.3, 3.7)."""
     fs = [sphgrid.random_coeffs(4, field_seed + j, real_field=True) for j in range(3)]
-    return trilinear.residue_bridge_defect(DIM, 0, 3.3, 3.7, *fs, L_kernel=24)
+    return trilinear.residue_bridge_defect(DIM, 0, 3.3, 3.7, *fs)
 
 
 def bridge_order_one_defects(points) -> list:

@@ -55,6 +55,23 @@ def test_multiplier_csv(tmp_path, capsys):
     assert abs(float(l2[1]) - (-6.0)) < 1e-10   # Delta_1 on degree 2
 
 
+def test_multiplier_degree_out_of_range_is_usage_error(tmp_path, capsys, monkeypatch):
+    # --L outside 0..sphgrid.MAX_DEGREE ends as an argparse error (exit 2)
+    # and writes no file; it is refused before any multiplier is computed
+    from confsphere import spectral_ops
+    for name in ("laplacian_multiplier", "gjms_multiplier", "knapp_stein_multipliers"):
+        monkeypatch.setattr(spectral_ops, name, None)
+    for kind in ("laplacian", "gjms", "knapp-stein"):
+        for L in (-1, sg.MAX_DEGREE + 1):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["--out-dir", str(tmp_path), "multiplier", "--kind", kind,
+                          "--L", str(L)])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"integer in 0..{sg.MAX_DEGREE}, got {L}" in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_library_value_errors_are_usage_errors(tmp_path, capsys):
     # a value the library rejects ends as an argparse error (exit 2, the
     # message on stderr), not as a traceback
@@ -139,8 +156,9 @@ def test_trilinear_fast_matches_direct(tmp_path, capsys):
 
 
 def test_trilinear_fast_truncation_estimate(tmp_path, capsys):
-    # the fast value is exact up to the tail of its trace beyond L_kernel
-    # (8 here): the estimate is positive and bounds the true error
+    # the fast value is the exact K-type sum: no truncation estimate is
+    # reported, and on constants it is the closed form to the 12 printed
+    # digits
     from confsphere import trilinear as tri
     from confsphere.lorentz import Dimension
     p = tmp_path / "c.json"
@@ -151,15 +169,13 @@ def test_trilinear_fast_truncation_estimate(tmp_path, capsys):
                          "--method", "fast"], capsys)
     blob = json.loads(out)
     want = tri.closed_form_constant(Dimension(3), alpha).real
-    error = abs(float(blob["value"][0]) - want) / want
-    estimate = float(blob["truncation_error_estimate"])
-    assert code == 0 and error > 1e-9
-    assert estimate >= error
+    assert code == 0 and "truncation_error_estimate" not in blob
+    assert abs(float(blob["value"][0]) - want) <= 1e-11 * want
 
 
 def test_trilinear_fast_on_degree_zero_file(tmp_path, capsys):
-    # a degree-0 file still gets a trace to degree 8, not 4 x 0 = 0, and
-    # an estimate that is positive and bounds the true error
+    # a degree-0 file: the K-type sum is its seed alone, the closed form,
+    # with S = 0 and nothing solved
     from confsphere import trilinear as tri
     from confsphere.lorentz import Dimension
     p = tmp_path / "c.json"
@@ -170,15 +186,13 @@ def test_trilinear_fast_on_degree_zero_file(tmp_path, capsys):
                          "--method", "fast"], capsys)
     blob = json.loads(out)
     want = tri.closed_form_constant(Dimension(3), alpha).real
-    error = abs(float(blob["value"][0]) - want) / want
-    estimate = float(blob["truncation_error_estimate"])
-    assert code == 0 and error <= 1e-7
-    assert estimate >= error and estimate > 0
+    assert code == 0 and blob["S"] == 0 and float(blob["recurrence_residual"]) == 0.0
+    assert abs(float(blob["value"][0]) - want) <= 1e-11 * want
 
 
-def test_trilinear_fast_reports_its_L_kernel(tmp_path, capsys):
-    # degree-7 files: the trace runs to trace_degree = 28 whatever --grid
-    # says, and the output names that degree instead of a grid
+def test_trilinear_fast_reports_S_and_residual(tmp_path, capsys):
+    # degree-7 files: the recurrence runs to S = 21 whatever --grid says,
+    # and the output names S and its level residual instead of a grid
     from confsphere import trilinear as tri
     from confsphere.lorentz import Dimension
     fs = [sg.random_coeffs(7, 150 + j) for j in range(3)]
@@ -191,8 +205,9 @@ def test_trilinear_fast_reports_its_L_kernel(tmp_path, capsys):
                          "--f2", str(paths[1]), "--f3", str(paths[2]), "--grid", "16", "32",
                          "--method", "fast"], capsys)
     blob = json.loads(out)
-    assert code == 0 and blob["L_kernel"] == 28 and "grid" not in blob
-    want = tri.generic_form(Dimension(3), alpha, *fs, method="fast", L_kernel=28)
+    assert code == 0 and blob["S"] == 21 and "grid" not in blob
+    assert 0.0 < float(blob["recurrence_residual"]) <= 1e-13
+    want = tri.generic_form(Dimension(3), alpha, *fs, method="fast")
     assert blob["value"] == [f"{want.real:.11e}", f"{want.imag:.11e}"]
 
 

@@ -94,12 +94,11 @@ def test_fast_agrees_with_direct(dim3):
 
 
 def test_fast_value_is_the_alpha3_family_at_a3_whatever_the_grid(dim3):
-    # the fast default L_kernel is trace_degree of the fields, 4 x 7 = 28;
-    # the grid (16, 32), which resolves degree 15, does not cap it
+    # degree-7 fields need the K-types to S = 21; the grid (16, 32), which
+    # resolves degree 15, has no say in the fast value
     fs = [sg.random_coeffs(7, 140 + j) for j in range(3)]
     a1, a2, a3 = 1.62 + 0j, 1.71 + 0j, 1.83 + 0j
-    assert tri.trace_degree(*fs) == 28
-    evaluate, _ = tri.generic_form_alpha3_family(dim3, a1, a2, *fs, L_kernel=28)
+    evaluate = tri.generic_form_alpha3_family(dim3, a1, a2, *fs)
     fast = tri.generic_form(dim3, (a1, a2, a3), *fs, method="fast", grid_size=(16, 32))
     assert fast == evaluate(a3)
 
@@ -127,10 +126,9 @@ def test_permutation_symmetry(dim3):
 
 def test_spectral_family_matches_direct(dim3):
     fs = [sg.random_coeffs(4, 95 + j) for j in range(3)]
-    evaluate, weights = tri.generic_form_alpha3_family(dim3, 3.0, 3.0, *fs, L_kernel=20)
+    evaluate = tri.generic_form_alpha3_family(dim3, 3.0, 3.0, *fs)
     direct = tri.generic_form(dim3, (3.0, 3.0, 1.0), *fs)
     assert abs(evaluate(1.0) - direct) <= 1e-4 * abs(direct)
-    assert len(weights) == 21
 
 
 def _dense_direct_oracle(dim, fs, grid_size, alpha):
@@ -291,16 +289,16 @@ def test_ring_spectrum_exact_from_coefficients_property(case, slot, seed):
 
 
 def test_trace_quadrature_oracle_converges_to_exact_trace(dim3):
-    # the grid quadrature the exact-product trace replaced carries a
-    # quadrature and a middle-kernel truncation error; doubling its whole
-    # discretization (grid and L_K) moves it toward the exact weights A_l
-    # and the fast value at the same truncation
+    # the grid quadrature of the harmonic-basis trace carries a quadrature
+    # and a kernel truncation error; doubling its whole discretization
+    # (grid and L_K) moves it toward the dense operator trace's weights A_l
+    # and toward the exact K-type value
     fs = [sg.random_coeffs(4, 170 + j) for j in range(3)]
     a1, a2, a3 = 1.6, 1.8, 1.55
+    fast = tri.generic_form(dim3, (a1, a2, a3), *fs, method="fast")
     errs = []
     for grid_size, L_K in (((12, 24), 8), ((24, 48), 16)):
-        _, A = tri.generic_form_alpha3_family(dim3, a1, a2, *fs, L_kernel=L_K)
-        fast = tri.generic_form(dim3, (a1, a2, a3), *fs, method="fast", L_kernel=L_K)
+        A = _dense_degree_weights(dim3, fs, L_K, a1, a2)
         A_quad = _quadrature_trace_oracle(dim3, fs, grid_size, a1, a2, L_K)
         v_quad = np.dot(knapp_stein_multipliers(dim3, a3, L_K), A_quad)
         errs.append(max(np.max(np.abs(A_quad - A)) / np.max(np.abs(A)),
@@ -312,10 +310,9 @@ def test_trace_quadrature_oracle_converges_to_exact_trace(dim3):
                                         ((2.5 + 0.5j, 1.2, 3.8), 1e-13),
                                         ((1.62, 1.71, 1.83), 1e-10)])
 def test_fast_constant_inputs_match_closed_form(dim3, alpha, tol):
-    # exact products: what is left is the tail of the trace beyond degree
-    # 32, which decays like L^-(Re sum alpha + rho)
+    # a constant triple is the K-type seed alone, the closed form itself
     one = sg.coeffs_constant(1.0)
-    got = tri.generic_form(dim3, alpha, one, one, one, method="fast", L_kernel=32)
+    got = tri.generic_form(dim3, alpha, one, one, one, method="fast")
     want = tri.closed_form_constant(dim3, alpha)
     assert abs(got - want) <= tol * abs(want)
 
@@ -352,42 +349,72 @@ def _dense_degree_weights(dim, fields, L, a1, a2):
     return (np.diagonal(T).reshape(L + 1, 2 * L + 1) * sg._lm_mask(L)).sum(axis=1)
 
 
-def test_degree_weights_match_dense_operator_oracle(dim3):
-    # the order-by-order trace against the dense operator product.  The
+def test_ktype_value_matches_dense_operator_trace(dim3):
+    # in the convergent region the K-type sum is the harmonic-basis trace
+    # sum_l e_l(a3) A_l, with A_l the diagonal of the dense product; at
+    # these exponents its tail beyond degree 12 is below rounding.  The
     # complex fields have unequal degrees (a constant in slot 1, then in
-    # slot 2), so an order or a convolution range taken from the wrong
-    # field's degree drops terms that the dense product keeps; L = 0 and 1
-    # are the smallest traces
-    for degrees, L, a1, a2 in (((2, 3, 1), 6, 1.7 + 0.2j, 2.4 - 0.3j),
-                               ((0, 2, 1), 0, 1.3 - 0.4j, 2.1 + 0.5j),
-                               ((1, 0, 2), 1, 2.2 + 0.1j, 1.6 + 0.7j)):
+    # slot 2), so a component integral taken from the wrong field's degree
+    # drops terms that the dense product keeps
+    for degrees, alpha in (((2, 3, 1), (3.7 + 0.2j, 4.4 - 0.3j, 4.1 + 0.1j)),
+                           ((0, 2, 1), (4.3 - 0.4j, 3.1 + 0.5j, 3.9 - 0.2j)),
+                           ((1, 0, 2), (3.2 + 0.1j, 4.6 + 0.7j, 4.4 + 0.3j))):
         fs = [sg.random_coeffs(d, 200 + d) for d in degrees]
-        want = _dense_degree_weights(dim3, fs, L, a1, a2)
-        got = tri._degree_weights(dim3, a1, a2, fs, L)
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        A = _dense_degree_weights(dim3, fs, 12, alpha[0], alpha[1])
+        trace = np.dot(knapp_stein_multipliers(dim3, alpha[2], 12), A)
+        got = tri.generic_form(dim3, alpha, *fs, method="fast")
+        assert abs(got - trace) <= 1e-12 * abs(trace)
 
 
-def test_degree_weights_use_no_column_transform(dim3, monkeypatch):
-    # on band-limited inputs the weights are built from ring profiles on
-    # the polar nodes: no field or basis column is sampled on a grid
-    def refuse(*args, **kwargs):
-        raise AssertionError("column transform called")
+def test_ktype_invariance_at_continued_alpha(dim3):
+    # far outside the convergence region the K-type sum is still the
+    # invariant form: degree-3 fields moved by a boost and projected to
+    # degree 14 (S = 42) give the value of the unmoved fields (S = 9)
+    from confsphere.reps import pi_pointwise
+    alpha = (0.3, 0.4, -1.8 + 0.1j)
+    lam = tri.lambda_from_alpha(alpha).lam
+    g = boost(0.15, dim3)
+    fs = [sg.random_coeffs(3, 70 + j, real_field=True) for j in range(3)]
+    moved = tri._band_limited([pi_pointwise(dim3, lj, g, f) for lj, f in zip(lam, fs)],
+                              (48, 96), 14)
+    base = tri.generic_form(dim3, alpha, *fs, method="fast")
+    got = tri.generic_form(dim3, alpha, *moved, method="fast")
+    assert abs(got - base) <= 1e-12 * abs(base)
 
-    monkeypatch.setattr(tri, "sht_forward_columns", refuse)
-    monkeypatch.setattr(tri, "sht_synthesize_columns", refuse)
-    fs = [sg.random_coeffs(3, 210 + j) for j in range(3)]
-    assert np.all(np.isfinite(tri._degree_weights(dim3, 1.6, 1.8, fs, 8)))
+
+def test_ktype_past_the_sum_planes(dim3):
+    # at (0.6, 0.8, -2.6) the constant channel vanishes (the trace read
+    # -436.7 there) and mu_2 = 0 takes the rank of level 2, so fields of
+    # degree 3 raise instead of getting a minimum-norm answer; a Gamma
+    # pole of the seed raises ValueError too
+    one = sg.coeffs_constant(1.0)
+    assert tri.generic_form(dim3, (0.6, 0.8, -2.6), one, one, one, method="fast") == 0
+    fs = [sg.random_coeffs(3, 70 + j, real_field=True) for j in range(3)]
+    with pytest.raises(ValueError, match="loses rank at level 2"):
+        tri.generic_form(dim3, (0.6, 0.8, -2.6), *fs, method="fast")
+    with pytest.raises(ValueError, match="Gamma pole"):
+        tri.ktype_coefficients(dim3, (1.6, 1.7, -1.0), 4)
 
 
-def test_degree_weights_memory_bounded_at_high_degree(dim3):
-    # degree-3 fields, trace to degree 64: 4225 basis columns on 74 polar
-    # nodes.  One chunk of starting orders at a time, its arrays within
-    # KERNEL_BLOCK complex entries, and the grid's Legendre table
+def test_ktype_levels_consistent(dim3):
+    # every level's overdetermined solve is consistent to rounding, at real
+    # and complex exponents, and tau vanishes off the triangles of even sum
+    for alpha in ((1.6, 1.7, 1.8), (0.3 + 0.2j, -0.4, 0.9 - 0.3j)):
+        tau, residual = tri.ktype_coefficients(dim3, alpha, 24)
+        assert residual <= 1e-13
+        l1, l2, l3 = np.indices(tau.shape)
+        off = ((l1 + l2 + l3) % 2 == 1) | (abs(l1 - l2) > l3) | (l3 > l1 + l2)
+        assert not tau[off].any() and np.all(tau[~off & (l1 + l2 + l3 <= 24)] != 0)
+
+
+def test_ktype_coefficients_memory_bounded_at_S48(dim3):
+    # K-types to S = 48: 2925 coefficients, the largest level a 325-column
+    # least-squares problem, and the (S+1)^3 array tau
     import tracemalloc
-    fs = [sg.random_coeffs(3, 180 + j, real_field=True) for j in range(3)]
+    tri.ktype_coefficients(dim3, (3.3, 3.7, 1.9), 48)      # level structure cached
     tracemalloc.start()
     try:
-        tri._degree_weights(dim3, 3.3, 3.7, fs, 64)
+        tri.ktype_coefficients(dim3, (3.3, 3.7, 1.9), 48)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -396,14 +423,14 @@ def test_degree_weights_memory_bounded_at_high_degree(dim3):
 
 def test_alpha3_family_memory_bounded(dim3):
     # the family holds no N x N kernel (at (48, 96) one dense complex
-    # kernel alone is 340 MB), and its trace works on the polar nodes in
-    # chunks of starting orders, each within KERNEL_BLOCK complex entries
+    # kernel alone is 340 MB): its component integrals live on a grid of
+    # degree 6
     import tracemalloc
     fs = [sg.random_coeffs(4, 180 + j, real_field=True) for j in range(3)]
     tri.triple_grids((48, 96))
     tracemalloc.start()
     try:
-        tri.generic_form_alpha3_family(dim3, 3.3, 3.7, *fs, L_kernel=24)
+        tri.generic_form_alpha3_family(dim3, 3.3, 3.7, *fs)(1.9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -411,10 +438,9 @@ def test_alpha3_family_memory_bounded(dim3):
 
 
 def test_alpha3_family_memory_bounded_on_projected_fields(dim3):
-    # moved fields projected to degree 16, trace to degree 32: on a grid
-    # of degree 80, N = 13041 nodes, the 1089 basis columns would take
-    # 227 MB per array in one block; the trace holds them only as their
-    # profiles on the 81 polar nodes, a chunk of orders at a time
+    # moved fields projected to degree 16, K-types to S = 48: the
+    # component integrals synthesize 17 degree parts per field on the
+    # 1225 nodes of the grid of degree 24
     import tracemalloc
     from confsphere.reps import pi_pointwise
     g = random_element(dim3, 185, max_boost=0.3)
@@ -422,7 +448,7 @@ def test_alpha3_family_memory_bounded_on_projected_fields(dim3):
     moved = tri._band_limited([pi_pointwise(dim3, 0.5, g, f) for f in fs], (48, 96), 16)
     tracemalloc.start()
     try:
-        tri.generic_form_alpha3_family(dim3, 3.3, 3.7, *moved, L_kernel=32)
+        tri.generic_form_alpha3_family(dim3, 3.3, 3.7, *moved)(1.9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -430,13 +456,12 @@ def test_alpha3_family_memory_bounded_on_projected_fields(dim3):
 
 
 def test_fast_engine_memory_bounded(dim3):
-    # degree-4 fields, trace to degree 32: the 1089 basis columns on a
-    # grid of degree 44 (N = 4005) would take 70 MB per array in one block
+    # degree-4 fields, K-types to S = 12: no basis column and no kernel
     import tracemalloc
     fs = [sg.random_coeffs(4, 180 + j, real_field=True) for j in range(3)]
     tracemalloc.start()
     try:
-        tri.generic_form(dim3, (1.62, 1.71, 1.83), *fs, method="fast", L_kernel=32)
+        tri.generic_form(dim3, (1.62, 1.71, 1.83), *fs, method="fast")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -609,28 +634,27 @@ def test_singular_invariance_continued(dim3):
 
 def test_residue_bridge_k0(dim3):
     fs = [sg.random_coeffs(4, 130 + j, real_field=True) for j in range(3)]
-    defect = tri.residue_bridge_defect(dim3, 0, 3.3, 3.7, *fs, L_kernel=24)
+    defect = tri.residue_bridge_defect(dim3, 0, 3.3, 3.7, *fs)
     assert defect < 5e-3
 
 
 def test_residue_bridge_k1_random_fields(dim3):
     fs = [sg.random_coeffs(4, 135 + j, real_field=True) for j in range(3)]
-    defect = tri.residue_bridge_defect(dim3, 1, 2.3, 5.6, *fs, L_kernel=32)
+    defect = tri.residue_bridge_defect(dim3, 1, 2.3, 5.6, *fs)
     assert defect < 1e-7
 
 
-def test_residue_bridge_guard_where_family_diverges(dim3):
-    # at k = 1, (0.4, 0.9) the terms e_l A_l grow like l^{2k-a1-a2-1}: the
-    # family's mismatch against the finite sum grew with L instead of
-    # shrinking
-    fs = [sg.random_coeffs(4, 135 + j, real_field=True) for j in range(3)]
-    for k, a1, a2 in ((1, 0.4, 0.9), (0, -0.3, 0.3 + 0.5j), (2, 2.5, 1.5)):
-        with pytest.raises(ValueError, match=r"Re\(a1\+a2\) > 2k"):
-            tri.residue_bridge_defect(dim3, k, a1, a2, *fs, L_kernel=16)
+def test_residue_bridge_beyond_the_sum_planes(dim3):
+    # where the truncated trace diverged, Re(a1+a2) <= 2k, the exact K-type
+    # family still carries the residue down to the singular form: at
+    # k = 1, (0.4, 0.9) and at k = 0, (-0.7, -0.2)
+    fs = [sg.random_coeffs(3, 1100 + j, real_field=True) for j in range(3)]
+    for k, a1, a2 in ((1, 0.4, 0.9), (0, -0.7, -0.2)):
+        assert tri.residue_bridge_defect(dim3, k, a1, a2, *fs) <= 1e-9
 
 
 def test_spectral_layer_refuses_callables(dim3):
-    # the trace and the finite sum are exact on coefficients; a callable
+    # the K-type and the finite sums are exact on coefficients; a callable
     # in any slot (here a moved field) raises instead of being projected
     # on a grid the caller did not choose
     from confsphere.reps import pi_pointwise
@@ -639,8 +663,7 @@ def test_spectral_layer_refuses_callables(dim3):
     for slot in range(3):
         mixed = list(fs)
         mixed[slot] = pi_pointwise(dim3, 0.5, g, fs[slot])
-        for call in (lambda: tri._degree_weights(dim3, 1.6, 1.8, mixed, 8),
-                     lambda: tri.generic_form_alpha3_family(dim3, 1.6, 1.8, *mixed),
+        for call in (lambda: tri.generic_form_alpha3_family(dim3, 1.6, 1.8, *mixed),
                      lambda: tri.singular_form(dim3, 1, 1.45, 4.62, *mixed),
                      lambda: tri.residue_bridge_defect(dim3, 0, 3.3, 3.7, *mixed),
                      lambda: tri.generic_form(dim3, (1.6, 1.8, 1.55), *mixed,
