@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lorentz import Dimension
-from .sphgrid import HarmonicCoeffs, degree_pairings
-from .spectral_ops import gjms_constant, gjms_multiplier, knapp_stein_multipliers
+from .sphgrid import HarmonicCoeffs, degree_pairings, value_at_pole
+from .spectral_ops import knapp_stein_multipliers, residue_operator_apply
 
 POLE_GUARD = 1e-6
 
@@ -129,10 +129,7 @@ def residue_pair_distance_power(dim: Dimension, k: int, f: HarmonicCoeffs) -> co
 
 def covariant_power_at_pole(dim: Dimension, k: int, f: HarmonicCoeffs) -> complex:
     """c_k (Delta_k f)(e): the predicted value of the k-th residue."""
-    l = np.arange(f.L + 1)
-    mult = np.array([gjms_multiplier(dim, k, int(ll)) for ll in l])
-    zonal = f.c[:, f.L] * np.sqrt((2 * l + 1) / (4.0 * math.pi))
-    return complex(gjms_constant(dim, k).c_k * np.dot(mult, zonal))
+    return value_at_pole(residue_operator_apply(dim, k, f))
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +153,7 @@ def residue_separation_power(dim: Dimension, k: int, f1: HarmonicCoeffs,
     """Residue (half-parameter convention) of alpha -> (k_alpha, f1 (x) f2)
     at alpha = -rho - 2k via the residue operator, which is diagonal in
     degree and so acts the same on either factor."""
-    L = min(f1.L, f2.L)
-    mult = np.array([gjms_multiplier(dim, k, l) for l in range(L + 1)])
-    pairs = degree_pairings(f1, f2)
-    return complex(gjms_constant(dim, k).c_k * np.dot(mult, pairs))
+    return complex(degree_pairings(residue_operator_apply(dim, k, f1), f2).sum())
 
 
 def residue_separation_power_ring(dim: Dimension, k: int, f1: HarmonicCoeffs,

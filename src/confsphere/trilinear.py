@@ -28,20 +28,20 @@ as the FFT of one nt x n_phi x nt table over the azimuth difference.  The
 quadrature sum is taken in azimuthal frequency: the three fields' DFTs on
 their grids' rings are contracted with the transformed tables, O(n_phi B
 nt^3 + n_phi B^2 nt^2) work per value for B orders and no N x N array.  A
-HarmonicCoeffs gives its DFT exactly from its coefficients and the
-Legendre rows, only its nonzero orders kept, folded mod n_phi; a callable
-(a moved field, not band-limited) gives the FFT of its ring samples, all
-B = n_phi orders.  The fast method is the alpha3 family at a3, an exact
-finite sum over K-types: the form is O(3)-invariant, so for band-limited
-inputs T(f1, f2, f3) = sum_l tau(l) G(l) over l_j <= deg f_j, tau(l) the
-form on three Legendre polynomials (`ktype_coefficients`, solved level by
-level from the boost's invariance equations, seeded by the closed form)
-and G(l) the fields' degree-component integrals (`_component_integrals`).
-It is meromorphic in alpha on all of C^3, with no convergence region
-(after Bernstein & Reznikov, Moscow Math. J. 4 (2004)).
-The singular forms are exact finite sums of two-point
-Knapp-Stein pairings (`singular_form`), meromorphic in (a1, a2).  This
-spectral layer takes HarmonicCoeffs only; callables enter only the direct
+field's spectrum is the FFT of its values on each ring: a HarmonicCoeffs
+is synthesized there by the transform pair and keeps only the residues
+mod n_phi of its nonzero orders; a callable (a moved field, not
+band-limited) is sampled there and keeps all B = n_phi.  The fast method
+is the alpha3 family at a3, an exact finite sum over K-types: the form is
+O(3)-invariant, so for band-limited inputs T(f1, f2, f3) = sum_l tau(l)
+G(l) over l_j <= deg f_j, tau(l) the form on three Legendre polynomials
+(`ktype_coefficients`, solved level by level from the boost's invariance
+equations, seeded by the closed form) and G(l) the fields'
+degree-component integrals (`_component_integrals`).  It is meromorphic
+in alpha on all of C^3, with no convergence region (after Bernstein &
+Reznikov, Moscow Math. J. 4 (2004)).  The singular forms are exact
+finite sums of two-point Knapp-Stein pairings (`singular_form`),
+meromorphic in (a1, a2).  This spectral layer takes HarmonicCoeffs only; callables enter only the direct
 engine and `singular_invariance_defect`, which projects its moved fields
 once (`_band_limited`).  grid_size selects grids and nothing else.
 """
@@ -57,9 +57,8 @@ import numpy as np
 
 from .lorentz import Dimension, ConformalMap, act, conformal_factor, inverse
 from .reps import field_from_coeffs, pi_pointwise
-from .sphgrid import (GridFunction, HarmonicCoeffs, legendre_table, make_grid,
-                      sht_forward, sht_forward_columns, sht_synthesize_columns,
-                      synth_at_points)
+from .sphgrid import (GridFunction, HarmonicCoeffs, make_grid, sht_forward,
+                      sht_forward_columns, sht_synthesize_columns, synth_at_points)
 from .special import gamma_ratio
 from .spectral_ops import apply_multiplier, gjms_constant, laplacian_multiplier
 from .mero import pair_separation_power, residue_ring
@@ -161,12 +160,6 @@ def closed_form_constant_residue(dim: Dimension, k: int, a1, a2) -> complex:
 # grids, fields, kernels
 
 
-def _sample(f, points) -> np.ndarray:
-    """Values of a HarmonicCoeffs or a callable field at the points."""
-    return np.asarray((field_from_coeffs(f) if isinstance(f, HarmonicCoeffs)
-                       else f)(points))
-
-
 @functools.cache
 def _staggered_grids(n_theta: int, n_phi: int, count: int) -> tuple:
     """`count` grids of one size, azimuths offset by multiples of
@@ -225,12 +218,6 @@ def _check_convergence(dim: Dimension, alpha) -> None:
 # the generic trilinear form
 
 
-def trace_degree(*fields) -> int:
-    """The default degree to which `singular_invariance_defect` projects its
-    moved fields: 4x the largest input degree, at least 8; HarmonicCoeffs only."""
-    return max(8, 4 * max(f.L for f in _coeffs_only(fields)))
-
-
 def _band_limited(fields, grid_size, L: int):
     """Callables projected to HarmonicCoeffs of degree L by analysis
     on the plain grid of grid_size."""
@@ -238,7 +225,7 @@ def _band_limited(fields, grid_size, L: int):
     if L > gx.L:
         raise ValueError(f"grid resolves degree {gx.L}, requested {L}")
     P = gx.flat_points()
-    C = sht_forward_columns(gx, np.stack([_sample(f, P) for f in fields], axis=1), L)
+    C = sht_forward_columns(gx, np.stack([f(P) for f in fields], axis=1), L)
     return [HarmonicCoeffs(L, c.reshape(L + 1, -1)) for c in C.T]
 
 
@@ -265,25 +252,18 @@ def _ring_spectrum(f, grid) -> tuple:
     """f w dphi on the grid's polar rings transformed in azimuth: for
     phi_j = phi_0 + j dphi,
         F[k, i] = sum_j f(u_i, phi_j) w_i dphi e^{-2 pi i k j / n_phi}.
-    A callable is sampled and each ring transformed by FFT, every residue
-    k counted as nonzero.  A HarmonicCoeffs gives F exactly from its coefficients,
-        F[k, i] = 2 pi w_i sum_{m = k mod n_phi} e^{i m phi_0} sum_l c_lm p_lm(u_i),
-    nonzero only at the residues of its nonzero orders.  Returns those
-    residues k and F, zero off them."""
-    if not isinstance(f, HarmonicCoeffs):
-        FW = _sample(f, grid.flat_points()) * grid.flat_weights()
-        return np.arange(grid.n_phi), np.fft.fft(FW.reshape(grid.shape), axis=1).T
-    # G[m + f.L, i] = sum_l c_lm p_{l|m|}(u_i), times (-1)^m for m < 0
-    tab = grid.legendre if f.L <= grid.L else legendre_table(f.L, grid.u)
-    m, l = np.arange(-f.L, f.L + 1)[:, None], np.arange(f.L + 1)
-    a = np.abs(m)
-    sign = np.where(l >= a, np.where(m < 0, (-1.0) ** a, 1.0), 0.0)
-    G = np.einsum("lm,mli->mi", f.c, tab[l * (l + 1) // 2 + np.minimum(a, l)] * sign[..., None])
-    m = m[G.any(axis=1), 0]
-    k = m % grid.n_phi
+    A HarmonicCoeffs is synthesized at the nodes (`sht_synthesize_columns`),
+    a callable sampled there.  Returns the residues k = m mod n_phi of the
+    field's nonzero orders m, every k for a callable, and F, exactly zero
+    off them."""
+    if isinstance(f, HarmonicCoeffs):
+        V = sht_synthesize_columns(grid, f.c.reshape(-1, 1), f.L)[:, 0]
+        k = np.unique((np.flatnonzero(f.c.any(axis=0)) - f.L) % grid.n_phi)
+    else:
+        V, k = f(grid.flat_points()), np.arange(grid.n_phi)
     F = np.zeros((grid.n_phi, grid.n_theta), dtype=complex)
-    np.add.at(F, k, 2.0 * math.pi * np.exp(1j * m * grid.phi[0])[:, None] * G[m + f.L] * grid.w)
-    return np.flatnonzero(np.bincount(k, minlength=grid.n_phi)), F
+    F[k] = np.fft.fft((V * grid.flat_weights()).reshape(grid.shape), axis=1).T[k]
+    return k, F
 
 
 class TripleEngine:
@@ -292,10 +272,11 @@ class TripleEngine:
     fields.  It holds each kernel's azimuth table (`_azimuth_table`)
     transformed in azimuth, refused when the contraction's working set
     would exceed MAX_RING_WORKSET complex entries.  `value` contracts the
-    fields' azimuthal spectra on their grids' rings (`_ring_spectrum`:
-    exact and sparse in m for HarmonicCoeffs, the FFT of the ring samples
-    for callables) with the transformed tables.  method must be "direct";
-    the exact K-type sum is `generic_form(..., method="fast")`."""
+    fields' azimuthal spectra on their grids' rings (`_ring_spectrum`, the
+    FFT of each ring's values, kept only at the residues of a
+    HarmonicCoeffs' nonzero orders) with the transformed tables.  method
+    must be "direct"; the exact K-type sum is
+    `generic_form(..., method="fast")`."""
 
     def __init__(self, dim: Dimension, alpha, method: str = "direct",
                  grid_size=(24, 48)):
@@ -574,19 +555,21 @@ def singular_form(dim: Dimension, k: int, a1, a2, f1, f2, f3) -> complex:
 def singular_invariance_defect(dim: Dimension, k: int, a1, a2,
                                g: ConformalMap, f1, f2, f3,
                                grid_size=(48, 96),
-                               L_kernel: int | None = None) -> float:
+                               L_project: int | None = None) -> float:
     """Relative change of the singular form under the principal-series
     actions tied to (a1, a2, a3 = -rho - 2k).  The inputs are
     HarmonicCoeffs; the moved fields are callables, projected once to
-    degree L_kernel (default `trace_degree` of the inputs, capped at what
-    the grid resolves) on the plain grid of grid_size (`_band_limited`)."""
+    degree L_project (default 4x the largest input degree, at least 8,
+    capped at what the grid resolves) on the plain grid of grid_size
+    (`_band_limited`)."""
     a3 = -dim.rho - 2.0 * k
     lam = lambda_from_alpha((a1, a2, a3)).lam
     base = singular_form(dim, k, a1, a2, f1, f2, f3)
-    if L_kernel is None:
-        L_kernel = min(_plain_grid(grid_size).L, trace_degree(f1, f2, f3))
+    if L_project is None:
+        L_project = min(_plain_grid(grid_size).L,
+                        max(8, 4 * max(f.L for f in (f1, f2, f3))))
     moved = _band_limited([pi_pointwise(dim, lj, g, f)
-                           for lj, f in zip(lam, (f1, f2, f3))], grid_size, L_kernel)
+                           for lj, f in zip(lam, (f1, f2, f3))], grid_size, L_project)
     return abs(singular_form(dim, k, a1, a2, *moved) - base) / abs(base)
 
 

@@ -29,7 +29,6 @@ SUITE_NAMES = ("geometry", "representation", "bernstein", "residues",
                "intertwining", "trilinear")
 DIM = Dimension(3)
 TRIPLE_GRID = (24, 48)    # the generic forms' three staggered grids
-DOUBLE_GRID = (48, 96)    # projects the moved fields of the singular invariance checks
 
 
 @dataclass
@@ -509,8 +508,7 @@ def singular_invariance_defects(instances) -> list:
     for k, a1, a2, g_seed, f_seed in instances:
         g = random_element(DIM, g_seed, max_boost=0.3)
         fs = [sphgrid.random_coeffs(4, f_seed + j, real_field=True) for j in range(3)]
-        drawn.append((trilinear.singular_invariance_defect(
-            DIM, k, a1, a2, g, *fs, grid_size=DOUBLE_GRID, L_kernel=16), g, fs))
+        drawn.append((trilinear.singular_invariance_defect(DIM, k, a1, a2, g, *fs), g, fs))
     return drawn
 
 

@@ -118,11 +118,11 @@ def test_criterion_07_trilinear_invariance():
             assert d <= 1e-3, f"singular k={k} instance {j % 10}: {d:.2e}"
             if j % 10 < 2:
                 # doubling scales the whole discretization: grid and
-                # the kernel truncation it resolves
+                # the projection degree it resolves
                 coarse.append(tri.singular_invariance_defect(
-                    DIM, k, a1, a2, g, *fs, grid_size=(12, 24), L_kernel=8))
+                    DIM, k, a1, a2, g, *fs, grid_size=(12, 24), L_project=8))
                 mid.append(tri.singular_invariance_defect(
-                    DIM, k, a1, a2, g, *fs, grid_size=(24, 48), L_kernel=16))
+                    DIM, k, a1, a2, g, *fs, grid_size=(24, 48), L_project=16))
         # at the default grid the singular-form defect already sits at the
         # numerical noise floor, so the 4x shrink is verified on the coarse
         # pair where discretization still dominates

@@ -135,12 +135,14 @@ def _dense_direct_oracle(dim, fs, grid_size, alpha):
     """The direct generic form from whole N x N kernel matrices: the dense
     quadrature sum that the direct engine takes in azimuthal frequency
     (test-only reference)."""
+    from confsphere.reps import field_from_coeffs
     rho = dim.rho
     a1, a2, a3 = alpha
     g1, g2, g3 = tri.triple_grids(grid_size)
     P = [g.flat_points() for g in (g1, g2, g3)]
     W = [g.flat_weights() for g in (g1, g2, g3)]
-    F1, F2, F3 = (tri._sample(f, p) for f, p in zip(fs, P))
+    F1, F2, F3 = ((field_from_coeffs(f) if isinstance(f, sg.HarmonicCoeffs) else f)(p)
+                  for f, p in zip(fs, P))
     K3 = tri.chordal_power(P[0], P[1], a3 - rho)
     K2 = tri.chordal_power(P[2], P[0], a2 - rho)
     K1 = tri.chordal_power(P[1], P[2], a1 - rho)
@@ -241,17 +243,17 @@ SPECTRUM_ALPHAS = {"real": (1.6, 1.8, 1.55), "complex": (1.6 + 0.3j, 1.8, 2.5 - 
     for kind, a in ((k, SPECTRUM_ALPHAS[k]) for k in kinds)])
 def test_coefficient_spectrum_matches_sampled_spectrum_and_dense_oracle(
         dim3, grid_size, alpha, monkeypatch):
-    # three HarmonicCoeffs are contracted from their exact spectra, sparse
-    # in m and without sampling; the same fields as callables are
-    # contracted from the FFT of their ring samples, and the dense oracle
-    # sums the whole N x N kernels
+    # three HarmonicCoeffs are contracted from their spectra synthesized by
+    # the transform pair, sparse in m and never point-sampled; the same
+    # fields as callables are contracted from the FFT of their ring
+    # samples, and the dense oracle sums the whole N x N kernels
     from confsphere.reps import field_from_coeffs
     engine = tri.TripleEngine(dim3, alpha, grid_size=grid_size)
     for fs in _spectrum_cases(grid_size[1]):
         sampled = engine.value(*map(field_from_coeffs, fs))
         dense = _dense_direct_oracle(dim3, fs, grid_size, alpha)
         with monkeypatch.context() as m:
-            m.setattr(tri, "_sample", None)
+            m.setattr(tri, "field_from_coeffs", None)
             got = engine.value(*fs)
         assert abs(got - sampled) <= 1e-13 * abs(sampled)
         assert abs(got - dense) <= 1e-13 * abs(dense)
@@ -272,10 +274,11 @@ def test_coefficient_spectrum_matches_sampled_spectrum_on_large_grid(dim3):
            lambda g: st.tuples(st.just(g), st.integers(0, g[1]))),
        slot=st.integers(0, 2), seed=st.integers(0, 2 ** 16))
 def test_ring_spectrum_exact_from_coefficients_property(case, slot, seed):
-    # the exact spectrum of a degree-L field against the FFT of its ring
-    # samples, on one grid of a staggered set (nonzero phi_0); degrees up
-    # to n_phi fold orders onto each other mod n_phi.  Off the residues it
-    # returns, the coefficient spectrum is exactly zero.
+    # the spectrum of a degree-L field synthesized by the transform pair
+    # against the FFT of its point samples, on one grid of a staggered set
+    # (nonzero phi_0); degrees up to n_phi fold orders onto each other mod
+    # n_phi.  Off the residues it returns, the coefficient spectrum is
+    # exactly zero.
     from confsphere.reps import field_from_coeffs
     grid_size, degree = case
     grid = tri.triple_grids(grid_size)[slot]
@@ -606,19 +609,19 @@ def test_singular_invariance(dim3):
     fs = [sg.random_coeffs(4, 120 + j, real_field=True) for j in range(3)]
     for k, a1, a2 in ((0, 1.45, 2.83), (1, 1.45, 4.62)):
         defect = tri.singular_invariance_defect(dim3, k, a1, a2, g, *fs,
-                                                grid_size=(48, 96), L_kernel=16)
+                                                grid_size=(48, 96), L_project=16)
         assert defect < 1e-3
 
 
 def test_singular_invariance_default_projection_degree(dim3):
-    # degree-4 inputs: the moved fields are projected to trace_degree of
-    # the inputs, 16, below the 47 that the grid (48, 96) resolves
+    # degree-4 inputs: the moved fields are projected to 4x the largest
+    # input degree, 16, below the 47 that the grid (48, 96) resolves
     g = random_element(dim3, 111, max_boost=0.3)
     fs = [sg.random_coeffs(4, 120 + j, real_field=True) for j in range(3)]
     args = (dim3, 0, 1.45, 2.83, g, *fs)
     default = tri.singular_invariance_defect(*args, grid_size=(48, 96))
-    assert default == tri.singular_invariance_defect(*args, grid_size=(48, 96), L_kernel=16)
-    assert default != tri.singular_invariance_defect(*args, grid_size=(48, 96), L_kernel=32)
+    assert default == tri.singular_invariance_defect(*args, grid_size=(48, 96), L_project=16)
+    assert default != tri.singular_invariance_defect(*args, grid_size=(48, 96), L_project=32)
 
 
 def test_singular_invariance_continued(dim3):
@@ -628,7 +631,7 @@ def test_singular_invariance_continued(dim3):
     fs = [sg.random_coeffs(4, 125 + j, real_field=True) for j in range(3)]
     for k, a1, a2 in ((1, 0.4, 0.9), (1, 0.3, -0.2 + 0.4j), (2, 1.1, 0.7)):
         defect = tri.singular_invariance_defect(dim3, k, a1, a2, g, *fs,
-                                                grid_size=(24, 48), L_kernel=16)
+                                                grid_size=(24, 48), L_project=16)
         assert defect < 1e-9
 
 
