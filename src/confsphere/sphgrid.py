@@ -78,12 +78,31 @@ def legendre_table(L: int, u: np.ndarray) -> np.ndarray:
 
     Shape (npairs, len(u)), row plm_index(l, m); the table for a lower
     degree is a leading slice of this one.
+
+    Built degree by degree: the rows of degree l (m = 0..l) are one
+    contiguous slice, filled from the slices of degrees l-1 and l-2 by
+    whole-slice ufuncs over m, L steps in all.  Each value goes through
+    the same operations, in the same order, as in _legendre_orders, so
+    the two agree bitwise.
     """
     u = np.asarray(u, dtype=float)
-    tab = np.empty(((L + 1) * (L + 2) // 2, u.size))
-    l = np.arange(L + 1)
-    for m, rows in _legendre_orders(L, u.reshape(-1), np.empty((L + 1, u.size))):
-        tab[plm_index(l[m:], m)] = rows
+    x = u.reshape(-1)
+    s = np.sqrt(np.maximum(1.0 - x * x, 0.0))
+    tab = np.empty(((L + 1) * (L + 2) // 2, x.size))
+    tab[0] = 1.0 / math.sqrt(4.0 * math.pi)
+    for l in range(1, L + 1):
+        row, prev = tab[plm_index(l, 0):], tab[plm_index(l - 1, 0):]
+        if l >= 2:
+            # m = 0..l-2: a (u p_{l-1,m} - b p_{l-2,m})
+            m = np.arange(l - 1.0)[:, None]
+            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+            b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+            out = row[: l - 1]
+            np.multiply(x, prev[: l - 1], out)
+            out -= b * tab[plm_index(l - 2, 0): plm_index(l - 1, 0)]
+            out *= a
+        row[l - 1] = math.sqrt(2.0 * l + 1.0) * x * prev[l - 1]
+        row[l] = -math.sqrt((2.0 * l + 1.0) / (2.0 * l)) * s * prev[l - 1]
     return tab.reshape(tab.shape[:1] + u.shape)
 
 
@@ -350,7 +369,9 @@ def synth_at_points(coeffs: HarmonicCoeffs, points: np.ndarray) -> np.ndarray:
     Runs over chunks of points.  Per chunk and order m, the Legendre rows
     l = m..L fill one block of at most SYNTH_BLOCK doubles, and one real
     matrix product contracts them with the +m and -m coefficient columns,
-    so memory stays O(points) plus that block for every L.
+    so memory stays O(points) plus that block for every L.  The phase
+    e^{i m phi} is the running product of w = e^{i phi}, one exponential
+    per point; its rounding grows like m eps.
     """
     pts = np.asarray(points, dtype=float)
     shape = pts.shape[:-1]
@@ -365,14 +386,15 @@ def synth_at_points(coeffs: HarmonicCoeffs, points: np.ndarray) -> np.ndarray:
     for start in range(0, len(pts), chunk):
         x = pts[start: start + chunk]
         u = np.clip(x[:, 0], -1.0, 1.0)
-        phi = np.arctan2(x[:, 2], x[:, 1])
+        w = np.exp(1j * np.arctan2(x[:, 2], x[:, 1]))
+        e = np.ones_like(w)
         acc = out[start: start + chunk]
         for m, rows in _legendre_orders(L, u, block[:, : len(x)]):
             pos, neg = _real_matmul(rows.T, cols[m]).T
             if m == 0:
                 acc[:] = pos
             else:
-                e = np.exp(1j * m * phi)
+                e *= w
                 acc += pos * e
                 acc += neg * np.conj(e)
     return out.reshape(shape)

@@ -324,6 +324,8 @@ class TripleEngine:
                                        for f, g in zip((f1, f2, f3), self.grids))
         F1, F2 = F1[k1], F2[k2]
         B1, B2 = k1.size, k2.size
+        if B1 * B2 == 0:
+            return 0j           # f1 or f2 has no nonzero order
         W = np.zeros((nt, B1, B2), dtype=complex)
         # per p, X twice and Z, nt^2 (2 B1 + B2), and their product, nt B1 B2
         chunk = max(1, (4 * npz * npz - B1 * B2) // (nt * (2 * B1 + B2) + B1 * B2))

@@ -168,18 +168,22 @@ def _sph_harm_oracle(c, pts):
         for i in range(0, len(pts), batch)])
 
 
-@pytest.mark.parametrize("L", [0, 1, 2, 17, 96])
-def test_synth_at_points_against_scipy(L, rng):
-    # exact poles, points one rounding step inside them, then random
-    # points, one more than a chunk in all: a chunk's Legendre block holds
-    # at most SYNTH_BLOCK doubles, and the counts one below, at and one
-    # above the chunk length cover a short, an exact and a one-point last
-    # chunk
-    chunk = sg.SYNTH_BLOCK // (L + 1)
+def _poles_then_random(rng, count):
+    """The exact poles, points one rounding step inside them, then random
+    points, count in all."""
     near = np.sqrt(1.0 - (1.0 - 1e-15) ** 2)
     special = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0],
                         [1.0 - 1e-15, near, 0.0], [-(1.0 - 1e-15), 0.0, -near]])
-    pts = np.concatenate([special, random_unit(rng, chunk + 1 - len(special))])
+    return np.concatenate([special, random_unit(rng, count - len(special))])
+
+
+@pytest.mark.parametrize("L", [0, 1, 2, 17, 96])
+def test_synth_at_points_against_scipy(L, rng):
+    # one more point than a chunk: a chunk's Legendre block holds at most
+    # SYNTH_BLOCK doubles, and the counts one below, at and one above the
+    # chunk length cover a short, an exact and a one-point last chunk
+    chunk = sg.SYNTH_BLOCK // (L + 1)
+    pts = _poles_then_random(rng, chunk + 1)
     c = sg.random_coeffs(L, 40 + L)
     tol = _rounding_tol(c)
     want = _sph_harm_oracle(c, pts)
@@ -191,6 +195,15 @@ def test_synth_at_points_against_scipy(L, rng):
     block = sg.synth_at_points(c, pts[:6].reshape(2, 3, 3))
     assert block.shape == (2, 3)
     assert np.abs(block - want[:6].reshape(2, 3)).max() < tol
+
+
+def test_synth_at_points_against_scipy_at_degree_256(rng):
+    # the phase e^{i m phi} is a running product of e^{i phi}, so its
+    # rounding grows with m; the same bound holds far above degree 128
+    c = sg.random_coeffs(256, 296)
+    pts = _poles_then_random(rng, 50)
+    err = np.abs(sg.synth_at_points(c, pts) - _sph_harm_oracle(c, pts)).max()
+    assert err < _rounding_tol(c)
 
 
 def test_synth_at_points_memory_bounded_at_high_degree():

@@ -53,6 +53,15 @@ def test_direct_quadrature_matches_closed_form(dim3):
         assert abs(got - want) <= 1e-12 * abs(want)
 
 
+def test_direct_engine_zero_fields_give_zero(dim3):
+    # a field with no nonzero order has an empty spectrum; the form is 0
+    engine = tri.TripleEngine(dim3, (1.6, 1.8, 1.55), grid_size=(12, 24))
+    zero, one = sg.coeffs_zero(2), sg.coeffs_constant(1.0)
+    assert engine.value(zero, zero, one) == 0
+    assert engine.value(zero, one, one) == 0
+    assert engine.value(one, one, zero) == 0
+
+
 def test_gamma_ratio_equal_sum_pairs(dim3):
     # on pairs with equal exponent sums the bare Gamma quotient already
     # gives the ratio (the kernel-normalization factor cancels)
