@@ -33,9 +33,11 @@ SYNTH_BLOCK = 1 << 17
 # normalized associated Legendre tables
 
 
-def plm_index(l: int, m: int) -> int:
-    """Index of (l, m), m >= 0, in the packed table."""
-    return l * (l + 1) // 2 + m
+def plm_index(l, m, L: int):
+    """Row of (l, m), 0 <= m <= l <= L, in a degree-L Legendre table:
+    order m's block of rows l = m..L starts at m(2L+3-m)/2.  Works
+    elementwise on integer arrays."""
+    return m * (2 * L + 3 - m) // 2 + l - m
 
 
 def _scalars(v: np.ndarray) -> list:
@@ -76,22 +78,27 @@ def legendre_table(L: int, u: np.ndarray) -> np.ndarray:
     p_lm(u) for 0 <= m <= l <= L, including the 1/sqrt(4 pi) factor and
     the Condon-Shortley sign, so that Y_lm = p_lm(cos theta) e^{i m phi}.
 
-    Shape (npairs, len(u)), row plm_index(l, m); the table for a lower
-    degree is a leading slice of this one.
+    Shape (npairs, *u.shape), row plm_index(l, m, L), stored by order:
+    the rows l = m..L of order m are one contiguous block, so the table
+    of a lower degree L' is the leading L'+1-m rows of each block.
 
-    Built degree by degree: the rows of degree l (m = 0..l) are one
-    contiguous slice, filled from the slices of degrees l-1 and l-2 by
-    whole-slice ufuncs over m, L steps in all.  Each value goes through
-    the same operations, in the same order, as in _legendre_orders, so
-    the two agree bitwise.
+    Built degree by degree: the values of degree l (m = 0..l) are one
+    slice, computed from the slices of degrees l-1 and l-2 by whole-slice
+    ufuncs over m, L steps in all, and scattered into their blocks; only
+    those three slices are held beside the table.  Each value goes
+    through the same operations, in the same order, as in
+    _legendre_orders, so the two agree bitwise.
     """
     u = np.asarray(u, dtype=float)
     x = u.reshape(-1)
     s = np.sqrt(np.maximum(1.0 - x * x, 0.0))
     tab = np.empty(((L + 1) * (L + 2) // 2, x.size))
-    tab[0] = 1.0 / math.sqrt(4.0 * math.pi)
+    # the table rows of (l, m), degree by degree: degree l's are dest[k: k+l+1]
+    dest = plm_index(*np.tril_indices(L + 1), L)
+    deg = np.empty((3, L + 1, x.size))      # degrees l, l-1, l-2 in turn
+    tab[0] = deg[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
     for l in range(1, L + 1):
-        row, prev = tab[plm_index(l, 0):], tab[plm_index(l - 1, 0):]
+        row, prev, prev2 = deg[l % 3], deg[(l - 1) % 3], deg[(l - 2) % 3]
         if l >= 2:
             # m = 0..l-2: a (u p_{l-1,m} - b p_{l-2,m})
             m = np.arange(l - 1.0)[:, None]
@@ -99,10 +106,12 @@ def legendre_table(L: int, u: np.ndarray) -> np.ndarray:
             b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
             out = row[: l - 1]
             np.multiply(x, prev[: l - 1], out)
-            out -= b * tab[plm_index(l - 2, 0): plm_index(l - 1, 0)]
+            out -= b * prev2[: l - 1]
             out *= a
         row[l - 1] = math.sqrt(2.0 * l + 1.0) * x * prev[l - 1]
         row[l] = -math.sqrt((2.0 * l + 1.0) / (2.0 * l)) * s * prev[l - 1]
+        k = l * (l + 1) // 2
+        tab[dest[k: k + l + 1]] = row[: l + 1]
     return tab.reshape(tab.shape[:1] + u.shape)
 
 
@@ -112,7 +121,11 @@ def legendre_table(L: int, u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Grid:
-    """Product quadrature grid on S^2 supporting degree L exactly."""
+    """Product quadrature grid on S^2 supporting degree L exactly.
+
+    Its transform plan, the Legendre table and the phase matrix at degree
+    L, is built once, on first use, and is read-only; a transform of a
+    lower degree reads part of it."""
 
     L: int
     u: np.ndarray          # Gauss-Legendre nodes for cos theta, ascending
@@ -156,10 +169,19 @@ class Grid:
     @cached_property
     def legendre(self) -> np.ndarray:
         """legendre_table(L, u) at the grid's own degree, built on first
-        use (read-only); every transform on this grid slices it."""
+        use (read-only); a transform of degree L' <= L reads the leading
+        L'+1-m rows of each order's block."""
         tab = legendre_table(self.L, self.u)
         tab.flags.writeable = False
         return tab
+
+    @cached_property
+    def phase(self) -> np.ndarray:
+        """_phase_matrix(self, L), exp(-i m phi_j) for m = -L..L, built on
+        first use (read-only); degree L' <= L reads its rows L-L'..L+L'."""
+        ph = _phase_matrix(self, self.L)
+        ph.flags.writeable = False
+        return ph
 
 
 def make_grid(L: int | None = None, n_theta: int | None = None,
@@ -302,14 +324,23 @@ def _phase_matrix(grid: Grid, L: int) -> np.ndarray:
     return np.exp(-1j * np.outer(m, grid.phi))
 
 
+def _phases(grid: Grid, L: int) -> np.ndarray:
+    """exp(-i m phi_j), m = -L..L: rows of the grid's phase matrix (a
+    fresh matrix only when synthesizing above the grid's degree)."""
+    if L > grid.L:
+        return _phase_matrix(grid, L)
+    return grid.phase[grid.L - L: grid.L + L + 1]
+
+
 def _order_blocks(grid: Grid, L: int):
-    """Yields, per order m = 0..L, the rows p_lm(u_i), l = m..L, of the
-    grid's table (a fresh table only when synthesizing above the grid's
-    degree)."""
+    """Yields, per order m = 0..L, the rows p_lm(u_i), l = m..L: a view of
+    the leading rows of block m of the grid's table (of a fresh table
+    only when synthesizing above the grid's degree)."""
+    top = max(L, grid.L)
     tab = grid.legendre if L <= grid.L else legendre_table(L, grid.u)
-    l = np.arange(L + 1)
     for m in range(L + 1):
-        yield m, tab[l[m:] * (l[m:] + 1) // 2 + m]
+        start = plm_index(m, m, top)
+        yield m, tab[start: start + L + 1 - m]
 
 
 def _real_matmul(P: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -321,11 +352,11 @@ def _real_matmul(P: np.ndarray, X: np.ndarray) -> np.ndarray:
 def sht_forward_columns(grid: Grid, V: np.ndarray, L: int) -> np.ndarray:
     """Analysis of a batch: V has shape (n_nodes, B); returns coefficient
     rows ((L+1)(2L+1), B) in the padded layout."""
-    if L > grid.L:
-        raise ValueError(f"grid supports degree {grid.L}, requested {L}")
+    if not 0 <= L <= grid.L:
+        raise ValueError(f"grid supports degrees 0..{grid.L}, requested {L}")
     nt, npz = grid.shape
     B = V.shape[1]
-    G = (_phase_matrix(grid, L) * grid.dphi) @ V.reshape(nt, npz, B)  # (nt, 2L+1, B)
+    G = (_phases(grid, L) * grid.dphi) @ V.reshape(nt, npz, B)  # (nt, 2L+1, B)
     out = np.zeros((L + 1, 2 * L + 1, B), dtype=complex)
     for m, block in _order_blocks(grid, L):
         block = block * grid.w
@@ -339,6 +370,8 @@ def sht_synthesize_columns(grid: Grid, C: np.ndarray, L: int) -> np.ndarray:
     """Synthesis of a batch onto a grid (the inverse of
     sht_forward_columns when the grid resolves L): C has shape
     ((L+1)(2L+1), B); returns values (n_nodes, B)."""
+    if L < 0:
+        raise ValueError(f"degree must be non-negative, requested {L}")
     B = C.shape[1]
     C = np.ascontiguousarray(C, dtype=complex).reshape(L + 1, 2 * L + 1, B)
     H = np.empty((grid.n_theta, 2 * L + 1, B), dtype=complex)
@@ -346,7 +379,7 @@ def sht_synthesize_columns(grid: Grid, C: np.ndarray, L: int) -> np.ndarray:
         H[:, L + m] = _real_matmul(block.T, C[m:, L + m])
         if m > 0:
             H[:, L - m] = (-1) ** m * _real_matmul(block.T, C[m:, L - m])
-    return (np.conj(_phase_matrix(grid, L)).T @ H).reshape(-1, B)
+    return (np.conj(_phases(grid, L)).T @ H).reshape(-1, B)
 
 
 def sht_forward(f: GridFunction, L: int | None = None) -> HarmonicCoeffs:

@@ -147,7 +147,7 @@ def test_legendre_table_bitwise_equal_to_row_generator(rng):
                   rng.uniform(-1.0, 1.0, size=(2, 3))):
             want = np.empty(((L + 1) * (L + 2) // 2,) + u.shape)
             for l, m, p in _legendre_rows_reference(L, u):
-                want[sg.plm_index(l, m)] = p
+                want[sg.plm_index(l, m, L)] = p
             got = sg.legendre_table(L, u)
             assert got.shape == want.shape
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -425,21 +425,122 @@ def test_batched_transforms_match():
 
 
 def test_grid_builds_its_legendre_table_once(monkeypatch):
+    # the grid's plan (Legendre table and phase matrix) is built on first
+    # use; repeated transforms at its degree and below build nothing more
     calls = []
-    table = sg.legendre_table
+    table, phase = sg.legendre_table, sg._phase_matrix
     monkeypatch.setattr(sg, "legendre_table",
-                        lambda L, u: calls.append(L) or table(L, u))
+                        lambda L, u: calls.append(("table", L)) or table(L, u))
+    monkeypatch.setattr(sg, "_phase_matrix",
+                        lambda grid, L: calls.append(("phase", L)) or phase(grid, L))
     grid = sg.make_grid(24)
     c = sg.random_coeffs(24, 3)
-    for L in (24, 16, 8):
+    for L in (24, 16, 8, 24):
         f = sg.sht_inverse(c, grid)
         sg.sht_forward(f, L)
         V = sg.sht_synthesize_columns(grid, np.ones((L + 1) * (2 * L + 1))[:, None], L)
         sg.sht_forward_columns(grid, V, L)
-    assert calls == [24]
-    # a lower-degree table is a leading slice of the grid's
-    assert np.array_equal(sg.legendre_table(16, grid.u),
-                          grid.legendre[: 17 * 18 // 2])
+    assert calls == [("table", 24), ("phase", 24)]
+    assert not grid.legendre.flags.writeable and not grid.phase.flags.writeable
+    # a lower-degree table is the leading rows of each order's block of
+    # the grid's, and the transforms read those rows as views
+    low = table(16, grid.u)
+    blocks = dict(sg._order_blocks(grid, 16))
+    for m in range(17):
+        start = sg.plm_index(m, m, 16)
+        assert np.array_equal(low[start: start + 17 - m], blocks[m])
+        assert np.shares_memory(blocks[m], grid.legendre)
+    # a lower degree reads the middle rows m = -16..16 of the phase matrix
+    assert np.array_equal(phase(grid, 16), grid.phase[8: 41])
+
+
+def _transform_pair_reference(grid, L):
+    """Forward and synthesis as each call computed them before grids held
+    a plan (test-only reference): a fresh phase matrix, and each order's
+    rows gathered from a degree-major packed table."""
+    phase = np.exp(-1j * np.outer(np.arange(-L, L + 1), grid.phi))
+    tab = np.empty(((L + 1) * (L + 2) // 2, grid.n_theta))
+    for l, m, p in _legendre_rows_reference(L, grid.u):
+        tab[l * (l + 1) // 2 + m] = p
+    l = np.arange(L + 1)
+    blocks = [tab[l[m:] * (l[m:] + 1) // 2 + m] for m in range(L + 1)]
+
+    def rmm(P, X):
+        return (P @ X.view(float)).view(complex)
+
+    def forward(V):
+        nt, npz = grid.shape
+        B = V.shape[1]
+        G = (phase * grid.dphi) @ V.reshape(nt, npz, B)
+        out = np.zeros((L + 1, 2 * L + 1, B), dtype=complex)
+        for m, block in enumerate(blocks):
+            block = block * grid.w
+            out[m:, L + m] = rmm(block, G[:, L + m])
+            if m > 0:
+                out[m:, L - m] = (-1) ** m * rmm(block, G[:, L - m])
+        return out.reshape(-1, B)
+
+    def synthesize(C):
+        B = C.shape[1]
+        C = np.ascontiguousarray(C, dtype=complex).reshape(L + 1, 2 * L + 1, B)
+        H = np.empty((grid.n_theta, 2 * L + 1, B), dtype=complex)
+        for m, block in enumerate(blocks):
+            H[:, L + m] = rmm(block.T, C[m:, L + m])
+            if m > 0:
+                H[:, L - m] = (-1) ** m * rmm(block.T, C[m:, L - m])
+        return (np.conj(phase).T @ H).reshape(-1, B)
+
+    return forward, synthesize
+
+
+def test_transform_pair_bitwise_equal_to_per_call_reference(rng):
+    # the plan changes where the phases and Legendre rows come from, not
+    # the arithmetic: at the grid's degree and below, on an offset azimuth
+    # and on an odd n_phi above 2L + 1
+    for grid in (sg.make_grid(12), sg.make_grid(12, phi_offset=0.4),
+                 sg.make_grid(n_theta=14, n_phi=31, phi_offset=0.1)):
+        for L in (grid.L, grid.L // 2, 0):
+            forward, synthesize = _transform_pair_reference(grid, L)
+            V = rng.normal(size=(grid.n_theta * grid.n_phi, 4)).view(complex)
+            C = rng.normal(size=((L + 1) * (2 * L + 1), 4)).view(complex)
+            for got, want in ((sg.sht_forward_columns(grid, V, L), forward(V)),
+                              (sg.sht_synthesize_columns(grid, C, L), synthesize(C))):
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_grid_plan_holds_one_copy_of_the_table():
+    # building a degree-128 grid's plan keeps no second full table: the
+    # tracemalloc peak stays within 15% of what the plan itself holds
+    grid = sg.make_grid(128)
+    tracemalloc.start()
+    try:
+        grid.legendre, grid.phase
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.15 * (grid.legendre.nbytes + grid.phase.nbytes)
+
+
+def test_synthesis_above_the_grid_degree():
+    # coefficients the grid does not resolve take fresh phases and a fresh
+    # table, leaving the grid's plan unbuilt
+    grid = sg.make_grid(12, phi_offset=0.2)
+    c = sg.random_coeffs(20, 8)
+    tol = _rounding_tol(c)
+    want = sg.synth_at_points(c, grid.points())
+    assert np.abs(sg.sht_inverse(c, grid).values - want).max() < tol
+    C = np.stack([c.c.reshape(-1), 1j * c.c.reshape(-1)], axis=1)
+    V = sg.sht_synthesize_columns(grid, C, c.L)
+    assert np.abs(V[:, 1] - 1j * want.reshape(-1)).max() < tol
+    assert "legendre" not in vars(grid) and "phase" not in vars(grid)
+
+
+def test_transforms_reject_a_negative_degree(grid16):
+    f = sg.GridFunction(grid16, np.ones(grid16.shape))
+    with pytest.raises(ValueError, match="requested -1"):
+        sg.sht_forward(f, -1)
+    with pytest.raises(ValueError, match="requested -1"):
+        sg.sht_synthesize_columns(grid16, np.ones((0, 1)), -1)
 
 
 def test_gridfunction_validation(grid16):

@@ -543,6 +543,16 @@ def test_staggered_grids_share_one_legendre_table(monkeypatch):
     for grids in (triple, double):
         assert all(g.legendre is grids[0].legendre for g in grids)
         assert not grids[0].legendre.flags.writeable
+    # transforms on the set build no further table, and each grid's phase
+    # matrix (its own azimuths) once
+    phase = sg._phase_matrix
+    monkeypatch.setattr(sg, "_phase_matrix",
+                        lambda grid, L: calls.append(("phase", L)) or phase(grid, L))
+    C = np.ones((6 * 11, 1))
+    for grids in (triple, double, triple):
+        for g in grids:
+            sg.sht_forward_columns(g, sg.sht_synthesize_columns(g, C, 5), 5)
+    assert calls == [(13, 14), (13, 14)] + [("phase", 13)] * 5
 
 
 def test_grids_built_once_per_size(dim3, monkeypatch):
