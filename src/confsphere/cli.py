@@ -143,10 +143,9 @@ def cmd_trilinear(args) -> int:
     fields = [sphgrid.load_coeffs(p) for p in (args.f1, args.f2, args.f3)]
     if args.method == "fast":
         # the K-type sum is exact: its extent and level residual, no estimate
-        S = sum(f.L for f in fields)
-        _, residual = trilinear.ktype_coefficients(DIM, triple.alpha, S)
-        value = trilinear.generic_form(DIM, triple.alpha, *fields, method="fast")
-        used = {"S": S, "recurrence_residual": _fmt(residual)}
+        value, residual = trilinear._ktype_sum(DIM, triple.alpha,
+                                               trilinear._component_integrals(fields))
+        used = {"S": sum(f.L for f in fields), "recurrence_residual": _fmt(residual)}
     else:
         grid_size = tuple(args.grid)
         reduced = (max(8, 2 * grid_size[0] // 3), max(16, 2 * grid_size[1] // 3))

@@ -35,15 +35,16 @@ band-limited) is sampled there and keeps all B = n_phi.  The fast method
 is the alpha3 family at a3, an exact finite sum over K-types: the form is
 O(3)-invariant, so for band-limited inputs T(f1, f2, f3) = sum_l tau(l)
 G(l) over l_j <= deg f_j, tau(l) the form on three Legendre polynomials
-(`ktype_coefficients`, solved level by level from the boost's invariance
-equations, seeded by the closed form) and G(l) the fields'
-degree-component integrals (`_component_integrals`).  It is meromorphic
-in alpha on all of C^3, with no convergence region (after Bernstein &
-Reznikov, Moscow Math. J. 4 (2004)).  The singular forms are exact
-finite sums of two-point Knapp-Stein pairings (`singular_form`),
-meromorphic in (a1, a2).  This spectral layer takes HarmonicCoeffs only; callables enter only the direct
-engine and `singular_invariance_defect`, which projects its moved fields
-once (`_band_limited`).  grid_size selects grids and nothing else.
+(`ktype_coefficients`: the boost's invariance equations with four Gamma
+factors taken out, one cached alpha-free pseudo-inverse per level) and
+G(l) the fields' degree-component integrals (`_component_integrals`).  It
+is meromorphic in alpha on all of C^3, with no convergence region (after
+Bernstein & Reznikov, Moscow Math. J. 4 (2004)).  The singular forms are
+exact finite sums of two-point Knapp-Stein pairings (`singular_form`),
+meromorphic in (a1, a2).  This spectral layer takes HarmonicCoeffs only;
+callables enter only the direct engine and `singular_invariance_defect`,
+which projects its moved fields once (`_band_limited`).  grid_size
+selects grids and nothing else.
 """
 
 from __future__ import annotations
@@ -59,13 +60,11 @@ from .lorentz import Dimension, ConformalMap, act, conformal_factor, inverse
 from .reps import field_from_coeffs, pi_pointwise
 from .sphgrid import (GridFunction, HarmonicCoeffs, make_grid, sht_forward,
                       sht_forward_columns, sht_synthesize_columns, synth_at_points)
-from .special import gamma_ratio
+from .special import _is_pole, _log_gamma, gamma_ratio
 from .spectral_ops import apply_multiplier, gjms_constant, laplacian_multiplier
 from .mero import pair_separation_power, residue_ring
 
 CONVERGENCE_MARGIN = 0.25
-RANK_TOL = 1e-10         # least singular value of a K-type level's system,
-                         # relative to its largest, below which it is refused
 MAX_RING_WORKSET = 1 << 23   # complex entries of the direct engine's contraction,
                              # its per-chunk arrays, their product and W, at most about
                              # 4 nt n_phi^2: 128 MB, grids up to (80, 160)
@@ -367,62 +366,62 @@ def _triangles(N: int) -> np.ndarray:
 
 @functools.cache
 def _ktype_level(s: int) -> tuple:
-    """The equations at odd level s, one per triple next to a triangle of
-    level s + 1: their count and, read-only, those triangles' l1, l2, l3 and
-    the entries of [A | B] (acting on tau at levels s + 1, then s - 1) as
-    rows, columns, slots j and coefficients (mu_j + shift) factor."""
+    """The equations at odd level s in the unknowns w of `ktype_coefficients`,
+    one per triple l next to a triangle of level s + 1; read-only: those
+    triangles' l1, l2, l3, each equation's l (rows x 3), per slot j the
+    columns of w(l + e_j) and w(l - e_j) (-1 where no triangle), and the
+    pseudo-inverse of the alpha-free left side, entries (l_j+1)^2/(2l_j+1).
+    The cached pseudo-inverses grow like S^5: 5.1 MB to S = 48, 34 MB to 72."""
     E, up = np.eye(3, dtype=int), _triangles(s + 1)
     eqs = (up[:, None] - E).reshape(-1, 3)
     eqs = np.unique(eqs[eqs.min(axis=1) >= 0], axis=0)
-    terms = []
-    for sign, offset in ((1, 0), (-1, len(up))):
+    cols = []
+    for sign in (1, -1):
         t, pos = _triangles(s + sign), np.full((s + 2,) * 3, -1)
-        pos[tuple(t.T)] = offset + np.arange(len(t))   # index -1 lands on -1 too
-        col = pos[tuple(np.moveaxis(eqs[:, None] + sign * E, -1, 0))]
-        row, j = np.nonzero(col >= 0)
-        l = eqs[row, j]
-        terms.append((row, col[row, j], j, -l if sign > 0 else l + 1,
-                      (l + (sign > 0)) / (2 * l + 1)))
-    arrays = [*up.T, *(np.concatenate(x) for x in zip(*terms))]
+        pos[tuple(t.T)] = np.arange(len(t))     # index -1 lands on -1 too
+        cols.append(pos[tuple(np.moveaxis(eqs[:, None] + sign * E, -1, 0))])
+    A = np.zeros((len(eqs), len(up) + 1))       # column -1 takes the missing terms
+    A[np.arange(len(eqs))[:, None], cols[0]] = (eqs + 1.0) ** 2 / (2 * eqs + 1)
+    arrays = [*up.T, eqs.astype(float), *cols, np.linalg.pinv(A[:, :-1])]
     for a in arrays:
         a.flags.writeable = False
-    return len(eqs), arrays
+    return arrays
 
 
 def ktype_coefficients(dim: Dimension, alpha, S: int) -> tuple:
     """tau(l) = T(P_l1, P_l2, P_l3) for l1 + l2 + l3 <= S, P_l the Legendre
-    polynomial in x . e, e the polar axis.  The boost along e acts as
-    dpi_lam(X) = V . grad + mu x_e, mu = -(rho + lam), V the tangential
-    part of e; with x_e P_l = [(l+1) P_{l+1} + l P_{l-1}] / (2l+1) its
-    invariance gives, per l of odd sum, sum_j [(mu_j - l_j)(l_j+1)
-    tau(l + e_j) + (mu_j + l_j + 1) l_j tau(l - e_j)] / (2l_j+1) = 0.  From
-    tau(0,0,0) = `closed_form_constant`, each even level s + 1 is one
-    least-squares solve of the equations at level s; ValueError where its
-    least singular value falls to RANK_TOL of its largest (never the
-    minimum-norm answer), and at a Gamma pole of the seed.  Returns tau,
-    an (S+1)^3 array, and the worst relative level residual |A x - b| / |b|."""
-    alpha = tuple(complex(v) for v in alpha)
+    polynomial in x . e, e the polar axis (n = 3).  By x_e P_l = [(l+1)
+    P_{l+1} + l P_{l-1}] / (2l+1), invariance under the boost along e gives
+    one equation per l of odd sum; with z = rho + lam, v0 the closed form's
+    numerator and w(l) = tau(l) prod_k Gamma(z_k+l_k)/l_k! / v0, so w(0) = 1,
+        sum_j (l_j+1)^2/(2l_j+1) w(l+e_j) = sum_j (l_j+1-z_j)(l_j-1+z_j)/(2l_j+1) w(l-e_j).
+    w is entire in alpha; each even level is `_ktype_level`'s alpha-free
+    pseudo-inverse times one right side.  tau, formed in log space, is
+    exactly 0 where z_k + l_k is a Gamma pole; ValueError for S < 0 and at a
+    Gamma pole of v0, a pole of the family.  The cached pseudo-inverses grow
+    like S^5: 5.1 MB to S = 48, 34 MB to 72.  Returns tau, an (S+1)^3 array,
+    and the worst level residual |A w - b| / |b|."""
+    if dim.n != 3 or S < 0:
+        raise ValueError(f"the K-type recurrence needs n = 3 and S >= 0, got {dim.n}, {S}")
+    alpha, rho, N = tuple(complex(v) for v in alpha), dim.rho, S // 2  # l_k <= N
     try:
-        seed = closed_form_constant(dim, alpha)
+        log_v0 = (math.log(8.0 * math.pi ** 3) + sum(alpha) * math.log(2.0)
+                  + sum(_log_gamma((a + rho) / 2) for a in (sum(alpha), *alpha)))
     except ZeroDivisionError:
-        raise ValueError(f"the seed closed_form_constant has a Gamma pole at "
-                         f"alpha = {alpha}") from None
-    mu = -(dim.rho + np.array(lambda_from_alpha(alpha).lam))
+        raise ValueError(f"the seed v0 has a Gamma pole at alpha = {alpha}") from None
+    z = rho + np.array(lambda_from_alpha(alpha).lam)
+    log_q = np.array([[-np.inf if _is_pole(zk + l) else math.lgamma(l + 1) - _log_gamma(zk + l)
+                       for l in range(N + 1)] for zk in z])   # log(l! / Gamma(z_k + l))
     tau = np.zeros((S + 1,) * 3, dtype=complex)
-    tau[0, 0, 0] = seed
-    prev, worst = np.array([seed]), 0.0
+    tau[0, 0, 0] = np.exp(log_v0 + log_q[:, 0].sum())
+    w, worst, c = np.ones(1, dtype=complex), 0.0, (1 - z) ** 2
     for s in range(1, S, 2):
-        rows, (l1, l2, l3, row, col, j, shift, factor) = _ktype_level(s)
-        n = l1.size
-        M = np.zeros((rows, n + prev.size), dtype=complex)
-        M[row, col] = (mu[j] + shift) * factor
-        A, b = M[:, :n], -(M[:, n:] @ prev)
-        prev, _, _, sv = np.linalg.lstsq(A, b, rcond=None)
-        if sv.size < n or sv[-1] <= RANK_TOL * sv[0]:
-            raise ValueError(f"the K-type recurrence loses rank at level {s + 1} "
-                             f"for alpha = {alpha}")
-        worst = max(worst, np.linalg.norm(A @ prev - b) / (np.linalg.norm(b) or 1.0))
-        tau[l1, l2, l3] = prev
+        l1, l2, l3, l, up, down, pinv = _ktype_level(s)
+        b = ((l * l - c) / (2 * l + 1) * np.append(w, 0)[down]).sum(axis=1)
+        w = (pinv @ b.view(float).reshape(-1, 2)).view(complex)[:, 0]
+        lhs = ((l + 1) ** 2 / (2 * l + 1) * np.append(w, 0)[up]).sum(axis=1)
+        worst = max(worst, np.linalg.norm(lhs - b) / (np.linalg.norm(b) or 1.0))
+        tau[l1, l2, l3] = w * np.exp(log_v0 + log_q[0, l1] + log_q[1, l2] + log_q[2, l3])
     return tau, worst
 
 
@@ -457,12 +456,13 @@ def generic_form_alpha3_family(dim: Dimension, a1, a2, f1, f2, f3):
     if dim.n != 3:
         raise ValueError("trilinear forms are implemented for n = 3")
     G = _component_integrals(_coeffs_only((f1, f2, f3)))
+    return lambda a3: _ktype_sum(dim, (a1, a2, a3), G)[0]
 
-    def evaluate(a3: complex) -> complex:
-        tau, _ = ktype_coefficients(dim, (a1, a2, a3), f1.L + f2.L + f3.L)
-        return complex(np.sum(tau[: f1.L + 1, : f2.L + 1, : f3.L + 1] * G))
 
-    return evaluate
+def _ktype_sum(dim: Dimension, alpha, G) -> tuple:
+    """sum tau G, G from `_component_integrals`, and the level residual."""
+    tau, residual = ktype_coefficients(dim, alpha, sum(G.shape) - 3)
+    return complex(np.sum(tau[tuple(map(slice, G.shape))] * G)), residual
 
 
 def generic_invariance_defect(engine: TripleEngine, g: ConformalMap,

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.special import loggamma
 
-from confsphere.lorentz import boost, random_element, rotation
+from confsphere.lorentz import Dimension, boost, random_element, rotation
 from confsphere import sphgrid as sg, trilinear as tri
 from confsphere.special import complex_gamma, gamma_ratio
 from confsphere.spectral_ops import gjms_constant, knapp_stein_multipliers
@@ -394,18 +394,98 @@ def test_ktype_invariance_at_continued_alpha(dim3):
     assert abs(got - base) <= 1e-12 * abs(base)
 
 
+def _lstsq_ktype_oracle(dim, alpha, S):
+    """The K-type recurrence in tau itself, alpha-dependent, as the library
+    once solved it: from tau(0) = `closed_form_constant`, each odd level s
+    assembles the equations sum_j [(mu_j - l_j)(l_j+1) tau(l + e_j) +
+    (mu_j + l_j + 1) l_j tau(l - e_j)] / (2l_j+1) = 0, mu = -(rho + lam),
+    densely and solves them for level s + 1 by complex least squares."""
+    mu = -(dim.rho + np.array(tri.lambda_from_alpha(alpha).lam))
+    tau = np.zeros((S + 1,) * 3, dtype=complex)
+    tau[0, 0, 0] = tri.closed_form_constant(dim, alpha)
+    E = np.eye(3, dtype=int)
+    for s in range(1, S, 2):
+        up = tri._triangles(s + 1)
+        col = {tuple(t): i for i, t in enumerate(up)}
+        eqs = sorted({tuple(t - e) for t in up for e in E if min(t - e) >= 0})
+        A = np.zeros((len(eqs), len(up)), dtype=complex)
+        b = np.zeros(len(eqs), dtype=complex)
+        for r, l in enumerate(map(np.array, eqs)):
+            for j, e in enumerate(E):
+                if tuple(l + e) in col:
+                    A[r, col[tuple(l + e)]] = (mu[j] - l[j]) * (l[j] + 1) / (2 * l[j] + 1)
+                if l[j] > 0:
+                    b[r] -= (mu[j] + l[j] + 1) * l[j] / (2 * l[j] + 1) * tau[tuple(l - e)]
+        tau[tuple(up.T)] = np.linalg.lstsq(A, b, rcond=None)[0]
+    return tau
+
+
+@pytest.mark.parametrize("alpha", [(0.3, 0.4, -1.8 + 0.1j), (-2.3, 0.4, 0.5 + 0.2j),
+                                   (1.6, 1.7, 1.8), (60, 61, 62), (100, 100, 100)])
+def test_ktype_coefficients_match_lstsq_oracle(dim3, alpha):
+    # the alpha-free solve in the holomorphic normalization against the
+    # alpha-dependent least-squares one, continued and large exponents
+    tau, _ = tri.ktype_coefficients(dim3, alpha, 24)
+    want = _lstsq_ktype_oracle(dim3, alpha, 24)
+    assert np.max(abs(tau - want)) <= 1e-12 * np.max(abs(want))
+
+
+def test_ktype_coefficients_reject_negative_S(dim3):
+    with pytest.raises(ValueError, match="S >= 0"):
+        tri.ktype_coefficients(dim3, (1.6, 1.7, 1.8), -1)
+    with pytest.raises(ValueError, match="n = 3"):
+        tri.ktype_coefficients(Dimension(4), (1.6, 1.7, 1.8), 4)
+
+
 def test_ktype_past_the_sum_planes(dim3):
-    # at (0.6, 0.8, -2.6) the constant channel vanishes (the trace read
-    # -436.7 there) and mu_2 = 0 takes the rank of level 2, so fields of
-    # degree 3 raise instead of getting a minimum-norm answer; a Gamma
-    # pole of the seed raises ValueError too
+    # at (0.6, 0.8, -2.6), rho + lam_2 = 0: the constant channel vanishes
+    # (the trace read -436.7 there) and the equations in tau lose rank at
+    # level 2, but the family is finite there.  On complex degree-3 fields
+    # it is the limit of the least-squares oracle at a3 + eps, which
+    # differs by about 2.56 eps relative.  A Gamma pole of the seed is a
+    # true pole of the family and raises
+    alpha = (0.6, 0.8, -2.6)
     one = sg.coeffs_constant(1.0)
-    assert tri.generic_form(dim3, (0.6, 0.8, -2.6), one, one, one, method="fast") == 0
-    fs = [sg.random_coeffs(3, 70 + j, real_field=True) for j in range(3)]
-    with pytest.raises(ValueError, match="loses rank at level 2"):
-        tri.generic_form(dim3, (0.6, 0.8, -2.6), *fs, method="fast")
+    assert tri.generic_form(dim3, alpha, one, one, one, method="fast") == 0
+    fs = [sg.random_coeffs(3, 40 + j) for j in range(3)]
+    got = tri.generic_form(dim3, alpha, *fs, method="fast")
+    assert np.isfinite(got) and abs(got) > 1.0
+    G = tri._component_integrals(fs)
+    for eps in (1e-4, 1e-5, 1e-4j):
+        near = np.sum(_lstsq_ktype_oracle(dim3, (0.6, 0.8, -2.6 + eps), 9)[:4, :4, :4] * G)
+        assert abs(got - near) <= 3 * abs(eps) * abs(got)
     with pytest.raises(ValueError, match="Gamma pole"):
         tri.ktype_coefficients(dim3, (1.6, 1.7, -1.0), 4)
+
+
+@st.composite
+def _ktype_alphas(draw):
+    """Complex alpha with Re a_j in [-4, 5] and |Im a_j| <= 1.5, on a grid
+    of 1/1024 so that sums are exact; a third of the draws set one
+    rho + lam_k = (a_i + a_j)/2 + 1 to 0, -1 or -2, where the equations
+    in tau lose rank."""
+    a = [complex(draw(st.integers(-4096, 5120)), draw(st.integers(-1536, 1536))) / 1024
+         for _ in range(3)]
+    if draw(st.integers(0, 2 ** 16)) % 3 == 0:
+        k, m = draw(st.integers(0, 2)), draw(st.integers(-2, 0))
+        a[(k + 2) % 3] = 2 * (m - 1) - a[(k + 1) % 3]
+    return tuple(a)
+
+
+def _seed_pole_distance(x, rho=1.0):
+    """The distance of x from the seed's Gamma poles x = -rho - 2k, k >= 0."""
+    return abs(x + rho + 2 * max(0, round((-rho - x.real) / 2)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(alpha=_ktype_alphas())
+def test_ktype_finite_off_the_seed_poles_property(alpha):
+    # off the seed's poles tau is finite and every level consistent, on
+    # the old rank-loss set too
+    assume(all(-4 <= a.real <= 5 for a in alpha))
+    assume(min(_seed_pole_distance(x) for x in (*alpha, sum(alpha))) >= 0.05)
+    tau, residual = tri.ktype_coefficients(Dimension(3), alpha, 24)
+    assert np.all(np.isfinite(tau)) and residual <= 1e-13
 
 
 def test_ktype_levels_consistent(dim3):
@@ -420,17 +500,19 @@ def test_ktype_levels_consistent(dim3):
 
 
 def test_ktype_coefficients_memory_bounded_at_S48(dim3):
-    # K-types to S = 48: 2925 coefficients, the largest level a 325-column
-    # least-squares problem, and the (S+1)^3 array tau
+    # K-types to S = 48: 2925 coefficients and the (S+1)^3 array tau; the
+    # first call also builds and caches the levels' pseudo-inverses (5.1 MB,
+    # the largest 325 x 348), the second reuses them
     import tracemalloc
-    tri.ktype_coefficients(dim3, (3.3, 3.7, 1.9), 48)      # level structure cached
-    tracemalloc.start()
-    try:
-        tri.ktype_coefficients(dim3, (3.3, 3.7, 1.9), 48)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 16e6
+    tri._ktype_level.cache_clear()
+    for call in ("first", "second"):
+        tracemalloc.start()
+        try:
+            tri.ktype_coefficients(dim3, (3.3, 3.7, 1.9), 48)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6, call
 
 
 def test_alpha3_family_memory_bounded(dim3):
