@@ -13,17 +13,23 @@ holds for the two-sphere kernel pairings in the alpha parameter.
 
 The contour tool residue_ring itself is convention-free: it returns the
 plain residue of the function it is given.
+
+Cached read-only tables: the ring phases e^{i theta_j} and their squares
+once per ring size (`_ring_phases`); the pairings read sphgrid's zonal
+weights and pairing signs and spectral_ops' Knapp-Stein steps, each built
+once per degree.  The results are bitwise those of the uncached formulas.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lorentz import Dimension
-from .sphgrid import HarmonicCoeffs, degree_pairings, value_at_pole
+from .sphgrid import HarmonicCoeffs, _zonal_weights, degree_pairings, value_at_pole
 from .spectral_ops import knapp_stein_multipliers, residue_operator_apply
 
 POLE_GUARD = 1e-6
@@ -51,6 +57,16 @@ class LaurentFit:
             raise ValueError("condition must be finite")
 
 
+@functools.cache
+def _ring_phases(m: int) -> tuple:
+    """e^{i theta_j} and its square, theta_j = 2 pi j / m; read-only."""
+    phase = np.exp(1j * (2.0 * math.pi * np.arange(m) / m))
+    out = (phase, phase**2)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def residue_ring(F, center: complex, radius: float = 0.1, m: int = 16) -> LaurentFit:
     """Fit the Laurent data of F around `center` from m equispaced samples
     on the circle of the given radius.
@@ -65,15 +81,14 @@ def residue_ring(F, center: complex, radius: float = 0.1, m: int = 16) -> Lauren
     """
     if m < 8:
         raise ValueError("need at least 8 ring samples")
-    theta = 2.0 * math.pi * np.arange(m) / m
-    z = center + radius * np.exp(1j * theta)
+    phase, phase2 = _ring_phases(m)
+    z = center + radius * phase
     vals = np.array([complex(F(zj)) for zj in z])
     if not np.all(np.isfinite(vals)):
         raise FloatingPointError("non-finite samples on the residue ring")
-    phase = np.exp(1j * theta)
     mu_m1 = np.mean(vals * phase)            # ~ a_{-1} / radius
     mu_0 = np.mean(vals)                     # ~ a_0
-    mu_m2 = np.mean(vals * phase**2)         # ~ a_{-2} / radius^2
+    mu_m2 = np.mean(vals * phase2)           # ~ a_{-2} / radius^2
     residue = radius * mu_m1
     cond = abs(mu_m2) / (abs(mu_m1) + 1e-300)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -90,11 +105,11 @@ def residue_ring(F, center: complex, radius: float = 0.1, m: int = 16) -> Lauren
 
 
 def _pole_distance(dim: Dimension, s: complex) -> float:
-    """Distance from s to the nearest pole -(n-1) - 2k, k >= 0."""
-    base = -(dim.n - 1.0)
-    k = max(0.0, round((base - complex(s).real) / 2.0))
-    cands = [base - 2.0 * kk for kk in {int(k), int(k) + 1, max(int(k) - 1, 0)}]
-    return min(abs(complex(s) - c) for c in cands)
+    """Distance from s to the nearest pole -(n-1) - 2k, k >= 0: the one at
+    the rounded k (the differences are exact for |Re s| < 2^52, so a tie
+    gives equal distances)."""
+    s, base = complex(s), -(dim.n - 1.0)
+    return abs(s - (base - 2.0 * max(0, round((base - s.real) / 2.0))))
 
 
 def pair_distance_power(dim: Dimension, s: complex, f: HarmonicCoeffs) -> complex:
@@ -112,9 +127,7 @@ def pair_distance_power(dim: Dimension, s: complex, f: HarmonicCoeffs) -> comple
         raise ValueError(f"s={s} is within {POLE_GUARD} of a pole; "
                          "sample on a ring instead")
     eig = knapp_stein_multipliers(dim, s + dim.rho, f.L)
-    l = np.arange(f.L + 1)
-    zonal = f.c[:, f.L] * np.sqrt((2 * l + 1) / (4.0 * math.pi))
-    return complex(np.dot(eig, zonal))
+    return complex(np.dot(eig, f.c[:, f.L] * _zonal_weights(f.L)))
 
 
 def residue_pair_distance_power(dim: Dimension, k: int, f: HarmonicCoeffs) -> complex:

@@ -6,10 +6,15 @@ chordal-distance kernels, and the Knapp-Stein eigenvalues in closed form
 Everything acts diagonally on spherical-harmonic degrees.  The Laplacian
 is defined spectrally (eigenvalue -l(l+n-2)); the radial second-order form
 serves as an independent check in the test suite.
+
+The steps l - 1 and l - 1 + d of the Knapp-Stein ratio are built once per
+(n, L) and cached read-only (`_ratio_steps`); each call forms only its own
+ratio and product, so the eigenvalues are bitwise those of the plain formula.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -87,12 +92,24 @@ def residue_operator_apply(dim: Dimension, k: int, coeffs: HarmonicCoeffs) -> Ha
 # Knapp-Stein eigenvalues in closed form
 
 
+@functools.cache
+def _ratio_steps(n: int, L: int) -> tuple:
+    """The steps l - 1 and l - 1 + d, d = n - 1, of the Knapp-Stein ratio
+    for l = 1..L; built once per (n, L), read-only."""
+    steps = np.arange(L, dtype=float)
+    out = (steps, steps + (n - 1.0))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def knapp_stein_multipliers(dim: Dimension, alpha: complex, L: int) -> np.ndarray:
     """Eigenvalues e_l(alpha), l = 0..L, of convolution with the kernel
     |x - y|^s, s = -rho + alpha, on S^d, d = n - 1 (Beckner 1993):
         e_l = 2^{d+s} pi^{d/2} Gamma((d+s)/2) (-s/2)_l / Gamma(l + d + s/2),
     seeded in log space and stepped by
-        e_l = e_{l-1} (l - 1 - s/2) / (l - 1 + d + s/2).
+        e_l = e_{l-1} (l - 1 - s/2) / (l - 1 + d + s/2),
+    the ratio and its running product formed in place in the returned array.
 
     Meromorphic in alpha; raises ZeroDivisionError exactly on the pole
     lattice s = -d - 2k.  Where Gamma(l + d + s/2) has a pole off that
@@ -111,8 +128,11 @@ def knapp_stein_multipliers(dim: Dimension, alpha: complex, L: int) -> np.ndarra
     seed = 2.0 ** (d + 2.0 * h) * math.pi ** (d / 2.0) * gamma_ratio(num, den)
     vals = np.zeros(L + 1, dtype=complex)
     if l0 <= L:
-        l = np.arange(l0 + 1, L + 1)
-        vals[l0:] = seed * np.cumprod(np.concatenate(
-            ([1.0], (l - 1.0 - h) / (l - 1.0 + d + h))))
+        steps, shifted = _ratio_steps(dim.n, L)
+        run = vals[l0:]
+        run[0] = 1.0
+        np.subtract(steps[l0:], h, out=run[1:])
+        run[1:] /= shifted[l0:] + h
+        np.multiply.accumulate(run, out=run)     # the cumulative product
+        np.multiply(seed, run, out=run)
     return vals
-

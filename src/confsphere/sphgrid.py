@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -433,11 +433,19 @@ def synth_at_points(coeffs: HarmonicCoeffs, points: np.ndarray) -> np.ndarray:
     return out.reshape(shape)
 
 
+@cache
+def _zonal_weights(L: int) -> np.ndarray:
+    """sqrt((2l+1)/(4 pi)), l = 0..L, the value of Y_l0 at the base point;
+    read-only."""
+    l = np.arange(L + 1)
+    w = np.sqrt((2 * l + 1) / (4.0 * math.pi))
+    w.flags.writeable = False
+    return w
+
+
 def value_at_pole(coeffs: HarmonicCoeffs) -> complex:
     """Value at the base point (1, 0, 0): only m = 0 contributes."""
-    l = np.arange(coeffs.L + 1)
-    scale = np.sqrt((2 * l + 1) / (4.0 * math.pi))
-    return complex(np.dot(coeffs.c[:, coeffs.L], scale))
+    return complex(np.dot(coeffs.c[:, coeffs.L], _zonal_weights(coeffs.L)))
 
 
 def sampled_value_at_pole(f: GridFunction) -> complex:
@@ -450,13 +458,21 @@ def sampled_value_at_pole(f: GridFunction) -> complex:
     return complex(np.dot(f.values.sum(axis=1), grid.w * grid.dphi * zonal))
 
 
+@cache
+def _pairing_signs(L: int) -> np.ndarray:
+    """(-1)^m, m = -L..L; read-only."""
+    signs = (-1.0) ** np.arange(-L, L + 1)
+    signs.flags.writeable = False
+    return signs
+
+
 def degree_pairings(a: HarmonicCoeffs, b: HarmonicCoeffs) -> np.ndarray:
     """Degree-by-degree bilinear pairings sum_m (-1)^m a[l, m] b[l, -m],
     l = 0..min(a.L, b.L)."""
     L = min(a.L, b.L)
     ac = a.c[: L + 1, a.L - L: a.L + L + 1]
     bc = b.c[: L + 1, b.L - L: b.L + L + 1]
-    return (ac * bc[:, ::-1]) @ (-1.0) ** np.arange(-L, L + 1)
+    return (ac * bc[:, ::-1]) @ _pairing_signs(L)
 
 
 def inner(a: HarmonicCoeffs, b: HarmonicCoeffs) -> complex:

@@ -68,6 +68,8 @@ CONVERGENCE_MARGIN = 0.25
 MAX_RING_WORKSET = 1 << 23   # complex entries of the direct engine's contraction,
                              # its per-chunk arrays, their product and W, at most about
                              # 4 nt n_phi^2: 128 MB, grids up to (80, 160)
+MAX_KTYPE_BYTES = 1 << 26    # tau and the cached level factors of ktype_coefficients:
+                             # 64 MB, S up to 81
 RING_RADIUS = 0.15       # contour rings of the residue bridge and the pole scans
 SCAN_STEP = 0.2          # spacing of the pole-scan ring centers
 
@@ -388,6 +390,20 @@ def _ktype_level(s: int) -> tuple:
     return arrays
 
 
+def _ktype_guard(S: int) -> None:
+    """ValueError, before anything is allocated, where tau (16 (S+1)^3
+    bytes) and `_ktype_level`'s arrays for the odd levels s = 2M + 1 < S
+    would exceed MAX_KTYPE_BYTES: at level s, C(M+3, 2) triangles above and
+    C(M+4, 2) - 3 equations, whose pseudo-inverse dominates."""
+    need = 16 * (S + 1) ** 3
+    for M in range(S // 2):
+        up, eqs = (M + 3) * (M + 2) // 2, (M + 4) * (M + 3) // 2 - 3
+        need += 8 * (up * eqs + 3 * up + 9 * eqs)
+    if need > MAX_KTYPE_BYTES:
+        raise ValueError(f"the K-type recurrence to S = {S} needs {need} bytes for tau and "
+                         f"its level factors (MAX_KTYPE_BYTES = {MAX_KTYPE_BYTES})")
+
+
 def ktype_coefficients(dim: Dimension, alpha, S: int) -> tuple:
     """tau(l) = T(P_l1, P_l2, P_l3) for l1 + l2 + l3 <= S, P_l the Legendre
     polynomial in x . e, e the polar axis (n = 3).  By x_e P_l = [(l+1)
@@ -399,10 +415,12 @@ def ktype_coefficients(dim: Dimension, alpha, S: int) -> tuple:
     pseudo-inverse times one right side.  tau, formed in log space, is
     exactly 0 where z_k + l_k is a Gamma pole; ValueError for S < 0 and at a
     Gamma pole of v0, a pole of the family.  The cached pseudo-inverses grow
-    like S^5: 5.1 MB to S = 48, 34 MB to 72.  Returns tau, an (S+1)^3 array,
-    and the worst level residual |A w - b| / |b|."""
+    like S^5: 5.1 MB to S = 48, 34 MB to 72; ValueError where they and tau
+    would exceed MAX_KTYPE_BYTES.  Returns tau, an (S+1)^3 array, and the
+    worst level residual |A w - b| / |b|."""
     if dim.n != 3 or S < 0:
         raise ValueError(f"the K-type recurrence needs n = 3 and S >= 0, got {dim.n}, {S}")
+    _ktype_guard(S)
     alpha, rho, N = tuple(complex(v) for v in alpha), dim.rho, S // 2  # l_k <= N
     try:
         log_v0 = (math.log(8.0 * math.pi ** 3) + sum(alpha) * math.log(2.0)
@@ -429,7 +447,9 @@ def _component_integrals(fields) -> np.ndarray:
     """G[l1, l2, l3] = int f1_l1 f2_l2 f3_l3 / int P_l1 P_l2 P_l3, f_l the
     degree-l part of f, on the triangles of even sum (zero elsewhere), so
     that T(f1, f2, f3) = sum tau G.  The integrands have degree at most
-    S = f1.L + f2.L + f3.L, so the grid of degree ceil(S/2) is exact."""
+    S = f1.L + f2.L + f3.L, so the grid of degree ceil(S/2) is exact.  An S
+    past `_ktype_guard`'s limit raises before anything is built."""
+    _ktype_guard(sum(f.L for f in fields))
     D = max(1, (sum(f.L for f in fields) + 1) // 2)
     grid = _staggered_grids(D + 1, 2 * D + 1, 1)[0]
     P = np.repeat(np.polynomial.legendre.legvander(grid.u, max(f.L for f in fields)),

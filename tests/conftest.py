@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.special as sp
 
 from confsphere.lorentz import Dimension
 from confsphere import sphgrid
+from confsphere.special import gamma_ratio
 
 
 @pytest.fixture(scope="session")
@@ -44,6 +47,37 @@ def knapp_stein_oracle(n, s, L):
     if np.isrealobj(s):
         return pref * sp.poch(-h, l) * sp.rgamma(l + d + h)
     return pref * sp.rgamma(-h) * np.exp(sp.loggamma(l - h) - sp.loggamma(l + d + h))
+
+
+def knapp_stein_formula(dim, alpha, L):
+    """knapp_stein_multipliers with every step, weight and product built
+    per call, in the same operations and operand order: the bitwise
+    reference for its cached per-degree tables."""
+    d = dim.n - 1.0
+    h = (complex(alpha) - dim.rho) / 2.0
+    l0 = 0
+    if h.imag == 0.0 and h.real == math.floor(h.real) and d + h.real <= 0.0:
+        l0 = int(1.0 - d - h.real)
+    num, den = [d / 2.0 + h], [l0 + d + h]
+    if l0 > 0:
+        num.append(l0 - h)
+        den.append(-h)
+    seed = 2.0 ** (d + 2.0 * h) * math.pi ** (d / 2.0) * gamma_ratio(num, den)
+    vals = np.zeros(L + 1, dtype=complex)
+    if l0 <= L:
+        l = np.arange(l0 + 1, L + 1)
+        vals[l0:] = seed * np.cumprod(np.concatenate(
+            ([1.0], (l - 1.0 - h) / (l - 1.0 + d + h))))
+    return vals
+
+
+def outcome(fn, *args):
+    """fn(*args) as raw bytes, or the type of what it raised: equal
+    outcomes are bitwise-equal values or the same exception."""
+    try:
+        return np.asarray(fn(*args)).tobytes()
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
 
 
 def pair_bilinear(a, b):

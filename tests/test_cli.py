@@ -211,6 +211,21 @@ def test_trilinear_fast_reports_S_and_residual(tmp_path, capsys):
     assert blob["value"] == [f"{want.real:.11e}", f"{want.imag:.11e}"]
 
 
+def test_trilinear_fast_refuses_past_the_ktype_memory_limit(tmp_path, capsys):
+    # degree-32 files need the K-type recurrence to S = 96, past
+    # MAX_KTYPE_BYTES: a plain error naming S, and nothing is built
+    paths = []
+    for j in range(3):
+        paths.append(str(tmp_path / f"f{j}.json"))
+        sg.save_coeffs(paths[-1], sg.random_coeffs(32, 160 + j))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["trilinear", "--alpha", "1.62", "1.71", "1.83", "--f1", paths[0],
+                  "--f2", paths[1], "--f3", paths[2], "--method", "fast"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: trilinear" in err and "S = 96" in err and "Traceback" not in err
+
+
 def test_trilinear_command(tmp_path, capsys):
     paths = []
     for j in range(3):

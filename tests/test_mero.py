@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.special as sp
+from hypothesis import example, given, settings, strategies as st
 
 from confsphere import mero, sphgrid as sg
+from confsphere.lorentz import Dimension
 from confsphere.special import complex_gamma
-from conftest import pair_bilinear
+from conftest import knapp_stein_formula, outcome, pair_bilinear
 
 
 def area_family(s, n=3):
@@ -190,3 +194,92 @@ def test_finite_smoothness_continuation(dim3):
         vals2[L] = mero.pair_distance_power(dim3, -5.2, c)
     unstable = abs(vals2[24] - vals2[48]) / abs(vals2[48])
     assert unstable > stable
+
+
+# ---------------------------------------------------------------------------
+# the cached per-degree tables against the formulas built per call
+
+
+def _pole_distance_formula(dim, s):
+    """mero._pole_distance over a set of candidate poles, as first written."""
+    base = -(dim.n - 1.0)
+    k = max(0.0, round((base - complex(s).real) / 2.0))
+    cands = [base - 2.0 * kk for kk in {int(k), int(k) + 1, max(int(k) - 1, 0)}]
+    return min(abs(complex(s) - c) for c in cands)
+
+
+def _pair_formula(dim, s, f):
+    """pair_distance_power with its eigenvalues and weights built per call."""
+    s = complex(s)
+    if _pole_distance_formula(dim, s) < mero.POLE_GUARD:
+        raise ValueError("near a pole")
+    eig = knapp_stein_formula(dim, s + dim.rho, f.L)
+    l = np.arange(f.L + 1)
+    zonal = f.c[:, f.L] * np.sqrt((2 * l + 1) / (4.0 * math.pi))
+    return complex(np.dot(eig, zonal))
+
+
+def _separation_formula(dim, alpha, f1, f2):
+    """pair_separation_power with its eigenvalues and signs built per call."""
+    if _pole_distance_formula(dim, complex(alpha) - dim.rho) < mero.POLE_GUARD:
+        raise ValueError("near a pole")
+    L = min(f1.L, f2.L)
+    ac = f1.c[: L + 1, f1.L - L: f1.L + L + 1]
+    bc = f2.c[: L + 1, f2.L - L: f2.L + L + 1]
+    pairings = (ac * bc[:, ::-1]) @ (-1.0) ** np.arange(-L, L + 1)
+    return complex(np.dot(knapp_stein_formula(dim, complex(alpha), L), pairings))
+
+
+@st.composite
+def _pairing_exponents(draw):
+    """Complex or real s, or a point of the pole lattice -2 - 2k, half-way
+    between two of its points, or within the pole guard of one."""
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return complex(draw(st.floats(-14.0, 12.0)), draw(st.floats(-2.0, 2.0)))
+    if kind == 1:
+        return complex(draw(st.floats(-14.0, 12.0)), 0.0)
+    lattice = -2.0 - 2.0 * draw(st.integers(-2, 6))
+    if kind == 2:
+        return complex(lattice + draw(st.sampled_from([0.0, 1.0, -1.0])), 0.0)
+    return complex(lattice + draw(st.floats(-2e-6, 2e-6)), draw(st.floats(-2e-6, 2e-6)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(s=_pairing_exponents(), L1=st.integers(0, 20), L2=st.integers(0, 20),
+       seed=st.integers(0, 2 ** 16), k=st.integers(0, 2 ** 50),
+       offset=st.sampled_from([0.0, 1.0, -1.0]) | st.floats(-3.0, 3.0))
+@example(s=-4 + 0j, L1=3, L2=5, seed=1, k=0, offset=1.0)    # on a pole: both raise
+@example(s=-3 + 0j, L1=3, L2=5, seed=1, k=2 ** 50, offset=-1.0)   # half-way
+def test_pairings_match_the_uncached_formulas_property(s, L1, L2, seed, k, offset):
+    # the cached weights, signs and steps and the one-candidate pole
+    # distance change no bit: the same distances, also at the k-th pole
+    # plus offset far down the lattice, pairings and pole-guard raises
+    dim = Dimension(3)
+    f1, f2 = sg.random_coeffs(L1, seed), sg.random_coeffs(L2, seed + 1)
+    for dn in map(Dimension, (3, 4, 5)):
+        far = complex(-(dn.n - 1.0) - 2.0 * k + offset, s.imag)
+        for z in (s, far):
+            assert mero._pole_distance(dn, z) == _pole_distance_formula(dn, z)
+    assert outcome(mero.pair_distance_power, dim, s, f1) == outcome(_pair_formula, dim, s, f1)
+    alpha = s + dim.rho
+    assert (outcome(mero.pair_separation_power, dim, alpha, f1, f2)
+            == outcome(_separation_formula, dim, alpha, f1, f2))
+
+
+def test_pairing_tables_read_only_and_results_fresh():
+    # the ring phases are the per-call expressions bit for bit; no cached
+    # table can be written, and writing into a returned array leaves the
+    # next call's values as they were
+    for m in (8, 16, 37):
+        phase = np.exp(1j * (2.0 * math.pi * np.arange(m) / m))
+        assert mero._ring_phases(m)[0].tobytes() == phase.tobytes()
+        assert mero._ring_phases(m)[1].tobytes() == (phase ** 2).tobytes()
+    for table in (*mero._ring_phases(16), sg._zonal_weights(16), sg._pairing_signs(16)):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1.0
+    f1, f2 = sg.random_coeffs(16, 3), sg.random_coeffs(16, 4)
+    first = sg.degree_pairings(f1, f2)
+    want = first.tobytes()
+    first[:] = 7.0
+    assert sg.degree_pairings(f1, f2).tobytes() == want

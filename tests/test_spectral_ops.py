@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 import scipy.special as sp
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from confsphere.lorentz import Dimension
 from confsphere import sphgrid as sg
 from confsphere import spectral_ops as so
-from conftest import knapp_stein_oracle
+from conftest import knapp_stein_formula, knapp_stein_oracle, outcome
 
 
 def yamabe_shift(dim):
@@ -243,3 +243,43 @@ def test_knapp_stein_ladder_property(n, l, re, im):
     rhs = (-l * (l + n - 2.0) + (s / 2) * (s / 2 + n - 2.0)) * up
     scale = max(abs(lhs), abs(up) * (l * (l + n - 2.0) + abs(s / 2 * (s / 2 + n - 2.0))))
     assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+@st.composite
+def _ks_exponents(draw):
+    """s = alpha - rho: complex, real, or a real integer, which reaches the
+    pole lattice and, at n = 4, the vanishing degrees below l0 > 0."""
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        return complex(draw(st.floats(-12.0, 45.0)), draw(st.floats(-3.0, 3.0)))
+    if kind == 1:
+        return complex(draw(st.floats(-12.0, 45.0)), 0.0)
+    return complex(draw(st.integers(-40, 45)), 0.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(n=st.sampled_from([3, 4, 5]), L=st.integers(0, 64), s=_ks_exponents())
+@example(n=4, L=12, s=-8 + 0j)      # l0 = 2
+@example(n=4, L=8, s=-40 + 0j)      # l0 = 18 > L: all zeros
+@example(n=3, L=8, s=-4 + 0j)       # on the pole lattice: both raise
+@example(n=5, L=0, s=0.3 + 0.1j)
+def test_knapp_stein_matches_the_uncached_formula_property(n, L, s):
+    # the cached steps change no bit: the same values, zeros and raises
+    dim = Dimension(n)
+    alpha = s + dim.rho
+    assert (outcome(so.knapp_stein_multipliers, dim, alpha, L)
+            == outcome(knapp_stein_formula, dim, alpha, L))
+
+
+def test_knapp_stein_tables_read_only_and_results_fresh():
+    # the cached steps cannot be written, and writing into a returned
+    # array leaves the next call's values as they were
+    dim = Dimension(4)
+    for table in so._ratio_steps(4, 16):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1.0
+    for alpha in (0.3 + 0.2j, -8.0 + dim.rho):     # l0 = 0 and l0 = 2
+        first = so.knapp_stein_multipliers(dim, alpha, 16)
+        want = first.tobytes()
+        first[:] = 7.0
+        assert so.knapp_stein_multipliers(dim, alpha, 16).tobytes() == want

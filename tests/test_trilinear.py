@@ -515,6 +515,36 @@ def test_ktype_coefficients_memory_bounded_at_S48(dim3):
         assert peak <= 16e6, call
 
 
+def test_ktype_memory_guard_refuses_S96_before_allocating(dim3):
+    # at S = 96 tau and the level factors take 147 MB (the first call once
+    # peaked at 378 MB): the call raises, naming S and the bytes, before
+    # it allocates tau or caches a level; S <= 72 stays within the limit
+    import tracemalloc
+    tri._ktype_guard(72)
+    before = tri._ktype_level.cache_info()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"S = 96 needs \d+ bytes"):
+            tri.ktype_coefficients(dim3, (3.3, 3.7, 1.9), 96)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6 and tri._ktype_level.cache_info() == before
+
+
+def test_ktype_memory_guard_counts_tau_and_the_level_factors(dim3, monkeypatch):
+    # the guard's closed-form count is exactly tau's bytes and those of
+    # every cached level array to S = 24
+    S, alpha = 24, (1.6, 1.7, 1.8)
+    need = 16 * (S + 1) ** 3 + sum(a.nbytes for s in range(1, S, 2)
+                                   for a in tri._ktype_level(s))
+    monkeypatch.setattr(tri, "MAX_KTYPE_BYTES", need)
+    tri.ktype_coefficients(dim3, alpha, S)
+    monkeypatch.setattr(tri, "MAX_KTYPE_BYTES", need - 1)
+    with pytest.raises(ValueError, match=f"S = {S} needs {need} bytes"):
+        tri.ktype_coefficients(dim3, alpha, S)
+
+
 def test_alpha3_family_memory_bounded(dim3):
     # the family holds no N x N kernel (at (48, 96) one dense complex
     # kernel alone is 340 MB): its component integrals live on a grid of
