@@ -116,6 +116,7 @@ def cmd_pair(args) -> int:
 
 
 def cmd_residue(args) -> int:
+    spectral_ops.check_order(args.k)
     f = _load_field(args.f)
     center = -(DIM.n - 1.0) - 2.0 * args.k
     fit = mero.residue_ring(lambda z: mero.pair_distance_power(DIM, z, f),
@@ -164,18 +165,14 @@ def cmd_trilinear(args) -> int:
 
 
 def cmd_pole_scan(args) -> int:
-    if args.family == "alpha3":
-        reports = trilinear.pole_scan(DIM, "alpha3", window=tuple(args.window),
-                                      a1=_parse_complex(args.a1),
-                                      a2=_parse_complex(args.a2),
-                                      residue_threshold=args.threshold)
-    else:
-        reports = trilinear.pole_scan(DIM, "singular_line",
-                                      window=tuple(args.window), k=args.k,
-                                      delta=args.delta,
-                                      residue_threshold=args.threshold)
+    family = args.family.replace("-", "_")
+    # pole_scan reads only its family's parameters
+    reports = trilinear.pole_scan(DIM, family, window=tuple(args.window),
+                                  a1=_parse_complex(args.a1), a2=_parse_complex(args.a2),
+                                  k=args.k, delta=args.delta,
+                                  residue_threshold=args.threshold)
     _emit(args, "pole_scan.json", {
-        "family": args.family,
+        "family": family,
         "poles": [{
             "family": r.family, "k": r.k, "location": r.location,
             "position": _cnum(r.position), "residue": _cnum(r.residue),
@@ -242,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--f2", required=True)
     t.add_argument("--f3", required=True)
     t.add_argument("--method", choices=("direct", "fast"), default="direct")
-    t.add_argument("--grid", nargs=2, type=int, default=(24, 48),
+    t.add_argument("--grid", nargs=2, type=int, default=trilinear.TRIPLE_GRID,
                    metavar=("NTHETA", "NPHI"), help="direct method only")
     t.add_argument("--save", action="store_true")
     t.set_defaults(func=cmd_trilinear)
@@ -266,8 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "pole-scan":
-        args.family = args.family.replace("-", "_")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:   # a rejected value or an unreadable file

@@ -30,7 +30,7 @@ import numpy as np
 
 from .lorentz import Dimension
 from .sphgrid import HarmonicCoeffs, _zonal_weights, degree_pairings, value_at_pole
-from .spectral_ops import knapp_stein_multipliers, residue_operator_apply
+from .spectral_ops import check_order, knapp_stein_multipliers, residue_operator_apply
 
 POLE_GUARD = 1e-6
 
@@ -135,6 +135,7 @@ def residue_pair_distance_power(dim: Dimension, k: int, f: HarmonicCoeffs) -> co
     extracted from the default contour ring (see the module docstring for the
     half-parameter convention).  Equals c_k times the k-th covariant power
     of f evaluated at the base point."""
+    check_order(k)
     center = -(dim.n - 1.0) - 2.0 * k
     fit = residue_ring(lambda z: pair_distance_power(dim, z, f), center)
     return fit.residue / 2.0
@@ -171,6 +172,7 @@ def residue_separation_power(dim: Dimension, k: int, f1: HarmonicCoeffs,
 
 def residue_separation_power_ring(dim: Dimension, k: int, f1: HarmonicCoeffs,
                                   f2: HarmonicCoeffs) -> complex:
+    check_order(k)
     center = -dim.rho - 2.0 * k
     fit = residue_ring(lambda a: pair_separation_power(dim, a, f1, f2), center)
     return fit.residue / 2.0

@@ -30,12 +30,18 @@ def laplacian_multiplier(dim: Dimension, l: int) -> float:
     return -float(l) * (l + dim.n - 2.0)
 
 
+def check_order(k: int) -> None:
+    """ValueError naming k unless k >= 0: the order of a covariant power,
+    of a kernel residue or of a singular form."""
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+
+
 def gjms_multiplier(dim: Dimension, k: int, l: int) -> float:
     """Eigenvalue of the k-th covariant power: the product over j <= k of
     (Delta - (rho+j-1)(rho-j)), evaluated in the factored form
     prod_j -(l+rho+j-1)(l+rho-j) so the integer zeros come out exact."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    check_order(k)
     rho = dim.rho
     out = 1.0
     for j in range(1, k + 1):
@@ -53,8 +59,7 @@ class GjmsConstant:
 
 
 def gjms_constant(dim: Dimension, k: int) -> GjmsConstant:
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    check_order(k)
     rho = dim.rho
     val = math.pi ** rho / (4.0 ** k * math.gamma(rho + k) * math.gamma(k + 1.0))
     return GjmsConstant(k=k, c_k=float(val))

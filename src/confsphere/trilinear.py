@@ -61,15 +61,17 @@ from .reps import field_from_coeffs, pi_pointwise
 from .sphgrid import (GridFunction, HarmonicCoeffs, make_grid, sht_forward,
                       sht_forward_columns, sht_synthesize_columns, synth_at_points)
 from .special import _is_pole, _log_gamma, gamma_ratio
-from .spectral_ops import apply_multiplier, gjms_constant, laplacian_multiplier
+from .spectral_ops import apply_multiplier, check_order, gjms_constant, laplacian_multiplier
 from .mero import pair_separation_power, residue_ring
 
 CONVERGENCE_MARGIN = 0.25
+TRIPLE_GRID = (24, 48)       # default (n_theta, n_phi) of the direct engine's three grids
 MAX_RING_WORKSET = 1 << 23   # complex entries of the direct engine's contraction,
                              # its per-chunk arrays, their product and W, at most about
                              # 4 nt n_phi^2: 128 MB, grids up to (80, 160)
 MAX_KTYPE_BYTES = 1 << 26    # tau and the cached level factors of ktype_coefficients:
-                             # 64 MB, S up to 81
+                             # 64 MB, S up to 81; the first call's dense build is not
+                             # counted and peaks higher (95 MB under tracemalloc at S = 81)
 RING_RADIUS = 0.15       # contour rings of the residue bridge and the pole scans
 SCAN_STEP = 0.2          # spacing of the pole-scan ring centers
 
@@ -148,6 +150,7 @@ def closed_form_constant_residue(dim: Dimension, k: int, a1, a2) -> complex:
     inputs."""
     if dim.n != 3:
         raise ValueError("the closed form is implemented for n = 3")
+    check_order(k)
     rho = dim.rho
     a1, a2 = complex(a1), complex(a2)
     pref = (8.0 * math.pi ** 3 * 2.0 ** (a1 + a2 - rho - 2 * k)
@@ -179,7 +182,7 @@ def _staggered_grids(n_theta: int, n_phi: int, count: int) -> tuple:
     return grids
 
 
-def triple_grids(grid_size=(24, 48)):
+def triple_grids(grid_size=TRIPLE_GRID):
     """Three same-size grids with staggered azimuths so that no pair of
     nodes across spheres coincides (the kernels may carry negative
     powers of the separation)."""
@@ -280,7 +283,7 @@ class TripleEngine:
     `generic_form(..., method="fast")`."""
 
     def __init__(self, dim: Dimension, alpha, method: str = "direct",
-                 grid_size=(24, 48)):
+                 grid_size=TRIPLE_GRID):
         if method != "direct":
             raise ValueError(f"TripleEngine is the direct quadrature, got method={method!r}; "
                              "the exact K-type sum is generic_form(..., method='fast')")
@@ -345,7 +348,7 @@ class TripleEngine:
 
 
 def generic_form(dim: Dimension, alpha, f1, f2, f3, method: str = "direct",
-                 grid_size=(24, 48)) -> complex:
+                 grid_size=TRIPLE_GRID) -> complex:
     """The generic invariant trilinear form on three fields.
 
     method "direct": the reference quadrature `TripleEngine` on the three
@@ -416,8 +419,11 @@ def ktype_coefficients(dim: Dimension, alpha, S: int) -> tuple:
     exactly 0 where z_k + l_k is a Gamma pole; ValueError for S < 0 and at a
     Gamma pole of v0, a pole of the family.  The cached pseudo-inverses grow
     like S^5: 5.1 MB to S = 48, 34 MB to 72; ValueError where they and tau
-    would exceed MAX_KTYPE_BYTES.  Returns tau, an (S+1)^3 array, and the
-    worst level residual |A w - b| / |b|."""
+    would exceed MAX_KTYPE_BYTES.  That limit does not count the first
+    call's build of the factors (each level's dense matrix and its SVD):
+    at S = 81 it peaks at 95 MB under tracemalloc, 186-191 MB max RSS.
+    Returns tau, an (S+1)^3 array, and the worst level residual
+    |A w - b| / |b|."""
     if dim.n != 3 or S < 0:
         raise ValueError(f"the K-type recurrence needs n = 3 and S >= 0, got {dim.n}, {S}")
     _ktype_guard(S)
@@ -528,6 +534,7 @@ def singular_form(dim: Dimension, k: int, a1, a2, f1, f2, f3) -> complex:
     """
     if dim.n != 3:
         raise ValueError("singular forms are implemented for n = 3")
+    check_order(k)
     _coeffs_only((f1, f2, f3))
     rho, n = dim.rho, dim.n
     sigma = complex(a2) - rho
@@ -753,6 +760,7 @@ def pole_scan(dim: Dimension, family: str, window,
         fixed = {"a1": complex(a1), "a2": complex(a2)}
         k_line = None
     elif family == "singular_line":
+        check_order(k)
         func = lambda z: closed_form_constant_residue(
             dim, k, (z + delta) / 2.0, (z - delta) / 2.0)
         fixed = {"delta": complex(delta)}

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import resource
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
@@ -25,10 +25,7 @@ from .lorentz import (Dimension, act, compose, conformal_factor,
 from . import mero, reps, sphgrid, spectral_ops, trilinear
 from .special import complex_gamma
 
-SUITE_NAMES = ("geometry", "representation", "bernstein", "residues",
-               "intertwining", "trilinear")
 DIM = Dimension(3)
-TRIPLE_GRID = (24, 48)    # the generic forms' three staggered grids
 
 
 @dataclass
@@ -41,6 +38,8 @@ class RunConfig:
         return max(2, full // 10) if self.quick else full
 
 
+# The report is these two records as they are: a field added to either
+# appears, in field order, in the report and in its schema.
 @dataclass
 class CheckResult:
     id: str
@@ -55,13 +54,10 @@ class CheckResult:
 @dataclass
 class SuiteResult:
     name: str
-    checks: list
+    passed: bool          # every check passed
     elapsed_s: float
     maxrss_mb: float      # the process's resident-set high-water mark after the suite
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+    checks: list          # of CheckResult
 
 
 def _check(results: list, cid: str, identity: str, measured: float,
@@ -461,8 +457,7 @@ def gamma_ratio_defects(pairs):
     """Per exponent pair (a, b): the relative gap of K_a(1,1,1) / K_b(1,1,1)
     to the closed form's ratio.  Returns the gaps and the values K_a."""
     one = sphgrid.coeffs_constant(1.0, 2)
-    values = {a: trilinear.generic_form(DIM, a, one, one, one, method="direct",
-                                        grid_size=TRIPLE_GRID)
+    values = {a: trilinear.generic_form(DIM, a, one, one, one, method="direct")
               for a in set(sum(pairs, ()))}
     defects = []
     for a, b in pairs:
@@ -477,8 +472,7 @@ def fast_direct_defects(instances) -> list:
     defects = []
     for a, seeds in instances:
         fs = [sphgrid.random_coeffs(4, s) for s in seeds]
-        vd = trilinear.generic_form(DIM, a, *fs, method="direct",
-                                    grid_size=TRIPLE_GRID)
+        vd = trilinear.generic_form(DIM, a, *fs, method="direct")
         vf = trilinear.generic_form(DIM, a, *fs, method="fast")
         defects.append(abs(vd - vf) / abs(vd))
     return defects
@@ -494,7 +488,7 @@ def generic_invariance_defects(instances) -> list:
         # but integrable enough that the default grids hold 1e-3
         alpha = tuple(1.45 + 0.5 * rng_a.random() for _ in range(3))
         g = random_element(DIM, g_seed, max_boost=0.3)
-        engine = trilinear.TripleEngine(DIM, alpha, grid_size=TRIPLE_GRID)
+        engine = trilinear.TripleEngine(DIM, alpha)
         fs, base = _conditioned_fields(engine, f_seed)
         drawn.append((trilinear.generic_invariance_defect(engine, g, *fs, base=base),
                       alpha, g, fs))
@@ -551,6 +545,7 @@ _SUITES = {
     "intertwining": intertwining_suite,
     "trilinear": trilinear_suite,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, cfg: RunConfig) -> SuiteResult:
@@ -562,8 +557,9 @@ def run_suite(name: str, cfg: RunConfig) -> SuiteResult:
     previous = start
     for c in checks:
         c.elapsed_s, previous = c.elapsed_s - previous, c.elapsed_s
-    return SuiteResult(name=name, checks=checks, elapsed_s=elapsed,
-                       maxrss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+    return SuiteResult(name=name, passed=all(c.passed for c in checks), elapsed_s=elapsed,
+                       maxrss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+                       checks=checks)
 
 
 def run_all(cfg: RunConfig, suites=None):
@@ -572,33 +568,20 @@ def run_all(cfg: RunConfig, suites=None):
 
 
 def _fmt(x: float) -> float:
-    """Round to 12 significant digits for bit-stable report output."""
-    if x == 0.0 or not np.isfinite(x):
-        return float(x)
+    """Round to 12 significant digits for bit-stable reports; 0, inf, nan pass as they are."""
     return float(f"{x:.11e}")
 
 
+def _rounded(items) -> dict:
+    """`asdict`'s dict factory: measured and tolerance through _fmt."""
+    return {key: _fmt(value) if key in ("measured", "tolerance") else value
+            for key, value in items}
+
+
 def build_report(cfg: RunConfig, results) -> dict:
-    suites = []
-    for res in results:
-        suites.append({
-            "name": res.name,
-            "passed": res.passed,
-            "elapsed_s": res.elapsed_s,
-            "maxrss_mb": res.maxrss_mb,
-            "checks": [{
-                "id": c.id,
-                "identity": c.identity,
-                "measured": _fmt(c.measured),
-                "tolerance": _fmt(c.tolerance),
-                "passed": c.passed,
-                "elapsed_s": c.elapsed_s,
-                "maxrss_mb": c.maxrss_mb,
-            } for c in res.checks],
-        })
     return {
         "config": asdict(cfg),
-        "suites": suites,
+        "suites": [asdict(res, dict_factory=_rounded) for res in results],
         "all_passed": all(r.passed for r in results),
         "timings": {"total_s": sum(r.elapsed_s for r in results)},
     }
@@ -611,23 +594,10 @@ REPORT_SCHEMA = {
     "timings": dict,
 }
 
-SUITE_SCHEMA = {
-    "name": str,
-    "passed": bool,
-    "elapsed_s": (int, float),
-    "maxrss_mb": (int, float),
-    "checks": list,
-}
-
-CHECK_SCHEMA = {
-    "id": str,
-    "identity": str,
-    "measured": (int, float),
-    "tolerance": (int, float),
-    "passed": bool,
-    "elapsed_s": (int, float),
-    "maxrss_mb": (int, float),
-}
+# record annotation (a string, under postponed evaluation) -> JSON type
+_JSON_TYPES = {"str": str, "bool": bool, "list": list, "float": (int, float)}
+SUITE_SCHEMA, CHECK_SCHEMA = ({f.name: _JSON_TYPES[f.type] for f in fields(record)}
+                              for record in (SuiteResult, CheckResult))
 
 
 def _schema_problems(level: str, record, schema: dict) -> list:

@@ -84,6 +84,17 @@ def test_library_value_errors_are_usage_errors(tmp_path, capsys):
         assert "error: " + args[0] in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("args", [
+    ["residue", "--k", "-1"],
+    ["pole-scan", "--family", "singular-line", "--window", "-1", "1", "--k", "-1"],
+], ids=["residue", "pole-scan"])
+def test_negative_pole_index_is_a_usage_error(tmp_path, capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--out-dir", str(tmp_path)] + args)
+    assert exc.value.code == 2
+    assert "k must be >= 0, got -1" in capsys.readouterr().err
+
+
 def test_coefficient_file_errors_are_usage_errors(tmp_path, capsys, monkeypatch):
     # a missing file, an (l, m) beyond the file's L, a non-integer (l, m),
     # an L beyond sphgrid.MAX_DEGREE, a file without its "L" key and one

@@ -5,7 +5,7 @@ import pytest
 import scipy.special as sp
 from hypothesis import example, given, settings, strategies as st
 
-from confsphere import mero, sphgrid as sg
+from confsphere import mero, sphgrid as sg, trilinear
 from confsphere.lorentz import Dimension
 from confsphere.special import complex_gamma
 from conftest import knapp_stein_formula, outcome, pair_bilinear
@@ -129,6 +129,21 @@ def test_pole_localization(dim3):
         fit = mero.residue_ring(lambda z: mero.pair_distance_power(dim3, z, f),
                                 c, 0.1, 16)
         assert abs(fit.residue) <= 1e-6 * scale
+
+
+@pytest.mark.parametrize("entry", [
+    lambda d, f: mero.residue_pair_distance_power(d, -1, f),
+    lambda d, f: mero.residue_separation_power_ring(d, -1, f, f),
+    lambda d, f: trilinear.closed_form_constant_residue(d, -1, 0.4, 0.9),
+    lambda d, f: trilinear.singular_form(d, -1, 1.45, 2.83, f, f, f),
+    lambda d, f: trilinear.pole_scan(d, "singular_line", (-1.0, 1.0), k=-1),
+], ids=["residue_pair_distance_power", "residue_separation_power_ring",
+        "closed_form_constant_residue", "singular_form", "pole_scan"])
+def test_negative_pole_index_rejected(dim3, entry):
+    # the ring at k = -1 sits on the regular point s = 0 and would read a
+    # residue of about 1e-16
+    with pytest.raises(ValueError, match="k must be >= 0, got -1"):
+        entry(dim3, sg.random_coeffs(3, 5))
 
 
 def test_pair_separation_product_form(dim3):

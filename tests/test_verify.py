@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -45,6 +46,61 @@ def test_report_roundtrip_and_schema(quick_results):
     blob = json.loads(json.dumps(report))
     assert blob["all_passed"] is True
     assert [s["name"] for s in blob["suites"]] == list(verify.SUITE_NAMES)
+
+
+def _reference_fmt(x):
+    if x == 0.0 or not np.isfinite(x):
+        return float(x)
+    return float(f"{x:.11e}")
+
+
+def _reference_report(cfg, results) -> dict:
+    """The report layout written out key by key, as it was before
+    build_report serialized the records: the reference the derived layout
+    must reproduce."""
+    suites = []
+    for res in results:
+        suites.append({
+            "name": res.name,
+            "passed": res.passed,
+            "elapsed_s": res.elapsed_s,
+            "maxrss_mb": res.maxrss_mb,
+            "checks": [{
+                "id": c.id,
+                "identity": c.identity,
+                "measured": _reference_fmt(c.measured),
+                "tolerance": _reference_fmt(c.tolerance),
+                "passed": c.passed,
+                "elapsed_s": c.elapsed_s,
+                "maxrss_mb": c.maxrss_mb,
+            } for c in res.checks],
+        })
+    return {
+        "config": dataclasses.asdict(cfg),
+        "suites": suites,
+        "all_passed": all(r.passed for r in results),
+        "timings": {"total_s": sum(r.elapsed_s for r in results)},
+    }
+
+
+REFERENCE_SCHEMAS = (
+    {"config": dict, "suites": list, "all_passed": bool, "timings": dict},
+    {"name": str, "passed": bool, "elapsed_s": (int, float),
+     "maxrss_mb": (int, float), "checks": list},
+    {"id": str, "identity": str, "measured": (int, float),
+     "tolerance": (int, float), "passed": bool, "elapsed_s": (int, float),
+     "maxrss_mb": (int, float)},
+)
+
+
+def test_report_layout_is_pinned(quick_results):
+    # the report is the records serialized: same keys, same order, same
+    # values as the layout written out by hand, byte for byte
+    cfg = verify.RunConfig(quick=True)
+    assert (json.dumps(verify.build_report(cfg, quick_results))
+            == json.dumps(_reference_report(cfg, quick_results)))
+    derived = (verify.REPORT_SCHEMA, verify.SUITE_SCHEMA, verify.CHECK_SCHEMA)
+    assert [list(s.items()) for s in derived] == [list(s.items()) for s in REFERENCE_SCHEMAS]
 
 
 def test_report_records_suite_memory(quick_results):
