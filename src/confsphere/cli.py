@@ -86,14 +86,11 @@ def cmd_multiplier(args) -> int:
         raise ValueError(f"--L must be an integer in 0..{sphgrid.MAX_DEGREE}, got {args.L}")
     dim = Dimension(args.n)
     if args.kind == "laplacian":
-        vals = np.array([spectral_ops.laplacian_multiplier(dim, l)
-                         for l in range(args.L + 1)], dtype=complex)
+        vals = spectral_ops.laplacian_multipliers(dim, args.L)
     elif args.kind == "gjms":
-        vals = np.array([spectral_ops.gjms_multiplier(dim, args.k, l)
-                         for l in range(args.L + 1)], dtype=complex)
+        vals = spectral_ops.gjms_multipliers(dim, args.k, args.L)
     elif args.kind == "knapp-stein":
-        alpha = _parse_complex(args.alpha)
-        vals = spectral_ops.knapp_stein_multipliers(dim, alpha, args.L).astype(complex)
+        vals = spectral_ops.knapp_stein_multipliers(dim, _parse_complex(args.alpha), args.L)
     else:
         raise SystemExit(f"unknown multiplier kind {args.kind!r}")
     target = _out_dir(args) / (args.csv or f"multiplier_{args.kind}.csv")

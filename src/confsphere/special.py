@@ -1,12 +1,15 @@
 """Scalar special functions and 1-D quadrature primitives.
 
 The complex gamma function lives here so that closed-form reference values
-never depend on the quadrature machinery they are checked against.
+never depend on the quadrature machinery they are checked against.  One
+log-space Lanczos formula and reflection, `_log_gamma`, serves every complex
+Gamma.  The tanh-sinh nodes are built on first use, not at import.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -48,18 +51,12 @@ def _check_pole(z: complex) -> None:
 def complex_gamma(z):
     """Gamma function for complex (or real) scalar argument; raises
     ZeroDivisionError at the poles z = 0, -1, -2, ..."""
-    z = complex(z)
-    if z.real < 0.5:
-        _check_pole(z)
-        return np.pi / (np.sin(np.pi * z) * complex_gamma(1.0 - z))
-    z -= 1.0
-    t, x = _lanczos(z)
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * np.exp(-t) * x
+    return cmath.exp(_log_gamma(complex(z)))
 
 
 def _log_gamma(z: complex) -> complex:
-    """A logarithm of Gamma(z), up to a multiple of 2 pi i: the same
-    Lanczos formula and reflection in log space, so large arguments do not
+    """A logarithm of Gamma(z), up to a multiple of 2 pi i: the Lanczos
+    formula and reflection in log space, so large arguments do not
     overflow.  Raises ZeroDivisionError at the poles z = 0, -1, -2, ..."""
     if z.real < 0.5:
         _check_pole(z)
@@ -117,8 +114,9 @@ def _tanhsinh_nodes(level: int, t_max: float = 5.0):
     return u[keep], log_u[keep], one_minus_u[keep], w[keep]
 
 
-# the nodes of levels 4..11, built once at import
-_TANHSINH_LEVELS = [_tanhsinh_nodes(level) for level in range(4, 12)]
+@functools.cache
+def _tanhsinh_levels() -> tuple:     # the nodes of levels 4..11, built on first use
+    return tuple(_tanhsinh_nodes(level) for level in range(4, 12))
 
 
 def tanhsinh_unit(f, rtol: float = 1e-12):
@@ -129,7 +127,7 @@ def tanhsinh_unit(f, rtol: float = 1e-12):
     successive levels agree to rtol relative to the largest component.
     """
     prev = None
-    for u, log_u, omu, w in _TANHSINH_LEVELS:
+    for u, log_u, omu, w in _tanhsinh_levels():
         vals = np.asarray(f(u, log_u, omu))
         est = vals @ w if vals.ndim > 1 else np.dot(vals, w)
         if prev is not None:

@@ -3,7 +3,8 @@ covariant powers (Yamabe / GJMS family), the Bernstein-Sato ladder for the
 chordal-distance kernels, and the Knapp-Stein eigenvalues in closed form
 (meromorphic in the exponent, so no continuation is needed).
 
-Everything acts diagonally on spherical-harmonic degrees.  The Laplacian
+Everything acts diagonally on spherical-harmonic degrees: every multiplier
+is a table over l = 0..L, applied by `apply_multiplier`.  The Laplacian
 is defined spectrally (eigenvalue -l(l+n-2)); the radial second-order form
 serves as an independent check in the test suite.
 
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,50 +25,46 @@ from .special import gamma_ratio
 from .sphgrid import HarmonicCoeffs
 
 
-def laplacian_multiplier(dim: Dimension, l: int) -> float:
-    """Eigenvalue of the Laplace-Beltrami operator on degree-l harmonics."""
-    return -float(l) * (l + dim.n - 2.0)
+def laplacian_multipliers(dim: Dimension, L: int) -> np.ndarray:
+    """Eigenvalues -l(l + n - 2) of the Laplace-Beltrami operator, l = 0..L."""
+    l = np.arange(L + 1, dtype=float)
+    return -l * (l + dim.n - 2.0)
 
 
 def check_order(k: int) -> None:
-    """ValueError naming k unless k >= 0: the order of a covariant power,
-    of a kernel residue or of a singular form."""
+    """ValueError naming k unless k is an integer >= 0: the order of a
+    covariant power, of a kernel residue or of a singular form."""
+    if not isinstance(k, (int, np.integer)):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
 
 
-def gjms_multiplier(dim: Dimension, k: int, l: int) -> float:
-    """Eigenvalue of the k-th covariant power: the product over j <= k of
-    (Delta - (rho+j-1)(rho-j)), evaluated in the factored form
+def gjms_multipliers(dim: Dimension, k: int, L: int) -> np.ndarray:
+    """Eigenvalues, l = 0..L, of the k-th covariant power: the product over
+    j <= k of (Delta - (rho+j-1)(rho-j)), evaluated in the factored form
     prod_j -(l+rho+j-1)(l+rho-j) so the integer zeros come out exact."""
     check_order(k)
     rho = dim.rho
-    out = 1.0
+    l = np.arange(L + 1, dtype=float)
+    out = np.ones(L + 1)
     for j in range(1, k + 1):
         out *= -(l + rho + j - 1.0) * (l + rho - j)
     return out
 
 
-@dataclass(frozen=True)
-class GjmsConstant:
-    """Normalization tying the k-th covariant power to the k-th kernel
-    residue: c_k = pi^rho / (4^k Gamma(rho+k) Gamma(k+1))."""
-
-    k: int
-    c_k: float
-
-
-def gjms_constant(dim: Dimension, k: int) -> GjmsConstant:
+def gjms_constant(dim: Dimension, k: int) -> float:
+    """Normalization c_k = pi^rho / (4^k Gamma(rho+k) Gamma(k+1)) tying the
+    k-th covariant power to the k-th kernel residue."""
     check_order(k)
     rho = dim.rho
-    val = math.pi ** rho / (4.0 ** k * math.gamma(rho + k) * math.gamma(k + 1.0))
-    return GjmsConstant(k=k, c_k=float(val))
+    return float(math.pi ** rho / (4.0 ** k * math.gamma(rho + k) * math.gamma(k + 1.0)))
 
 
-def bernstein_multiplier(dim: Dimension, s: complex, l: int) -> complex:
-    """Eigenvalue of Delta + (s/2)(s/2 + n - 2) on degree l."""
+def bernstein_multipliers(dim: Dimension, s: complex, L: int) -> np.ndarray:
+    """Eigenvalues of Delta + (s/2)(s/2 + n - 2), l = 0..L."""
     s = complex(s)
-    return laplacian_multiplier(dim, l) + (s / 2.0) * (s / 2.0 + dim.n - 2.0)
+    return laplacian_multipliers(dim, L) + (s / 2.0) * (s / 2.0 + dim.n - 2.0)
 
 
 def bernstein_rhs_factor(dim: Dimension, s: complex) -> complex:
@@ -88,9 +84,8 @@ def apply_multiplier(values, coeffs: HarmonicCoeffs) -> HarmonicCoeffs:
 def residue_operator_apply(dim: Dimension, k: int, coeffs: HarmonicCoeffs) -> HarmonicCoeffs:
     """c_k times the k-th covariant power, i.e. the k-th residue operator
     of the kernel family."""
-    out = apply_multiplier([gjms_multiplier(dim, k, l)
-                            for l in range(coeffs.L + 1)], coeffs)
-    return HarmonicCoeffs(out.L, out.c * gjms_constant(dim, k).c_k)
+    out = apply_multiplier(gjms_multipliers(dim, k, coeffs.L), coeffs)
+    return HarmonicCoeffs(out.L, out.c * gjms_constant(dim, k))
 
 
 # ---------------------------------------------------------------------------

@@ -561,14 +561,14 @@ def _zonal_quadrature(dim: Dimension, F, singular_power: complex, L,
 # file formats
 
 
-def save_coeffs(path, coeffs: HarmonicCoeffs, n: int = 3) -> None:
+def save_coeffs(path, coeffs: HarmonicCoeffs) -> None:
     """JSON coefficient file: {"n": 3, "L": L, "coeffs": [[l, m, re, im], ...]}."""
     L = coeffs.L
     l, j = np.nonzero(_lm_mask(L))
     v = coeffs.c[l, j]
     rows = list(zip(l.tolist(), (j - L).tolist(), v.real.tolist(), v.imag.tolist()))
     with open(path, "w") as fh:
-        json.dump({"n": n, "L": L, "coeffs": rows}, fh)
+        json.dump({"n": 3, "L": L, "coeffs": rows}, fh)
 
 
 def load_coeffs(path) -> HarmonicCoeffs:

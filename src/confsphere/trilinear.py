@@ -60,8 +60,8 @@ from .lorentz import Dimension, ConformalMap, act, conformal_factor, inverse
 from .reps import field_from_coeffs, pi_pointwise
 from .sphgrid import (GridFunction, HarmonicCoeffs, make_grid, sht_forward,
                       sht_forward_columns, sht_synthesize_columns, synth_at_points)
-from .special import _is_pole, _log_gamma, gamma_ratio
-from .spectral_ops import apply_multiplier, check_order, gjms_constant, laplacian_multiplier
+from .special import _is_pole, _log_gamma, gamma_ratio, ultraspherical_table
+from .spectral_ops import apply_multiplier, check_order, gjms_constant, laplacian_multipliers
 from .mero import pair_separation_power, residue_ring
 
 CONVERGENCE_MARGIN = 0.25
@@ -458,16 +458,15 @@ def _component_integrals(fields) -> np.ndarray:
     _ktype_guard(sum(f.L for f in fields))
     D = max(1, (sum(f.L for f in fields) + 1) // 2)
     grid = _staggered_grids(D + 1, 2 * D + 1, 1)[0]
-    P = np.repeat(np.polynomial.legendre.legvander(grid.u, max(f.L for f in fields)),
-                  grid.n_phi, axis=0)                 # P_l at the grid's nodes
     parts = []
     for f in fields:
         l = np.arange(f.L + 1)
         C = np.zeros((f.L + 1, 2 * f.L + 1, f.L + 1), dtype=complex)
         C[l, :, l] = f.c                              # column l: the degree-l part
         parts.append(sht_synthesize_columns(grid, C.reshape(-1, f.L + 1), f.L))
-    num, den = (np.einsum("p,pa,pb,pc->abc", grid.flat_weights(), *V, optimize=True)
-                for V in (parts, [P[:, : f.L + 1] for f in fields]))
+    num = np.einsum("p,pa,pb,pc->abc", grid.flat_weights(), *parts, optimize=True)
+    den = np.einsum("i,ai,bi,ci->abc", 2.0 * math.pi * grid.w,   # P_l at the polar nodes
+                    *(ultraspherical_table(0.5, f.L, grid.u) for f in fields), optimize=True)
     l1, l2, l3 = np.ix_(*(np.arange(f.L + 1) for f in fields))
     keep = ((l1 + l2 + l3) % 2 == 0) & (abs(l1 - l2) <= l3) & (l3 <= l1 + l2)
     return np.where(keep, num / np.where(keep, den, 1.0), 0.0)
@@ -544,7 +543,7 @@ def singular_form(dim: Dimension, k: int, a1, a2, f1, f2, f3) -> complex:
     D = max(L2, L3, 1)
     grid = _staggered_grids(D + 1, 2 * D + 1, 1)[0]
     X = grid.flat_points()
-    lap = np.repeat([laplacian_multiplier(dim, l) for l in range(L + 1)], 2 * L + 1)
+    lap = np.repeat(laplacian_multipliers(dim, L), 2 * L + 1)
 
     # terms r^{sigma - 2e} y^beta psi, keyed (e, beta), beta the sorted
     # coordinate indices of the monomial; psi as padded coefficient rows
@@ -617,7 +616,7 @@ def residue_bridge_defect(dim: Dimension, k: int, a1, a2, f1, f2, f3) -> float:
     fit = residue_ring(evaluate, center, radius=RING_RADIUS)
     lhs = fit.residue / 2.0
     t_val = singular_form(dim, k, a1, a2, f1, f2, f3)
-    rhs = gjms_constant(dim, k).c_k * t_val
+    rhs = gjms_constant(dim, k) * t_val
     return abs(lhs - rhs) / abs(rhs)
 
 
@@ -680,7 +679,7 @@ def product_rule_split_defect(dim: Dimension, s: complex, phi: HarmonicCoeffs,
     r_grid = np.linalg.norm(gp - y, axis=-1)
     W = GridFunction(grid, r_grid ** s * synth_at_points(phi, gp))
     cW = sht_forward(W)
-    lap = [laplacian_multiplier(dim, l) for l in range(max(L_work, phi.L) + 1)]
+    lap = laplacian_multipliers(dim, max(L_work, phi.L))
     lhs = synth_at_points(apply_multiplier(lap, cW), pts)
 
     r2 = np.maximum(2.0 - 2.0 * pts @ y, 0.0)

@@ -243,8 +243,7 @@ def descent_defects(instances) -> list:
         direct = sphgrid.kernel_eigenvalues(dn, s, 32)
         up = sphgrid.kernel_eigenvalues(dn, s + 2.0, 32)
         step = complex(s) + 2.0
-        num = np.array([spectral_ops.bernstein_multiplier(dn, step, l)
-                        for l in range(33)])
+        num = spectral_ops.bernstein_multipliers(dn, step, 32)
         descended = num * up / spectral_ops.bernstein_rhs_factor(dn, step)
         defects.append(float((np.abs(direct - descended) / np.abs(direct)).max()))
     return defects
@@ -262,7 +261,7 @@ def _kernel_level_defect(dim: Dimension, s: float, seed: int) -> float:
     r_grid = np.linalg.norm(grid.points() - y, axis=-1)
     W = sphgrid.GridFunction(grid, r_grid ** s)
     cW = sphgrid.sht_forward(W)
-    lap = [spectral_ops.laplacian_multiplier(dim, l) for l in range(L + 1)]
+    lap = spectral_ops.laplacian_multipliers(dim, L)
     lap_vals = sphgrid.synth_at_points(spectral_ops.apply_multiplier(lap, cW), pts)
     r = np.linalg.norm(pts - y, axis=1)
     lhs = lap_vals + (s / 2.0) * (s / 2.0 + dim.n - 2.0) * r ** s
@@ -343,39 +342,34 @@ def intertwining_suite(cfg: RunConfig):
         lam = 0.3 + 0.1 * i
         f = sphgrid.random_coeffs(16, cfg.seed + 700 + i)
         g = random_element(DIM, cfg.seed + 800 + i, max_boost=0.3)
-        knapp_stein.append(_knapp_stein_intertwining_defect(DIM, lam, g, f, grid))
+        knapp_stein.append(_knapp_stein_intertwining_defect(lam, g, f, grid))
     _check(out, "int-knapp-stein", "kernel-operator-intertwining", _worst(knapp_stein),
            1e-4)
     return out
 
 
+def _intertwining_defect(op, lam, g, f, grid) -> float:
+    """|| M pi_lam(g) f - pi_{-lam}(g) M f ||_2 / ||f||_2 at the grid's
+    truncation, for a diagonal operator op: HarmonicCoeffs -> HarmonicCoeffs."""
+    path_a = op(sphgrid.sht_forward(reps.pi_act_coeffs(DIM, lam, g, f, grid)))
+    path_b = sphgrid.sht_forward(reps.pi_act_coeffs(DIM, -lam, g, op(f), grid))
+    return float(np.linalg.norm(path_a.c - path_b.c) / f.l2_norm())
+
+
 def covariant_intertwining_defects(grid, instances) -> list:
     """Per (k, field seed, group seed): || R_k pi_{-k}(g) f - pi_k(g) R_k f ||
     / ||f|| at the grid's truncation."""
-    defects = []
-    for k, f_seed, g_seed in instances:
-        f = sphgrid.random_coeffs(16, f_seed)
-        g = random_element(DIM, g_seed, max_boost=0.3)
-        moved = sphgrid.sht_forward(reps.pi_act_coeffs(DIM, -float(k), g, f, grid))
-        path_a = spectral_ops.residue_operator_apply(DIM, k, moved)
-        rf = spectral_ops.residue_operator_apply(DIM, k, f)
-        path_b = sphgrid.sht_forward(reps.pi_act_coeffs(DIM, float(k), g, rf, grid))
-        diff = path_a.c - path_b.c[: grid.L + 1]
-        defects.append(float(np.linalg.norm(diff) / f.l2_norm()))
-    return defects
+    return [_intertwining_defect(
+        lambda c, k=k: spectral_ops.residue_operator_apply(DIM, k, c), -float(k),
+        random_element(DIM, g_seed, max_boost=0.3), sphgrid.random_coeffs(16, f_seed), grid)
+        for k, f_seed, g_seed in instances]
 
 
-def _knapp_stein_intertwining_defect(dim, lam, g, f, grid) -> float:
+def _knapp_stein_intertwining_defect(lam, g, f, grid) -> float:
     """|| K_{-rho+2 lam} pi_lam(g) f - pi_{-lam}(g) K f ||_2 / ||f||_2."""
-    alpha = -dim.rho + 2.0 * lam
-    moved = sphgrid.sht_forward(reps.pi_act_coeffs(dim, lam, g, f, grid))
-    path_a = spectral_ops.apply_multiplier(
-        spectral_ops.knapp_stein_multipliers(dim, alpha, grid.L), moved)
-    kf = spectral_ops.apply_multiplier(
-        spectral_ops.knapp_stein_multipliers(dim, alpha, f.L), f)
-    path_b = sphgrid.sht_forward(reps.pi_act_coeffs(dim, -lam, g, kf, grid))
-    diff = path_a.c - path_b.c
-    return float(np.linalg.norm(diff) / f.l2_norm())
+    alpha = -DIM.rho + 2.0 * lam
+    return _intertwining_defect(lambda c: spectral_ops.apply_multiplier(
+        spectral_ops.knapp_stein_multipliers(DIM, alpha, c.L), c), lam, g, f, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +514,7 @@ def bridge_order_one_defects(points) -> list:
     for a1, a2 in points:
         t_val = trilinear.singular_form(DIM, 1, a1, a2, one, one, one)
         pred = trilinear.closed_form_constant_residue(DIM, 1, a1, a2)
-        got = spectral_ops.gjms_constant(DIM, 1).c_k * t_val
+        got = spectral_ops.gjms_constant(DIM, 1) * t_val
         drawn.append((abs(got - pred) / abs(pred), t_val, pred))
     return drawn
 

@@ -59,7 +59,7 @@ def test_multiplier_degree_out_of_range_is_usage_error(tmp_path, capsys, monkeyp
     # --L outside 0..sphgrid.MAX_DEGREE ends as an argparse error (exit 2)
     # and writes no file; it is refused before any multiplier is computed
     from confsphere import spectral_ops
-    for name in ("laplacian_multiplier", "gjms_multiplier", "knapp_stein_multipliers"):
+    for name in ("laplacian_multipliers", "gjms_multipliers", "knapp_stein_multipliers"):
         monkeypatch.setattr(spectral_ops, name, None)
     for kind in ("laplacian", "gjms", "knapp-stein"):
         for L in (-1, sg.MAX_DEGREE + 1):

@@ -5,7 +5,7 @@ import pytest
 import scipy.special as sp
 from hypothesis import example, given, settings, strategies as st
 
-from confsphere import mero, sphgrid as sg, trilinear
+from confsphere import mero, spectral_ops, sphgrid as sg, trilinear
 from confsphere.lorentz import Dimension
 from confsphere.special import complex_gamma
 from conftest import knapp_stein_formula, outcome, pair_bilinear
@@ -143,6 +143,22 @@ def test_negative_pole_index_rejected(dim3, entry):
     # the ring at k = -1 sits on the regular point s = 0 and would read a
     # residue of about 1e-16
     with pytest.raises(ValueError, match="k must be >= 0, got -1"):
+        entry(dim3, sg.random_coeffs(3, 5))
+
+
+@pytest.mark.parametrize("entry", [
+    lambda d, f: mero.residue_pair_distance_power(d, 0.5, f),
+    lambda d, f: mero.residue_separation_power_ring(d, 0.5, f, f),
+    lambda d, f: trilinear.closed_form_constant_residue(d, 0.5, 0.4, 0.9),
+    lambda d, f: spectral_ops.gjms_constant(d, 0.5),
+    lambda d, f: trilinear.singular_form(d, 0.5, 1.45, 2.83, f, f, f),
+    lambda d, f: trilinear.pole_scan(d, "singular_line", (-1.0, 1.0), k=0.5),
+], ids=["residue_pair_distance_power", "residue_separation_power_ring",
+        "closed_form_constant_residue", "gjms_constant", "singular_form", "pole_scan"])
+def test_non_integer_pole_index_rejected(dim3, entry):
+    # k = 0.5 puts the rings around regular points, where they read a
+    # residue of rounding size, and names a pole that does not exist
+    with pytest.raises(ValueError, match="k must be an integer, got 0.5"):
         entry(dim3, sg.random_coeffs(3, 5))
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.special as sp
@@ -29,7 +31,7 @@ def radial_laplacian_fd(profile, theta, n, h=1e-4):
 
 def test_laplacian_eigenvalue_oracle_n3():
     # degree-1 zonal profile cos(theta) on S^2
-    got = so.laplacian_multiplier(Dimension(3), 1)
+    got = so.laplacian_multipliers(Dimension(3), 1)[1]
     assert got == -2.0
     theta = 1.1
     fd = radial_laplacian_fd(np.cos, theta, 3)
@@ -38,7 +40,7 @@ def test_laplacian_eigenvalue_oracle_n3():
 
 def test_laplacian_eigenvalue_oracle_n5():
     dim = Dimension(5)
-    got = so.laplacian_multiplier(dim, 2)
+    got = so.laplacian_multipliers(dim, 2)[2]
     assert got == -10.0
     nu = (dim.n - 2) / 2.0
     prof = lambda th: (sp.eval_gegenbauer(2, nu, np.cos(th))
@@ -49,20 +51,20 @@ def test_laplacian_eigenvalue_oracle_n5():
 
 
 def test_laplacian_l0():
-    assert so.laplacian_multiplier(Dimension(3), 0) == 0.0
+    assert so.laplacian_multipliers(Dimension(3), 0)[0] == 0.0
 
 
 def test_gjms_empty_product():
     dim = Dimension(4)
-    assert all(so.gjms_multiplier(dim, 0, l) == 1.0 for l in range(10))
+    assert all(so.gjms_multipliers(dim, 0, 9) == 1.0)
 
 
 def test_gjms_k1_is_yamabe():
     for n in (3, 4, 5):
         dim = Dimension(n)
         for l in range(12):
-            want = so.laplacian_multiplier(dim, l) + yamabe_shift(dim)
-            assert abs(so.gjms_multiplier(dim, 1, l) - want) < 1e-12
+            want = so.laplacian_multipliers(dim, l)[l] + yamabe_shift(dim)
+            assert abs(so.gjms_multipliers(dim, 1, l)[l] - want) < 1e-12
     # the shift vanishes for n = 3
     assert yamabe_shift(Dimension(3)) == 0.0
 
@@ -74,25 +76,25 @@ def test_gjms_alternative_factorization():
         for k in range(5):
             for l in range(33):
                 alt = 1.0
-                d1 = so.laplacian_multiplier(dim, l) + yamabe_shift(dim)
+                d1 = so.laplacian_multipliers(dim, l)[l] + yamabe_shift(dim)
                 for j in range(1, k + 1):
                     alt *= d1 + j * (j - 1)
-                assert abs(so.gjms_multiplier(dim, k, l) - alt) <= 1e-10 * max(1.0, abs(alt))
+                assert abs(so.gjms_multipliers(dim, k, l)[l] - alt) <= 1e-10 * max(1.0, abs(alt))
 
 
 def test_gjms_exact_zeros_n3():
     dim = Dimension(3)
     for k in range(1, 5):
         for l in range(k):
-            assert so.gjms_multiplier(dim, k, l) == 0.0
-        assert so.gjms_multiplier(dim, k, k) != 0.0
+            assert so.gjms_multipliers(dim, k, l)[l] == 0.0
+        assert so.gjms_multipliers(dim, k, k)[k] != 0.0
 
 
 def test_gjms_constant_values():
     dim = Dimension(3)
-    assert abs(so.gjms_constant(dim, 0).c_k - np.pi) < 1e-14
-    assert abs(so.gjms_constant(dim, 1).c_k - np.pi / 4) < 1e-14
-    assert abs(so.gjms_constant(dim, 2).c_k - np.pi / 64) < 1e-15
+    assert abs(so.gjms_constant(dim, 0) - np.pi) < 1e-14
+    assert abs(so.gjms_constant(dim, 1) - np.pi / 4) < 1e-14
+    assert abs(so.gjms_constant(dim, 2) - np.pi / 64) < 1e-15
 
 
 def test_gjms_constant_recursion():
@@ -100,22 +102,63 @@ def test_gjms_constant_recursion():
     for n in (3, 4, 5):
         dim = Dimension(n)
         for k in range(4):
-            want = so.gjms_constant(dim, k).c_k / (4 * (dim.rho + k) * (k + 1))
-            assert abs(so.gjms_constant(dim, k + 1).c_k - want) < 1e-14 * want
+            want = so.gjms_constant(dim, k) / (4 * (dim.rho + k) * (k + 1))
+            assert abs(so.gjms_constant(dim, k + 1) - want) < 1e-14 * want
 
 
 def test_bernstein_multiplier_values():
     dim = Dimension(3)
-    assert so.bernstein_multiplier(dim, 0.0, 0) == 0.0
-    assert so.bernstein_multiplier(dim, 2.0, 0) == 2.0
-    assert so.bernstein_multiplier(dim, 2.0, 1) == 0.0
+    assert so.bernstein_multipliers(dim, 0.0, 0)[0] == 0.0
+    assert so.bernstein_multipliers(dim, 2.0, 0)[0] == 2.0
+    assert so.bernstein_multipliers(dim, 2.0, 1)[1] == 0.0
+
+
+def _scalar_laplacian(dim, l):
+    return -float(l) * (l + dim.n - 2.0)
+
+
+def _scalar_gjms(dim, k, l):
+    out = 1.0
+    for j in range(1, k + 1):
+        out *= -(l + dim.rho + j - 1.0) * (l + dim.rho - j)
+    return out
+
+
+def _scalar_bernstein(dim, s, l):
+    s = complex(s)
+    return _scalar_laplacian(dim, l) + (s / 2.0) * (s / 2.0 + dim.n - 2.0)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("L", [0, 1, 17, 64])
+def test_multiplier_tables_match_scalar_formulas_bitwise(n, L):
+    # each table is the per-degree scalar formula, same operations in the
+    # same order, so the entries agree bit for bit
+    dim = Dimension(n)
+    degrees = range(L + 1)
+    assert np.array_equal(so.laplacian_multipliers(dim, L),
+                          np.array([_scalar_laplacian(dim, l) for l in degrees]))
+    for s in (0.0, 2.0, 0.55, -1.3 + 0.4j):
+        assert np.array_equal(so.bernstein_multipliers(dim, s, L),
+                              np.array([_scalar_bernstein(dim, s, l) for l in degrees]))
+    assert np.array_equal(so.gjms_multipliers(dim, 0, L), np.ones(L + 1))
+    c = sg.random_coeffs(L, 40 + L)
+    for k in range(5):
+        table = np.array([_scalar_gjms(dim, k, l) for l in degrees])
+        assert np.array_equal(so.gjms_multipliers(dim, k, L), table)
+        assert np.array_equal(so.gjms_multipliers(dim, np.int64(k), L), table)
+        c_k = float(np.pi ** dim.rho / (4.0 ** k * math.gamma(dim.rho + k)
+                                        * math.gamma(k + 1.0)))
+        assert so.gjms_constant(dim, k) == c_k
+        assert np.array_equal(so.residue_operator_apply(dim, k, c).c,
+                              c.c * table[:, None] * c_k)
 
 
 def test_apply_multiplier_identity_and_laplacian(grid16):
     dim = Dimension(3)
     c = sg.random_coeffs(8, 3)
     assert np.array_equal(so.apply_multiplier(np.ones(9), c).c, c.c)
-    lap = [so.laplacian_multiplier(dim, l) for l in range(9)]
+    lap = so.laplacian_multipliers(dim, 8)
     out = so.apply_multiplier(lap, c)
     for l in range(9):
         for m in range(-l, l + 1):
@@ -136,7 +179,7 @@ def test_selfadjointness_quadrature(grid32):
     f = sg.random_coeffs(10, 5).pad(grid32.L)
     g = sg.random_coeffs(10, 6).pad(grid32.L)
     for k in (1, 2):
-        fam = [so.gjms_multiplier(dim, k, l) for l in range(grid32.L + 1)]
+        fam = so.gjms_multipliers(dim, k, grid32.L)
         df = sg.sht_inverse(so.apply_multiplier(fam, f), grid32)
         dg = sg.sht_inverse(so.apply_multiplier(fam, g), grid32)
         fv = sg.sht_inverse(f, grid32)
@@ -168,7 +211,7 @@ def test_knapp_stein_descent_consistency(n):
         assert np.max(np.abs(direct - via) / np.abs(direct)) < 1e-12
         # force one extra descent step by shifting down by 2
         down = so.knapp_stein_multipliers(dim, alpha - 2.0, 32)
-        lap = np.array([so.laplacian_multiplier(dim, l) for l in range(33)])
+        lap = so.laplacian_multipliers(dim, 32)
         s = alpha - dim.rho
         expect = ((lap + (s / 2) * (s / 2 + n - 2)) * direct
                   / (s * (s + n - 3)))
@@ -186,7 +229,7 @@ def test_knapp_stein_pole_structure():
             center = -dim.rho - 2.0 * k
             fit = residue_ring(lambda a: knapp_stein_multiplier(dim, a, l),
                                center, 0.1, 16)
-            want = 2.0 * so.gjms_constant(dim, k).c_k * so.gjms_multiplier(dim, k, l)
+            want = 2.0 * so.gjms_constant(dim, k) * so.gjms_multipliers(dim, k, l)[l]
             assert abs(fit.residue - want) <= 1e-8 * max(1.0, abs(want))
             off = residue_ring(lambda a: knapp_stein_multiplier(dim, a, l),
                                center + 1.0, 0.1, 16)

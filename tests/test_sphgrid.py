@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from confsphere.lorentz import Dimension
 from confsphere import sphgrid as sg
 from confsphere import spectral_ops as so
+from confsphere.special import ultraspherical_table
 from conftest import knapp_stein_oracle, pair_bilinear, random_unit
 
 
@@ -195,6 +196,21 @@ def test_synth_at_points_against_scipy(L, rng):
     block = sg.synth_at_points(c, pts[:6].reshape(2, 3, 3))
     assert block.shape == (2, 3)
     assert np.abs(block - want[:6].reshape(2, 3)).max() < tol
+
+
+@pytest.mark.parametrize("L", [0, 1, 2, 17, 64])
+def test_zonal_legendre_table_against_scipy(L, rng):
+    # the nu = 1/2 ultraspherical table is the Legendre table, on Gauss
+    # nodes and on random points of [-1, 1] with both endpoints.  The
+    # oracle is scipy's lpmv at m = 0: eval_legendre itself is 1.4e-13
+    # from mpmath at l = 64 on the first Gauss node, lpmv and the table
+    # both under 1e-14
+    u = np.concatenate([np.polynomial.legendre.leggauss(L + 1)[0],
+                        rng.uniform(-1.0, 1.0, 50), [-1.0, 1.0]])
+    got = ultraspherical_table(0.5, L, u)
+    want = np.array([sp.lpmv(0, l, u) for l in range(L + 1)])
+    assert got.shape == (L + 1, u.size)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
 
 def test_synth_at_points_against_scipy_at_degree_256(rng):

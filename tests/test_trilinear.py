@@ -192,13 +192,12 @@ def _dense_singular_oracle(dim, fs, grid_size, k, a1, a2, L_K):
     Delta_k applied through its GJMS eigenvalues truncated at L_K: the
     formula the exact finite sum replaces (test-only reference)."""
     from confsphere.reps import field_from_coeffs
-    from confsphere.spectral_ops import gjms_multiplier
+    from confsphere.spectral_ops import gjms_multipliers
     gx, g3 = tri._staggered_grids(*grid_size, 2)
     Px, P3 = gx.flat_points(), g3.flat_points()
     G1, G2 = (field_from_coeffs(f)(Px) for f in fs[:2])
     G3 = field_from_coeffs(fs[2])(P3)
-    mult = np.repeat([gjms_multiplier(dim, k, l) for l in range(L_K + 1)],
-                     2 * L_K + 1)[:, None]
+    mult = np.repeat(gjms_multipliers(dim, k, L_K), 2 * L_K + 1)[:, None]
     H = sg.sht_synthesize_columns(
         gx, mult * sg.sht_forward_columns(
             gx, G1[:, None] * tri.chordal_power(Px, P3, a2 - dim.rho), L_K),
@@ -728,7 +727,7 @@ def test_singular_form_regime_guards(dim3):
 def test_singular_form_constant_inputs_match_closed_residue(dim3, k):
     # direct (1.3, 3.5) and continued (0.4, 0.9), (0.3, -0.2+0.4i) points
     one = sg.coeffs_constant(1.0, 2)
-    c_k = gjms_constant(dim3, k).c_k
+    c_k = gjms_constant(dim3, k)
     for a1, a2 in ((1.3, 3.5), (0.4, 0.9), (0.3, -0.2 + 0.4j)):
         got = tri.singular_form(dim3, k, a1, a2, one, one, one)
         want = tri.closed_form_constant_residue(dim3, k, a1, a2) / c_k
@@ -810,7 +809,7 @@ def test_residue_bridge_k1_closed_channel(dim3):
     one = sg.coeffs_constant(1.0, 2)
     for a1, a2 in ((2.3, 5.6), (3.1, 4.8)):
         t_val = tri.singular_form(dim3, 1, a1, a2, one, one, one)
-        got = gjms_constant(dim3, 1).c_k * t_val
+        got = gjms_constant(dim3, 1) * t_val
         want = tri.closed_form_constant_residue(dim3, 1, a1, a2)
         assert abs(got - want) <= 5e-3 * abs(want)
     # constant-free cross-check: ratios across the two parameter points
