@@ -8,12 +8,11 @@ output lands in --out / $CONFSPHERE_OUT / the working directory.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .lorentz import Dimension
 from . import mero, sphgrid, spectral_ops, trilinear, verify
@@ -31,8 +30,11 @@ def _cnum(z: complex):
 
 
 def _parse_complex(text: str) -> complex:
-    return complex(text.replace("i", "j")) if ("i" in text or "j" in text) \
-        else complex(float(text))
+    """A finite complex number; a trailing 'i' is read as 'j'."""
+    z = complex(text[:-1] + "j" if text.endswith("i") else text)
+    if not cmath.isfinite(z):
+        raise ValueError(f"{text!r} is not a finite number")
+    return z
 
 
 def _out_dir(args) -> Path:
@@ -262,7 +264,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:   # a rejected value or an unreadable file
+    except (ValueError, ArithmeticError, OSError) as exc:   # a bad value, a pole, a bad file
         parser.error(f"{args.command}: {exc}")
 
 

@@ -81,6 +81,8 @@ def residue_ring(F, center: complex, radius: float = 0.1, m: int = 16) -> Lauren
     """
     if m < 8:
         raise ValueError("need at least 8 ring samples")
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     phase, phase2 = _ring_phases(m)
     z = center + radius * phase
     vals = np.array([complex(F(zj)) for zj in z])

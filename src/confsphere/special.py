@@ -85,15 +85,16 @@ def gamma_ratio(num, den):
     return cmath.exp(log)
 
 
-def _tanhsinh_nodes(level: int, t_max: float = 5.0):
-    """Abscissas for tanh-sinh quadrature on (0, 1).
+def _tanhsinh_nodes(level: int):
+    """Abscissas for tanh-sinh quadrature on (0, 1), t in [-5, 5] at
+    step 5 / 2^level.
 
     Returns (u, log_u, one_minus_u, w) with u = (1+tanh(pi/2 sinh t))/2
     evaluated stably, so that u stays positive and log u is exact far into
     the corner.  Integrable endpoint singularities (including complex
     powers of u) are handled by construction.
     """
-    h = t_max / 2**level
+    h = 5.0 / 2**level
     k = np.arange(-(2**level) * 5, (2**level) * 5 + 1)
     t = k * h
     q = 0.5 * np.pi * np.sinh(t)

@@ -475,13 +475,6 @@ def degree_pairings(a: HarmonicCoeffs, b: HarmonicCoeffs) -> np.ndarray:
     return (ac * bc[:, ::-1]) @ _pairing_signs(L)
 
 
-def inner(a: HarmonicCoeffs, b: HarmonicCoeffs) -> complex:
-    """Hermitian inner product int f conj(g) dsigma = sum a conj(b)."""
-    L = min(a.L, b.L)
-    return complex(np.vdot(b.c[: L + 1, b.L - L: b.L + L + 1],
-                           a.c[: L + 1, a.L - L: a.L + L + 1]))
-
-
 # ---------------------------------------------------------------------------
 # zonal integration for general n
 
@@ -596,14 +589,3 @@ def load_coeffs(path) -> HarmonicCoeffs:
     c = np.zeros((L + 1, 2 * L + 1), dtype=complex)
     c[l, m + L] = rows[:, 2] + 1j * rows[:, 3]
     return HarmonicCoeffs(L, c)
-
-
-def save_grid_csv(path, f: GridFunction) -> None:
-    """CSV export with columns theta, phi, re, im."""
-    grid = f.grid
-    theta = np.arccos(np.clip(grid.u, -1.0, 1.0))
-    v = f.values.reshape(-1)
-    table = np.column_stack([np.repeat(theta, grid.n_phi),
-                             np.tile(grid.phi, grid.n_theta), v.real, v.imag])
-    np.savetxt(path, table, fmt="%.17g", delimiter=",",
-               header="theta,phi,re,im", comments="")

@@ -42,9 +42,9 @@ is meromorphic in alpha on all of C^3, with no convergence region (after
 Bernstein & Reznikov, Moscow Math. J. 4 (2004)).  The singular forms are
 exact finite sums of two-point Knapp-Stein pairings (`singular_form`),
 meromorphic in (a1, a2).  This spectral layer takes HarmonicCoeffs only;
-callables enter only the direct engine and `singular_invariance_defect`,
-which projects its moved fields once (`_band_limited`).  grid_size
-selects grids and nothing else.
+callables enter only the direct engine.  grid_size selects grids and
+nothing else.  The identities these forms satisfy (invariance, the
+residue bridge, the pointwise kernel identities) are checked in `verify`.
 """
 
 from __future__ import annotations
@@ -56,12 +56,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lorentz import Dimension, ConformalMap, act, conformal_factor, inverse
-from .reps import field_from_coeffs, pi_pointwise
-from .sphgrid import (GridFunction, HarmonicCoeffs, make_grid, sht_forward,
-                      sht_forward_columns, sht_synthesize_columns, synth_at_points)
+from .lorentz import Dimension
+from .sphgrid import HarmonicCoeffs, make_grid, sht_forward_columns, sht_synthesize_columns
 from .special import _is_pole, _log_gamma, gamma_ratio, ultraspherical_table
-from .spectral_ops import apply_multiplier, check_order, gjms_constant, laplacian_multipliers
+from .spectral_ops import check_order, laplacian_multipliers
 from .mero import pair_separation_power, residue_ring
 
 CONVERGENCE_MARGIN = 0.25
@@ -171,10 +169,10 @@ def _staggered_grids(n_theta: int, n_phi: int, count: int) -> tuple:
     are read-only.  The grids share their polar nodes, so one Legendre
     table serves the set; it is built here, before any kernel temporaries,
     so this long-lived array does not pin freed heap."""
-    dphi = 2.0 * math.pi / n_phi
-    grids = tuple(make_grid(n_theta=n_theta, n_phi=n_phi,
-                            phi_offset=j * dphi / count) for j in range(count))
-    table = grids[0].legendre
+    first = make_grid(n_theta=n_theta, n_phi=n_phi)    # validates the sizes
+    grids = (first, *(make_grid(n_theta=n_theta, n_phi=n_phi,
+                                phi_offset=j * first.dphi / count) for j in range(1, count)))
+    table = first.legendre
     for g in grids:
         for a in (g.u, g.w, g.phi):
             a.flags.writeable = False
@@ -188,11 +186,6 @@ def triple_grids(grid_size=TRIPLE_GRID):
     powers of the separation)."""
     nt, npz = (int(v) for v in grid_size)
     return _staggered_grids(nt, npz, 3)
-
-
-def _plain_grid(grid_size):
-    nt, npz = (int(v) for v in grid_size)
-    return _staggered_grids(nt, npz, 1)[0]
 
 
 def chordal_power(P: np.ndarray, Q: np.ndarray, s: complex) -> np.ndarray:
@@ -220,17 +213,6 @@ def _check_convergence(dim: Dimension, alpha) -> None:
 
 # ---------------------------------------------------------------------------
 # the generic trilinear form
-
-
-def _band_limited(fields, grid_size, L: int):
-    """Callables projected to HarmonicCoeffs of degree L by analysis
-    on the plain grid of grid_size."""
-    gx = _plain_grid(grid_size)
-    if L > gx.L:
-        raise ValueError(f"grid resolves degree {gx.L}, requested {L}")
-    P = gx.flat_points()
-    C = sht_forward_columns(gx, np.stack([f(P) for f in fields], axis=1), L)
-    return [HarmonicCoeffs(L, c.reshape(L + 1, -1)) for c in C.T]
 
 
 def _coeffs_only(fields):
@@ -490,21 +472,6 @@ def _ktype_sum(dim: Dimension, alpha, G) -> tuple:
     return complex(np.sum(tau[tuple(map(slice, G.shape))] * G)), residual
 
 
-def generic_invariance_defect(engine: TripleEngine, g: ConformalMap,
-                              f1, f2, f3, base: complex | None = None) -> float:
-    """Relative change of the engine's generic form when the three inputs
-    move by the principal-series actions tied to its alpha; `base`, the
-    engine's value on the inputs, is evaluated when not given."""
-    dim = engine.dim
-    lam = lambda_from_alpha(engine.alpha).lam
-    if base is None:
-        base = engine.value(f1, f2, f3)
-    moved = engine.value(pi_pointwise(dim, lam[0], g, f1),
-                         pi_pointwise(dim, lam[1], g, f2),
-                         pi_pointwise(dim, lam[2], g, f3))
-    return abs(moved - base) / abs(base)
-
-
 # ---------------------------------------------------------------------------
 # the singular trilinear forms
 
@@ -578,132 +545,6 @@ def singular_form(dim: Dimension, k: int, a1, a2, f1, f2, f3) -> complex:
         dim, sigma - 2 * e + a1, HarmonicCoeffs(L2, G2[:, b].reshape(L2 + 1, -1)),
         HarmonicCoeffs(L3, G3[:, b].reshape(L3 + 1, -1)))
         for b, (e, _) in enumerate(keys)))
-
-
-def singular_invariance_defect(dim: Dimension, k: int, a1, a2,
-                               g: ConformalMap, f1, f2, f3,
-                               grid_size=(48, 96),
-                               L_project: int | None = None) -> float:
-    """Relative change of the singular form under the principal-series
-    actions tied to (a1, a2, a3 = -rho - 2k).  The inputs are
-    HarmonicCoeffs; the moved fields are callables, projected once to
-    degree L_project (default 4x the largest input degree, at least 8,
-    capped at what the grid resolves) on the plain grid of grid_size
-    (`_band_limited`)."""
-    a3 = -dim.rho - 2.0 * k
-    lam = lambda_from_alpha((a1, a2, a3)).lam
-    base = singular_form(dim, k, a1, a2, f1, f2, f3)
-    if L_project is None:
-        L_project = min(_plain_grid(grid_size).L,
-                        max(8, 4 * max(f.L for f in (f1, f2, f3))))
-    moved = _band_limited([pi_pointwise(dim, lj, g, f)
-                           for lj, f in zip(lam, (f1, f2, f3))], grid_size, L_project)
-    return abs(singular_form(dim, k, a1, a2, *moved) - base) / abs(base)
-
-
-# ---------------------------------------------------------------------------
-# the residue bridge
-
-
-def residue_bridge_defect(dim: Dimension, k: int, a1, a2, f1, f2, f3) -> float:
-    """Relative mismatch between the contour residue of the generic form
-    in its third parameter at -rho - 2k (half-parameter convention,
-    evaluated through `generic_form_alpha3_family`, exact and meromorphic
-    for any (a1, a2)) and c_k times the singular form, on HarmonicCoeffs
-    inputs."""
-    evaluate = generic_form_alpha3_family(dim, a1, a2, f1, f2, f3)
-    center = -dim.rho - 2.0 * k
-    fit = residue_ring(evaluate, center, radius=RING_RADIUS)
-    lhs = fit.residue / 2.0
-    t_val = singular_form(dim, k, a1, a2, f1, f2, f3)
-    rhs = gjms_constant(dim, k) * t_val
-    return abs(lhs - rhs) / abs(rhs)
-
-
-# ---------------------------------------------------------------------------
-# pointwise identity checks
-
-
-def kernel_pullback_defect(dim: Dimension, k: int, alpha2, g: ConformalMap,
-                           f1: HarmonicCoeffs, x3: np.ndarray) -> float:
-    """Covariance of the weighted section F_{x3}[f](x) = f(x)|x3 - x|^{-rho+a2}.
-
-    With l1 = -k - rho/2 + a2/2, transporting f by pi_{l1}(g) inside the
-    section equals the pi_{-k} transport of the section based at
-    y3 = g^{-1}(x3), times kappa(g, y3)^{(-rho+a2)/2}.  Returns the
-    sup-norm defect over a degree-32 grid, relative to the section's sup-norm.
-    """
-    a2 = complex(alpha2)
-    rho = dim.rho
-    lam1 = -k - rho / 2.0 + a2 / 2.0
-    pts = make_grid(32).flat_points()
-    x3 = np.asarray(x3, dtype=float)
-
-    lhs = (pi_pointwise(dim, lam1, g, f1)(pts)
-           * chordal_power(pts, x3[None, :], a2 - rho)[:, 0])
-
-    ginv = inverse(g)
-    y3 = act(ginv, x3)
-    kappa_y3 = conformal_factor(g, y3)
-    mapped = act(ginv, pts)
-    kappa_pts = conformal_factor(ginv, pts)
-    section = (field_from_coeffs(f1)(mapped)
-               * chordal_power(mapped, y3[None, :], a2 - rho)[:, 0])
-    rhs = kappa_y3 ** ((-rho + a2) / 2.0) * kappa_pts ** (rho - k) * section
-    return float(np.abs(lhs - rhs).max() / (np.abs(lhs).max() + 1e-300))
-
-
-def product_rule_split_defect(dim: Dimension, s: complex, phi: HarmonicCoeffs,
-                              y: np.ndarray, test_points: np.ndarray) -> float:
-    """Check that the Laplacian of |x - y|^s phi(x) splits off the kernel
-    power exactly: Delta_x[r^s phi] = r^{s-2} psi with
-
-        psi = [-(s/2)(s/2 + n - 2) r^2 + s(s + n - 3)] phi
-              + s (grad_x r^2) . grad phi + r^2 Delta phi,
-
-    r = |x - y|.  The left side is evaluated spectrally on a degree-48
-    expansion; the right side from synthesized values, a spectral
-    Laplacian, and great-circle finite differences (step 5e-3) for the
-    gradient term.
-    Returns max |LHS - RHS| / max |RHS| over the test points.
-    """
-    if dim.n != 3:
-        raise ValueError("implemented for n = 3")
-    s = complex(s)
-    y = np.asarray(y, dtype=float)
-    pts = np.asarray(test_points, dtype=float).reshape(-1, 3)
-    L_work, fd_step = 48, 5e-3
-    grid = make_grid(L_work)
-
-    gp = grid.points()
-    r_grid = np.linalg.norm(gp - y, axis=-1)
-    W = GridFunction(grid, r_grid ** s * synth_at_points(phi, gp))
-    cW = sht_forward(W)
-    lap = laplacian_multipliers(dim, max(L_work, phi.L))
-    lhs = synth_at_points(apply_multiplier(lap, cW), pts)
-
-    r2 = np.maximum(2.0 - 2.0 * pts @ y, 0.0)
-    phi_vals = synth_at_points(phi, pts)
-    lap_phi = synth_at_points(apply_multiplier(lap, phi), pts)
-    # tangential gradient of r^2 = 2 - 2 <x, y>: project -2y onto T_x
-    v = -2.0 * (y[None, :] - (pts @ y)[:, None] * pts)
-    vnorm = np.linalg.norm(v, axis=1)
-    grad_term = np.zeros(pts.shape[0], dtype=complex)
-    good = vnorm > 1e-12
-    vhat = np.zeros_like(v)
-    vhat[good] = v[good] / vnorm[good][:, None]
-    # five-point great-circle derivative of phi along vhat
-    taus = np.array([-2.0, -1.0, 1.0, 2.0]) * fd_step
-    wts = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * fd_step)
-    for tau, wt in zip(taus, wts):
-        moved = np.cos(tau) * pts + np.sin(tau) * vhat
-        grad_term += wt * synth_at_points(phi, moved)
-    grad_term *= vnorm
-    n = dim.n
-    psi = ((-(s / 2.0) * (s / 2.0 + n - 2.0) * r2 + s * (s + n - 3.0)) * phi_vals
-           + s * grad_term + r2 * lap_phi)
-    rhs = r2 ** ((s - 2.0) / 2.0) * psi
-    return float(np.abs(lhs - rhs).max() / (np.abs(rhs).max() + 1e-300))
 
 
 # ---------------------------------------------------------------------------

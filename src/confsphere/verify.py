@@ -9,6 +9,11 @@ the worst defect, and each acceptance criterion calls the same function
 with its own instances.  Each check carries a stable `identity` string
 naming what it validates, so a failing run says which identity broke,
 not just where.
+
+The check functions live here and nowhere else: `trilinear` and `reps`
+compute the forms and the action, and every choice that discretizes a
+check (its grid, projection degree, ring and finite-difference step) is
+made in this module, which reports it.  Everything here is n = 3 (DIM).
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
-from .lorentz import (Dimension, act, compose, conformal_factor,
+from .lorentz import (Dimension, act, base_point, compose, conformal_factor,
                       inverse, random_element)
 from . import mero, reps, sphgrid, spectral_ops, trilinear
 from .special import complex_gamma
@@ -172,7 +177,7 @@ def representation_suite(cfg: RunConfig):
         g = random_element(DIM, cfg.seed + 91 + i, max_boost=0.5)
         cf = sphgrid.random_coeffs(8, cfg.seed + 101 + i)
         cp = sphgrid.random_coeffs(8, cfg.seed + 111 + i)
-        defect = reps.duality_defect(DIM, 0.7, g, cf, cp, grid)
+        defect = duality_defect(0.7, g, cf, cp, grid)
         scale = cf.l2_norm() * cp.l2_norm()
         duality.append(defect / scale)
     _check(out, "rep-duality", "principal-series-duality", _worst(duality), 1e-6)
@@ -183,8 +188,8 @@ def representation_suite(cfg: RunConfig):
         g = random_element(DIM, cfg.seed + 131 + i, max_boost=0.6)
         lam = complex(0.3 * (i % 3), 0.1 * (i % 5) - 0.2)
         phi = sphgrid.random_coeffs(10, cfg.seed + 141 + i)
-        a = reps.dirac_pair(DIM, lam, g, phi)
-        b = reps.dirac_pair_dual(DIM, lam, g, phi, dirac_grid)
+        a = dirac_pair(lam, g, phi)
+        b = dirac_pair_dual(lam, g, phi, dirac_grid)
         dirac.append(abs(a - b) / abs(a))
     _check(out, "rep-dirac", "point-mass-transformation-law", _worst(dirac), 1e-9)
 
@@ -198,6 +203,38 @@ def representation_suite(cfg: RunConfig):
                        / sphgrid.norm_l2(f))
     _check(out, "rep-unitary", "imaginary-axis-isometry", _worst(unitary), 1e-6)
     return out
+
+
+def duality_defect(lam: complex, g, f, phi, grid) -> float:
+    """|int pi_lambda(g)f . phi - int f . pi_{-lambda}(g^{-1}) phi| on the grid.
+
+    Vanishes identically for the continuum pairing; what remains is the
+    quadrature error of the two pullbacks.
+    """
+    f_vals = sphgrid.sht_inverse(f.pad(grid.L), grid).values
+    phi_vals = sphgrid.sht_inverse(phi.pad(grid.L), grid).values
+    lhs = sphgrid.quad(sphgrid.GridFunction(
+        grid, reps.pi_act_coeffs(DIM, lam, g, f, grid).values * phi_vals))
+    rhs = sphgrid.quad(sphgrid.GridFunction(
+        grid, f_vals * reps.pi_act_coeffs(DIM, -complex(lam), inverse(g), phi, grid).values))
+    return abs(lhs - rhs)
+
+
+def dirac_pair(lam: complex, g, phi) -> complex:
+    """Pairing of the transformed base-point Dirac mass with phi:
+    kappa(g, e)^{rho - lambda} phi(g(e)), e the base point."""
+    e = base_point(DIM)
+    return (conformal_factor(g, e) ** (DIM.rho - complex(lam))
+            * complex(sphgrid.synth_at_points(phi, act(g, e))))
+
+
+def dirac_pair_dual(lam: complex, g, phi, grid) -> complex:
+    """The same pairing through the distributional route: apply
+    pi_{-lambda}(g^{-1}) to phi on the grid and read off the value at the
+    base point of its degree-grid.L projection.  Independent of the closed
+    form in dirac_pair except for the group arithmetic itself."""
+    return sphgrid.sampled_value_at_pole(
+        reps.pi_act_coeffs(DIM, -complex(lam), inverse(g), phi, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +252,7 @@ def bernstein_suite(cfg: RunConfig):
                                    for off in (0.55, 0.8, 1.05, 1.3, 0.7 + 0.3j)])),
            1e-8)
     _check(out, "bern-kernel", "kernel-level-step-down-identity",
-           _kernel_level_defect(DIM, 5.0, cfg.seed), 1e-6)
+           _kernel_level_defect(5.0, cfg.seed), 1e-6)
     return out
 
 
@@ -249,23 +286,27 @@ def descent_defects(instances) -> list:
     return defects
 
 
-def _kernel_level_defect(dim: Dimension, s: float, seed: int) -> float:
+def _laplacian_at(grid, values, points) -> np.ndarray:
+    """The Laplacian of sampled values at the points: analysis to the
+    grid's degree, the spectral multipliers, synthesis at the points."""
+    coeffs = sphgrid.sht_forward(sphgrid.GridFunction(grid, values))
+    lap = spectral_ops.laplacian_multipliers(DIM, grid.L)
+    return sphgrid.synth_at_points(spectral_ops.apply_multiplier(lap, coeffs), points)
+
+
+def _kernel_level_defect(s: float, seed: int) -> float:
     """[Delta + (s/2)(s/2+n-2)] r^s = s(s+n-3) r^{s-2} checked pointwise,
-    with the Laplacian applied spectrally at high truncation."""
-    L = 96
-    grid = sphgrid.make_grid(L)
+    with the Laplacian applied spectrally at degree 96."""
+    grid = sphgrid.make_grid(96)
     rng = np.random.default_rng(seed + 7)
     y = _random_points(rng, 1)[0]
     pts = _random_points(rng, 30)
     pts = pts[np.linalg.norm(pts - y, axis=1) > 0.8]
     r_grid = np.linalg.norm(grid.points() - y, axis=-1)
-    W = sphgrid.GridFunction(grid, r_grid ** s)
-    cW = sphgrid.sht_forward(W)
-    lap = spectral_ops.laplacian_multipliers(dim, L)
-    lap_vals = sphgrid.synth_at_points(spectral_ops.apply_multiplier(lap, cW), pts)
+    lap_vals = _laplacian_at(grid, r_grid ** s, pts)
     r = np.linalg.norm(pts - y, axis=1)
-    lhs = lap_vals + (s / 2.0) * (s / 2.0 + dim.n - 2.0) * r ** s
-    rhs = s * (s + dim.n - 3.0) * r ** (s - 2.0)
+    lhs = lap_vals + (s / 2.0) * (s / 2.0 + DIM.n - 2.0) * r ** s
+    rhs = s * (s + DIM.n - 3.0) * r ** (s - 2.0)
     return float((np.abs(lhs - rhs) / r ** (s - 2.0)).max())
 
 
@@ -436,14 +477,14 @@ def trilinear_suite(cfg: RunConfig):
     x3 = _random_points(rng, 1)[0]
     g = random_element(DIM, cfg.seed + 1202, max_boost=0.4)
     _check(out, "tri-pullback", "weighted-section-covariance",
-           trilinear.kernel_pullback_defect(DIM, 1, 4.0, g, f1, x3), 1e-8)
+           kernel_pullback_defect(1, 4.0, g, f1, x3), 1e-8)
 
     phi = sphgrid.random_coeffs(6, cfg.seed + 1203)
     y = _random_points(rng, 1)[0]
     pts = _random_points(rng, 30)
     pts = pts[np.linalg.norm(pts - y, axis=1) > 0.7]
     _check(out, "tri-split", "kernel-product-rule-split",
-           trilinear.product_rule_split_defect(DIM, 6.0, phi, y, pts), 1e-5)
+           product_rule_split_defect(6.0, phi, y, pts), 1e-5)
     return out
 
 
@@ -484,26 +525,77 @@ def generic_invariance_defects(instances) -> list:
         g = random_element(DIM, g_seed, max_boost=0.3)
         engine = trilinear.TripleEngine(DIM, alpha)
         fs, base = _conditioned_fields(engine, f_seed)
-        drawn.append((trilinear.generic_invariance_defect(engine, g, *fs, base=base),
-                      alpha, g, fs))
+        drawn.append((generic_invariance_defect(engine, g, *fs, base=base), alpha, g, fs))
     return drawn
+
+
+def generic_invariance_defect(engine, g, f1, f2, f3, base: complex | None = None) -> float:
+    """Relative change of the engine's generic form when the three inputs
+    move by the principal-series actions tied to its alpha; `base`, the
+    engine's value on the inputs, is evaluated when not given."""
+    lam = trilinear.lambda_from_alpha(engine.alpha).lam
+    if base is None:
+        base = engine.value(f1, f2, f3)
+    moved = engine.value(*(reps.pi_pointwise(DIM, lj, g, f)
+                           for lj, f in zip(lam, (f1, f2, f3))))
+    return abs(moved - base) / abs(base)
 
 
 def singular_invariance_defects(instances) -> list:
     """Per (k, a1, a2, group seed, field seed): the k-th singular form's
-    invariance defect as (defect, g, fields)."""
+    invariance defect as (defect, g, fields), the moved fields projected
+    on the (48, 96) grid."""
+    grid = sphgrid.make_grid(n_theta=48, n_phi=96)
     drawn = []
     for k, a1, a2, g_seed, f_seed in instances:
         g = random_element(DIM, g_seed, max_boost=0.3)
         fs = [sphgrid.random_coeffs(4, f_seed + j, real_field=True) for j in range(3)]
-        drawn.append((trilinear.singular_invariance_defect(DIM, k, a1, a2, g, *fs), g, fs))
+        drawn.append((singular_invariance_defect(k, a1, a2, g, *fs, grid), g, fs))
     return drawn
+
+
+def _band_limited(fields, grid, L: int) -> list:
+    """Callables projected to HarmonicCoeffs of degree L by analysis on
+    the grid."""
+    if L > grid.L:
+        raise ValueError(f"grid resolves degree {grid.L}, requested {L}")
+    P = grid.flat_points()
+    C = sphgrid.sht_forward_columns(grid, np.stack([f(P) for f in fields], axis=1), L)
+    return [sphgrid.HarmonicCoeffs(L, c.reshape(L + 1, -1)) for c in C.T]
+
+
+def singular_invariance_defect(k: int, a1, a2, g, f1, f2, f3, grid,
+                               L_project: int | None = None) -> float:
+    """Relative change of the singular form under the principal-series
+    actions tied to (a1, a2, a3 = -rho - 2k).  The inputs are
+    HarmonicCoeffs; the moved fields are callables, projected once to
+    degree L_project (default 4x the largest input degree, at least 8,
+    capped at what the grid resolves) on the grid (`_band_limited`)."""
+    lam = trilinear.lambda_from_alpha((a1, a2, -DIM.rho - 2.0 * k)).lam
+    base = trilinear.singular_form(DIM, k, a1, a2, f1, f2, f3)
+    if L_project is None:
+        L_project = min(grid.L, max(8, 4 * max(f.L for f in (f1, f2, f3))))
+    moved = _band_limited([reps.pi_pointwise(DIM, lj, g, f)
+                           for lj, f in zip(lam, (f1, f2, f3))], grid, L_project)
+    return abs(trilinear.singular_form(DIM, k, a1, a2, *moved) - base) / abs(base)
 
 
 def bridge_order_zero_defect(field_seed: int) -> float:
     """residue_bridge_defect at k = 0, (a1, a2) = (3.3, 3.7)."""
     fs = [sphgrid.random_coeffs(4, field_seed + j, real_field=True) for j in range(3)]
-    return trilinear.residue_bridge_defect(DIM, 0, 3.3, 3.7, *fs)
+    return residue_bridge_defect(0, 3.3, 3.7, *fs)
+
+
+def residue_bridge_defect(k: int, a1, a2, f1, f2, f3) -> float:
+    """Relative mismatch between the contour residue of the generic form
+    in its third parameter at -rho - 2k (half-parameter convention,
+    evaluated through `generic_form_alpha3_family`, exact and meromorphic
+    for any (a1, a2)) on a ring of radius trilinear.RING_RADIUS, and c_k
+    times the singular form, on HarmonicCoeffs inputs."""
+    evaluate = trilinear.generic_form_alpha3_family(DIM, a1, a2, f1, f2, f3)
+    fit = mero.residue_ring(evaluate, -DIM.rho - 2.0 * k, radius=trilinear.RING_RADIUS)
+    rhs = spectral_ops.gjms_constant(DIM, k) * trilinear.singular_form(DIM, k, a1, a2, f1, f2, f3)
+    return abs(fit.residue / 2.0 - rhs) / abs(rhs)
 
 
 def bridge_order_one_defects(points) -> list:
@@ -517,6 +609,80 @@ def bridge_order_one_defects(points) -> list:
         got = spectral_ops.gjms_constant(DIM, 1) * t_val
         drawn.append((abs(got - pred) / abs(pred), t_val, pred))
     return drawn
+
+
+def kernel_pullback_defect(k: int, alpha2, g, f1, x3: np.ndarray) -> float:
+    """Covariance of the weighted section F_{x3}[f](x) = f(x)|x3 - x|^{-rho+a2}.
+
+    With l1 = -k - rho/2 + a2/2, transporting f by pi_{l1}(g) inside the
+    section equals the pi_{-k} transport of the section based at
+    y3 = g^{-1}(x3), times kappa(g, y3)^{(-rho+a2)/2}.  Returns the
+    sup-norm defect over a degree-32 grid, relative to the section's sup-norm.
+    """
+    a2 = complex(alpha2)
+    rho = DIM.rho
+    lam1 = -k - rho / 2.0 + a2 / 2.0
+    pts = sphgrid.make_grid(32).flat_points()
+    x3 = np.asarray(x3, dtype=float)
+
+    lhs = (reps.pi_pointwise(DIM, lam1, g, f1)(pts)
+           * trilinear.chordal_power(pts, x3[None, :], a2 - rho)[:, 0])
+
+    ginv = inverse(g)
+    y3 = act(ginv, x3)
+    mapped = act(ginv, pts)
+    section = (sphgrid.synth_at_points(f1, mapped)
+               * trilinear.chordal_power(mapped, y3[None, :], a2 - rho)[:, 0])
+    rhs = (conformal_factor(g, y3) ** ((-rho + a2) / 2.0)
+           * conformal_factor(ginv, pts) ** (rho - k) * section)
+    return float(np.abs(lhs - rhs).max() / (np.abs(lhs).max() + 1e-300))
+
+
+def product_rule_split_defect(s: complex, phi, y: np.ndarray,
+                              test_points: np.ndarray) -> float:
+    """Check that the Laplacian of |x - y|^s phi(x) splits off the kernel
+    power exactly: Delta_x[r^s phi] = r^{s-2} psi with
+
+        psi = [-(s/2)(s/2 + n - 2) r^2 + s(s + n - 3)] phi
+              + s (grad_x r^2) . grad phi + r^2 Delta phi,
+
+    r = |x - y|.  The left side is evaluated spectrally on a degree-48
+    expansion; the right side from synthesized values, a spectral
+    Laplacian, and great-circle finite differences (step 5e-3) for the
+    gradient term.
+    Returns max |LHS - RHS| / max |RHS| over the test points.
+    """
+    s = complex(s)
+    y = np.asarray(y, dtype=float)
+    pts = np.asarray(test_points, dtype=float).reshape(-1, 3)
+    grid, fd_step = sphgrid.make_grid(48), 5e-3
+    gp = grid.points()
+    r_grid = np.linalg.norm(gp - y, axis=-1)
+    lhs = _laplacian_at(grid, r_grid ** s * sphgrid.synth_at_points(phi, gp), pts)
+
+    r2 = np.maximum(2.0 - 2.0 * pts @ y, 0.0)
+    phi_vals = sphgrid.synth_at_points(phi, pts)
+    lap_phi = sphgrid.synth_at_points(spectral_ops.apply_multiplier(
+        spectral_ops.laplacian_multipliers(DIM, phi.L), phi), pts)
+    # tangential gradient of r^2 = 2 - 2 <x, y>: project -2y onto T_x
+    v = -2.0 * (y[None, :] - (pts @ y)[:, None] * pts)
+    vnorm = np.linalg.norm(v, axis=1)
+    grad_term = np.zeros(pts.shape[0], dtype=complex)
+    good = vnorm > 1e-12
+    vhat = np.zeros_like(v)
+    vhat[good] = v[good] / vnorm[good][:, None]
+    # five-point great-circle derivative of phi along vhat
+    taus = np.array([-2.0, -1.0, 1.0, 2.0]) * fd_step
+    wts = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * fd_step)
+    for tau, wt in zip(taus, wts):
+        moved = np.cos(tau) * pts + np.sin(tau) * vhat
+        grad_term += wt * sphgrid.synth_at_points(phi, moved)
+    grad_term *= vnorm
+    n = DIM.n
+    psi = ((-(s / 2.0) * (s / 2.0 + n - 2.0) * r2 + s * (s + n - 3.0)) * phi_vals
+           + s * grad_term + r2 * lap_phi)
+    rhs = r2 ** ((s - 2.0) / 2.0) * psi
+    return float(np.abs(lhs - rhs).max() / (np.abs(rhs).max() + 1e-300))
 
 
 def pole_families(family: str, window, **params) -> dict:

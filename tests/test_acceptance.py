@@ -103,7 +103,7 @@ def test_criterion_07_trilinear_invariance():
             [(7400 + i, 7500 + i, 7600 + 101 * i) for i in range(10)])
         for i, (d, *_) in enumerate(drawn):
             assert d <= 1e-3, f"generic instance {i}: {d:.2e}"
-        doubled = [tri.generic_invariance_defect(
+        doubled = [verify.generic_invariance_defect(
                        tri.TripleEngine(DIM, alpha, grid_size=(48, 96)), g, *fs)
                    for _, alpha, g, fs in drawn[:3]]
         ratio = np.mean([d for d, *_ in drawn[:3]]) / np.mean(doubled)
@@ -119,10 +119,10 @@ def test_criterion_07_trilinear_invariance():
             if j % 10 < 2:
                 # doubling scales the whole discretization: grid and
                 # the projection degree it resolves
-                coarse.append(tri.singular_invariance_defect(
-                    DIM, k, a1, a2, g, *fs, grid_size=(12, 24), L_project=8))
-                mid.append(tri.singular_invariance_defect(
-                    DIM, k, a1, a2, g, *fs, grid_size=(24, 48), L_project=16))
+                coarse.append(verify.singular_invariance_defect(
+                    k, a1, a2, g, *fs, grid=sg.make_grid(n_theta=12, n_phi=24), L_project=8))
+                mid.append(verify.singular_invariance_defect(
+                    k, a1, a2, g, *fs, grid=sg.make_grid(n_theta=24, n_phi=48), L_project=16))
         # at the default grid the singular-form defect already sits at the
         # numerical noise floor, so the 4x shrink is verified on the coarse
         # pair where discretization still dominates
@@ -169,7 +169,7 @@ def test_criterion_10_pointwise_identities():
             g = random_element(DIM, 8300 + i, max_boost=0.4)
             k = 1 + (i % 2)
             a2 = 4.0 + 0.3 * i + (0.4j if i % 3 == 0 else 0.0)
-            d = tri.kernel_pullback_defect(DIM, k, a2, g, f1, x3)
+            d = verify.kernel_pullback_defect(k, a2, g, f1, x3)
             assert d <= 1e-8, f"pullback instance {i}: {d:.2e}"
         for i in range(5):
             phi = sg.random_coeffs(6, 8400 + i)
@@ -179,5 +179,5 @@ def test_criterion_10_pointwise_identities():
             pts /= np.linalg.norm(pts, axis=1)[:, None]
             pts = pts[np.linalg.norm(pts - y, axis=1) > 0.7]
             s = 5.0 + 0.5 * i
-            d = tri.product_rule_split_defect(DIM, s, phi, y, pts)
+            d = verify.product_rule_split_defect(s, phi, y, pts)
             assert d <= 1e-5, f"split instance {i}: {d:.2e}"

@@ -95,6 +95,30 @@ def test_negative_pole_index_is_a_usage_error(tmp_path, capsys, args):
     assert "k must be >= 0, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["trilinear", "--alpha", "3", "1", "1", "--f1", "{f}", "--f2", "{f}", "--f3", "{f}",
+      "--grid", "24", "0"], "need L >= 1"),
+    (["multiplier", "--kind", "knapp-stein", "--alpha", "-1"], "gamma pole"),
+    (["pole-scan", "--family", "alpha3", "--window", "-6.5", "0.5", "--a1", "nan"],
+     "'nan' is not a finite number"),
+    (["pair", "--s=inf"], "'inf' is not a finite number"),
+    (["pair", "--s=nan"], "'nan' is not a finite number"),
+    (["residue", "--k", "0", "--radius", "0"], "radius must be positive and finite"),
+    (["residue", "--k", "0", "--radius", "nan"], "radius must be positive and finite"),
+], ids=["grid-without-azimuths", "knapp-stein-pole", "nan-a1", "inf-s", "nan-s",
+        "zero-radius", "nan-radius"])
+def test_rejected_values_are_usage_errors(tmp_path, capsys, args, message):
+    # a division by zero, a non-finite parameter or a degenerate ring ends
+    # as an argparse error (exit 2) that names the problem, not a traceback
+    path = tmp_path / "f.json"
+    sg.save_coeffs(path, sg.random_coeffs(2, 1))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--out-dir", str(tmp_path)] + [a.format(f=path) for a in args])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: {args[0]}: " in err and message in err and "Traceback" not in err
+
+
 def test_coefficient_file_errors_are_usage_errors(tmp_path, capsys, monkeypatch):
     # a missing file, an (l, m) beyond the file's L, a non-integer (l, m),
     # an L beyond sphgrid.MAX_DEGREE, a file without its "L" key and one

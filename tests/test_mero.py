@@ -91,6 +91,14 @@ def test_residue_ring_validation():
                         regular_value=0.0, ring_size=16, condition=0.0)
 
 
+def test_residue_ring_checks_radius_before_sampling():
+    calls = []
+    for radius in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            mero.residue_ring(lambda z: calls.append(z) or 1.0 / z, 0.0, radius=radius)
+    assert calls == []
+
+
 def test_residue_operator_identity(dim3):
     for k in (0, 1, 2):
         for seed in range(3):

@@ -3,7 +3,7 @@ import pytest
 
 from confsphere.lorentz import (boost, compose, identity, inverse,
                                 random_element, rotation)
-from confsphere import reps, sphgrid as sg
+from confsphere import reps, sphgrid as sg, verify
 from conftest import random_unit
 
 
@@ -47,14 +47,14 @@ def test_group_law(dim3, grid32):
 
 def test_duality(dim3, grid32, rng):
     cf, cp = sg.random_coeffs(6, 7), sg.random_coeffs(6, 8)
-    assert reps.duality_defect(dim3, 0.7, identity(dim3), cf, cp, grid32) < 1e-13
+    assert verify.duality_defect(0.7, identity(dim3), cf, cp, grid32) < 1e-13
     grot, _ = _rotation(rng, dim3)
-    assert reps.duality_defect(dim3, 0.0, grot, cf, cp, grid32) < 1e-12
+    assert verify.duality_defect(0.0, grot, cf, cp, grid32) < 1e-12
     g = boost(0.3, dim3)
     f = sg.sht_inverse(cf.pad(32), grid32)
     phi = sg.sht_inverse(cp.pad(32), grid32)
     scale = sg.norm_l2(f) * sg.norm_l2(phi)
-    assert reps.duality_defect(dim3, 0.7, g, cf, cp, grid32) < 1e-6 * scale
+    assert verify.duality_defect(0.7, g, cf, cp, grid32) < 1e-6 * scale
 
 
 @pytest.mark.parametrize("L", [32, 64])
@@ -73,9 +73,9 @@ def test_pi_act_on_padded_samples_matches_coefficients(dim3, L):
 def test_dirac_identity_and_boost(dim3):
     phi = sg.random_coeffs(8, 9)
     base = sg.value_at_pole(phi)
-    assert abs(reps.dirac_pair(dim3, 0.4, identity(dim3), phi) - base) < 1e-12
+    assert abs(verify.dirac_pair(0.4, identity(dim3), phi) - base) < 1e-12
     t, lam = 0.6, 0.25
-    got = reps.dirac_pair(dim3, lam, boost(t, dim3), phi)
+    got = verify.dirac_pair(lam, boost(t, dim3), phi)
     assert abs(got - np.exp(-t * (1 - lam)) * base) < 1e-12
 
 
@@ -85,8 +85,8 @@ def test_dirac_distributional_consistency(dim3):
         g = random_element(dim3, 100 + i, max_boost=0.5)
         lam = complex(0.37 * ((i % 5) - 2), 0.21 * ((i % 3) - 1))
         phi = sg.random_coeffs(8, 200 + i)
-        a = reps.dirac_pair(dim3, lam, g, phi)
-        b = reps.dirac_pair_dual(dim3, lam, g, phi, grid)
+        a = verify.dirac_pair(lam, g, phi)
+        b = verify.dirac_pair_dual(lam, g, phi, grid)
         assert abs(a - b) <= 1e-9 * max(abs(a), phi.l2_norm())
 
 

@@ -392,8 +392,6 @@ def test_bilinear_and_inner_pairings(grid16):
     f2 = sg.sht_inverse(c2.pad(16), grid16)
     want = sg.quad(sg.GridFunction(grid16, f1.values * f2.values))
     assert abs(pair_bilinear(c1, c2) - want) < 1e-12 * abs(want) + 1e-12
-    want_h = sg.quad(sg.GridFunction(grid16, f1.values * np.conj(f2.values)))
-    assert abs(sg.inner(c1, c2) - want_h) < 1e-12 * abs(want_h) + 1e-12
 
 
 def test_coeff_file_roundtrip(tmp_path):
@@ -405,17 +403,6 @@ def test_coeff_file_roundtrip(tmp_path):
     assert all(len(row) == 4 for row in blob["coeffs"])
     c2 = sg.load_coeffs(path)
     assert np.abs(c2.c - c.c).max() < 1e-15
-
-
-def test_grid_csv_export(tmp_path, grid16):
-    f = sg.sht_inverse(sg.random_coeffs(4, 3).pad(16), grid16)
-    path = tmp_path / "f.csv"
-    sg.save_grid_csv(path, f)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "theta,phi,re,im"
-    assert len(lines) == 1 + grid16.n_theta * grid16.n_phi
-    theta, phi, re, im = map(float, lines[1].split(","))
-    assert abs(re + 1j * im - f.values[0, 0]) < 1e-12
 
 
 def test_batched_transforms_match():

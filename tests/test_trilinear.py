@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.special import loggamma
 
 from confsphere.lorentz import Dimension, boost, random_element, rotation
-from confsphere import sphgrid as sg, trilinear as tri
+from confsphere import sphgrid as sg, trilinear as tri, verify
 from confsphere.special import complex_gamma, gamma_ratio
 from confsphere.spectral_ops import gjms_constant, knapp_stein_multipliers
 from conftest import random_unit
@@ -22,6 +22,21 @@ HAND_VALUES = {
     (5, 1, 1): 16.0 / 3.0,
     (5, 3, 3): 160.0 / 9.0,
 }
+
+
+def test_trilinear_imports_neither_reps_nor_verify():
+    # the forms need no group action and no check: the checks that move
+    # fields by pi_lambda(g) live in verify
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    code = ("import sys, confsphere.trilinear; "
+            "print([m for m in ('confsphere.reps', 'confsphere.verify') if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(Path(tri.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_parameter_conversions_roundtrip(rng):
@@ -90,7 +105,7 @@ def test_rotation_invariance_exact_at_polynomial_exponents(dim3, rng):
         q[:, 0] = -q[:, 0]
     g = rotation(q, dim3)
     fs = [sg.random_coeffs(3, 70 + j, real_field=True) for j in range(3)]
-    defect = tri.generic_invariance_defect(tri.TripleEngine(dim3, (3, 3, 1)), g, *fs)
+    defect = verify.generic_invariance_defect(tri.TripleEngine(dim3, (3, 3, 1)), g, *fs)
     assert defect < 1e-9
 
 
@@ -250,19 +265,18 @@ SPECTRUM_ALPHAS = {"real": (1.6, 1.8, 1.55), "complex": (1.6 + 0.3j, 1.8, 2.5 - 
                      ((24, 48), ("complex",)))
     for kind, a in ((k, SPECTRUM_ALPHAS[k]) for k in kinds)])
 def test_coefficient_spectrum_matches_sampled_spectrum_and_dense_oracle(
-        dim3, grid_size, alpha, monkeypatch):
+        dim3, grid_size, alpha):
     # three HarmonicCoeffs are contracted from their spectra synthesized by
     # the transform pair, sparse in m and never point-sampled; the same
     # fields as callables are contracted from the FFT of their ring
     # samples, and the dense oracle sums the whole N x N kernels
     from confsphere.reps import field_from_coeffs
+    assert not hasattr(tri, "field_from_coeffs") and not hasattr(tri, "synth_at_points")
     engine = tri.TripleEngine(dim3, alpha, grid_size=grid_size)
     for fs in _spectrum_cases(grid_size[1]):
         sampled = engine.value(*map(field_from_coeffs, fs))
         dense = _dense_direct_oracle(dim3, fs, grid_size, alpha)
-        with monkeypatch.context() as m:
-            m.setattr(tri, "field_from_coeffs", None)
-            got = engine.value(*fs)
+        got = engine.value(*fs)
         assert abs(got - sampled) <= 1e-13 * abs(sampled)
         assert abs(got - dense) <= 1e-13 * abs(dense)
 
@@ -386,8 +400,8 @@ def test_ktype_invariance_at_continued_alpha(dim3):
     lam = tri.lambda_from_alpha(alpha).lam
     g = boost(0.15, dim3)
     fs = [sg.random_coeffs(3, 70 + j, real_field=True) for j in range(3)]
-    moved = tri._band_limited([pi_pointwise(dim3, lj, g, f) for lj, f in zip(lam, fs)],
-                              (48, 96), 14)
+    moved = verify._band_limited([pi_pointwise(dim3, lj, g, f) for lj, f in zip(lam, fs)],
+                                 sg.make_grid(n_theta=48, n_phi=96), 14)
     base = tri.generic_form(dim3, alpha, *fs, method="fast")
     got = tri.generic_form(dim3, alpha, *moved, method="fast")
     assert abs(got - base) <= 1e-12 * abs(base)
@@ -568,7 +582,8 @@ def test_alpha3_family_memory_bounded_on_projected_fields(dim3):
     from confsphere.reps import pi_pointwise
     g = random_element(dim3, 185, max_boost=0.3)
     fs = [sg.random_coeffs(4, 186 + j, real_field=True) for j in range(3)]
-    moved = tri._band_limited([pi_pointwise(dim3, 0.5, g, f) for f in fs], (48, 96), 16)
+    moved = verify._band_limited([pi_pointwise(dim3, 0.5, g, f) for f in fs],
+                                 sg.make_grid(n_theta=48, n_phi=96), 16)
     tracemalloc.start()
     try:
         tri.generic_form_alpha3_family(dim3, 3.3, 3.7, *moved)(1.9)
@@ -671,7 +686,6 @@ def test_grids_built_once_per_size(dim3, monkeypatch):
     # a repeated evaluation builds no Legendre table
     grids = tri.triple_grids((12, 24))
     assert tri.triple_grids([12, 24]) is grids
-    assert tri._plain_grid((np.int64(12), 24)) is tri._plain_grid((12, 24))
     with pytest.raises(ValueError):
         grids[0].u[0] = 0.0
     one = sg.coeffs_constant(1.0, 2)
@@ -738,8 +752,8 @@ def test_singular_invariance(dim3):
     g = random_element(dim3, 111, max_boost=0.3)
     fs = [sg.random_coeffs(4, 120 + j, real_field=True) for j in range(3)]
     for k, a1, a2 in ((0, 1.45, 2.83), (1, 1.45, 4.62)):
-        defect = tri.singular_invariance_defect(dim3, k, a1, a2, g, *fs,
-                                                grid_size=(48, 96), L_project=16)
+        defect = verify.singular_invariance_defect(
+            k, a1, a2, g, *fs, grid=sg.make_grid(n_theta=48, n_phi=96), L_project=16)
         assert defect < 1e-3
 
 
@@ -748,10 +762,10 @@ def test_singular_invariance_default_projection_degree(dim3):
     # input degree, 16, below the 47 that the grid (48, 96) resolves
     g = random_element(dim3, 111, max_boost=0.3)
     fs = [sg.random_coeffs(4, 120 + j, real_field=True) for j in range(3)]
-    args = (dim3, 0, 1.45, 2.83, g, *fs)
-    default = tri.singular_invariance_defect(*args, grid_size=(48, 96))
-    assert default == tri.singular_invariance_defect(*args, grid_size=(48, 96), L_project=16)
-    assert default != tri.singular_invariance_defect(*args, grid_size=(48, 96), L_project=32)
+    args = (0, 1.45, 2.83, g, *fs, sg.make_grid(n_theta=48, n_phi=96))
+    default = verify.singular_invariance_defect(*args)
+    assert default == verify.singular_invariance_defect(*args, L_project=16)
+    assert default != verify.singular_invariance_defect(*args, L_project=32)
 
 
 def test_singular_invariance_continued(dim3):
@@ -760,30 +774,30 @@ def test_singular_invariance_continued(dim3):
     g = random_element(dim3, 112, max_boost=0.3)
     fs = [sg.random_coeffs(4, 125 + j, real_field=True) for j in range(3)]
     for k, a1, a2 in ((1, 0.4, 0.9), (1, 0.3, -0.2 + 0.4j), (2, 1.1, 0.7)):
-        defect = tri.singular_invariance_defect(dim3, k, a1, a2, g, *fs,
-                                                grid_size=(24, 48), L_project=16)
+        defect = verify.singular_invariance_defect(
+            k, a1, a2, g, *fs, grid=sg.make_grid(n_theta=24, n_phi=48), L_project=16)
         assert defect < 1e-9
 
 
-def test_residue_bridge_k0(dim3):
+def test_residue_bridge_k0():
     fs = [sg.random_coeffs(4, 130 + j, real_field=True) for j in range(3)]
-    defect = tri.residue_bridge_defect(dim3, 0, 3.3, 3.7, *fs)
+    defect = verify.residue_bridge_defect(0, 3.3, 3.7, *fs)
     assert defect < 5e-3
 
 
-def test_residue_bridge_k1_random_fields(dim3):
+def test_residue_bridge_k1_random_fields():
     fs = [sg.random_coeffs(4, 135 + j, real_field=True) for j in range(3)]
-    defect = tri.residue_bridge_defect(dim3, 1, 2.3, 5.6, *fs)
+    defect = verify.residue_bridge_defect(1, 2.3, 5.6, *fs)
     assert defect < 1e-7
 
 
-def test_residue_bridge_beyond_the_sum_planes(dim3):
+def test_residue_bridge_beyond_the_sum_planes():
     # where the truncated trace diverged, Re(a1+a2) <= 2k, the exact K-type
     # family still carries the residue down to the singular form: at
     # k = 1, (0.4, 0.9) and at k = 0, (-0.7, -0.2)
     fs = [sg.random_coeffs(3, 1100 + j, real_field=True) for j in range(3)]
     for k, a1, a2 in ((1, 0.4, 0.9), (0, -0.7, -0.2)):
-        assert tri.residue_bridge_defect(dim3, k, a1, a2, *fs) <= 1e-9
+        assert verify.residue_bridge_defect(k, a1, a2, *fs) <= 1e-9
 
 
 def test_spectral_layer_refuses_callables(dim3):
@@ -798,7 +812,7 @@ def test_spectral_layer_refuses_callables(dim3):
         mixed[slot] = pi_pointwise(dim3, 0.5, g, fs[slot])
         for call in (lambda: tri.generic_form_alpha3_family(dim3, 1.6, 1.8, *mixed),
                      lambda: tri.singular_form(dim3, 1, 1.45, 4.62, *mixed),
-                     lambda: tri.residue_bridge_defect(dim3, 0, 3.3, 3.7, *mixed),
+                     lambda: verify.residue_bridge_defect(0, 3.3, 3.7, *mixed),
                      lambda: tri.generic_form(dim3, (1.6, 1.8, 1.55), *mixed,
                                               method="fast")):
             with pytest.raises(TypeError, match="expected HarmonicCoeffs"):
@@ -957,27 +971,26 @@ def test_kernel_pullback_identity_and_rotation(dim3, rng):
     f1 = sg.random_coeffs(6, 140)
     x3 = random_unit(rng, 1)[0]
     from confsphere.lorentz import identity
-    assert tri.kernel_pullback_defect(dim3, 1, 4.0, identity(dim3), f1, x3) < 1e-12
+    assert verify.kernel_pullback_defect(1, 4.0, identity(dim3), f1, x3) < 1e-12
     g = random_element(dim3, 141, max_boost=0.0)
-    assert tri.kernel_pullback_defect(dim3, 1, 4.0, g, f1, x3) < 1e-10
+    assert verify.kernel_pullback_defect(1, 4.0, g, f1, x3) < 1e-10
 
 
 def test_kernel_pullback_boost(dim3, rng):
     f1 = sg.random_coeffs(6, 150)
     x3 = random_unit(rng, 1)[0]
     g = boost(0.3, dim3)
-    assert tri.kernel_pullback_defect(dim3, 1, 4.0, g, f1, x3) < 1e-8
+    assert verify.kernel_pullback_defect(1, 4.0, g, f1, x3) < 1e-8
     g2 = random_element(dim3, 151, max_boost=0.4)
-    assert tri.kernel_pullback_defect(dim3, 2, 3.1 + 0.4j, g2, f1, x3) < 1e-8
+    assert verify.kernel_pullback_defect(2, 3.1 + 0.4j, g2, f1, x3) < 1e-8
 
 
-def test_product_rule_split(dim3, rng):
+def test_product_rule_split(rng):
     phi = sg.random_coeffs(6, 160)
     y = random_unit(rng, 1)[0]
     pts = random_unit(rng, 40)
     pts = pts[np.linalg.norm(pts - y, axis=1) > 0.7]
-    assert tri.product_rule_split_defect(dim3, 6.0, phi, y, pts) < 1e-5
+    assert verify.product_rule_split_defect(6.0, phi, y, pts) < 1e-5
     one = sg.coeffs_constant(1.0, 1)
-    assert tri.product_rule_split_defect(dim3, 5.0, one, y, pts) < 1e-6
-    assert tri.product_rule_split_defect(dim3, 6.0, phi, y,
-                                         -y[None, :]) < 1e-6
+    assert verify.product_rule_split_defect(5.0, one, y, pts) < 1e-6
+    assert verify.product_rule_split_defect(6.0, phi, y, -y[None, :]) < 1e-6

@@ -197,8 +197,8 @@ def test_representation_suite_passes_at_other_seeds(seed):
 
 @pytest.mark.parametrize("suite, cid, module, attr", [
     ("representation", "rep-group-law", reps, "pi_act"),
-    ("representation", "rep-duality", reps, "duality_defect"),
-    ("representation", "rep-dirac", reps, "dirac_pair"),
+    ("representation", "rep-duality", verify, "duality_defect"),
+    ("representation", "rep-dirac", verify, "dirac_pair"),
     ("representation", "rep-unitary", sphgrid, "norm_l2"),
     ("intertwining", "int-knapp-stein", verify, "_knapp_stein_intertwining_defect"),
 ])
