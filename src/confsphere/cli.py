@@ -31,7 +31,10 @@ def _cnum(z: complex):
 
 def _parse_complex(text: str) -> complex:
     """A finite complex number; a trailing 'i' is read as 'j'."""
-    z = complex(text[:-1] + "j" if text.endswith("i") else text)
+    try:
+        z = complex(text[:-1] + "j" if text.endswith("i") else text)
+    except ValueError:
+        raise ValueError(f"{text!r} is not a complex number") from None
     if not cmath.isfinite(z):
         raise ValueError(f"{text!r} is not a finite number")
     return z

@@ -14,7 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .lorentz import ConformalMap, Dimension, act, conformal_factor, inverse
-from .sphgrid import GridFunction, HarmonicCoeffs, sht_forward, synth_at_points
+from .sphgrid import (GridFunction, HarmonicCoeffs, rounding_truncated, sht_forward,
+                      synth_at_points)
 
 
 def pi_act(dim: Dimension, lam: complex, g: ConformalMap,
@@ -22,12 +23,12 @@ def pi_act(dim: Dimension, lam: complex, g: ConformalMap,
     """Apply pi_lambda(g) to a sampled function (n = 3 grids).
 
     For inputs that are truly sampled, such as a field already moved by
-    some pi_lambda(g): the samples are analyzed to the grid's full degree
-    and every one of those coefficients is synthesized at the moved
-    points.  A field known by its coefficients goes to pi_act_coeffs."""
-    if dim.n != 3:
-        raise ValueError("grid representations are implemented for n = 3")
-    coeffs = sht_forward(f)
+    some pi_lambda(g): the samples are analyzed to the grid's full degree,
+    and the coefficients are synthesized at the moved points up to the
+    last degree that lies above the rounding of that synthesis
+    (`rounding_truncated`); a full-band field keeps every degree.  A field
+    known by its coefficients goes to pi_act_coeffs."""
+    coeffs = rounding_truncated(sht_forward(f))
     return pi_act_coeffs(dim, lam, g, coeffs, f.grid)
 
 
@@ -36,10 +37,10 @@ def pi_act_coeffs(dim: Dimension, lam: complex, g: ConformalMap,
     """pi_lambda(g) applied to a band-limited field given by its
     coefficients, sampled on the grid.
 
-    Use it whenever the coefficients are known: it synthesizes only up to
-    their degree, while pi_act on the same field's samples re-analyzes
-    them to the grid's degree and synthesizes the rounding noise above
-    the band limit as well.  The two agree to rounding."""
+    Use it whenever the coefficients are known: it synthesizes exactly
+    the coefficients it is given, while pi_act on the same field's
+    samples re-analyzes them to the grid's degree and keeps what lies
+    above rounding.  The two agree to rounding."""
     return GridFunction(grid, pi_pointwise(dim, lam, g, coeffs)(grid.points()))
 
 
@@ -49,6 +50,8 @@ def pi_pointwise(dim: Dimension, lam: complex, g: ConformalMap,
     callable on point arrays.  Pointwise exact (synthesis at the mapped
     points), so transformed fields can be fed to quadratures on any grid
     without an intermediate band-limit."""
+    if dim.n != 3:
+        raise ValueError(f"grid representations are implemented for n = 3, got n = {dim.n}")
     ginv = inverse(g)
     lam = complex(lam)
 

@@ -193,8 +193,11 @@ def make_grid(L: int | None = None, n_theta: int | None = None,
         if n_theta is None or n_phi is None:
             raise ValueError("give either L or both grid sizes")
         L = min(n_theta - 1, (n_phi - 1) // 2)
+        if L < 1:
+            raise ValueError(f"grid sizes n_theta={n_theta}, n_phi={n_phi} resolve no "
+                             "degree: need L >= 1")
     if L < 1:
-        raise ValueError("need L >= 1")
+        raise ValueError(f"L={L}: need L >= 1")
     if L > MAX_DEGREE:
         raise ValueError(f"L={L} exceeds the memory budget (max {MAX_DEGREE})")
     n_theta = n_theta if n_theta is not None else L + 1
@@ -431,6 +434,22 @@ def synth_at_points(coeffs: HarmonicCoeffs, points: np.ndarray) -> np.ndarray:
                 acc += pos * e
                 acc += neg * np.conj(e)
     return out.reshape(shape)
+
+
+def rounding_truncated(coeffs: HarmonicCoeffs) -> HarmonicCoeffs:
+    """coeffs without the trailing degrees that lie below the rounding of
+    their own synthesis.  Degree l adds at most |c_l| sqrt((2l+1)/(4 pi))
+    to any value (|c_l| the 2-norm over m; the addition theorem), so the
+    kept degree L' is the least one whose dropped tail
+    sum_{l > L'} |c_l| sqrt((2l+1)/(4 pi)) stays within
+    eps (L+1) sum_{l,m} |c_lm| sqrt((2l+1)/(4 pi)), the rounding scale of
+    synthesizing coeffs."""
+    L = coeffs.L
+    zonal = _zonal_weights(L)
+    scale = np.finfo(float).eps * (L + 1) * (np.abs(coeffs.c).sum(axis=1) @ zonal)
+    tail = np.cumsum((np.linalg.norm(coeffs.c, axis=1) * zonal)[::-1])[::-1]
+    keep = max(int(np.count_nonzero(tail > scale)) - 1, 0)    # tail[l]: degrees >= l
+    return HarmonicCoeffs(keep, coeffs.c[: keep + 1, L - keep: L + keep + 1])
 
 
 @cache

@@ -31,7 +31,8 @@ nt^3 + n_phi B^2 nt^2) work per value for B orders and no N x N array.  A
 field's spectrum is the FFT of its values on each ring: a HarmonicCoeffs
 is synthesized there by the transform pair and keeps only the residues
 mod n_phi of its nonzero orders; a callable (a moved field, not
-band-limited) is sampled there and keeps all B = n_phi.  The fast method
+band-limited) is sampled there and keeps the residues that lie above the
+FFT's rounding on some ring, all n_phi at most.  The fast method
 is the alpha3 family at a3, an exact finite sum over K-types: the form is
 O(3)-invariant, so for band-limited inputs T(f1, f2, f3) = sum_l tau(l)
 G(l) over l_j <= deg f_j, tau(l) the form on three Legendre polynomials
@@ -238,17 +239,25 @@ def _ring_spectrum(f, grid) -> tuple:
     """f w dphi on the grid's polar rings transformed in azimuth: for
     phi_j = phi_0 + j dphi,
         F[k, i] = sum_j f(u_i, phi_j) w_i dphi e^{-2 pi i k j / n_phi}.
-    A HarmonicCoeffs is synthesized at the nodes (`sht_synthesize_columns`),
-    a callable sampled there.  Returns the residues k = m mod n_phi of the
-    field's nonzero orders m, every k for a callable, and F, exactly zero
-    off them."""
+    A HarmonicCoeffs is synthesized at the nodes (`sht_synthesize_columns`)
+    and keeps the residues k = m mod n_phi of its nonzero orders m.  A
+    callable is sampled there and keeps the k whose entry exceeds, on some
+    ring i, the FFT's rounding of that ring, eps ceil(log2 n_phi)
+    sum_j |s_ij| for its input s_ij = f(u_i, phi_j) w_i dphi; a
+    band-limited callable keeps the coefficient path's residues.  Returns
+    those k and F, exactly zero off them."""
     if isinstance(f, HarmonicCoeffs):
         V = sht_synthesize_columns(grid, f.c.reshape(-1, 1), f.L)[:, 0]
         k = np.unique((np.flatnonzero(f.c.any(axis=0)) - f.L) % grid.n_phi)
     else:
-        V, k = f(grid.flat_points()), np.arange(grid.n_phi)
+        V, k = f(grid.flat_points()), None
+    S = (V * grid.flat_weights()).reshape(grid.shape)
+    spectrum = np.fft.fft(S, axis=1).T                       # [k, i]
+    if k is None:
+        rounding = np.finfo(float).eps * math.ceil(math.log2(grid.n_phi))
+        k = np.flatnonzero((np.abs(spectrum) > rounding * np.abs(S).sum(axis=1)).any(axis=1))
     F = np.zeros((grid.n_phi, grid.n_theta), dtype=complex)
-    F[k] = np.fft.fft((V * grid.flat_weights()).reshape(grid.shape), axis=1).T[k]
+    F[k] = spectrum[k]
     return k, F
 
 
@@ -260,7 +269,8 @@ class TripleEngine:
     would exceed MAX_RING_WORKSET complex entries.  `value` contracts the
     fields' azimuthal spectra on their grids' rings (`_ring_spectrum`, the
     FFT of each ring's values, kept only at the residues of a
-    HarmonicCoeffs' nonzero orders) with the transformed tables.  method
+    HarmonicCoeffs' nonzero orders or, for a callable, at those above the
+    FFT's rounding) with the transformed tables.  method
     must be "direct"; the exact K-type sum is
     `generic_form(..., method="fast")`."""
 
@@ -301,10 +311,11 @@ class TripleEngine:
                     middle[-m2-p, i3, i2] inner_hat[m1-p, i3, i1],
         n = n_phi, orders mod n and m3 = -m1-m2.  Per chunk of p,
         X = (F1 inner_hat) outer_hat and Z = F2 middle, and W[i3, m1, m2]
-        sums X Z over p and i2: O(n B nt^3 + n B^2 nt^2) for B orders, B = n
-        for a callable.  A chunk's arrays, their product X Z and W hold at
-        most about 4 nt n^2 entries, kept within MAX_RING_WORKSET by
-        __init__; with the tables, 3 n nt^2, that bounds the working set."""
+        sums X Z over p and i2: O(n B nt^3 + n B^2 nt^2) for the B <= n
+        residues a spectrum keeps.  A chunk's arrays, their product X Z
+        and W hold at most about 4 nt n^2 entries, kept within
+        MAX_RING_WORKSET by __init__; with the tables, 3 n nt^2, that
+        bounds the working set."""
         nt, npz = self.grids[0].shape
         (k1, F1), (k2, F2), (_, F3) = (_ring_spectrum(f, g)
                                        for f, g in zip((f1, f2, f3), self.grids))

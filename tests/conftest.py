@@ -34,6 +34,15 @@ def random_unit(rng, count, n=3):
     return pts / np.linalg.norm(pts, axis=1)[:, None]
 
 
+def rounding_tol(c):
+    """Float64 rounding scale of a degree-L synthesis of c: eps times the
+    L + 1 recurrence steps times the sum of the term bounds
+    |c_lm| max|Y_lm| = |c_lm| sqrt((2l+1)/(4 pi))."""
+    l = np.arange(c.L + 1)
+    terms = np.abs(c.c) * np.sqrt((2 * l + 1) / (4 * np.pi))[:, None]
+    return np.finfo(float).eps * (c.L + 1) * terms.sum()
+
+
 def knapp_stein_oracle(n, s, L):
     """Beckner's closed form from scipy, l = 0..L:
     2^{d+s} pi^{d/2} Gamma((d+s)/2) (-s/2)_l / Gamma(l + d + s/2), d = n-1.

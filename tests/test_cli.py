@@ -103,10 +103,11 @@ def test_negative_pole_index_is_a_usage_error(tmp_path, capsys, args):
      "'nan' is not a finite number"),
     (["pair", "--s=inf"], "'inf' is not a finite number"),
     (["pair", "--s=nan"], "'nan' is not a finite number"),
+    (["pair", "--s=abc"], "'abc' is not a complex number"),
     (["residue", "--k", "0", "--radius", "0"], "radius must be positive and finite"),
     (["residue", "--k", "0", "--radius", "nan"], "radius must be positive and finite"),
 ], ids=["grid-without-azimuths", "knapp-stein-pole", "nan-a1", "inf-s", "nan-s",
-        "zero-radius", "nan-radius"])
+        "malformed-s", "zero-radius", "nan-radius"])
 def test_rejected_values_are_usage_errors(tmp_path, capsys, args, message):
     # a division by zero, a non-finite parameter or a degenerate ring ends
     # as an argparse error (exit 2) that names the problem, not a traceback

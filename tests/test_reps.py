@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from confsphere.lorentz import (boost, compose, identity, inverse,
-                                random_element, rotation)
+from confsphere.lorentz import (Dimension, boost, compose, conformal_factor, identity,
+                                inverse, random_element, rotation)
 from confsphere import reps, sphgrid as sg, verify
-from conftest import random_unit
+from conftest import random_unit, rounding_tol
 
 
 def _rotation(rng, dim):
@@ -68,6 +68,58 @@ def test_pi_act_on_padded_samples_matches_coefficients(dim3, L):
         exact = reps.pi_act_coeffs(dim3, lam, g, c, grid)
         rel = np.abs(sampled.values - exact.values).max() / np.abs(exact.values).max()
         assert rel < 1e-12
+
+
+def _synthesized_degrees(monkeypatch):
+    """The degrees reps synthesizes from here on."""
+    degrees = []
+    synth = reps.synth_at_points
+
+    def counted(coeffs, points):
+        degrees.append(coeffs.L)
+        return synth(coeffs, points)
+
+    monkeypatch.setattr(reps, "synth_at_points", counted)
+    return degrees
+
+
+def test_pi_act_synthesizes_moved_field_below_grid_degree(dim3, monkeypatch):
+    # a degree-8 field moved by a boost of 0.5 carries coefficients that
+    # decay like tanh(1/4)^l: pi_act drops the degrees below rounding,
+    # which moves no value by more than the full synthesis rounds
+    grid = sg.make_grid(64)
+    f = reps.pi_act_coeffs(dim3, 0.8, boost(0.5, dim3), sg.random_coeffs(8, 51), grid)
+    g, lam = random_element(dim3, 52, max_boost=0.3), complex(0.4, -0.2)
+    full = sg.sht_forward(f)
+    want = reps.pi_act_coeffs(dim3, lam, g, full, grid).values
+    degrees = _synthesized_degrees(monkeypatch)
+    got = reps.pi_act(dim3, lam, g, f).values
+    assert len(degrees) == 1 and 8 < degrees[0] < 64, degrees
+    factor = np.abs(conformal_factor(inverse(g), grid.points()) ** (dim3.rho + lam)).max()
+    assert np.abs(got - want).max() <= factor * rounding_tol(full)
+
+
+def test_pi_act_on_full_band_field_is_the_untrimmed_route(dim3, monkeypatch):
+    grid = sg.make_grid(64)
+    f = sg.sht_inverse(sg.random_coeffs(64, 53), grid)
+    g, lam = random_element(dim3, 54, max_boost=0.3), complex(0.3, 0.5)
+    want = reps.pi_act_coeffs(dim3, lam, g, sg.sht_forward(f), grid).values
+    degrees = _synthesized_degrees(monkeypatch)
+    assert np.array_equal(reps.pi_act(dim3, lam, g, f).values, want)
+    assert degrees == [64]
+
+
+def test_grid_actions_name_their_dimension():
+    # one check at the callable's construction serves all three entry points
+    dim4 = Dimension(4)
+    g, c = boost(0.3, dim4), sg.random_coeffs(4, 1)
+    grid = sg.make_grid(8)
+    calls = [lambda: reps.pi_pointwise(dim4, 0.3, g, c),
+             lambda: reps.pi_act_coeffs(dim4, 0.3, g, c, grid),
+             lambda: reps.pi_act(dim4, 0.3, g, sg.sht_inverse(c, grid))]
+    for call in calls:
+        with pytest.raises(ValueError, match="implemented for n = 3, got n = 4"):
+            call()
 
 
 def test_dirac_identity_and_boost(dim3):

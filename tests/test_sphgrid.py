@@ -11,7 +11,7 @@ from confsphere.lorentz import Dimension
 from confsphere import sphgrid as sg
 from confsphere import spectral_ops as so
 from confsphere.special import ultraspherical_table
-from conftest import knapp_stein_oracle, pair_bilinear, random_unit
+from conftest import knapp_stein_oracle, pair_bilinear, random_unit, rounding_tol
 
 
 def test_quad_area(grid16):
@@ -81,15 +81,6 @@ def test_roundtrip_and_parseval_property(L, extra_theta, extra_phi, phi_offset, 
     assert abs(power - c.l2_norm() ** 2) < 1e-9 * c.l2_norm() ** 2
 
 
-def _rounding_tol(c):
-    """Float64 rounding scale of a degree-L synthesis of c: eps times the
-    L + 1 recurrence steps times the sum of the term bounds
-    |c_lm| max|Y_lm| = |c_lm| sqrt((2l+1)/(4 pi))."""
-    l = np.arange(c.L + 1)
-    terms = np.abs(c.c) * np.sqrt((2 * l + 1) / (4 * np.pi))[:, None]
-    return np.finfo(float).eps * (c.L + 1) * terms.sum()
-
-
 # (grid degree, phi_offset): the base grid, degree 64, an offset azimuth
 TRANSFORM_GRIDS = [(16, 0.0), (64, 0.0), (16, 0.3)]
 
@@ -99,7 +90,7 @@ def test_synth_at_points_matches_grid(rng):
     for (L, phi_offset), degree in zip(TRANSFORM_GRIDS, (10, 64, 16)):
         grid = sg.make_grid(L, phi_offset=phi_offset)
         c = sg.random_coeffs(degree, 5).pad(L)
-        tol = _rounding_tol(c)
+        tol = rounding_tol(c)
         f = sg.sht_inverse(c, grid)
         assert np.abs(sg.synth_at_points(c, grid.points()) - f.values).max() < tol
         pts = random_unit(rng, 50)
@@ -186,7 +177,7 @@ def test_synth_at_points_against_scipy(L, rng):
     chunk = sg.SYNTH_BLOCK // (L + 1)
     pts = _poles_then_random(rng, chunk + 1)
     c = sg.random_coeffs(L, 40 + L)
-    tol = _rounding_tol(c)
+    tol = rounding_tol(c)
     want = _sph_harm_oracle(c, pts)
     for count in (chunk - 1, chunk, chunk + 1):
         assert np.abs(sg.synth_at_points(c, pts[:count]) - want[:count]).max() < tol
@@ -219,7 +210,7 @@ def test_synth_at_points_against_scipy_at_degree_256(rng):
     c = sg.random_coeffs(256, 296)
     pts = _poles_then_random(rng, 50)
     err = np.abs(sg.synth_at_points(c, pts) - _sph_harm_oracle(c, pts)).max()
-    assert err < _rounding_tol(c)
+    assert err < rounding_tol(c)
 
 
 def test_synth_at_points_memory_bounded_at_high_degree():
@@ -236,6 +227,19 @@ def test_synth_at_points_memory_bounded_at_high_degree():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * sg.SYNTH_BLOCK + 4 * 16 * len(pts)
+
+
+def test_rounding_truncated_keeps_the_band_limit():
+    # exact zeros above degree 8 drop and degree 8 stays, coefficients
+    # untouched; a full-band field keeps every degree, and a zero field
+    # keeps degree 0
+    c = sg.random_coeffs(8, 41)
+    cut = sg.rounding_truncated(c.pad(64))
+    assert cut.L == 8 and np.array_equal(cut.c, c.c)
+    full = sg.random_coeffs(64, 42)
+    cut = sg.rounding_truncated(full)
+    assert cut.L == 64 and np.array_equal(cut.c, full.c)
+    assert sg.rounding_truncated(sg.coeffs_zero(16)).L == 0
 
 
 def test_sampled_value_at_pole_matches_coefficient_route():
@@ -270,6 +274,8 @@ def test_grid_validation():
         sg.make_grid(1000)
     with pytest.raises(ValueError):
         sg.make_grid(L=8, n_theta=4, n_phi=40)
+    with pytest.raises(ValueError, match="n_theta=24, n_phi=0 resolve no degree: need L >= 1"):
+        sg.make_grid(n_theta=24, n_phi=0)
     g = sg.make_grid(n_theta=24, n_phi=48)
     assert g.L == 23
     assert abs(g.weights_2d().sum() - 4 * np.pi) < 1e-12
@@ -409,7 +415,7 @@ def test_batched_transforms_match():
     for (L, phi_offset), degree in zip(TRANSFORM_GRIDS, (8, 64, 16)):
         grid = sg.make_grid(L, phi_offset=phi_offset)
         c = sg.random_coeffs(degree, 17)
-        tol = _rounding_tol(c)
+        tol = rounding_tol(c)
         f = sg.sht_inverse(c.pad(L), grid)
         V = f.values.reshape(-1, 1)
         C = sg.sht_forward_columns(grid, V, c.L)
@@ -529,7 +535,7 @@ def test_synthesis_above_the_grid_degree():
     # table, leaving the grid's plan unbuilt
     grid = sg.make_grid(12, phi_offset=0.2)
     c = sg.random_coeffs(20, 8)
-    tol = _rounding_tol(c)
+    tol = rounding_tol(c)
     want = sg.synth_at_points(c, grid.points())
     assert np.abs(sg.sht_inverse(c, grid).values - want).max() < tol
     C = np.stack([c.c.reshape(-1), 1j * c.c.reshape(-1)], axis=1)

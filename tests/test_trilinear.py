@@ -313,6 +313,21 @@ def test_ring_spectrum_exact_from_coefficients_property(case, slot, seed):
     assert not F[off].any()
 
 
+def test_band_limited_callable_keeps_the_coefficient_residues(dim3):
+    # a degree-4 field's ring samples carry orders |m| <= 4 and rounding
+    # elsewhere: as a callable it keeps the 9 residues its coefficients
+    # keep, and the engine's value on callables is the coefficient value
+    from confsphere.reps import field_from_coeffs
+    fs = [sg.random_coeffs(4, 60 + j) for j in range(3)]
+    for f, grid in zip(fs, tri.triple_grids((24, 48))):
+        k, _ = tri._ring_spectrum(f, grid)
+        k_sampled, _ = tri._ring_spectrum(field_from_coeffs(f), grid)
+        assert k.size == 9 and np.array_equal(k_sampled, k)
+    engine = tri.TripleEngine(dim3, SPECTRUM_ALPHAS["real"], grid_size=(24, 48))
+    want = engine.value(*fs)
+    assert abs(engine.value(*map(field_from_coeffs, fs)) - want) <= 1e-13 * abs(want)
+
+
 def test_trace_quadrature_oracle_converges_to_exact_trace(dim3):
     # the grid quadrature of the harmonic-basis trace carries a quadrature
     # and a kernel truncation error; doubling its whole discretization

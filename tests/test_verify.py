@@ -136,18 +136,28 @@ def test_report_records_check_memory(quick_results):
 
 def test_representation_suite_synthesizes_only_sampled_fields(monkeypatch):
     # band-limited inputs act through their coefficients; only the outer
-    # step of the group law acts on samples, re-analyzed to degree 64
-    degrees = []
-    synth = reps.synth_at_points
+    # step of the group law acts on samples, re-analyzed on the degree-64
+    # grid and synthesized to the degree its coefficients carry above
+    # rounding, above the input's 8 and below the grid's 64
+    degrees, outer = [], []
+    synth, act = reps.synth_at_points, reps.pi_act
 
     def counted(coeffs, points):
         degrees.append(coeffs.L)
         return synth(coeffs, points)
 
+    def acting(*args):
+        start = len(degrees)
+        moved = act(*args)
+        outer.extend(degrees[start:])
+        return moved
+
     monkeypatch.setattr(reps, "synth_at_points", counted)
+    monkeypatch.setattr(reps, "pi_act", acting)
     cfg = verify.RunConfig(quick=True)
     assert verify.run_suite("representation", cfg).passed
-    assert degrees.count(64) == cfg.count(5)
+    assert len(outer) == cfg.count(5)
+    assert all(8 < d < 64 for d in outer), outer
     assert degrees.count(32) == 0
 
 
