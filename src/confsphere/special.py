@@ -1,9 +1,11 @@
 """Scalar special functions and 1-D quadrature primitives.
 
 The complex gamma function lives here so that closed-form reference values
-never depend on the quadrature machinery they are checked against.  One
-log-space Lanczos formula and reflection, `_log_gamma`, serves every complex
-Gamma.  The tanh-sinh nodes are built on first use, not at import.
+never depend on the quadrature machinery they are checked against.  A
+Gamma quotient whose arguments differ by an integer is the exact rational
+`pochhammer`; every other complex Gamma goes through one log-space Lanczos
+formula and reflection, `_log_gamma`.  The tanh-sinh nodes are built on
+first use, not at import.
 """
 
 from __future__ import annotations
@@ -83,6 +85,25 @@ def gamma_ratio(num, den):
             return 0j
         raise
     return cmath.exp(log)
+
+
+def pochhammer(a, m: int) -> complex:
+    """(a)_m = Gamma(a + m) / Gamma(a) for an integer m of either sign, as
+    an exact product with no Gamma evaluated: a (a+1) ... (a+m-1) for
+    m >= 0, and 1 / ((a+m) (a+m+1) ... (a-1)) for m < 0.
+
+    Where Gamma(a) has a pole as well, the product is the finite limit.
+    A vanishing divisor (m < 0) raises ZeroDivisionError naming the pole
+    a + m of Gamma(a + m), as complex_gamma does."""
+    a = complex(a)
+    out = 1.0 + 0j
+    for j in range(min(m, 0), max(m, 0)):
+        out *= a + j
+    if m >= 0:
+        return out
+    if out == 0:
+        _check_pole(a + m)
+    return 1.0 / out
 
 
 def _tanhsinh_nodes(level: int):

@@ -11,6 +11,9 @@ serves as an independent check in the test suite.
 The steps l - 1 and l - 1 + d of the Knapp-Stein ratio are built once per
 (n, L) and cached read-only (`_ratio_steps`); each call forms only its own
 ratio and product, so the eigenvalues are bitwise those of the plain formula.
+At odd n the Gamma quotient of the seed has integer-spaced arguments and is
+the exact rational 1 / (d/2 + h)_{d/2}; only even n and the vanishing
+degrees below l0 go through the log-space `gamma_ratio`.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import math
 import numpy as np
 
 from .lorentz import Dimension
-from .special import gamma_ratio
+from .special import gamma_ratio, pochhammer
 from .sphgrid import HarmonicCoeffs
 
 
@@ -107,7 +110,9 @@ def knapp_stein_multipliers(dim: Dimension, alpha: complex, L: int) -> np.ndarra
     """Eigenvalues e_l(alpha), l = 0..L, of convolution with the kernel
     |x - y|^s, s = -rho + alpha, on S^d, d = n - 1 (Beckner 1993):
         e_l = 2^{d+s} pi^{d/2} Gamma((d+s)/2) (-s/2)_l / Gamma(l + d + s/2),
-    seeded in log space and stepped by
+    seeded at odd n (d even) by the rational
+        e_0 = 2^{d+s} pi^{d/2} / ((d+s)/2)_{d/2},
+    at even n by the log-space Gamma quotient, and stepped by
         e_l = e_{l-1} (l - 1 - s/2) / (l - 1 + d + s/2),
     the ratio and its running product formed in place in the returned array.
 
@@ -121,11 +126,15 @@ def knapp_stein_multipliers(dim: Dimension, alpha: complex, L: int) -> np.ndarra
     l0 = 0
     if h.imag == 0.0 and h.real == math.floor(h.real) and d + h.real <= 0.0:
         l0 = int(1.0 - d - h.real)
-    num, den = [d / 2.0 + h], [l0 + d + h]
-    if l0 > 0:   # the Pochhammer factor (-s/2)_{l0}, with -s/2 >= d
-        num.append(l0 - h)
-        den.append(-h)
-    seed = 2.0 ** (d + 2.0 * h) * math.pi ** (d / 2.0) * gamma_ratio(num, den)
+    if l0 == 0 and dim.n % 2:    # d even: Gamma(d/2+h) / Gamma(d+h) = 1 / (d/2+h)_{d/2}
+        ratio = pochhammer(d + h, (1 - dim.n) // 2)
+    else:
+        num, den = [d / 2.0 + h], [l0 + d + h]
+        if l0 > 0:   # the Pochhammer factor (-s/2)_{l0}, with -s/2 >= d
+            num.append(l0 - h)
+            den.append(-h)
+        ratio = gamma_ratio(num, den)
+    seed = 2.0 ** (d + 2.0 * h) * math.pi ** (d / 2.0) * ratio
     vals = np.zeros(L + 1, dtype=complex)
     if l0 <= L:
         steps, shifted = _ratio_steps(dim.n, L)

@@ -59,7 +59,7 @@ import numpy as np
 
 from .lorentz import Dimension
 from .sphgrid import HarmonicCoeffs, make_grid, sht_forward_columns, sht_synthesize_columns
-from .special import _is_pole, _log_gamma, gamma_ratio, ultraspherical_table
+from .special import _is_pole, _log_gamma, gamma_ratio, pochhammer, ultraspherical_table
 from .spectral_ops import check_order, laplacian_multipliers
 from .mero import pair_separation_power, residue_ring
 
@@ -146,7 +146,11 @@ def closed_form_constant(dim: Dimension, alpha) -> complex:
 def closed_form_constant_residue(dim: Dimension, k: int, a1, a2) -> complex:
     """Half-parameter residue of the closed form in a3 at a3 = -rho - 2k
     for constant inputs; equals c_k times the singular form of constant
-    inputs."""
+    inputs.  At n = 3 its Gamma quotients have integer-spaced arguments,
+    so it is the rational
+        pref ((a1+rho)/2-k)_k ((a2+rho)/2-k)_k / ((a1+a2)/2-k)_{k+rho},
+    with poles exactly on the singular lines a1 + a2 = 2k - 2l, l = 0..k,
+    and finite on a1 + a2 = -2, -4, ..., where the Gamma form is 0/0."""
     if dim.n != 3:
         raise ValueError("the closed form is implemented for n = 3")
     check_order(k)
@@ -154,9 +158,8 @@ def closed_form_constant_residue(dim: Dimension, k: int, a1, a2) -> complex:
     a1, a2 = complex(a1), complex(a2)
     pref = (8.0 * math.pi ** 3 * 2.0 ** (a1 + a2 - rho - 2 * k)
             * (-1.0) ** k / math.gamma(k + 1.0))
-    num = [(a1 + a2) / 2 - k, (a1 + rho) / 2, (a2 + rho) / 2]
-    den = [(rho + a2) / 2 - k, (rho + a1) / 2 - k, rho + (a1 + a2) / 2]
-    return pref * gamma_ratio(num, den)
+    return (pref * pochhammer((a1 + rho) / 2 - k, k) * pochhammer((a2 + rho) / 2 - k, k)
+            * pochhammer(rho + (a1 + a2) / 2, -k - int(rho)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import scipy.special as sp
 
 from confsphere.lorentz import Dimension
 from confsphere import sphgrid
-from confsphere.special import gamma_ratio
+from confsphere.special import gamma_ratio, pochhammer
 
 
 @pytest.fixture(scope="session")
@@ -67,11 +67,15 @@ def knapp_stein_formula(dim, alpha, L):
     l0 = 0
     if h.imag == 0.0 and h.real == math.floor(h.real) and d + h.real <= 0.0:
         l0 = int(1.0 - d - h.real)
-    num, den = [d / 2.0 + h], [l0 + d + h]
-    if l0 > 0:
-        num.append(l0 - h)
-        den.append(-h)
-    seed = 2.0 ** (d + 2.0 * h) * math.pi ** (d / 2.0) * gamma_ratio(num, den)
+    if l0 == 0 and dim.n % 2:
+        ratio = pochhammer(d + h, (1 - dim.n) // 2)
+    else:
+        num, den = [d / 2.0 + h], [l0 + d + h]
+        if l0 > 0:
+            num.append(l0 - h)
+            den.append(-h)
+        ratio = gamma_ratio(num, den)
+    seed = 2.0 ** (d + 2.0 * h) * math.pi ** (d / 2.0) * ratio
     vals = np.zeros(L + 1, dtype=complex)
     if l0 <= L:
         l = np.arange(l0 + 1, L + 1)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sp
@@ -261,6 +262,41 @@ def test_knapp_stein_poles_and_exceptional_points():
         assert np.max(np.abs(got[~zero] - want[~zero]) / np.abs(want[~zero])) < 1e-13
     assert abs(knapp_stein_multiplier(Dimension(4), -6.0 + 1.5, 1)
                - np.pi ** 2 / 2) < 1e-13
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 4, 6])
+def test_knapp_stein_against_the_oracle_at_odd_and_even_n(n):
+    # odd n seeds with the exact 1 / (d/2 + h)_{d/2}, even n with the
+    # log-space Gamma quotient; both agree with scipy's closed form for
+    # l <= 32 at random complex and real s off the poles and near-zeros,
+    # and at n = 3 on the exact zeros e_l = 0, l > s/2, of s = 2 and 6
+    dim = Dimension(n)
+    rng = np.random.default_rng(300 + n)
+    exponents = ([complex(rng.uniform(-12.0, 45.0), rng.uniform(-3.0, 3.0)) for _ in range(20)]
+                 + [float(s) for s in rng.uniform(-12.0, 45.0, 20)]
+                 + ([2.0, 6.0] if n == 3 else []))
+    checked = 0
+    for s in exponents:
+        if (_lattice_distance(n, complex(s)) < 0.05
+                or (np.isrealobj(s) and 0.0 < abs(s - 2.0 * round(s / 2.0)) < 0.05)):
+            continue
+        got = so.knapp_stein_multipliers(dim, s + dim.rho, 32)
+        want = knapp_stein_oracle(n, s, 32)
+        zero = want == 0.0
+        assert zero.sum() == (32 - s / 2 if s in (2.0, 6.0) else 0)
+        assert np.all(got[zero] == 0.0)
+        assert np.max(np.abs(got[~zero] - want[~zero]) / np.abs(want[~zero])) < 1e-13, (n, s)
+        checked += 1
+    assert checked >= 30
+    # at odd n the seed e_0 against mpmath at 50 digits: exact up to the
+    # rounding of 2^{d+s} and of the d/2 factors of the Pochhammer symbol
+    for s in exponents[:5] if n % 2 else ():
+        with mpmath.workdps(50):
+            want = complex(mpmath.mpf(2) ** (n - 1 + mpmath.mpc(s)) * mpmath.pi ** ((n - 1) / 2)
+                           * mpmath.gammaprod([(n - 1 + mpmath.mpc(s)) / 2],
+                                              [n - 1 + mpmath.mpc(s) / 2]))
+        got = so.knapp_stein_multipliers(dim, s + dim.rho, 0)[0]
+        assert abs(got - want) <= 1e-14 * abs(want), (n, s)
 
 
 def _lattice_distance(n, s):

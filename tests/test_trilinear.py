@@ -1,12 +1,16 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+import scipy.special as sp
 from scipy.special import loggamma
 
 from confsphere.lorentz import Dimension, boost, random_element, rotation
 from confsphere import sphgrid as sg, trilinear as tri, verify
-from confsphere.special import complex_gamma, gamma_ratio
+from confsphere.special import complex_gamma, gamma_ratio, pochhammer
 from confsphere.spectral_ops import gjms_constant, knapp_stein_multipliers
 from conftest import random_unit
 
@@ -860,6 +864,101 @@ def test_closed_residue_consistent_with_closed_form(dim3):
         assert abs(fit.residue / 2.0 - want) <= 1e-9 * abs(want)
 
 
+def _gamma_ratio_residue(k, a1, a2):
+    """closed_form_constant_residue at n = 3 as the log-space Gamma quotient
+    pref Gamma((a1+a2)/2-k) Gamma((a1+1)/2) Gamma((a2+1)/2)
+    / [Gamma((a2+1)/2-k) Gamma((a1+1)/2-k) Gamma(1+(a1+a2)/2)]."""
+    pref = 8.0 * np.pi ** 3 * 2.0 ** (a1 + a2 - 1.0 - 2 * k) * (-1.0) ** k / math.factorial(k)
+    return pref * gamma_ratio([(a1 + a2) / 2 - k, (a1 + 1) / 2, (a2 + 1) / 2],
+                              [(a2 + 1) / 2 - k, (a1 + 1) / 2 - k, 1 + (a1 + a2) / 2])
+
+
+def _mpmath_residue(k, a1, a2):
+    """The same quotient at 50 digits by mpmath.gammaprod, which takes the
+    limit where numerator and denominator poles cancel."""
+    with mpmath.workdps(50):
+        a1, a2 = mpmath.mpc(a1), mpmath.mpc(a2)
+        pref = (8 * mpmath.pi ** 3 * mpmath.mpf(2) ** (a1 + a2 - 1 - 2 * k)
+                * (-1) ** k / mpmath.factorial(k))
+        return complex(pref * mpmath.gammaprod(
+            [(a1 + a2) / 2 - k, (a1 + 1) / 2, (a2 + 1) / 2],
+            [(a2 + 1) / 2 - k, (a1 + 1) / 2 - k, 1 + (a1 + a2) / 2]))
+
+
+def test_constant_residue_is_finite_at_removable_points(dim3):
+    # on a1 + a2 = -2, -4, ... the poles of Gamma((a1+a2)/2 - k) and
+    # Gamma(1 + (a1+a2)/2) cancel: the residue is the limit there and
+    # accurate near there, while singular_form still raises on these lines
+    one = sg.coeffs_constant(1.0, 2)
+    for k, a1, a2, want in ((1, 0.3, -2.3, -2.2382655978591433),
+                            (2, 0.3, -4.3, -0.04612846021724268)):
+        got = tri.closed_form_constant_residue(dim3, k, a1, a2)
+        assert abs(got - want) <= 1e-15 * abs(want)
+        assert abs(got - _mpmath_residue(k, a1, a2)) <= 1e-14 * abs(want)
+        with pytest.raises(ValueError, match="pole"):
+            tri.singular_form(dim3, k, a1, a2, one, one, one)
+    for k, tau in ((1, -2.0), (1, -4.0), (2, -2.0), (2, -6.0)):
+        for dist in (1e-2, 1e-3, 1e-5, -1e-5, 1e-3j):
+            a1 = 0.3 + 0.1j
+            a2 = tau - a1 + dist
+            want = _mpmath_residue(k, a1, a2)
+            got = tri.closed_form_constant_residue(dim3, k, a1, a2)
+            assert abs(got - want) <= 1e-14 * abs(want), (k, tau, dist)
+
+
+def _gamma_argument_distance(k, a1, a2):
+    """Distance from the nearest Gamma argument of _gamma_ratio_residue to
+    a pole of Gamma; its reflection formula loses digits in proportion."""
+    args = ((a1 + a2) / 2 - k, (a1 + 1) / 2, (a2 + 1) / 2,
+            (a2 + 1) / 2 - k, (a1 + 1) / 2 - k, 1 + (a1 + a2) / 2)
+    return min(abs(z - min(0, round(z.real))) for z in args)
+
+
+@st.composite
+def _residue_points(draw):
+    """(k, a1, a2): a generic complex point, or a point on a lattice line
+    a1 + a2 = 2k - 2l, l = 0..k+3 (singular for l <= k, removable beyond),
+    on a 1/8 grid so that the sum is exact."""
+    k = draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        a1, a2 = (complex(draw(st.floats(-7.0, 7.0)), draw(st.floats(-2.0, 2.0)))
+                  for _ in range(2))
+    else:
+        a1 = complex(draw(st.integers(-56, 56)) / 8, draw(st.integers(-16, 16)) / 8)
+        a2 = 2 * k - 2 * draw(st.integers(0, k + 3)) - a1
+    return k, a1, a2
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(point=_residue_points())
+@example(point=(1, 0.3 + 0j, -2.3 + 0j))       # removable
+@example(point=(2, 0.3 + 0.2j, 1.7 - 0.2j))    # singular, l = 1
+def test_rational_residue_matches_the_gamma_quotient_property(point):
+    # on the singular lines a1 + a2 = 2k - 2l, 0 <= l <= k, both raise; on
+    # the removable lines below them the product is finite where the
+    # quotient raises; elsewhere the two agree.  Where a zero plane
+    # a_j = 2k - 2i - 1 (i < k) crosses a singular line the quotient is
+    # indeterminate, and the two differ (0 against a raise)
+    k, a1, a2 = point
+    dim = Dimension(3)
+    tau = a1 + a2
+    if tau.imag == 0.0 and tau.real in range(2 * k, -8, -2):
+        if tau.real < 0.0:
+            assert np.isfinite(tri.closed_form_constant_residue(dim, k, a1, a2))
+            return
+        zero_planes = range(1, 2 * k, 2)
+        assume(not any(a.imag == 0.0 and a.real in zero_planes for a in (a1, a2)))
+        with pytest.raises(ZeroDivisionError, match="gamma pole"):
+            _gamma_ratio_residue(k, a1, a2)
+        with pytest.raises(ZeroDivisionError, match="gamma pole"):
+            tri.closed_form_constant_residue(dim, k, a1, a2)
+        return
+    assume(_gamma_argument_distance(k, a1, a2) >= 0.05)
+    got = tri.closed_form_constant_residue(dim, k, a1, a2)
+    want = _gamma_ratio_residue(k, a1, a2)
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
 def test_pole_scan_planes(dim3):
     reports = tri.pole_scan(dim3, "alpha3", window=(-6.5, 0.5),
                             a1=0.31, a2=0.77)
@@ -945,6 +1044,25 @@ def test_gamma_ratio_poles_raise(dim3):
     assert tri.closed_form_constant(dim3, (0.6, 0.8, -2.6)) == 0.0
     near = tri.closed_form_constant(dim3, (0.6, 0.8, -2.6 + 1e-9))
     assert 0.0 < abs(near) < 1e-6
+
+
+def test_pochhammer_against_scipy_and_mpmath():
+    # (a)_m = Gamma(a + m) / Gamma(a) for m of either sign, as a product
+    for a in (0.3, -2.7, 5.5, -0.5, 40.25):
+        for m in range(-6, 7):
+            want = sp.poch(a, m)
+            assert abs(pochhammer(a, m) - want) <= 1e-14 * abs(want), (a, m)
+    for a in (0.3 + 0.2j, -4.6 - 1.3j, 12.0 + 7.0j):
+        for m in (-5, -1, 0, 1, 5):
+            want = complex(mpmath.rf(mpmath.mpc(a), m))
+            assert abs(pochhammer(a, m) - want) <= 1e-14 * abs(want), (a, m)
+    # a vanishing factor: 0 for m > 0; a pole of Gamma(a + m) for m < 0,
+    # named as complex_gamma names it; the finite limit where Gamma(a)
+    # has a pole too, Gamma(-3) / Gamma(-1) = 1/6
+    assert pochhammer(-2.0, 3) == 0.0
+    with pytest.raises(ZeroDivisionError, match=r"gamma pole at z=\(-2\+0j\)"):
+        pochhammer(1.0, -3)
+    assert pochhammer(-1.0, -2) == 1.0 / 6.0
 
 
 def test_log_space_closed_forms_match_products(dim3, monkeypatch):
