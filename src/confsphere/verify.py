@@ -18,6 +18,7 @@ made in this module, which reports it.  Everything here is n = 3 (DIM).
 
 from __future__ import annotations
 
+import functools
 import math
 import resource
 import time
@@ -423,18 +424,18 @@ SMOOTH_PAIRS = [((1, 1, 1), (3, 1, 1)), ((3, 1, 1), (3, 3, 1)),
                 ((5, 3, 3), (3, 3, 1))]
 
 
-def _conditioned_fields(engine, seed):
-    """Random real band-limited triples kept only when the engine's form
-    value is not nearly cancelled (|K| at least 0.08 times the field
+def _conditioned_fields(value, seed):
+    """Random real band-limited triples kept only when the form `value`
+    is not nearly cancelled (|K| at least 0.08 times the field
     norms); a relative invariance defect is meaningless on degenerate
     draws.  Returns the triple and its form value."""
     for attempt in range(16):
         fs = [sphgrid.random_coeffs(4, seed + attempt * 37 + j, real_field=True)
               for j in range(3)]
         scale = float(np.prod([f.l2_norm() for f in fs]))
-        value = engine.value(*fs)
-        if abs(value) >= 0.08 * scale:
-            return fs, value
+        v = value(*fs)
+        if abs(v) >= 0.08 * scale:
+            return fs, v
     raise RuntimeError("no well-conditioned field triple found")
 
 
@@ -515,69 +516,57 @@ def fast_direct_defects(instances) -> list:
 
 def generic_invariance_defects(instances) -> list:
     """Per (exponent seed, group seed, field seed): the generic form's
-    invariance defect as (defect, alpha, g, fields)."""
+    invariance defect as (defect, alpha, g, fields), the exact K-type
+    value on fields moved and projected to degree 12 on the (48, 96) grid:
+    K-types to S = 36, whose cached level factors add about 2 MB of max
+    RSS, against 16 MB at degree 16 (S = 48)."""
+    grid = sphgrid.make_grid(n_theta=48, n_phi=96)
     drawn = []
     for a_seed, g_seed, f_seed in instances:
         rng_a = np.random.default_rng(a_seed)
         # generic non-integer exponents, singular enough to be interesting
-        # but integrable enough that the default grids hold 1e-3
+        # and inside the direct engine's convergence region
         alpha = tuple(1.45 + 0.5 * rng_a.random() for _ in range(3))
         g = random_element(DIM, g_seed, max_boost=0.3)
-        engine = trilinear.TripleEngine(DIM, alpha)
-        fs, base = _conditioned_fields(engine, f_seed)
-        drawn.append((generic_invariance_defect(engine, g, *fs, base=base), alpha, g, fs))
+        value = functools.partial(trilinear.generic_form, DIM, alpha, method="fast")
+        fs, base = _conditioned_fields(value, f_seed)
+        lam = trilinear.lambda_from_alpha(alpha).lam
+        drawn.append((invariance_defect(value, lam, g, fs, grid, 12, base=base), alpha, g, fs))
     return drawn
-
-
-def generic_invariance_defect(engine, g, f1, f2, f3, base: complex | None = None) -> float:
-    """Relative change of the engine's generic form when the three inputs
-    move by the principal-series actions tied to its alpha; `base`, the
-    engine's value on the inputs, is evaluated when not given."""
-    lam = trilinear.lambda_from_alpha(engine.alpha).lam
-    if base is None:
-        base = engine.value(f1, f2, f3)
-    moved = engine.value(*(reps.pi_pointwise(DIM, lj, g, f)
-                           for lj, f in zip(lam, (f1, f2, f3))))
-    return abs(moved - base) / abs(base)
 
 
 def singular_invariance_defects(instances) -> list:
     """Per (k, a1, a2, group seed, field seed): the k-th singular form's
     invariance defect as (defect, g, fields), the moved fields projected
-    on the (48, 96) grid."""
+    to degree 16 on the (48, 96) grid."""
     grid = sphgrid.make_grid(n_theta=48, n_phi=96)
     drawn = []
     for k, a1, a2, g_seed, f_seed in instances:
         g = random_element(DIM, g_seed, max_boost=0.3)
         fs = [sphgrid.random_coeffs(4, f_seed + j, real_field=True) for j in range(3)]
-        drawn.append((singular_invariance_defect(k, a1, a2, g, *fs, grid), g, fs))
+        lam = trilinear.lambda_from_alpha((a1, a2, -DIM.rho - 2.0 * k)).lam
+        value = functools.partial(trilinear.singular_form, DIM, k, a1, a2)
+        drawn.append((invariance_defect(value, lam, g, fs, grid, 16), g, fs))
     return drawn
 
 
-def _band_limited(fields, grid, L: int) -> list:
-    """Callables projected to HarmonicCoeffs of degree L by analysis on
-    the grid."""
-    if L > grid.L:
-        raise ValueError(f"grid resolves degree {grid.L}, requested {L}")
+def moved_coeffs(lam, g, fields, grid, L: int) -> list:
+    """pi_{lam_j}(g) f_j for HarmonicCoeffs f_j, projected to
+    HarmonicCoeffs of degree L by one analysis of all of them on the grid."""
     P = grid.flat_points()
-    C = sphgrid.sht_forward_columns(grid, np.stack([f(P) for f in fields], axis=1), L)
+    C = sphgrid.sht_forward_columns(grid, np.stack(
+        [reps.pi_pointwise(DIM, lj, g, f)(P) for lj, f in zip(lam, fields)], axis=1), L)
     return [sphgrid.HarmonicCoeffs(L, c.reshape(L + 1, -1)) for c in C.T]
 
 
-def singular_invariance_defect(k: int, a1, a2, g, f1, f2, f3, grid,
-                               L_project: int | None = None) -> float:
-    """Relative change of the singular form under the principal-series
-    actions tied to (a1, a2, a3 = -rho - 2k).  The inputs are
-    HarmonicCoeffs; the moved fields are callables, projected once to
-    degree L_project (default 4x the largest input degree, at least 8,
-    capped at what the grid resolves) on the grid (`_band_limited`)."""
-    lam = trilinear.lambda_from_alpha((a1, a2, -DIM.rho - 2.0 * k)).lam
-    base = trilinear.singular_form(DIM, k, a1, a2, f1, f2, f3)
-    if L_project is None:
-        L_project = min(grid.L, max(8, 4 * max(f.L for f in (f1, f2, f3))))
-    moved = _band_limited([reps.pi_pointwise(DIM, lj, g, f)
-                           for lj, f in zip(lam, (f1, f2, f3))], grid, L_project)
-    return abs(trilinear.singular_form(DIM, k, a1, a2, *moved) - base) / abs(base)
+def invariance_defect(value, lam, g, fields, grid, L: int, base=None) -> float:
+    """|value(*moved) - base| / |base| for a trilinear form `value` on
+    HarmonicCoeffs: `moved` are the fields moved by the principal-series
+    actions of parameters lam and projected by `moved_coeffs`; `base`,
+    value on the fields themselves, is evaluated when not given."""
+    if base is None:
+        base = value(*fields)
+    return abs(value(*moved_coeffs(lam, g, fields, grid, L)) - base) / abs(base)
 
 
 def bridge_order_zero_defect(field_seed: int) -> float:

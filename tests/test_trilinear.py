@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -109,7 +110,10 @@ def test_rotation_invariance_exact_at_polynomial_exponents(dim3, rng):
         q[:, 0] = -q[:, 0]
     g = rotation(q, dim3)
     fs = [sg.random_coeffs(3, 70 + j, real_field=True) for j in range(3)]
-    defect = verify.generic_invariance_defect(tri.TripleEngine(dim3, (3, 3, 1)), g, *fs)
+    # a rotation keeps the degree, so projecting to degree 3 is exact
+    defect = verify.invariance_defect(tri.TripleEngine(dim3, (3, 3, 1)).value,
+                                      tri.lambda_from_alpha((3, 3, 1)).lam, g, fs,
+                                      sg.make_grid(3), 3)
     assert defect < 1e-9
 
 
@@ -414,13 +418,11 @@ def test_ktype_invariance_at_continued_alpha(dim3):
     # far outside the convergence region the K-type sum is still the
     # invariant form: degree-3 fields moved by a boost and projected to
     # degree 14 (S = 42) give the value of the unmoved fields (S = 9)
-    from confsphere.reps import pi_pointwise
     alpha = (0.3, 0.4, -1.8 + 0.1j)
     lam = tri.lambda_from_alpha(alpha).lam
     g = boost(0.15, dim3)
     fs = [sg.random_coeffs(3, 70 + j, real_field=True) for j in range(3)]
-    moved = verify._band_limited([pi_pointwise(dim3, lj, g, f) for lj, f in zip(lam, fs)],
-                                 sg.make_grid(n_theta=48, n_phi=96), 14)
+    moved = verify.moved_coeffs(lam, g, fs, sg.make_grid(n_theta=48, n_phi=96), 14)
     base = tri.generic_form(dim3, alpha, *fs, method="fast")
     got = tri.generic_form(dim3, alpha, *moved, method="fast")
     assert abs(got - base) <= 1e-12 * abs(base)
@@ -598,11 +600,9 @@ def test_alpha3_family_memory_bounded_on_projected_fields(dim3):
     # component integrals synthesize 17 degree parts per field on the
     # 1225 nodes of the grid of degree 24
     import tracemalloc
-    from confsphere.reps import pi_pointwise
     g = random_element(dim3, 185, max_boost=0.3)
     fs = [sg.random_coeffs(4, 186 + j, real_field=True) for j in range(3)]
-    moved = verify._band_limited([pi_pointwise(dim3, 0.5, g, f) for f in fs],
-                                 sg.make_grid(n_theta=48, n_phi=96), 16)
+    moved = verify.moved_coeffs((0.5,) * 3, g, fs, sg.make_grid(n_theta=48, n_phi=96), 16)
     tracemalloc.start()
     try:
         tri.generic_form_alpha3_family(dim3, 3.3, 3.7, *moved)(1.9)
@@ -767,24 +767,19 @@ def test_singular_form_constant_inputs_match_closed_residue(dim3, k):
         assert abs(got - want) <= 1e-12 * abs(want)
 
 
+def _singular_invariance_defect(dim, k, a1, a2, g, fs, grid, L):
+    lam = tri.lambda_from_alpha((a1, a2, -dim.rho - 2.0 * k)).lam
+    return verify.invariance_defect(partial(tri.singular_form, dim, k, a1, a2),
+                                    lam, g, fs, grid, L)
+
+
 def test_singular_invariance(dim3):
     g = random_element(dim3, 111, max_boost=0.3)
     fs = [sg.random_coeffs(4, 120 + j, real_field=True) for j in range(3)]
     for k, a1, a2 in ((0, 1.45, 2.83), (1, 1.45, 4.62)):
-        defect = verify.singular_invariance_defect(
-            k, a1, a2, g, *fs, grid=sg.make_grid(n_theta=48, n_phi=96), L_project=16)
+        defect = _singular_invariance_defect(
+            dim3, k, a1, a2, g, fs, sg.make_grid(n_theta=48, n_phi=96), 16)
         assert defect < 1e-3
-
-
-def test_singular_invariance_default_projection_degree(dim3):
-    # degree-4 inputs: the moved fields are projected to 4x the largest
-    # input degree, 16, below the 47 that the grid (48, 96) resolves
-    g = random_element(dim3, 111, max_boost=0.3)
-    fs = [sg.random_coeffs(4, 120 + j, real_field=True) for j in range(3)]
-    args = (0, 1.45, 2.83, g, *fs, sg.make_grid(n_theta=48, n_phi=96))
-    default = verify.singular_invariance_defect(*args)
-    assert default == verify.singular_invariance_defect(*args, L_project=16)
-    assert default != verify.singular_invariance_defect(*args, L_project=32)
 
 
 def test_singular_invariance_continued(dim3):
@@ -793,8 +788,8 @@ def test_singular_invariance_continued(dim3):
     g = random_element(dim3, 112, max_boost=0.3)
     fs = [sg.random_coeffs(4, 125 + j, real_field=True) for j in range(3)]
     for k, a1, a2 in ((1, 0.4, 0.9), (1, 0.3, -0.2 + 0.4j), (2, 1.1, 0.7)):
-        defect = verify.singular_invariance_defect(
-            k, a1, a2, g, *fs, grid=sg.make_grid(n_theta=24, n_phi=48), L_project=16)
+        defect = _singular_invariance_defect(
+            dim3, k, a1, a2, g, fs, sg.make_grid(n_theta=24, n_phi=48), 16)
         assert defect < 1e-9
 
 
@@ -1074,30 +1069,23 @@ def test_log_space_closed_forms_match_products(dim3, monkeypatch):
         try:
             with monkeypatch.context() as mp:
                 mp.setattr(tri, "gamma_ratio", _product_gamma_ratio)
-                want = (tri.closed_form_constant(dim3, a),
-                        tri.closed_form_constant_residue(dim3, 1, a[0], a[1]))
+                want = tri.closed_form_constant(dim3, a)
         except (OverflowError, ZeroDivisionError):
             continue
-        got = (tri.closed_form_constant(dim3, a),
-               tri.closed_form_constant_residue(dim3, 1, a[0], a[1]))
-        for g, w in zip(got, want):
-            assert abs(g - w) <= 1e-13 * abs(w)
+        assert abs(tri.closed_form_constant(dim3, a) - want) <= 1e-13 * abs(want)
         checked += 1
     assert checked > 150
-    scans = [("alpha3", dict(window=(-6.5, 0.5), a1=0.31, a2=0.77)),
-             ("singular_line", dict(window=(-3.0, 3.0), k=1, delta=0.26)),
-             ("singular_line", dict(window=(-1.0, 5.0), k=2, delta=0.26))]
-    for family, kw in scans:
-        with monkeypatch.context() as mp:
-            mp.setattr(tri, "gamma_ratio", _product_gamma_ratio)
-            want = tri.pole_scan(dim3, family, **kw)
-        got = tri.pole_scan(dim3, family, **kw)
-        assert [(r.family, r.k) for r in got] == [(r.family, r.k) for r in want]
-        for g, w in zip(got, want):
-            # positions relative to the O(1) scale of the scan variable
-            # (a pole at 0 is fitted to within rounding of 0)
-            assert abs(g.position - w.position) <= 1e-13 * max(1.0, abs(w.position))
-            assert abs(g.residue - w.residue) <= 1e-13 * abs(w.residue)
+    kw = dict(window=(-6.5, 0.5), a1=0.31, a2=0.77)
+    with monkeypatch.context() as mp:
+        mp.setattr(tri, "gamma_ratio", _product_gamma_ratio)
+        want = tri.pole_scan(dim3, "alpha3", **kw)
+    got = tri.pole_scan(dim3, "alpha3", **kw)
+    assert [(r.family, r.k) for r in got] == [(r.family, r.k) for r in want]
+    for g, w in zip(got, want):
+        # positions relative to the O(1) scale of the scan variable
+        # (a pole at 0 is fitted to within rounding of 0)
+        assert abs(g.position - w.position) <= 1e-13 * max(1.0, abs(w.position))
+        assert abs(g.residue - w.residue) <= 1e-13 * abs(w.residue)
 
 
 def test_kernel_pullback_identity_and_rotation(dim3, rng):
