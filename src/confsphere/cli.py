@@ -121,8 +121,8 @@ def cmd_residue(args) -> int:
     spectral_ops.check_order(args.k)
     f = _load_field(args.f)
     center = -(DIM.n - 1.0) - 2.0 * args.k
-    fit = mero.residue_ring(lambda z: mero.pair_distance_power(DIM, z, f),
-                            center, radius=args.radius, m=args.ring_size)
+    fit, = mero.residue_rings(lambda z: mero.pair_distance_power(DIM, z, f),
+                              [center], radius=args.radius, m=args.ring_size)
     _emit(args, "residue.json", {
         "center": _cnum(fit.center),
         "radius": _fmt(fit.radius),
@@ -178,6 +178,7 @@ def cmd_pole_scan(args) -> int:
         "poles": [{
             "family": r.family, "k": r.k, "location": r.location,
             "position": _cnum(r.position), "residue": _cnum(r.residue),
+            "condition": _fmt(r.condition),
         } for r in reports],
     })
     return 0

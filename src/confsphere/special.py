@@ -1,11 +1,11 @@
-"""Scalar special functions and 1-D quadrature primitives.
+"""Special functions and 1-D quadrature primitives.
 
 The complex gamma function lives here so that closed-form reference values
 never depend on the quadrature machinery they are checked against.  A
 Gamma quotient whose arguments differ by an integer is the exact rational
-`pochhammer`; every other complex Gamma goes through one log-space Lanczos
-formula and reflection, `_log_gamma`.  The tanh-sinh nodes are built on
-first use, not at import.
+`pochhammer`, which also takes an array of arguments; every other complex
+Gamma goes through one scalar log-space Lanczos formula and reflection,
+`_log_gamma`.  The tanh-sinh nodes are built on first use, not at import.
 """
 
 from __future__ import annotations
@@ -87,21 +87,32 @@ def gamma_ratio(num, den):
     return cmath.exp(log)
 
 
-def pochhammer(a, m: int) -> complex:
+def as_complex(x):
+    """complex(x) for a number; a complex copy for an ndarray."""
+    return x.astype(complex) if isinstance(x, np.ndarray) else complex(x)
+
+
+def pochhammer(a, m: int):
     """(a)_m = Gamma(a + m) / Gamma(a) for an integer m of either sign, as
     an exact product with no Gamma evaluated: a (a+1) ... (a+m-1) for
     m >= 0, and 1 / ((a+m) (a+m+1) ... (a-1)) for m < 0.
 
     Where Gamma(a) has a pole as well, the product is the finite limit.
     A vanishing divisor (m < 0) raises ZeroDivisionError naming the pole
-    a + m of Gamma(a + m), as complex_gamma does."""
-    a = complex(a)
-    out = 1.0 + 0j
+    a + m of Gamma(a + m), as complex_gamma does.  For an ndarray `a` the
+    product is taken entrywise, and a vanishing divisor anywhere raises as
+    the scalar call at its first such entry does."""
+    array = isinstance(a, np.ndarray)
+    a = a.astype(complex) if array else complex(a)
+    out = np.ones_like(a) if array else 1.0 + 0j
     for j in range(min(m, 0), max(m, 0)):
         out *= a + j
     if m >= 0:
         return out
-    if out == 0:
+    if array:
+        if not out.all():
+            _check_pole(complex(a[out == 0][0]) + m)
+    elif out == 0:
         _check_pole(a + m)
     return 1.0 / out
 

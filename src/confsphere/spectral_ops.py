@@ -13,7 +13,9 @@ The steps l - 1 and l - 1 + d of the Knapp-Stein ratio are built once per
 ratio and product, so the eigenvalues are bitwise those of the plain formula.
 At odd n the Gamma quotient of the seed has integer-spaced arguments and is
 the exact rational 1 / (d/2 + h)_{d/2}; only even n and the vanishing
-degrees below l0 go through the log-space `gamma_ratio`.
+degrees below l0 go through the log-space `gamma_ratio`.  An array of
+alpha gives one row of eigenvalues per entry, so a contour ring of
+pairings is one call.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ def _ratio_steps(n: int, L: int) -> tuple:
     return out
 
 
-def knapp_stein_multipliers(dim: Dimension, alpha: complex, L: int) -> np.ndarray:
+def knapp_stein_multipliers(dim: Dimension, alpha, L: int) -> np.ndarray:
     """Eigenvalues e_l(alpha), l = 0..L, of convolution with the kernel
     |x - y|^s, s = -rho + alpha, on S^d, d = n - 1 (Beckner 1993):
         e_l = 2^{d+s} pi^{d/2} Gamma((d+s)/2) (-s/2)_l / Gamma(l + d + s/2),
@@ -120,7 +122,12 @@ def knapp_stein_multipliers(dim: Dimension, alpha: complex, L: int) -> np.ndarra
     lattice s = -d - 2k.  Where Gamma(l + d + s/2) has a pole off that
     lattice (real even s <= -2d, n even) e_l vanishes, so the recurrence
     starts at the first degree where it is finite.
+
+    An ndarray of alpha gives alpha.shape + (L + 1,): one row per entry,
+    the scalar call's up to rounding (`_knapp_stein_rows`).
     """
+    if isinstance(alpha, np.ndarray):
+        return _knapp_stein_rows(dim, alpha, L)
     d = dim.n - 1.0
     h = (complex(alpha) - dim.rho) / 2.0
     l0 = 0
@@ -144,4 +151,28 @@ def knapp_stein_multipliers(dim: Dimension, alpha: complex, L: int) -> np.ndarra
         run[1:] /= shifted[l0:] + h
         np.multiply.accumulate(run, out=run)     # the cumulative product
         np.multiply(seed, run, out=run)
+    return vals
+
+
+def _knapp_stein_rows(dim: Dimension, alpha: np.ndarray, L: int) -> np.ndarray:
+    """knapp_stein_multipliers for every entry of alpha, one row each.  At
+    odd n the rational seed, the ratio and its running product are array
+    operations along the rows.  At even n, or where some h = s/2 is a real
+    integer with d + h <= 0 (vanishing degrees, or the pole lattice, which
+    raises), every row is the scalar call."""
+    d = dim.n - 1.0
+    h = (alpha.astype(complex) - dim.rho) / 2.0
+    if dim.n % 2 == 0 or np.any((h.imag == 0.0) & (h.real == np.floor(h.real))
+                                & (d + h.real <= 0.0)):
+        return np.array([knapp_stein_multipliers(dim, a, L) for a in alpha.ravel().tolist()]
+                        ).reshape(alpha.shape + (L + 1,))
+    h = h[..., None]
+    seed = 2.0 ** (d + 2.0 * h) * math.pi ** (d / 2.0) * pochhammer(d + h, (1 - dim.n) // 2)
+    steps, shifted = _ratio_steps(dim.n, L)
+    vals = np.empty(alpha.shape + (L + 1,), dtype=complex)
+    vals[..., 0] = 1.0
+    np.subtract(steps, h, out=vals[..., 1:])
+    vals[..., 1:] /= shifted + h
+    np.multiply.accumulate(vals, axis=-1, out=vals)
+    vals *= seed
     return vals

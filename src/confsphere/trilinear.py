@@ -59,9 +59,10 @@ import numpy as np
 
 from .lorentz import Dimension
 from .sphgrid import HarmonicCoeffs, make_grid, sht_forward_columns, sht_synthesize_columns
-from .special import _is_pole, _log_gamma, gamma_ratio, pochhammer, ultraspherical_table
+from .special import (_is_pole, _log_gamma, as_complex, gamma_ratio, pochhammer,
+                      ultraspherical_table)
 from .spectral_ops import check_order, laplacian_multipliers
-from .mero import pair_separation_power, residue_ring
+from .mero import LaurentFit, elementwise, pair_separation_power, residue_rings
 
 CONVERGENCE_MARGIN = 0.25
 TRIPLE_GRID = (24, 48)       # default (n_theta, n_phi) of the direct engine's three grids
@@ -119,6 +120,7 @@ class PoleReport:
     location: str        # human-readable description of the plane or line
     position: complex    # fitted pole position along the scan variable
     residue: complex     # plain contour residue at the pole
+    condition: float     # the ring's LaurentFit.condition: small for a clean simple pole
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +152,13 @@ def closed_form_constant_residue(dim: Dimension, k: int, a1, a2) -> complex:
     so it is the rational
         pref ((a1+rho)/2-k)_k ((a2+rho)/2-k)_k / ((a1+a2)/2-k)_{k+rho},
     with poles exactly on the singular lines a1 + a2 = 2k - 2l, l = 0..k,
-    and finite on a1 + a2 = -2, -4, ..., where the Gamma form is 0/0."""
+    and finite on a1 + a2 = -2, -4, ..., where the Gamma form is 0/0.
+    Entrywise where a1 or a2 is an ndarray."""
     if dim.n != 3:
         raise ValueError("the closed form is implemented for n = 3")
     check_order(k)
     rho = dim.rho
-    a1, a2 = complex(a1), complex(a2)
+    a1, a2 = as_complex(a1), as_complex(a2)
     pref = (8.0 * math.pi ** 3 * 2.0 ** (a1 + a2 - rho - 2 * k)
             * (-1.0) ** k / math.gamma(k + 1.0))
     return (pref * pochhammer((a1 + rho) / 2 - k, k) * pochhammer((a2 + rho) / 2 - k, k)
@@ -603,14 +606,17 @@ def pole_scan(dim: Dimension, family: str, window,
                             detects the singular lines tau = 2k - 2l and
                             any first/second-slot planes in the window.
 
-    Rings of radius RING_RADIUS are centered on a lattice of step SCAN_STEP;
-    a pole is reported when the fitted |residue| exceeds the threshold
+    Rings of radius RING_RADIUS are centered on a lattice of step SCAN_STEP,
+    and the whole window is sampled and fitted in one residue_rings call:
+    the singular-line residue is rational and takes the sample array, the
+    alpha3 closed form is a scalar Lanczos evaluation mapped over it.  A
+    pole is reported when the fitted |residue| exceeds the threshold
     relative to the sampled magnitude.  Duplicate detections of one pole
     are merged using the fitted position.
     """
     lo, hi = window
     if family == "alpha3":
-        func = lambda z: closed_form_constant(dim, (a1, a2, z))
+        func = elementwise(lambda z: closed_form_constant(dim, (a1, a2, z)))
         fixed = {"a1": complex(a1), "a2": complex(a2)}
         k_line = None
     elif family == "singular_line":
@@ -623,21 +629,21 @@ def pole_scan(dim: Dimension, family: str, window,
         raise ValueError("family must be 'alpha3' or 'singular_line'")
 
     hits = []
-    for center in np.arange(lo, hi + SCAN_STEP / 2.0, SCAN_STEP):
-        fit = residue_ring(func, center, radius=RING_RADIUS)
+    for fit in residue_rings(func, np.arange(lo, hi + SCAN_STEP / 2.0, SCAN_STEP),
+                             radius=RING_RADIUS):
         scale = RING_RADIUS * fit.sample_max + 1e-300
         if abs(fit.residue) > residue_threshold * scale:
             position = fit.center + fit.pole_offset
-            if abs(position - center) < RING_RADIUS:
-                hits.append((position, fit.residue))
-    merged: list[tuple[complex, complex]] = []
-    for pos, res in sorted(hits, key=lambda h: h[0].real):
+            if abs(position - fit.center) < RING_RADIUS:
+                hits.append((position, fit))
+    merged: list[tuple[complex, LaurentFit]] = []
+    for pos, fit in sorted(hits, key=lambda h: h[0].real):
         if merged and abs(pos - merged[-1][0]) < SCAN_STEP:
             continue
-        merged.append((pos, res))
+        merged.append((pos, fit))
     reports = []
-    for pos, res in merged:
+    for pos, fit in merged:
         fam, kk, loc = _classify(dim, family, pos, fixed, k_line)
-        reports.append(PoleReport(family=fam, k=kk, location=loc,
-                                  position=pos, residue=res))
+        reports.append(PoleReport(family=fam, k=kk, location=loc, position=pos,
+                                  residue=fit.residue, condition=fit.condition))
     return reports

@@ -345,10 +345,10 @@ def residues_suite(cfg: RunConfig):
 
     f = sphgrid.random_coeffs(6, cfg.seed + 403)
     scale = abs(mero.pair_distance_power(DIM, -1.9, f))   # on the ring around -2
-    on = min(abs(mero.residue_ring(lambda z: mero.pair_distance_power(DIM, z, f),
-                                   c).residue) for c in (-2.0, -4.0))
-    off = max(abs(mero.residue_ring(lambda z: mero.pair_distance_power(DIM, z, f),
-                                    c).residue) for c in (-3.0, -5.0))
+    fits = mero.residue_rings(lambda z: mero.pair_distance_power(DIM, z, f),
+                              [-2.0, -4.0, -3.0, -5.0])     # two poles, two regular points
+    on = min(abs(fit.residue) for fit in fits[:2])
+    off = max(abs(fit.residue) for fit in fits[2:])
     loc_ok = 0.0 if (on > 1e-3 * scale and off <= 1e-6 * scale) else 1.0
     _check(out, "res-location", "pole-lattice-localization", loc_ok, 0.5)
     return out

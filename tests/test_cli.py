@@ -300,6 +300,14 @@ def test_pole_scan_command(capsys):
                   for p in blob["poles"])
     assert ("alpha3", -1) in fams and ("alpha3", -3) in fams
     assert any(f == "sum" for f, _ in fams)
+    # each pole carries its ring's condition: |offset| / radius for a
+    # simple pole inside the ring, so below 1, and ~0 for the planes at
+    # -1 and -3, which sit on ring centers
+    for p in blob["poles"]:
+        condition = float(p["condition"])
+        assert 0.0 <= condition < 1.0
+        if p["family"] == "alpha3":
+            assert condition < 1e-9
 
 
 def test_verify_quick_report(tmp_path, capsys):

@@ -99,6 +99,60 @@ def test_residue_ring_checks_radius_before_sampling():
     assert calls == []
 
 
+def test_residue_ring_rejects_a_non_integer_ring_size():
+    # m = 16.5 would sample 17 points on a circle that does not close and
+    # report ring_size 16 with the residue 1.0171 - 0.0017i
+    F = lambda z: 1.0 / (z - 0.3) + 5.0 + 2.0 * z
+    for m in (16.5, 16.0, "16"):
+        with pytest.raises(ValueError, match=f"m must be an integer, got {m!r}"):
+            mero.residue_ring(F, 0.3, 0.1, m)
+        with pytest.raises(ValueError, match="m must be an integer"):
+            mero.residue_rings(mero.elementwise(F), [0.3], 0.1, m)
+    fit = mero.residue_ring(F, 0.3, 0.1, np.int64(16))
+    assert fit.ring_size == 16 and abs(fit.residue - 1.0) < 1e-12
+
+
+def test_residue_rings_fit_every_ring_as_the_one_ring_fit():
+    # one call over three centers gives each center's one-ring fit, to
+    # rounding; F sees the (centers x m) sample array
+    F = lambda z: 2.0 / (z + 1.0) + complex_gamma(z) + z ** 3
+    centers = [-1.0, 0.0, 0.55 + 0.2j]
+    shapes = []
+    fits = mero.residue_rings(lambda z: shapes.append(z.shape) or mero.elementwise(F)(z),
+                              centers, 0.13, 24)
+    assert shapes == [(3, 24)]
+    for c, fit in zip(centers, fits):
+        one = mero.residue_ring(F, c, 0.13, 24)
+        assert fit.center == one.center and fit.ring_size == 24
+        for field in ("residue", "regular_value", "sample_max"):
+            want = getattr(one, field)
+            assert abs(getattr(fit, field) - want) <= 1e-14 * max(1.0, abs(want)), field
+    # residues 2 - 1 at -1 (Gamma's is -1 there) and 1 at 0
+    assert abs(fits[0].residue - 1.0) < 1e-9 and abs(fits[1].residue - 1.0) < 1e-9
+    assert abs(fits[2].residue) < 1e-12
+    with pytest.raises(ValueError, match=r"returned shape \(24,\) for 3 rings of 24"):
+        mero.residue_rings(lambda z: z[0], centers, 0.13, 24)
+
+
+def test_array_pairings_match_the_scalar_calls(dim3):
+    # a ring of exponents in one call: each entry the scalar pairing to
+    # rounding, and a pole-guard raise naming the first offending entry
+    f1, f2 = sg.random_coeffs(12, 71), sg.random_coeffs(9, 72)
+    s = -4.0 + 0.1 * mero._ring_phases(16)[0]
+    got = mero.pair_distance_power(dim3, s, f1)
+    got2 = mero.pair_separation_power(dim3, s + dim3.rho, f1, f2)
+    for j in range(16):
+        want = mero.pair_distance_power(dim3, s[j], f1)
+        assert abs(got[j] - want) <= 1e-14 * abs(want)
+        want = mero.pair_separation_power(dim3, s[j] + dim3.rho, f1, f2)
+        assert abs(got2[j] - want) <= 1e-14 * abs(want)
+    near = np.array([0.3, -2.0 + 1e-8, -4.0])
+    with pytest.raises(ValueError, match=r"s=\(-1.99999999\+0j\) is within 1e-06 of a pole"):
+        mero.pair_distance_power(dim3, near, f1)
+    with pytest.raises(ValueError, match=r"alpha=-0.99999999 is within 1e-06 of a pole"):
+        mero.pair_separation_power(dim3, np.array([1.3, -1.0 + 1e-8, -3.0]), f1, f2)
+
+
 def test_residue_operator_identity(dim3):
     for k in (0, 1, 2):
         for seed in range(3):

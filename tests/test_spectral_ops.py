@@ -350,6 +350,34 @@ def test_knapp_stein_matches_the_uncached_formula_property(n, L, s):
             == outcome(knapp_stein_formula, dim, alpha, L))
 
 
+@pytest.mark.parametrize("n", [3, 5, 4])
+def test_knapp_stein_array_rows_match_the_scalar_calls(n):
+    # one row per alpha, the scalar call's to rounding at odd n (array
+    # operations) and bitwise at n = 4 (the scalar call per row); on the
+    # pole lattice the array call raises as the scalar call does
+    dim = Dimension(n)
+    rng = np.random.default_rng(40 + n)
+    alpha = dim.rho + np.array([complex(rng.uniform(-12.0, 12.0), rng.uniform(-2.0, 2.0))
+                                for _ in range(24)] + [2.0, 5.5, -3.3]).reshape(3, 9)
+    rows = so.knapp_stein_multipliers(dim, alpha, 40)
+    assert rows.shape == (3, 9, 41)
+    for idx in np.ndindex(alpha.shape):
+        want = so.knapp_stein_multipliers(dim, complex(alpha[idx]), 40)
+        if n % 2 == 0:
+            assert rows[idx].tobytes() == want.tobytes()
+        zero = want == 0.0
+        assert np.all(rows[idx][zero] == 0.0)
+        assert np.all(np.abs(rows[idx] - want) <= 1e-13 * np.abs(want)), (n, alpha[idx])
+    ring = dim.rho - (n - 1.0) - 2.0 + 0.1 * np.exp(2j * np.pi * np.arange(16) / 16)
+    assert so.knapp_stein_multipliers(dim, ring, 16).shape == (16, 17)
+    for k in range(3):
+        pole = dim.rho - (n - 1.0) - 2.0 * k
+        with pytest.raises(ZeroDivisionError):
+            so.knapp_stein_multipliers(dim, pole, 8)
+        with pytest.raises(ZeroDivisionError):
+            so.knapp_stein_multipliers(dim, np.array([0.3 + 0.1j, pole]), 8)
+
+
 def test_knapp_stein_tables_read_only_and_results_fresh():
     # the cached steps cannot be written, and writing into a returned
     # array leaves the next call's values as they were

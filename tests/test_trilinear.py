@@ -11,6 +11,7 @@ from scipy.special import loggamma
 
 from confsphere.lorentz import Dimension, boost, random_element, rotation
 from confsphere import sphgrid as sg, trilinear as tri, verify
+from confsphere.mero import residue_ring
 from confsphere.special import complex_gamma, gamma_ratio, pochhammer
 from confsphere.spectral_ops import gjms_constant, knapp_stein_multipliers
 from conftest import random_unit
@@ -986,6 +987,69 @@ def test_pole_scan_singular_lines(dim3):
     assert all(r.k == (2 * 2 - round(r.position.real)) // 2 for r in reports)
 
 
+def _per_ring_pole_scan(dim, family, window, a1=0.31, a2=0.77, k=1, delta=0.26):
+    """pole_scan from the scalar integrand and one residue_ring per center,
+    with its threshold, merge and classification."""
+    if family == "alpha3":
+        func = lambda z: tri.closed_form_constant(dim, (a1, a2, z))
+        fixed, k_line = {"a1": complex(a1), "a2": complex(a2)}, None
+    else:
+        func = lambda z: tri.closed_form_constant_residue(dim, k, (z + delta) / 2.0,
+                                                          (z - delta) / 2.0)
+        fixed, k_line = {"delta": complex(delta)}, k
+    hits = []
+    for center in np.arange(window[0], window[1] + tri.SCAN_STEP / 2.0, tri.SCAN_STEP):
+        fit = residue_ring(func, center, radius=tri.RING_RADIUS)
+        position = fit.center + fit.pole_offset
+        if (abs(fit.residue) > 1e-6 * (tri.RING_RADIUS * fit.sample_max + 1e-300)
+                and abs(position - center) < tri.RING_RADIUS):
+            hits.append((position, fit))
+    merged = []
+    for pos, fit in sorted(hits, key=lambda h: h[0].real):
+        if not merged or abs(pos - merged[-1][0]) >= tri.SCAN_STEP:
+            merged.append((pos, fit))
+    return [(*tri._classify(dim, family, pos, fixed, k_line)[:2], pos, fit.residue,
+             fit.condition) for pos, fit in merged]
+
+
+@pytest.mark.parametrize("family, window, params", [
+    ("alpha3", (-6.5, 0.5), {}),
+    ("alpha3", (-6.5, 0.5), {"a1": 0.12, "a2": 0.94}),
+    ("singular_line", (-3.0, 3.0), {}),
+    ("singular_line", (-3.1, 7.1), {"k": 3, "delta": 0.37}),
+    ("singular_line", (-1.0, 5.0), {"k": 2}),
+])
+def test_pole_scan_matches_the_per_ring_reference(dim3, family, window, params):
+    # one batched sampling and fit per window finds the poles the scalar
+    # integrand finds ring by ring: the same (family, k), positions and
+    # residues to 1e-13 relative (positions near 0 on the window's scale)
+    got = tri.pole_scan(dim3, family, window, **params)
+    want = _per_ring_pole_scan(dim3, family, window, **params)
+    assert got and [(r.family, r.k) for r in got] == [w[:2] for w in want]
+    for r, (_, _, pos, res, cond) in zip(got, want):
+        assert abs(r.position - pos) <= 1e-13 * max(1.0, abs(pos))
+        assert abs(r.residue - res) <= 1e-13 * abs(res)
+        assert r.condition == pytest.approx(cond, rel=1e-6, abs=1e-12)
+
+
+def test_array_rational_residue_matches_the_scalar_calls(dim3):
+    rng = np.random.default_rng(17)
+    a1 = rng.uniform(-4.0, 4.0, 20) + 1j * rng.uniform(-1.0, 1.0, 20)
+    a2 = rng.uniform(-4.0, 4.0, 20) + 1j * rng.uniform(-1.0, 1.0, 20)
+    for k in range(4):
+        got = tri.closed_form_constant_residue(dim3, k, a1, a2)
+        for j in range(20):
+            want = tri.closed_form_constant_residue(dim3, k, a1[j], a2[j])
+            assert abs(got[j] - want) <= 1e-14 * abs(want)
+    # on the singular line a1 + a2 = 2 the array call raises as the
+    # scalar call does, with its message
+    with pytest.raises(ZeroDivisionError) as scalar:
+        tri.closed_form_constant_residue(dim3, 1, 1.25, 0.75)
+    with pytest.raises(ZeroDivisionError) as array:
+        tri.closed_form_constant_residue(dim3, 1, np.array([0.3, 1.25]), np.array([0.2, 0.75]))
+    assert str(array.value) == str(scalar.value) == "gamma pole at z=0j"
+
+
 def _product_gamma_ratio(num, den):
     """The Gamma quotient as a running product of complex_gamma values:
     the multiplicative form, which overflows at large arguments."""
@@ -1058,6 +1122,17 @@ def test_pochhammer_against_scipy_and_mpmath():
     with pytest.raises(ZeroDivisionError, match=r"gamma pole at z=\(-2\+0j\)"):
         pochhammer(1.0, -3)
     assert pochhammer(-1.0, -2) == 1.0 / 6.0
+    # entrywise over an array, with the scalar call's raise at its first
+    # vanishing divisor
+    a = np.array([[0.3, -2.7], [12.0 + 7.0j, -1.0]])
+    for m in (-3, 0, 4):
+        got = pochhammer(a, m)
+        assert got.shape == a.shape
+        for idx in np.ndindex(a.shape):
+            want = pochhammer(a[idx], m)
+            assert abs(got[idx] - want) <= 1e-15 * abs(want), (a[idx], m)
+    with pytest.raises(ZeroDivisionError, match=r"^gamma pole at z=\(-2\+0j\)$"):
+        pochhammer(np.array([0.5, 1.0, 2.0]), -3)
 
 
 def test_log_space_closed_forms_match_products(dim3, monkeypatch):
