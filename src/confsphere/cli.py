@@ -94,10 +94,8 @@ def cmd_multiplier(args) -> int:
         vals = spectral_ops.laplacian_multipliers(dim, args.L)
     elif args.kind == "gjms":
         vals = spectral_ops.gjms_multipliers(dim, args.k, args.L)
-    elif args.kind == "knapp-stein":
+    else:   # "knapp-stein", the last of --kind's choices
         vals = spectral_ops.knapp_stein_multipliers(dim, _parse_complex(args.alpha), args.L)
-    else:
-        raise SystemExit(f"unknown multiplier kind {args.kind!r}")
     target = _out_dir(args) / (args.csv or f"multiplier_{args.kind}.csv")
     with open(target, "w") as fh:
         fh.write("l,re,im\n")

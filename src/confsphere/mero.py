@@ -161,6 +161,12 @@ def _check_off_poles(dim: Dimension, s, name: str, given) -> None:
                      "sample on a ring instead")
 
 
+def _check_n3(dim: Dimension) -> None:
+    """ValueError unless n = 3: the coefficients here are S^2 harmonics."""
+    if dim.n != 3:
+        raise ValueError("coefficient pairings are implemented for n = 3")
+
+
 def pair_distance_power(dim: Dimension, s, f: HarmonicCoeffs):
     """Regularized pairing (|e - x|^s, f) for a band-limited f on S^2.
 
@@ -170,8 +176,7 @@ def pair_distance_power(dim: Dimension, s, f: HarmonicCoeffs):
     integrability threshold.  For an ndarray of s the result is the array
     of pairings, one per entry.
     """
-    if dim.n != 3:
-        raise ValueError("coefficient pairings are implemented for n = 3")
+    _check_n3(dim)
     array = isinstance(s, np.ndarray)
     s = s.astype(complex) if array else complex(s)
     _check_off_poles(dim, s, "s", s)
@@ -193,6 +198,7 @@ def residue_pair_distance_power(dim: Dimension, k: int, f: HarmonicCoeffs) -> co
 
 def covariant_power_at_pole(dim: Dimension, k: int, f: HarmonicCoeffs) -> complex:
     """c_k (Delta_k f)(e): the predicted value of the k-th residue."""
+    _check_n3(dim)
     return value_at_pole(residue_operator_apply(dim, k, f))
 
 
@@ -204,6 +210,7 @@ def pair_separation_power(dim: Dimension, alpha, f1: HarmonicCoeffs, f2: Harmoni
     """(k_alpha, f1 (x) f2) = int |x-y|^{-rho+alpha} f1(x) f2(y), evaluated
     through the kernel eigenvalues (meromorphic in alpha); entrywise for an
     ndarray of alpha."""
+    _check_n3(dim)
     array = isinstance(alpha, np.ndarray)
     a = alpha.astype(complex) if array else complex(alpha)
     _check_off_poles(dim, a - dim.rho, "alpha", alpha)
@@ -217,6 +224,7 @@ def residue_separation_power(dim: Dimension, k: int, f1: HarmonicCoeffs,
     """Residue (half-parameter convention) of alpha -> (k_alpha, f1 (x) f2)
     at alpha = -rho - 2k via the residue operator, which is diagonal in
     degree and so acts the same on either factor."""
+    _check_n3(dim)
     return complex(degree_pairings(residue_operator_apply(dim, k, f1), f2).sum())
 
 

@@ -467,16 +467,6 @@ def value_at_pole(coeffs: HarmonicCoeffs) -> complex:
     return complex(np.dot(coeffs.c[:, coeffs.L], _zonal_weights(coeffs.L)))
 
 
-def sampled_value_at_pole(f: GridFunction) -> complex:
-    """value_at_pole(sht_forward(f)) read from the samples: only the zonal
-    part contributes, so ring i enters through its sum over phi, weighted
-    by w_i dphi sum_{l <= grid.L} (2l+1)/(4 pi) P_l(u_i)."""
-    grid = f.grid
-    l = np.arange(grid.L + 1)
-    zonal = ((2 * l + 1) / (4.0 * math.pi)) @ ultraspherical_table(0.5, grid.L, grid.u)
-    return complex(np.dot(f.values.sum(axis=1), grid.w * grid.dphi * zonal))
-
-
 @cache
 def _pairing_signs(L: int) -> np.ndarray:
     """(-1)^m, m = -L..L; read-only."""

@@ -194,14 +194,10 @@ def representation_suite(cfg: RunConfig):
         dirac.append(abs(a - b) / abs(a))
     _check(out, "rep-dirac", "point-mass-transformation-law", _worst(dirac), 1e-9)
 
-    unitary = []
-    for i in range(cfg.count(5)):
-        g = random_element(DIM, cfg.seed + 151 + i, max_boost=0.5)
-        coeffs = sphgrid.random_coeffs(8, cfg.seed + 161 + i)
-        f = sphgrid.sht_inverse(coeffs.pad(grid.L), grid)
-        moved = reps.pi_act_coeffs(DIM, 1j * (0.3 + 0.2 * i), g, coeffs, grid)
-        unitary.append(abs(sphgrid.norm_l2(moved) - sphgrid.norm_l2(f))
-                       / sphgrid.norm_l2(f))
+    unitary = [unitary_defect(1j * (0.3 + 0.2 * i),
+                              random_element(DIM, cfg.seed + 151 + i, max_boost=0.5),
+                              sphgrid.random_coeffs(8, cfg.seed + 161 + i), grid)
+               for i in range(cfg.count(5))]
     _check(out, "rep-unitary", "imaginary-axis-isometry", _worst(unitary), 1e-6)
     return out
 
@@ -210,15 +206,14 @@ def duality_defect(lam: complex, g, f, phi, grid) -> float:
     """|int pi_lambda(g)f . phi - int f . pi_{-lambda}(g^{-1}) phi| on the grid.
 
     Vanishes identically for the continuum pairing; what remains is the
-    quadrature error of the two pullbacks.
+    quadrature error of the two pullbacks.  Each side pairs a moved field's
+    projection (`moved_coeffs`) with its band-limited partner, which is the
+    grid quadrature of their product in exact arithmetic.
     """
-    f_vals = sphgrid.sht_inverse(f.pad(grid.L), grid).values
-    phi_vals = sphgrid.sht_inverse(phi.pad(grid.L), grid).values
-    lhs = sphgrid.quad(sphgrid.GridFunction(
-        grid, reps.pi_act_coeffs(DIM, lam, g, f, grid).values * phi_vals))
-    rhs = sphgrid.quad(sphgrid.GridFunction(
-        grid, f_vals * reps.pi_act_coeffs(DIM, -complex(lam), inverse(g), phi, grid).values))
-    return abs(lhs - rhs)
+    moved_f, = moved_coeffs((lam,), g, [f], grid, phi.L)
+    moved_phi, = moved_coeffs((-complex(lam),), inverse(g), [phi], grid, f.L)
+    return abs(sphgrid.degree_pairings(moved_f, phi).sum()
+               - sphgrid.degree_pairings(f, moved_phi).sum())
 
 
 def dirac_pair(lam: complex, g, phi) -> complex:
@@ -234,8 +229,15 @@ def dirac_pair_dual(lam: complex, g, phi, grid) -> complex:
     pi_{-lambda}(g^{-1}) to phi on the grid and read off the value at the
     base point of its degree-grid.L projection.  Independent of the closed
     form in dirac_pair except for the group arithmetic itself."""
-    return sphgrid.sampled_value_at_pole(
-        reps.pi_act_coeffs(DIM, -complex(lam), inverse(g), phi, grid))
+    moved, = moved_coeffs((-complex(lam),), inverse(g), [phi], grid, grid.L)
+    return sphgrid.value_at_pole(moved)
+
+
+def unitary_defect(lam: complex, g, f, grid) -> float:
+    """| ||pi_lam(g) f||_2 - ||f||_2 | / ||f||_2 for imaginary lam, the
+    moved field's norm read from its degree-grid.L projection."""
+    moved, = moved_coeffs((lam,), g, [f], grid, grid.L)
+    return abs(moved.l2_norm() - f.l2_norm()) / f.l2_norm()
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +395,9 @@ def intertwining_suite(cfg: RunConfig):
 def _intertwining_defect(op, lam, g, f, grid) -> float:
     """|| M pi_lam(g) f - pi_{-lam}(g) M f ||_2 / ||f||_2 at the grid's
     truncation, for a diagonal operator op: HarmonicCoeffs -> HarmonicCoeffs."""
-    path_a = op(sphgrid.sht_forward(reps.pi_act_coeffs(DIM, lam, g, f, grid)))
-    path_b = sphgrid.sht_forward(reps.pi_act_coeffs(DIM, -lam, g, op(f), grid))
-    return float(np.linalg.norm(path_a.c - path_b.c) / f.l2_norm())
+    moved, = moved_coeffs((lam,), g, [f], grid, grid.L)
+    moved_op, = moved_coeffs((-lam,), g, [op(f)], grid, grid.L)
+    return float(np.linalg.norm(op(moved).c - moved_op.c) / f.l2_norm())
 
 
 def covariant_intertwining_defects(grid, instances) -> list:

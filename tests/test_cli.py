@@ -84,6 +84,15 @@ def test_library_value_errors_are_usage_errors(tmp_path, capsys):
         assert "error: " + args[0] in err and "Traceback" not in err
 
 
+def test_unknown_multiplier_kind_is_a_usage_error(tmp_path, capsys):
+    # --kind's choices are the only guard: cmd_multiplier sees no other kind
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--out-dir", str(tmp_path), "multiplier", "--kind", "yamabe"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'yamabe'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("args", [
     ["residue", "--k", "-1"],
     ["pole-scan", "--family", "singular-line", "--window", "-1", "1", "--k", "-1"],

@@ -224,6 +224,22 @@ def test_non_integer_pole_index_rejected(dim3, entry):
         entry(dim3, sg.random_coeffs(3, 5))
 
 
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("entry", [
+    lambda d, f1, f2: mero.pair_separation_power(d, 0.7 + 0.1j, f1, f2),
+    lambda d, f1, f2: mero.residue_separation_power(d, 1, f1, f2),
+    lambda d, f1, f2: mero.residue_separation_power_ring(d, 1, f1, f2),
+    lambda d, f1, f2: mero.covariant_power_at_pole(d, 1, f1),
+], ids=["pair_separation_power", "residue_separation_power",
+        "residue_separation_power_ring", "covariant_power_at_pole"])
+def test_coefficient_pairings_reject_other_n(n, entry):
+    # the coefficients are S^2 harmonics: at n != 3 they would be paired
+    # with S^{n-1} eigenvalues and read a number (6.2551-0.9007i for the
+    # separation pairing at n = 4)
+    with pytest.raises(ValueError, match="coefficient pairings are implemented for n = 3"):
+        entry(Dimension(n), sg.random_coeffs(4, 1), sg.random_coeffs(4, 2))
+
+
 def test_pair_separation_product_form(dim3):
     one = sg.coeffs_constant(1.0, 1)
     a = 1.3

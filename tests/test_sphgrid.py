@@ -242,21 +242,6 @@ def test_rounding_truncated_keeps_the_band_limit():
     assert sg.rounding_truncated(sg.coeffs_zero(16)).L == 0
 
 
-def test_sampled_value_at_pole_matches_coefficient_route():
-    # the pole value of the grid-degree projection, read from the zonal
-    # ring sums, against analysis followed by value_at_pole: on band-limited
-    # samples and on a moved field, which is not band-limited
-    from confsphere.lorentz import boost
-    from confsphere.reps import pi_act_coeffs
-    for L in (16, 96):
-        grid = sg.make_grid(L, phi_offset=0.2)
-        c = sg.random_coeffs(8, 30 + L)
-        for f in (sg.sht_inverse(c, grid),
-                  pi_act_coeffs(Dimension(3), 0.3 + 0.1j, boost(0.4, Dimension(3)), c, grid)):
-            want = sg.value_at_pole(sg.sht_forward(f))
-            assert abs(sg.sampled_value_at_pole(f) - want) < 1e-13 * abs(want)
-
-
 def test_real_field_symmetry():
     c = sg.random_coeffs(8, 4, real_field=True)
     g = sg.make_grid(8)

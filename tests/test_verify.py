@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from confsphere import reps, sphgrid, verify
+from confsphere.lorentz import inverse
 
 
 @pytest.fixture(scope="module")
@@ -152,13 +153,83 @@ def test_representation_suite_synthesizes_only_sampled_fields(monkeypatch):
         outer.extend(degrees[start:])
         return moved
 
+    sampled = []
+    act_coeffs = reps.pi_act_coeffs
+
+    def sampling(*args):
+        sampled.append(args)
+        return act_coeffs(*args)
+
     monkeypatch.setattr(reps, "synth_at_points", counted)
     monkeypatch.setattr(reps, "pi_act", acting)
+    monkeypatch.setattr(reps, "pi_act_coeffs", sampling)
     cfg = verify.RunConfig(quick=True)
     assert verify.run_suite("representation", cfg).passed
     assert len(outer) == cfg.count(5)
     assert all(8 < d < 64 for d in outer), outer
     assert degrees.count(32) == 0
+    # every other moved field is read through moved_coeffs: only the group
+    # law samples a moved field on a grid, three times per instance (its
+    # two sides and the call inside pi_act)
+    assert len(sampled) == 3 * cfg.count(5)
+    assert verify.run_suite("intertwining", cfg).passed
+    assert len(sampled) == 3 * cfg.count(5)
+
+
+def _duality_by_quadrature(lam, g, f, phi, grid):
+    """rep-duality's defect as grid quadrature of the moved samples times
+    the partner's samples."""
+    f_vals = sphgrid.sht_inverse(f.pad(grid.L), grid).values
+    phi_vals = sphgrid.sht_inverse(phi.pad(grid.L), grid).values
+    lhs = sphgrid.quad(sphgrid.GridFunction(
+        grid, reps.pi_act_coeffs(verify.DIM, lam, g, f, grid).values * phi_vals))
+    rhs = sphgrid.quad(sphgrid.GridFunction(grid, f_vals * reps.pi_act_coeffs(
+        verify.DIM, -complex(lam), inverse(g), phi, grid).values))
+    return abs(lhs - rhs)
+
+
+def _dirac_by_ring_sums(lam, g, phi, grid):
+    """rep-dirac's distributional value as the moved samples' ring sums over
+    phi, weighted by w_i dphi sum_{l <= grid.L} (2l+1)/(4 pi) P_l(u_i)."""
+    moved = reps.pi_act_coeffs(verify.DIM, -complex(lam), inverse(g), phi, grid)
+    zonal = np.polynomial.legendre.legval(
+        grid.u, (2 * np.arange(grid.L + 1) + 1) / (4.0 * np.pi))
+    return complex(np.dot(moved.values.sum(axis=1), grid.w * grid.dphi * zonal))
+
+
+def _unitary_by_quadrature(lam, g, f, grid):
+    """rep-unitary's defect from the grid norms of the moved and the
+    unmoved samples."""
+    unmoved = sphgrid.norm_l2(sphgrid.sht_inverse(f.pad(grid.L), grid))
+    moved = sphgrid.norm_l2(reps.pi_act_coeffs(verify.DIM, lam, g, f, grid))
+    return abs(moved - unmoved) / unmoved
+
+
+@pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
+def test_moved_field_readouts_match_sampled_formulas(monkeypatch, quick):
+    # the representation checks read each moved field from its projection
+    # (moved_coeffs); at every instance of the suite they agree with grid
+    # quadrature and ring sums of the moved samples to rounding
+    names = ("duality_defect", "dirac_pair_dual", "unitary_defect")
+    calls = {name: [] for name in names}
+    for name in names:
+        def recorded(*args, _name=name, _original=getattr(verify, name)):
+            out = _original(*args)
+            calls[_name].append((args, out))
+            return out
+        monkeypatch.setattr(verify, name, recorded)
+    cfg = verify.RunConfig(quick=quick)
+    assert verify.run_suite("representation", cfg).passed
+    assert [len(calls[name]) for name in names] == [cfg.count(5), cfg.count(20), cfg.count(5)]
+    for (lam, g, f, phi, grid), got in calls["duality_defect"]:
+        want = _duality_by_quadrature(lam, g, f, phi, grid)
+        assert abs(got - want) <= 1e-13 * f.l2_norm() * phi.l2_norm(), (got, want)
+    for (lam, g, phi, grid), got in calls["dirac_pair_dual"]:
+        want = _dirac_by_ring_sums(lam, g, phi, grid)
+        assert abs(got - want) <= 1e-13 * abs(verify.dirac_pair(lam, g, phi)), (got, want)
+    for (lam, g, f, grid), got in calls["unitary_defect"]:
+        want = _unitary_by_quadrature(lam, g, f, grid)
+        assert abs(got - want) <= 1e-13, (got, want)
 
 
 def test_schema_validator_catches_problems(quick_results):
@@ -219,7 +290,7 @@ def test_generic_invariance_holds_at_formerly_failing_seeds(seed):
     ("representation", "rep-group-law", reps, "pi_act"),
     ("representation", "rep-duality", verify, "duality_defect"),
     ("representation", "rep-dirac", verify, "dirac_pair"),
-    ("representation", "rep-unitary", sphgrid, "norm_l2"),
+    ("representation", "rep-unitary", verify, "unitary_defect"),
     ("intertwining", "int-knapp-stein", verify, "_knapp_stein_intertwining_defect"),
     ("trilinear", "tri-invariance", verify, "invariance_defect"),
 ])
