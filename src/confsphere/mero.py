@@ -44,6 +44,7 @@ from .spectral_ops import (_knapp_stein_rows, check_order, knapp_stein_multiplie
                            residue_operator_apply)
 
 POLE_GUARD = 1e-6
+MAX_RING_SAMPLES = 2 ** 16   # per residue_rings call: 4096 rings of 16 samples
 
 
 @dataclass(frozen=True)
@@ -93,6 +94,9 @@ def residue_rings(F, centers, radius: float = 0.1, m: int = 16) -> list[LaurentF
                     higher-order pole or is badly placed.
     pole_offset   ~ radius mu_{-2} / mu_{-1}, the offset from the center of
                     a simple pole inside the ring.
+
+    A call that would sample more than MAX_RING_SAMPLES points raises
+    ValueError before anything is allocated (about 160 B per sample).
     """
     if not isinstance(m, (int, np.integer)):
         raise ValueError(f"ring size m must be an integer, got {m!r}")
@@ -100,8 +104,11 @@ def residue_rings(F, centers, radius: float = 0.1, m: int = 16) -> list[LaurentF
         raise ValueError("need at least 8 ring samples")
     if not 0.0 < radius < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
-    phase, phase2 = _ring_phases(int(m))
     centers = np.asarray(centers, dtype=complex).reshape(-1)
+    if centers.size * int(m) > MAX_RING_SAMPLES:
+        raise ValueError(f"{centers.size} rings of {m} samples exceed "
+                         f"MAX_RING_SAMPLES = {MAX_RING_SAMPLES}")
+    phase, phase2 = _ring_phases(int(m))
     vals = np.asarray(F(centers[:, None] + radius * phase), dtype=complex)
     if vals.shape != (centers.size, m):
         raise ValueError(f"F returned shape {vals.shape} for {centers.size} rings "
@@ -113,7 +120,7 @@ def residue_rings(F, centers, radius: float = 0.1, m: int = 16) -> list[LaurentF
     mu_m2 = np.mean(vals * phase2, axis=1)       # ~ a_{-2} / radius^2
     residue = radius * mu_m1
     cond = np.abs(mu_m2) / (np.abs(mu_m1) + 1e-300)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         offset = radius * mu_m2 / mu_m1
     return [LaurentFit(center=c, radius=float(radius), residue=r, regular_value=a0,
                        ring_size=int(m), condition=q, pole_offset=o, sample_max=top)

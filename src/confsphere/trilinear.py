@@ -62,7 +62,8 @@ from .sphgrid import HarmonicCoeffs, make_grid, sht_forward_columns, sht_synthes
 from .special import (_is_pole, _log_gamma, as_complex, gamma_ratio, pochhammer,
                       ultraspherical_table)
 from .spectral_ops import check_order, laplacian_multipliers
-from .mero import LaurentFit, elementwise, pair_separation_power, residue_rings
+from .mero import (MAX_RING_SAMPLES, LaurentFit, elementwise, pair_separation_power,
+                   residue_rings)
 
 CONVERGENCE_MARGIN = 0.25
 TRIPLE_GRID = (24, 48)       # default (n_theta, n_phi) of the direct engine's three grids
@@ -612,9 +613,14 @@ def pole_scan(dim: Dimension, family: str, window,
     alpha3 closed form is a scalar Lanczos evaluation mapped over it.  A
     pole is reported when the fitted |residue| exceeds the threshold
     relative to the sampled magnitude.  Duplicate detections of one pole
-    are merged using the fitted position.
+    are merged using the fitted position.  A window whose lattice would
+    take more than MAX_RING_SAMPLES samples raises before it is built.
     """
     lo, hi = window
+    rings = np.ceil((hi - lo) / SCAN_STEP + 0.5)     # the length of the lattice below
+    if not rings * 16 <= MAX_RING_SAMPLES:
+        raise ValueError(f"window {tuple(window)} needs more than MAX_RING_SAMPLES = "
+                         f"{MAX_RING_SAMPLES} ring samples; scan it in pieces")
     if family == "alpha3":
         func = elementwise(lambda z: closed_form_constant(dim, (a1, a2, z)))
         fixed = {"a1": complex(a1), "a2": complex(a2)}
@@ -630,7 +636,7 @@ def pole_scan(dim: Dimension, family: str, window,
 
     hits = []
     for fit in residue_rings(func, np.arange(lo, hi + SCAN_STEP / 2.0, SCAN_STEP),
-                             radius=RING_RADIUS):
+                             radius=RING_RADIUS, m=16):
         scale = RING_RADIUS * fit.sample_max + 1e-300
         if abs(fit.residue) > residue_threshold * scale:
             position = fit.center + fit.pole_offset

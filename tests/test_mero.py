@@ -112,6 +112,19 @@ def test_residue_ring_rejects_a_non_integer_ring_size():
     assert fit.ring_size == 16 and abs(fit.residue - 1.0) < 1e-12
 
 
+def test_residue_rings_refuse_more_than_the_sample_limit_before_sampling():
+    # m = 10**6 took 160 MB; the limit is checked before F or the phases
+    calls = []
+    F = lambda z: calls.append(z) or 1.0 / z
+    with pytest.raises(ValueError, match="1 rings of 1000000 samples exceed MAX_RING_SAMPLES"):
+        mero.residue_ring(F, 0.0, 0.1, 10 ** 6)
+    with pytest.raises(ValueError, match="4097 rings of 16 samples exceed"):
+        mero.residue_rings(mero.elementwise(F), np.zeros(4097), 0.1, 16)
+    assert calls == []
+    fits = mero.residue_rings(lambda z: 1.0 / z, np.zeros(4096), 0.1, 16)
+    assert len(fits) == 4096 and abs(fits[-1].residue - 1.0) < 1e-12
+
+
 def test_residue_rings_fit_every_ring_as_the_one_ring_fit():
     # one call over three centers gives each center's one-ring fit, to
     # rounding; F sees the (centers x m) sample array

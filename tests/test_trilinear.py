@@ -1,4 +1,5 @@
 import math
+import warnings
 from functools import partial
 
 import mpmath
@@ -985,6 +986,29 @@ def test_pole_scan_singular_lines(dim3):
                    if r.family == "singular_line")
     assert lines == [0, 2, 4]
     assert all(r.k == (2 * 2 - round(r.position.real)) // 2 for r in reports)
+
+
+@pytest.mark.parametrize("family", ["alpha3", "singular_line"])
+def test_pole_scan_refuses_a_window_over_the_sample_limit(dim3, family, monkeypatch):
+    # a window of width 2000 built a 10001-ring lattice (20.6 MB) before
+    # any check; now the ring count is derived from the window first
+    calls = []
+    monkeypatch.setattr(tri, "residue_rings", lambda *a, **kw: calls.append(a))
+    monkeypatch.setattr(tri, "closed_form_constant", lambda *a: calls.append(a))
+    monkeypatch.setattr(tri, "closed_form_constant_residue", lambda *a: calls.append(a))
+    for window in ((0.0, 2000.0), (0.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="needs more than MAX_RING_SAMPLES"):
+            tri.pole_scan(dim3, family, window)
+    assert calls == []
+
+
+def test_pole_scan_far_window_runs_without_warnings(dim3):
+    # the pole-offset division overflowed at (-1200, -1000), where the
+    # singular-line residue is tiny on every ring
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = tri.pole_scan(dim3, "singular_line", window=(-1200.0, -1000.0))
+    assert reports == []
 
 
 def _per_ring_pole_scan(dim, family, window, a1=0.31, a2=0.77, k=1, delta=0.26):

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from confsphere import reps, sphgrid, verify
+from confsphere import reps, spectral_ops, sphgrid, verify
 from confsphere.lorentz import inverse
 
 
@@ -284,6 +284,41 @@ def test_generic_invariance_holds_at_formerly_failing_seeds(seed):
         [(seed + 950 + i, seed + 960 + i, seed + 970 + 101 * i) for i in range(10)])
     worst = max(d for d, *_ in drawn)
     assert worst <= 1e-3, worst
+
+
+@pytest.mark.parametrize("seed", [430, 537, 911])
+def test_bernstein_suite_passes_at_formerly_tight_seeds(seed):
+    # the sampled degree-96 r^5 once read 1.0014e-6, 0.9995e-6 and 0.996e-6
+    # here, against 1e-6, from its aliased tail
+    res = verify.run_suite("bernstein", verify.RunConfig(quick=True, seed=seed))
+    failing = [(c.id, c.measured) for c in res.checks if not c.passed]
+    assert not failing, failing
+
+
+@pytest.mark.parametrize("table, shifted", [
+    ("knapp_stein_multipliers", lambda f: lambda dim, alpha, L: f(dim, alpha + 0.1, L)),
+    ("bernstein_multipliers", lambda f: lambda dim, s, L: f(dim, s + 0.1, L)),
+], ids=["eigenvalues", "bernstein-table"])
+def test_kernel_level_defect_fails_with_a_shifted_parameter(monkeypatch, table, shifted):
+    # the zonal series with either table's parameter off by 0.1 misses the
+    # step-down identity by O(1) (1.58 and 1.18)
+    assert verify._kernel_level_defect(5.0, 1234) <= 1e-9
+    monkeypatch.setattr(spectral_ops, table, shifted(getattr(spectral_ops, table)))
+    assert verify._kernel_level_defect(5.0, 1234) > 0.1
+
+
+def test_product_rule_split_is_exact_on_band_limited_kernels():
+    # tri-split's default-seed instance: at s = 6, r^6 phi is band-limited,
+    # so every Laplacian is exact and only rounding is left (the
+    # finite-difference gradient read 2.8e-9)
+    seed = verify.RunConfig().seed
+    rng = np.random.default_rng(seed + 1200)
+    verify._random_points(rng, 1)                   # tri-pullback's x3
+    phi = sphgrid.random_coeffs(6, seed + 1203)
+    y = verify._random_points(rng, 1)[0]
+    pts = verify._random_points(rng, 30)
+    pts = pts[np.linalg.norm(pts - y, axis=1) > 0.7]
+    assert verify.product_rule_split_defect(6.0, phi, y, pts) <= 1e-11
 
 
 @pytest.mark.parametrize("suite, cid, module, attr", [
