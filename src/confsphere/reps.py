@@ -63,7 +63,3 @@ def pi_pointwise(dim: Dimension, lam: complex, g: ConformalMap,
 
     return field
 
-
-def field_from_coeffs(coeffs: HarmonicCoeffs):
-    """Plain band-limited field as a callable on point arrays."""
-    return lambda points: synth_at_points(coeffs, points)

@@ -232,10 +232,6 @@ def quad(f: GridFunction) -> complex:
     return complex(math.fsum(terms.real), math.fsum(terms.imag))
 
 
-def norm_l2(f: GridFunction) -> float:
-    return math.sqrt(abs(quad(GridFunction(f.grid, np.abs(f.values) ** 2))))
-
-
 # ---------------------------------------------------------------------------
 # harmonic coefficients
 

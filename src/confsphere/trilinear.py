@@ -494,6 +494,43 @@ def _ktype_sum(dim: Dimension, alpha, G) -> tuple:
 # the singular trilinear forms
 
 
+def covariant_factor_split(dim: Dimension, grid, terms: dict, L: int, sigma,
+                           j: int) -> dict:
+    """The j-th factor Delta - (rho+j-1)(rho-j) of Delta_k applied, in x,
+    to sum r^{sigma-2e} y^beta psi(x), r = |x - y|, by the product rule
+
+        Delta[r^s psi] = r^{s-2} {[-(s/2)(s/2+n-2) r^2 + s(s+n-3)] psi
+                                  + s grad r^2 . grad psi + r^2 Delta psi},
+        grad r^2 . grad psi = sum_i y_i [x_i Delta psi - Delta(x_i psi)
+                                         - (n-1) x_i psi].
+
+    Terms are keyed (e, beta), beta the sorted coordinate indices of the
+    monomial y^beta, with psi as padded degree-L coefficient rows; the
+    result is in the same form.  Every psi must have degree below L, so
+    that x_i psi is analyzed exactly on the grid (degree at least L)."""
+    rho, n = dim.rho, dim.n
+    X = grid.flat_points()
+    lap = np.repeat(laplacian_multipliers(dim, L), 2 * L + 1)
+    shift = (rho + j - 1) * (rho - j)
+    keys = list(terms)
+    C = np.stack([terms[key] for key in keys], axis=1)
+    LC = lap[:, None] * C
+    V = sht_synthesize_columns(grid, np.hstack([C, LC]), L)
+    XV = sht_forward_columns(grid, (X[:, :, None] * V[:, None, :])
+                             .reshape(X.shape[0], -1), L)
+    XV = XV.reshape(-1, 3, 2, len(keys))     # (row, i, psi | Delta psi, term)
+    terms = defaultdict(int)
+    for b, (e, beta) in enumerate(keys):
+        s = sigma - 2 * e
+        terms[e, beta] += LC[:, b] - ((s / 2) * (s / 2 + n - 2) + shift) * C[:, b]
+        terms[e + 1, beta] += s * (s + n - 3) * C[:, b]
+        for i in range(3):
+            x_psi, x_lap_psi = XV[:, i, 0, b], XV[:, i, 1, b]
+            terms[e + 1, tuple(sorted(beta + (i,)))] += (
+                s * (x_lap_psi - lap * x_psi - (n - 1) * x_psi))
+    return terms
+
+
 def singular_form(dim: Dimension, k: int, a1, a2, f1, f2, f3) -> complex:
     """The k-th singular trilinear form
 
@@ -501,12 +538,8 @@ def singular_form(dim: Dimension, k: int, a1, a2, f1, f2, f3) -> complex:
                 |x - y|^{-rho+a1} dsigma(x) dsigma(y),
 
     as an exact finite sum of Knapp-Stein pairings.  Delta_k is split off
-    the kernel one factor Delta - (rho+j-1)(rho-j) at a time by
-        Delta[r^s phi] = r^{s-2} {[-(s/2)(s/2+n-2) r^2 + s(s+n-3)] phi
-                                  + s grad r^2 . grad phi + r^2 Delta phi},
-        grad r^2 . grad phi = sum_i y_i [x_i Delta phi - Delta(x_i phi)
-                                         - (n-1) x_i phi],
-    so every term is r^{s'} y^beta psi(x) with psi band-limited, and pairs
+    the kernel one factor at a time (`covariant_factor_split`), so every
+    term is r^{s'} y^beta psi(x) with psi band-limited, and pairs
     to (k_{s'+a1}, (f2 psi) (x) (f3 y^beta)) in closed form.  The sum is
     meromorphic in (a1, a2), so beyond the direct regime (Re(a2 - rho) >
     2k + 1 and Re a1 > -rho, where the integral converges as written) it
@@ -520,37 +553,16 @@ def singular_form(dim: Dimension, k: int, a1, a2, f1, f2, f3) -> complex:
         raise ValueError("singular forms are implemented for n = 3")
     check_order(k)
     _coeffs_only((f1, f2, f3))
-    rho, n = dim.rho, dim.n
-    sigma = complex(a2) - rho
+    sigma = complex(a2) - dim.rho
     L = f1.L + k                          # the degree bound of every psi
     L2, L3 = L + f2.L, f3.L + k           # of f2 psi and of f3 y^beta
     # the minimal grid on which every product below is analyzed exactly
     D = max(L2, L3, 1)
     grid = _staggered_grids(D + 1, 2 * D + 1, 1)[0]
     X = grid.flat_points()
-    lap = np.repeat(laplacian_multipliers(dim, L), 2 * L + 1)
-
-    # terms r^{sigma - 2e} y^beta psi, keyed (e, beta), beta the sorted
-    # coordinate indices of the monomial; psi as padded coefficient rows
     terms = {(0, ()): f1.pad(L).c.reshape(-1)}
     for j in range(1, k + 1):
-        shift = (rho + j - 1) * (rho - j)
-        keys = list(terms)
-        C = np.stack([terms[key] for key in keys], axis=1)
-        LC = lap[:, None] * C
-        V = sht_synthesize_columns(grid, np.hstack([C, LC]), L)
-        XV = sht_forward_columns(grid, (X[:, :, None] * V[:, None, :])
-                                 .reshape(X.shape[0], -1), L)
-        XV = XV.reshape(-1, 3, 2, len(keys))     # (row, i, psi | Delta psi, term)
-        terms = defaultdict(int)
-        for b, (e, beta) in enumerate(keys):
-            s = sigma - 2 * e
-            terms[e, beta] += LC[:, b] - ((s / 2) * (s / 2 + n - 2) + shift) * C[:, b]
-            terms[e + 1, beta] += s * (s + n - 3) * C[:, b]
-            for i in range(3):
-                x_psi, x_lap_psi = XV[:, i, 0, b], XV[:, i, 1, b]
-                terms[e + 1, tuple(sorted(beta + (i,)))] += (
-                    s * (x_lap_psi - lap * x_psi - (n - 1) * x_psi))
+        terms = covariant_factor_split(dim, grid, terms, L, sigma, j)
 
     keys = list(terms)
     F2, F3 = (sht_synthesize_columns(grid, f.c.reshape(-1, 1), f.L)

@@ -137,7 +137,7 @@ def jacobian_defects(instances) -> list:
     defects = []
     for g_seed, f_seed in instances:
         g = random_element(DIM, g_seed, max_boost=0.5)
-        f_field = reps.field_from_coeffs(sphgrid.random_coeffs(10, f_seed))
+        f_field = functools.partial(sphgrid.synth_at_points, sphgrid.random_coeffs(10, f_seed))
         pulled = sphgrid.GridFunction(grid, f_field(act(inverse(g), grid.points())))
         lhs = sphgrid.quad(pulled)
         kap = conformal_factor(g, grid.points())
@@ -227,10 +227,14 @@ def dirac_pair(lam: complex, g, phi) -> complex:
 def dirac_pair_dual(lam: complex, g, phi, grid) -> complex:
     """The same pairing through the distributional route: apply
     pi_{-lambda}(g^{-1}) to phi on the grid and read off the value at the
-    base point of its degree-grid.L projection.  Independent of the closed
-    form in dirac_pair except for the group arithmetic itself."""
-    moved, = moved_coeffs((-complex(lam),), inverse(g), [phi], grid, grid.L)
-    return sphgrid.value_at_pole(moved)
+    base point of its degree-grid.L projection.  Only m = 0 reaches the
+    pole, so that value is sum_i w_i K(u_i) sum_j F_ij dphi, F the moved
+    samples and K(u) = sum_{l <= grid.L} (2l+1)/(4 pi) P_l(u).  Independent
+    of the closed form in dirac_pair except for the group arithmetic."""
+    F = reps.pi_pointwise(DIM, -complex(lam), inverse(g), phi)(grid.points())
+    K = ((2.0 * np.arange(grid.L + 1) + 1.0) / (4.0 * math.pi)
+         @ ultraspherical_table(0.5, grid.L, grid.u))
+    return complex(np.dot(grid.w * K, F.sum(axis=1)) * grid.dphi)
 
 
 def unitary_defect(lam: complex, g, f, grid) -> float:
@@ -287,14 +291,6 @@ def descent_defects(instances) -> list:
         descended = num * up / spectral_ops.bernstein_rhs_factor(dn, step)
         defects.append(float((np.abs(direct - descended) / np.abs(direct)).max()))
     return defects
-
-
-def _laplacian_at(grid, values, points) -> np.ndarray:
-    """The Laplacian of sampled values at the points: analysis to the
-    grid's degree, the spectral multipliers, synthesis at the points."""
-    coeffs = sphgrid.sht_forward(sphgrid.GridFunction(grid, values))
-    lap = spectral_ops.laplacian_multipliers(DIM, grid.L)
-    return sphgrid.synth_at_points(spectral_ops.apply_multiplier(lap, coeffs), points)
 
 
 def _kernel_level_defect(s: float, seed: int) -> float:
@@ -635,38 +631,30 @@ def kernel_pullback_defect(k: int, alpha2, g, f1, x3: np.ndarray) -> float:
 
 def product_rule_split_defect(s: complex, phi, y: np.ndarray,
                               test_points: np.ndarray) -> float:
-    """Check that the Laplacian of |x - y|^s phi(x) splits off the kernel
-    power exactly: Delta_x[r^s phi] = r^{s-2} psi with
-
-        psi = [-(s/2)(s/2 + n - 2) r^2 + s(s + n - 3)] phi
-              + s (grad_x r^2) . grad phi + r^2 Delta phi,
-
-    r = |x - y|, and the gradient term from the coordinate identity of
-    `trilinear.singular_form`, sum_i y_i [x_i Delta phi - Delta(x_i phi)
-    - (n-1) x_i phi].  Each Laplacian is spectral on the degree-48 grid,
-    exact for x_i phi and, at even s, for r^s phi (the left side).
-    Returns max |LHS - RHS| / max |RHS| over the test points.
+    """Check `trilinear.covariant_factor_split` at j = 1, where its factor
+    is the Laplacian: the terms sum r^{s-2e} y^beta psi it returns for
+    r^s phi, r = |x - y|, evaluated at the test points, against the
+    spectral Laplacian of samples of r^s phi on the degree-48 grid (exact
+    at even s).  Returns max |LHS - RHS| / max |RHS| over the test points.
     """
     s = complex(s)
     y = np.asarray(y, dtype=float)
     pts = np.asarray(test_points, dtype=float).reshape(-1, 3)
     grid = sphgrid.make_grid(48)
     gp = grid.points()
-    phi_grid = sphgrid.synth_at_points(phi, gp)
     r_grid = np.linalg.norm(gp - y, axis=-1)
-    lhs = _laplacian_at(grid, r_grid ** s * phi_grid, pts)
+    coeffs = sphgrid.sht_forward(sphgrid.GridFunction(
+        grid, r_grid ** s * sphgrid.synth_at_points(phi, gp)))
+    lhs = sphgrid.synth_at_points(spectral_ops.apply_multiplier(
+        spectral_ops.laplacian_multipliers(DIM, grid.L), coeffs), pts)
 
-    n = DIM.n
+    L = phi.L + 1
+    terms = trilinear.covariant_factor_split(
+        DIM, sphgrid.make_grid(L), {(0, ()): phi.pad(L).c.reshape(-1)}, L, s, 1)
     r2 = np.maximum(2.0 - 2.0 * pts @ y, 0.0)
-    phi_vals = sphgrid.synth_at_points(phi, pts)
-    lap_phi = sphgrid.synth_at_points(spectral_ops.apply_multiplier(
-        spectral_ops.laplacian_multipliers(DIM, phi.L), phi), pts)
-    grad_term = sum(y[i] * (pts[:, i] * (lap_phi - (n - 1.0) * phi_vals)
-                            - _laplacian_at(grid, gp[..., i] * phi_grid, pts))
-                    for i in range(n))
-    psi = ((-(s / 2.0) * (s / 2.0 + n - 2.0) * r2 + s * (s + n - 3.0)) * phi_vals
-           + s * grad_term + r2 * lap_phi)
-    rhs = r2 ** ((s - 2.0) / 2.0) * psi
+    rhs = sum(np.prod(y[list(beta)]) * r2 ** (s / 2.0 - e)
+              * sphgrid.synth_at_points(sphgrid.HarmonicCoeffs(L, psi.reshape(L + 1, -1)), pts)
+              for (e, beta), psi in terms.items())
     return float(np.abs(lhs - rhs).max() / (np.abs(rhs).max() + 1e-300))
 
 

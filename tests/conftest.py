@@ -34,6 +34,11 @@ def random_unit(rng, count, n=3):
     return pts / np.linalg.norm(pts, axis=1)[:, None]
 
 
+def norm_l2(f):
+    """Grid L2 norm of a GridFunction: sqrt of the quadrature of |f|^2."""
+    return math.sqrt(abs(sphgrid.quad(sphgrid.GridFunction(f.grid, np.abs(f.values) ** 2))))
+
+
 def rounding_tol(c):
     """Float64 rounding scale of a degree-L synthesis of c: eps times the
     L + 1 recurrence steps times the sum of the term bounds

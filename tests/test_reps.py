@@ -4,7 +4,7 @@ import pytest
 from confsphere.lorentz import (Dimension, boost, compose, conformal_factor, identity,
                                 inverse, random_element, rotation)
 from confsphere import reps, sphgrid as sg, verify
-from conftest import random_unit, rounding_tol
+from conftest import norm_l2, random_unit, rounding_tol
 
 
 def _rotation(rng, dim):
@@ -53,7 +53,7 @@ def test_duality(dim3, grid32, rng):
     g = boost(0.3, dim3)
     f = sg.sht_inverse(cf.pad(32), grid32)
     phi = sg.sht_inverse(cp.pad(32), grid32)
-    scale = sg.norm_l2(f) * sg.norm_l2(phi)
+    scale = norm_l2(f) * norm_l2(phi)
     assert verify.duality_defect(0.7, g, cf, cp, grid32) < 1e-6 * scale
 
 
@@ -146,7 +146,7 @@ def test_unitarity_imaginary_axis(dim3, grid32):
     f = sg.sht_inverse(sg.random_coeffs(8, 13).pad(32), grid32)
     g = random_element(dim3, 17, max_boost=0.5)
     moved = reps.pi_act(dim3, 0.9j, g, f)
-    assert abs(sg.norm_l2(moved) - sg.norm_l2(f)) < 1e-6 * sg.norm_l2(f)
+    assert abs(norm_l2(moved) - norm_l2(f)) < 1e-6 * norm_l2(f)
 
 
 def test_pi_pointwise_matches_grid_action(dim3, grid32, rng):

@@ -14,7 +14,8 @@ from confsphere.lorentz import Dimension, boost, random_element, rotation
 from confsphere import sphgrid as sg, trilinear as tri, verify
 from confsphere.mero import residue_ring
 from confsphere.special import complex_gamma, gamma_ratio, pochhammer
-from confsphere.spectral_ops import gjms_constant, knapp_stein_multipliers
+from confsphere.spectral_ops import (apply_multiplier, gjms_constant,
+                                     knapp_stein_multipliers, laplacian_multipliers)
 from conftest import random_unit
 
 FOUR_PI_CUBED = (4 * np.pi) ** 3
@@ -169,13 +170,12 @@ def _dense_direct_oracle(dim, fs, grid_size, alpha):
     """The direct generic form from whole N x N kernel matrices: the dense
     quadrature sum that the direct engine takes in azimuthal frequency
     (test-only reference)."""
-    from confsphere.reps import field_from_coeffs
     rho = dim.rho
     a1, a2, a3 = alpha
     g1, g2, g3 = tri.triple_grids(grid_size)
     P = [g.flat_points() for g in (g1, g2, g3)]
     W = [g.flat_weights() for g in (g1, g2, g3)]
-    F1, F2, F3 = ((field_from_coeffs(f) if isinstance(f, sg.HarmonicCoeffs) else f)(p)
+    F1, F2, F3 = (sg.synth_at_points(f, p) if isinstance(f, sg.HarmonicCoeffs) else f(p)
                   for f, p in zip(fs, P))
     K3 = tri.chordal_power(P[0], P[1], a3 - rho)
     K2 = tri.chordal_power(P[2], P[0], a2 - rho)
@@ -199,10 +199,9 @@ def _quadrature_trace_oracle(dim, fs, grid_size, a1, a2, L_K):
     """The degree weights A_l by triple-grid quadrature, with the middle
     kernel applied through its eigenvalues truncated at L_K: the formula
     the exact-product trace replaces (test-only reference)."""
-    from confsphere.reps import field_from_coeffs
     g1, g2, g3 = tri.triple_grids(grid_size)
     P = [g.flat_points() for g in (g1, g2, g3)]
-    F1, F2, F3 = (field_from_coeffs(f)(p) for f, p in zip(fs, P))
+    F1, F2, F3 = (sg.synth_at_points(f, p) for f, p in zip(fs, P))
     K2 = tri.chordal_power(P[2], P[0], a2 - dim.rho)
     eig1 = np.repeat(knapp_stein_multipliers(dim, a1, L_K), 2 * L_K + 1)[:, None]
     middle = sg.sht_synthesize_columns(
@@ -216,12 +215,11 @@ def _dense_singular_oracle(dim, fs, grid_size, k, a1, a2, L_K):
     """The singular form by double quadrature on two staggered grids, with
     Delta_k applied through its GJMS eigenvalues truncated at L_K: the
     formula the exact finite sum replaces (test-only reference)."""
-    from confsphere.reps import field_from_coeffs
     from confsphere.spectral_ops import gjms_multipliers
     gx, g3 = tri._staggered_grids(*grid_size, 2)
     Px, P3 = gx.flat_points(), g3.flat_points()
-    G1, G2 = (field_from_coeffs(f)(Px) for f in fs[:2])
-    G3 = field_from_coeffs(fs[2])(P3)
+    G1, G2 = (sg.synth_at_points(f, Px) for f in fs[:2])
+    G3 = sg.synth_at_points(fs[2], P3)
     mult = np.repeat(gjms_multipliers(dim, k, L_K), 2 * L_K + 1)[:, None]
     H = sg.sht_synthesize_columns(
         gx, mult * sg.sht_forward_columns(
@@ -280,11 +278,10 @@ def test_coefficient_spectrum_matches_sampled_spectrum_and_dense_oracle(
     # the transform pair, sparse in m and never point-sampled; the same
     # fields as callables are contracted from the FFT of their ring
     # samples, and the dense oracle sums the whole N x N kernels
-    from confsphere.reps import field_from_coeffs
     assert not hasattr(tri, "field_from_coeffs") and not hasattr(tri, "synth_at_points")
     engine = tri.TripleEngine(dim3, alpha, grid_size=grid_size)
     for fs in _spectrum_cases(grid_size[1]):
-        sampled = engine.value(*map(field_from_coeffs, fs))
+        sampled = engine.value(*(partial(sg.synth_at_points, f) for f in fs))
         dense = _dense_direct_oracle(dim3, fs, grid_size, alpha)
         got = engine.value(*fs)
         assert abs(got - sampled) <= 1e-13 * abs(sampled)
@@ -294,10 +291,9 @@ def test_coefficient_spectrum_matches_sampled_spectrum_and_dense_oracle(
 def test_coefficient_spectrum_matches_sampled_spectrum_on_large_grid(dim3):
     # (48, 96): the contraction runs in several chunks of p, and the third
     # field's degree 49 is above the grid's own Legendre table
-    from confsphere.reps import field_from_coeffs
     engine = tri.TripleEngine(dim3, SPECTRUM_ALPHAS["complex"], grid_size=(48, 96))
     fs = _spectrum_cases(96)[2]
-    sampled = engine.value(*map(field_from_coeffs, fs))
+    sampled = engine.value(*(partial(sg.synth_at_points, f) for f in fs))
     assert abs(engine.value(*fs) - sampled) <= 1e-13 * abs(sampled)
 
 
@@ -311,12 +307,11 @@ def test_ring_spectrum_exact_from_coefficients_property(case, slot, seed):
     # (nonzero phi_0); degrees up to n_phi fold orders onto each other mod
     # n_phi.  Off the residues it returns, the coefficient spectrum is
     # exactly zero.
-    from confsphere.reps import field_from_coeffs
     grid_size, degree = case
     grid = tri.triple_grids(grid_size)[slot]
     f = sg.random_coeffs(degree, seed)
     k, F = tri._ring_spectrum(f, grid)
-    _, S = tri._ring_spectrum(field_from_coeffs(f), grid)
+    _, S = tri._ring_spectrum(partial(sg.synth_at_points, f), grid)
     assert np.abs(F - S).max() <= 1e-13 * np.abs(F).max()
     off = np.ones(grid.n_phi, dtype=bool)
     off[k] = False
@@ -327,15 +322,15 @@ def test_band_limited_callable_keeps_the_coefficient_residues(dim3):
     # a degree-4 field's ring samples carry orders |m| <= 4 and rounding
     # elsewhere: as a callable it keeps the 9 residues its coefficients
     # keep, and the engine's value on callables is the coefficient value
-    from confsphere.reps import field_from_coeffs
     fs = [sg.random_coeffs(4, 60 + j) for j in range(3)]
     for f, grid in zip(fs, tri.triple_grids((24, 48))):
         k, _ = tri._ring_spectrum(f, grid)
-        k_sampled, _ = tri._ring_spectrum(field_from_coeffs(f), grid)
+        k_sampled, _ = tri._ring_spectrum(partial(sg.synth_at_points, f), grid)
         assert k.size == 9 and np.array_equal(k_sampled, k)
     engine = tri.TripleEngine(dim3, SPECTRUM_ALPHAS["real"], grid_size=(24, 48))
     want = engine.value(*fs)
-    assert abs(engine.value(*map(field_from_coeffs, fs)) - want) <= 1e-13 * abs(want)
+    sampled = engine.value(*(partial(sg.synth_at_points, f) for f in fs))
+    assert abs(sampled - want) <= 1e-13 * abs(want)
 
 
 def test_trace_quadrature_oracle_converges_to_exact_trace(dim3):
@@ -651,8 +646,7 @@ def test_direct_engine_memory_bounded_on_callables(dim3):
     # callables enter the contraction with all n_phi orders: the
     # transformed tables, W and one chunk's arrays and their product take
     # 32 MB at (48, 96) (tracemalloc peak)
-    from confsphere.reps import field_from_coeffs
-    fs = [field_from_coeffs(sg.random_coeffs(4, 180 + j, real_field=True))
+    fs = [partial(sg.synth_at_points, sg.random_coeffs(4, 180 + j, real_field=True))
           for j in range(3)]
     assert _direct_engine_peak(dim3, fs) < 100e6
 
@@ -661,8 +655,7 @@ def test_direct_engine_callables_within_documented_working_set(dim3):
     # TripleEngine.value's bound: the three transformed tables, 3 n nt^2
     # complex entries, plus at most 4 nt n^2 for W, one chunk's arrays and
     # their batched product; at (48, 96) that is 38.9 MB
-    from confsphere.reps import field_from_coeffs
-    fs = [field_from_coeffs(sg.random_coeffs(4, 180 + j, real_field=True))
+    fs = [partial(sg.synth_at_points, sg.random_coeffs(4, 180 + j, real_field=True))
           for j in range(3)]
     nt, n = 48, 96
     assert _direct_engine_peak(dim3, fs) <= 16 * (3 * n * nt * nt + 4 * nt * n * n)
@@ -729,10 +722,9 @@ def test_singular_form_k0_reduction(dim3):
     a1, a2 = 1.3, 2.6
     got = tri.singular_form(dim3, 0, a1, a2, *fs)
     gx, g3 = tri._staggered_grids(48, 96, 2)
-    from confsphere.reps import field_from_coeffs
-    F1 = field_from_coeffs(fs[0])(gx.flat_points())
-    F2 = field_from_coeffs(fs[1])(gx.flat_points())
-    F3 = field_from_coeffs(fs[2])(g3.flat_points())
+    F1 = sg.synth_at_points(fs[0], gx.flat_points())
+    F2 = sg.synth_at_points(fs[1], gx.flat_points())
+    F3 = sg.synth_at_points(fs[2], g3.flat_points())
     K = tri.chordal_power(gx.flat_points(), g3.flat_points(), a1 + a2 - 2.0)
     want = (F1 * F2 * gx.flat_weights()) @ K @ (F3 * g3.flat_weights())
     assert abs(got - want) <= 1e-6 * abs(want)
@@ -1214,3 +1206,40 @@ def test_product_rule_split(rng):
     one = sg.coeffs_constant(1.0, 1)
     assert verify.product_rule_split_defect(5.0, one, y, pts) < 1e-6
     assert verify.product_rule_split_defect(6.0, phi, y, -y[None, :]) < 1e-6
+
+
+def _factor_split_gap(s, j, phi, y, pts, sigma):
+    """The terms covariant_factor_split(sigma, j) returns for r^s phi,
+    evaluated at the points, against [Delta - (rho+j-1)(rho-j)][r^s phi]
+    from the spectral Laplacian of samples on the degree-48 grid; max gap
+    over max value."""
+    rho = verify.DIM.rho
+    grid = sg.make_grid(48)
+    gp = grid.points()
+    samples = np.linalg.norm(gp - y, axis=-1) ** s * sg.synth_at_points(phi, gp)
+    mult = laplacian_multipliers(verify.DIM, grid.L) - (rho + j - 1) * (rho - j)
+    want = sg.synth_at_points(
+        apply_multiplier(mult, sg.sht_forward(sg.GridFunction(grid, samples))), pts)
+    L = phi.L + 1
+    terms = tri.covariant_factor_split(
+        verify.DIM, sg.make_grid(L), {(0, ()): phi.pad(L).c.reshape(-1)}, L, sigma, j)
+    r2 = np.maximum(2.0 - 2.0 * pts @ y, 0.0)
+    got = sum(np.prod(y[list(beta)]) * r2 ** (s / 2.0 - e)
+              * sg.synth_at_points(sg.HarmonicCoeffs(L, psi.reshape(L + 1, -1)), pts)
+              for (e, beta), psi in terms.items())
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@pytest.mark.parametrize("s, tol", [(6.0, 1e-11), (5.3 + 0.4j, 1e-7)], ids=["even", "complex"])
+def test_covariant_factor_split_second_factor(rng, s, tol):
+    # at n = 3 the first factor is Delta itself (rho(rho-1) = 0), so only
+    # j >= 2 tests the shift: the second factor is Delta + 2.  At s = 6
+    # r^s phi is band-limited and the gap is rounding (3.4e-13); at complex
+    # s it is the degree-48 truncation of r^s phi (6.1e-9).  With the
+    # kernel exponent off by 0.1 the terms miss by 4.5e-3.
+    phi = sg.random_coeffs(6, 160)
+    y = random_unit(rng, 1)[0]
+    pts = random_unit(rng, 40)
+    pts = pts[np.linalg.norm(pts - y, axis=1) > 0.7]
+    assert _factor_split_gap(s, 2, phi, y, pts, s) <= tol
+    assert _factor_split_gap(s, 2, phi, y, pts, s + 0.1) > 1e-3

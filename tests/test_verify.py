@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from confsphere import reps, spectral_ops, sphgrid, verify
-from confsphere.lorentz import inverse
+from confsphere.lorentz import inverse, random_element
+from conftest import norm_l2
 
 
 @pytest.fixture(scope="module")
@@ -200,16 +201,17 @@ def _dirac_by_ring_sums(lam, g, phi, grid):
 def _unitary_by_quadrature(lam, g, f, grid):
     """rep-unitary's defect from the grid norms of the moved and the
     unmoved samples."""
-    unmoved = sphgrid.norm_l2(sphgrid.sht_inverse(f.pad(grid.L), grid))
-    moved = sphgrid.norm_l2(reps.pi_act_coeffs(verify.DIM, lam, g, f, grid))
+    unmoved = norm_l2(sphgrid.sht_inverse(f.pad(grid.L), grid))
+    moved = norm_l2(reps.pi_act_coeffs(verify.DIM, lam, g, f, grid))
     return abs(moved - unmoved) / unmoved
 
 
 @pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
 def test_moved_field_readouts_match_sampled_formulas(monkeypatch, quick):
     # the representation checks read each moved field from its projection
-    # (moved_coeffs); at every instance of the suite they agree with grid
-    # quadrature and ring sums of the moved samples to rounding
+    # (moved_coeffs), rep-dirac from its m = 0 ring sums; at every instance
+    # of the suite they agree with grid quadrature and ring sums of the
+    # moved samples to rounding
     names = ("duality_defect", "dirac_pair_dual", "unitary_defect")
     calls = {name: [] for name in names}
     for name in names:
@@ -230,6 +232,19 @@ def test_moved_field_readouts_match_sampled_formulas(monkeypatch, quick):
     for (lam, g, f, grid), got in calls["unitary_defect"]:
         want = _unitary_by_quadrature(lam, g, f, grid)
         assert abs(got - want) <= 1e-13, (got, want)
+
+
+def test_dirac_pair_dual_is_the_pole_value_of_the_projection():
+    # dirac_pair_dual sums only what reaches the pole; the value is that of
+    # the moved field's full projection to the grid's degree
+    grid = sphgrid.make_grid(48)
+    for i in range(4):
+        g = random_element(verify.DIM, 300 + i, max_boost=0.6)
+        lam = complex(0.3 * (i % 3), 0.1 * i - 0.2)
+        phi = sphgrid.random_coeffs(10, 310 + i)
+        moved, = verify.moved_coeffs((-lam,), inverse(g), [phi], grid, grid.L)
+        want = sphgrid.value_at_pole(moved)
+        assert abs(verify.dirac_pair_dual(lam, g, phi, grid) - want) <= 1e-13 * abs(want)
 
 
 def test_schema_validator_catches_problems(quick_results):
